@@ -12,18 +12,15 @@ Example:
 """
 import argparse
 
-
 from graphdenoise import (
-    ParamVector,
     PipelineConfig,
     add_awgn,
-    calibrate_cg_params,
+    calibrated_initial,
     evaluate_psnr,
     partition,
     synthesize_image,
     train_loop,
 )
-from graphdenoise.train import _build_system
 
 
 def make_pairs(image_seeds, size, patch_side, sigma, noise_seed_base):
@@ -61,13 +58,7 @@ def main() -> int:
     for h in history:
         print(f"  epoch {h.epoch:3d}: train loss {h.train_loss:.5f}, val PSNR {h.val_psnr:.3f} dB")
 
-    theta0 = ParamVector.initial(hyper)
-    systems = []
-    for noisy, _ in train_pairs[:3]:
-        _, _, _, system = _build_system(theta0, noisy, args.patch_side, hyper)
-        systems.append((system, noisy))
-    alpha0, beta0 = calibrate_cg_params(systems, hyper.depth_T)
-    theta0 = ParamVector(theta0.metric_factor, theta0.tse_coeffs, alpha0, beta0)
+    theta0 = calibrated_initial(hyper, [noisy for noisy, _ in train_pairs[:3]], args.patch_side)
 
     print(f"{'sigma':>6} {'init_dB':>9} {'trained_dB':>11}")
     for sigma_index, sigma in enumerate(sigmas):

@@ -22,7 +22,6 @@ from .graph_filter import (
     FeatureField,
     MetricFactor,
     SparseFilterMatrix,
-    apply_psi,
     build_filter_matrix,
     central_gradients,
     estimate_spectrum,
@@ -48,6 +47,8 @@ from .train import (
     PipelineConfig,
     TrainState,
     adam_step,
+    build_system,
+    calibrated_initial,
     central_difference,
     evaluate_psnr,
     forward,
@@ -85,9 +86,10 @@ __all__ = [
     "TrainState",
     "adam_step",
     "add_awgn",
-    "apply_psi",
     "build_filter_matrix",
+    "build_system",
     "calibrate_cg_params",
+    "calibrated_initial",
     "central_difference",
     "central_gradients",
     "default_coefficients",

@@ -94,30 +94,16 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     betas = np.zeros(max(T - 1, 0))
     iterates = [x.copy()] if want_trace else None
     res_norms = [float(np.linalg.norm(r))] if want_trace else None
-    broken = False
 
     for k in range(T):
-        if analytic and broken:
-            if want_trace:
-                iterates.append(x.copy())
-                res_norms.append(res_norms[-1])
-            continue
         if analytic:
             rr_old = float(r @ r)
             if rr_old < cfg.epsilon_guard:
-                broken = True
-                if want_trace:
-                    iterates.append(x.copy())
-                    res_norms.append(res_norms[-1])
-                continue
+                break
             v = matvec(p)
             pv = float(p @ v)
             if abs(pv) < cfg.epsilon_guard:
-                broken = True
-                if want_trace:
-                    iterates.append(x.copy())
-                    res_norms.append(res_norms[-1])
-                continue
+                break
             alpha = rr_old / pv
         else:
             v = matvec(p)
@@ -137,6 +123,11 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
         if want_trace:
             iterates.append(x.copy())
             res_norms.append(float(np.sqrt(rr_new)))
+    if want_trace:
+        # after a breakdown the remaining steps are identity pass-throughs
+        pad = T + 1 - len(iterates)
+        iterates += [x.copy() for _ in range(pad)]
+        res_norms += [res_norms[-1]] * pad
 
     if not np.all(np.isfinite(x)):
         raise NumericDivergenceError(f"non-finite CG output after {T} iterations", iteration=T)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .imaging import GrayImage, add_awgn, load_image, partition, psnr, reassembl
 from .train import (
     ParamVector,
     PipelineConfig,
-    _build_system,
+    build_system,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -79,40 +79,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _denoise_image(
-    image: GrayImage, theta: ParamVector, hyper: PipelineConfig, patch_side: int
-) -> GrayImage:
+def _map_patches(image: GrayImage, patch_side: int, denoise_patch) -> GrayImage:
+    """Apply denoise_patch to every patch of the grid, clipped to [0, 1]."""
     grid = partition(image, patch_side)
-    outputs = np.array(
-        [np.clip(forward(theta, patch, patch_side, hyper), 0.0, 1.0) for patch in grid.patches]
-    )
-    return reassemble(
-        type(grid)(
-            patch_side=grid.patch_side,
-            patches=outputs,
-            origins=grid.origins,
-            grid_height=grid.grid_height,
-            grid_width=grid.grid_width,
-        )
-    )
-
-
-def _bilateral_image(image: GrayImage, hyper: PipelineConfig, patch_side: int) -> GrayImage:
-    theta = ParamVector.initial(hyper)
-    grid = partition(image, patch_side)
-    outputs = []
-    for patch in grid.patches:
-        _, _, op, _ = _build_system(theta, patch, patch_side, hyper)
-        outputs.append(np.clip(op.apply(patch), 0.0, 1.0))
-    return reassemble(
-        type(grid)(
-            patch_side=grid.patch_side,
-            patches=np.array(outputs),
-            origins=grid.origins,
-            grid_height=grid.grid_height,
-            grid_width=grid.grid_width,
-        )
-    )
+    outputs = np.array([np.clip(denoise_patch(patch), 0.0, 1.0) for patch in grid.patches])
+    return reassemble(replace(grid, patches=outputs))
 
 
 def _crop_like(image: GrayImage, patch_side: int) -> GrayImage:
@@ -186,7 +157,9 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     out = _out_dir(cfg)
     params, hyper = load_checkpoint(cfg.checkpoint)
     noisy = load_image(image_path)
-    denoised = _denoise_image(noisy, params, hyper, cfg.patch_side)
+    denoised = _map_patches(
+        noisy, cfg.patch_side, lambda patch: forward(params, patch, cfg.patch_side, hyper)
+    )
     target = out / (Path(image_path).stem + "_denoised.pgm")
     save_image(denoised, target)
     print(f"wrote {target}")
@@ -204,30 +177,28 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise CliUsageError("--test_dir is required for eval")
     out = _out_dir(cfg)
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
-    init_hyper = PipelineConfig(
-        window_radius=hyper.window_radius,
-        degree_K=hyper.degree_K,
-        expansion_s=hyper.expansion_s,
-        depth_T=hyper.depth_T,
-        cg_mode="analytic",
-    )
+    init_hyper = replace(hyper, cg_mode="analytic")
     init_params = ParamVector.initial(init_hyper)
+    side = cfg.patch_side
+
+    def bilateral(patch):
+        _, _, system = build_system(init_params, patch, side, init_hyper)
+        return system.psi.apply(patch)
+
+    denoisers = {
+        "bilateral": bilateral,
+        "init": lambda patch: forward(init_params, patch, side, init_hyper),
+        "trained": lambda patch: forward(trained_params, patch, side, hyper),
+    }
     paths = _list_images(cfg.test_dir)
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(cfg.sigma_test):
-        scores = {"bilateral": [], "init": [], "trained": []}
+        scores = {name: [] for name in denoisers}
         for image_index, path in enumerate(paths):
-            clean = _crop_like(load_image(path), cfg.patch_side)
+            clean = _crop_like(load_image(path), side)
             noisy = add_awgn(clean, sigma, cfg.seed + 1000 * sigma_index + image_index)
-            scores["bilateral"].append(
-                psnr(clean, _bilateral_image(noisy, init_hyper, cfg.patch_side))
-            )
-            scores["init"].append(
-                psnr(clean, _denoise_image(noisy, init_params, init_hyper, cfg.patch_side))
-            )
-            scores["trained"].append(
-                psnr(clean, _denoise_image(noisy, trained_params, hyper, cfg.patch_side))
-            )
+            for name, denoise_patch in denoisers.items():
+                scores[name].append(psnr(clean, _map_patches(noisy, side, denoise_patch)))
         lines.append(
             f"{_fmt(sigma)},{_fmt(np.mean(scores['bilateral']))},"
             f"{_fmt(np.mean(scores['init']))},{_fmt(np.mean(scores['trained']))}"
@@ -265,8 +236,8 @@ def cmd_inspect(cfg: RunConfig) -> int:
         image = load_image(paths[0])
         grid = partition(image, cfg.patch_side)
         for index, patch in enumerate(grid.patches[:4]):
-            _, _, op, _ = _build_system(params, patch, cfg.patch_side, hyper)
-            lam_min, lam_max = estimate_spectrum(op, iterations=200)
+            _, _, system = build_system(params, patch, cfg.patch_side, hyper)
+            lam_min, lam_max = estimate_spectrum(system.psi, iterations=200)
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")
             lines.append(f"patch_{index}_pd = {'yes' if lam_min > 0 else 'no'}")

@@ -14,7 +14,6 @@ class RunConfig:
 
     patch_side: int = 64
     window_radius: int = 3
-    feature_dim: int = 5
     K: int = 10
     s: float = 1.0
     T: int = 15
@@ -41,7 +40,7 @@ def _coerce(name: str, text: str, kind) -> object:
             return float(text)
         if kind is str:
             return text
-        if kind is tuple or str(kind).startswith("tuple"):
+        if kind is tuple:
             parts = [p for p in text.split(",") if p.strip()]
             return tuple(float(p) for p in parts)
     except ValueError as exc:
@@ -49,20 +48,7 @@ def _coerce(name: str, text: str, kind) -> object:
     raise CliUsageError(f"cannot parse config field {name}")
 
 
-_FIELD_KINDS = {f.name: (tuple if f.name == "sigma_test" else f.type) for f in fields(RunConfig)}
-_KIND_BY_NAME = {
-    "int": int,
-    "float": float,
-    "str": str,
-    tuple: tuple,
-}
-
-
-def _field_kind(name: str):
-    kind = _FIELD_KINDS[name]
-    if kind is tuple:
-        return tuple
-    return _KIND_BY_NAME.get(kind, str)
+_FIELD_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -79,7 +65,7 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in _FIELD_KINDS:
             raise CliUsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, value, _field_kind(key))
+        values[key] = _coerce(key, value, _FIELD_KINDS[key])
     return values
 
 
@@ -91,10 +77,8 @@ def build_config(config_path: str | None, overrides: dict) -> RunConfig:
     for key, text in overrides.items():
         if text is None:
             continue
-        values[key] = _coerce(key, str(text), _field_kind(key))
+        values[key] = _coerce(key, str(text), _FIELD_KINDS[key])
     cfg = RunConfig(**values)
     if cfg.cg_mode not in ("analytic", "learned"):
         raise CliUsageError(f"cg_mode must be 'analytic' or 'learned', got {cfg.cg_mode!r}")
-    if cfg.feature_dim != 5:
-        raise CliUsageError("this build supports feature_dim = 5 only")
     return cfg

@@ -132,9 +132,7 @@ class SparseFilterMatrix:
     """Symmetric positive filter weights on a Chebyshev-window grid graph.
 
     Entries are stored in COO form over all ordered pairs (both (i, j) and
-    (j, i), plus the unit diagonal). `diffs` caches the feature differences
-    f_i - f_j per stored entry; these do not depend on the metric, which is
-    the one cache reused across metric updates during training.
+    (j, i), plus the unit diagonal).
     """
 
     n: int
@@ -142,7 +140,6 @@ class SparseFilterMatrix:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    diffs: np.ndarray | None = None
 
     @property
     def nnz(self) -> int:
@@ -321,8 +318,6 @@ def build_filter_matrix(
     rows_parts = [np.arange(n)]
     cols_parts = [np.arange(n)]
     weight_parts = [np.ones(n)]
-    diff_parts = [np.zeros((n, field_.feature_dim))]
-    mirrored = []
     for dr, dc in _window_offsets(window_radius):
         r0, r1 = max(0, -dr), side - max(0, dr)
         c0, c1 = max(0, -dc), side - max(0, dc)
@@ -336,21 +331,14 @@ def build_filter_matrix(
         rows_parts.append(i_block)
         cols_parts.append(j_block)
         weight_parts.append(w)
-        diff_parts.append(d)
-        mirrored.append((j_block, i_block, w, -d))
-    for jb, ib, w, d in mirrored:
-        rows_parts.append(jb)
-        cols_parts.append(ib)
-        weight_parts.append(w)
-        diff_parts.append(d)
 
+    # the mirrored half, (j, i) for every (i, j) above, follows in the same order
     return SparseFilterMatrix(
         n=n,
         window_radius=window_radius,
-        rows=np.concatenate(rows_parts),
-        cols=np.concatenate(cols_parts),
-        weights=np.concatenate(weight_parts),
-        diffs=np.vstack(diff_parts),
+        rows=np.concatenate(rows_parts + cols_parts[1:]),
+        cols=np.concatenate(cols_parts + rows_parts[1:]),
+        weights=np.concatenate(weight_parts + weight_parts[1:]),
     )
 
 
@@ -376,11 +364,6 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
     return DenoiserOperator(
         n=filt.n, rows=filt.rows, cols=filt.cols, values=values, row_sums=row_sums
     )
-
-
-def apply_psi(op: DenoiserOperator, v: np.ndarray) -> np.ndarray:
-    """Psi @ v through the sparse storage."""
-    return op.apply(v)
 
 
 def estimate_spectrum(

@@ -128,18 +128,3 @@ class TaylorSystemOperator:
         x = self._check(x)
         return float(x @ self.apply_laplacian(x))
 
-
-def apply_truncated_inverse(op: TaylorSystemOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply_truncated_inverse(v)
-
-
-def apply_system(op: TaylorSystemOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply_system(v)
-
-
-def apply_laplacian(op: TaylorSystemOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply_laplacian(v)
-
-
-def glr_value(op: TaylorSystemOperator, x: np.ndarray) -> float:
-    return op.glr_value(x)

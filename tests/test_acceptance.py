@@ -16,7 +16,8 @@ from graphdenoise import (
     TaylorSystemOperator,
     add_awgn,
     build_filter_matrix,
-    calibrate_cg_params,
+    build_system,
+    calibrated_initial,
     evaluate_psnr,
     extract_features,
     forward,
@@ -28,7 +29,6 @@ from graphdenoise import (
     train_loop,
     unrolled_cg,
 )
-from graphdenoise.train import _build_system
 from oracles import (
     dense_filter_matrix,
     dense_normalize,
@@ -103,8 +103,8 @@ def test_criterion_2_initialization_baseline():
             y = partition(noisy, 64).patches[0]
             clean = partition(img, 64).patches[0]
             x = forward(theta, y, 64, hyper)
-            _, _, op, _ = _build_system(theta, y, 64, hyper)
-            bf = op.apply(y)
+            _, _, system = build_system(theta, y, 64, hyper)
+            bf = system.psi.apply(y)
             gap = abs(_patch_psnr(clean, x) - _patch_psnr(clean, bf))
             worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - start
@@ -141,17 +141,12 @@ def test_criterion_4_gradient_fidelity():
     for seed in range(5):
         rng = np.random.default_rng(7000 + seed)
         pairs = _make_pairs([800 + 2 * seed, 801 + 2 * seed], side, side, 15.0, 8800 + seed)
-        theta0 = ParamVector.initial(hyper)
-        systems = []
-        for noisy, _ in pairs:
-            _, _, _, system = _build_system(theta0, noisy, side, hyper)
-            systems.append((system, noisy))
-        alpha, beta = calibrate_cg_params(systems, hyper.depth_T)
+        theta0 = calibrated_initial(hyper, [noisy for noisy, _ in pairs], side)
         theta = ParamVector(
             theta0.metric_factor + 0.05 * rng.standard_normal(15),
             theta0.tse_coeffs + 0.1 * rng.standard_normal(hyper.degree_K + 1),
-            alpha * (1.0 + 0.05 * rng.standard_normal(hyper.depth_T)),
-            beta + 0.05 * rng.standard_normal(hyper.depth_T - 1),
+            theta0.cg_alpha * (1.0 + 0.05 * rng.standard_normal(hyper.depth_T)),
+            theta0.cg_beta + 0.05 * rng.standard_normal(hyper.depth_T - 1),
         )
         assert theta.size == 55
         g_rev = grad_reverse(theta, pairs, side, hyper).pack()
@@ -173,13 +168,7 @@ def test_criterion_5_training_gain():
     test_pairs = _make_pairs(range(300, 310), 64, patch_side, 15.0, 900)    # 10 images
 
     # initialization reference: calibrated scalars, untrained everything else
-    theta0 = ParamVector.initial(hyper)
-    systems = []
-    for noisy, _ in train_pairs[:3]:
-        _, _, _, system = _build_system(theta0, noisy, patch_side, hyper)
-        systems.append((system, noisy))
-    alpha0, beta0 = calibrate_cg_params(systems, hyper.depth_T)
-    theta0 = ParamVector(theta0.metric_factor, theta0.tse_coeffs, alpha0, beta0)
+    theta0 = calibrated_initial(hyper, [noisy for noisy, _ in train_pairs[:3]], patch_side)
     init_psnr = evaluate_psnr(theta0, test_pairs, patch_side, hyper)
 
     start = time.perf_counter()

@@ -82,6 +82,24 @@ class TestAnalyticMode:
         assert np.all(trace.used_alphas == 0.0)
         assert np.all(trace.used_betas == 0.0)
 
+    def test_guard_freezes_on_vanishing_curvature(self):
+        # A = 0 keeps r_0 = y nonzero, so the r.r check passes and the
+        # |p.v| check trips after the first step's matvec.
+        calls = []
+
+        def zero_matvec(v):
+            calls.append(v)
+            return np.zeros_like(v)
+
+        y = np.random.default_rng(3).random(5) + 0.1
+        x, trace = unrolled_cg(zero_matvec, y, CgConfig(depth_T=4), want_trace=True)
+        assert np.array_equal(x, y)
+        assert np.all(trace.used_alphas == 0.0)
+        assert np.all(trace.used_betas == 0.0)
+        assert len(trace.iterates) == 5
+        assert trace.residual_norms == [float(np.linalg.norm(y))] * 5
+        assert len(calls) == 2  # the initial residual plus the one step's matvec
+
     def test_zero_rhs_stays_zero_and_finite(self):
         a, _ = dense_system(5, 8)
         x, trace = unrolled_cg(lambda v: a @ v, np.zeros(8), CgConfig(depth_T=8), want_trace=True)

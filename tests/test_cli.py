@@ -266,6 +266,28 @@ class TestExitCodes:
         ) == 3
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: "[]",
+            lambda payload: json.dumps({k: v for k, v in payload.items() if k != "depth_T"}),
+            lambda payload: json.dumps({**payload, "degree_K": "ten"}),
+            lambda payload: json.dumps({**payload, "cg_alpha": {"a": 1}}),
+            lambda payload: "\u00e9",
+        ],
+        ids=["not-an-object", "missing-key", "bad-int", "bad-array", "not-ascii"],
+    )
+    def test_malformed_checkpoint_is_one_line_usage_error(self, tmp_path, capsys, edit):
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+        ckpt.write_text(edit(json.loads(ckpt.read_text())), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: checkpoint")
+        assert "Traceback" not in err
+
 class TestConfigFile:
     def test_parse_and_override_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -301,3 +323,9 @@ class TestConfigFile:
     def test_bad_cg_mode_rejected(self):
         with pytest.raises(CliUsageError):
             build_config(None, {"cg_mode": "psychic"})
+
+    def test_feature_dim_is_not_a_config_key(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("feature_dim = 5\n")
+        with pytest.raises(CliUsageError, match="unknown config key"):
+            parse_config_file(cfg_file)

@@ -10,7 +10,6 @@ from graphdenoise import (
     InvalidInputError,
     MetricFactor,
     SparseFilterMatrix,
-    apply_psi,
     build_filter_matrix,
     central_gradients,
     estimate_spectrum,
@@ -235,25 +234,25 @@ class TestApplyPsi:
     def test_identity(self):
         op = DenoiserOperator.from_dense(np.eye(6))
         v = np.arange(6.0)
-        assert np.array_equal(apply_psi(op, v), v)
+        assert np.array_equal(op.apply(v), v)
 
     def test_zero_vector(self):
         field = extract_features(random_patch(5, 4), 4)
         op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
-        assert np.array_equal(apply_psi(op, np.zeros(16)), np.zeros(16))
+        assert np.array_equal(op.apply(np.zeros(16)), np.zeros(16))
 
     def test_matches_dense_matvec(self):
         field = extract_features(random_patch(12, 4), 4)
         op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
         v = np.random.default_rng(1).standard_normal(16)
         dense_out = op.to_dense() @ v
-        out = apply_psi(op, v)
+        out = op.apply(v)
         assert np.linalg.norm(out - dense_out) / np.linalg.norm(dense_out) < 1e-13
 
     def test_length_mismatch(self):
         op = DenoiserOperator.from_dense(np.eye(4))
         with pytest.raises(InvalidInputError):
-            apply_psi(op, np.zeros(5))
+            op.apply(np.zeros(5))
 
 
 class TestEstimateSpectrum:

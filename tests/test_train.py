@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from graphdenoise import (
     adam_step,
     add_awgn,
     build_filter_matrix,
+    build_system,
     calibrate_cg_params,
+    calibrated_initial,
     central_difference,
     default_coefficients,
     evaluate_psnr,
@@ -30,7 +34,6 @@ from graphdenoise import (
     synthesize_image,
     train_loop,
 )
-from graphdenoise.train import _build_system
 from oracles import dense_truncated_inverse_matrix, random_patch
 
 SMALL = PipelineConfig(window_radius=2, degree_K=4, depth_T=5)
@@ -40,17 +43,12 @@ def perturbed_params(hyper, seed, noisy_patches, patch_side):
     """Calibrated initialization plus a small random perturbation, so no
     gradient component sits at an accidental stationary point."""
     rng = np.random.default_rng(seed)
-    theta = ParamVector.initial(hyper)
-    systems = []
-    for patch in noisy_patches:
-        _, _, _, system = _build_system(theta, patch, patch_side, hyper)
-        systems.append((system, patch))
-    alpha, beta = calibrate_cg_params(systems, hyper.depth_T)
+    theta = calibrated_initial(hyper, noisy_patches, patch_side)
     return ParamVector(
         theta.metric_factor + 0.05 * rng.standard_normal(theta.metric_factor.size),
         theta.tse_coeffs + 0.1 * rng.standard_normal(theta.tse_coeffs.size),
-        alpha * (1.0 + 0.05 * rng.standard_normal(alpha.size)),
-        beta + 0.05 * rng.standard_normal(beta.size),
+        theta.cg_alpha * (1.0 + 0.05 * rng.standard_normal(theta.cg_alpha.size)),
+        theta.cg_beta + 0.05 * rng.standard_normal(theta.cg_beta.size),
     )
 
 
@@ -141,8 +139,8 @@ class TestForward:
         theta = ParamVector.initial(hyper)
         noisy, clean = noisy_clean_pair(2, 32, sigma=15.0)
         x = forward(theta, noisy, 32, hyper)
-        _, _, op, _ = _build_system(theta, noisy, 32, hyper)
-        bf = op.apply(noisy)
+        _, _, system = build_system(theta, noisy, 32, hyper)
+        bf = system.psi.apply(noisy)
 
         def patch_psnr(ref, out):
             err = ref - np.clip(out, 0, 1)
@@ -325,11 +323,13 @@ class TestTrainLoop:
         # CG scalars must equal a fresh calibration on the first batch
         systems = []
         for noisy, _ in pairs[:2]:
-            _, _, _, system = _build_system(theta0, noisy, 8, SMALL)
+            _, _, system = build_system(theta0, noisy, 8, SMALL)
             systems.append((system, noisy))
         alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
         assert np.array_equal(state.params.cg_alpha, alpha)
         assert np.array_equal(state.params.cg_beta, beta)
+        direct = calibrated_initial(SMALL, [noisy for noisy, _ in pairs[:2]], 8)
+        assert np.array_equal(direct.pack(), state.params.pack())
 
     def test_two_epochs_do_not_worsen_training_loss(self):
         pairs = self.make_pairs(5, 16)
@@ -398,6 +398,26 @@ class TestCheckpoint:
         path.write_text("{not json")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
+
+    def test_round_trip_keeps_load_and_guard(self, tmp_path):
+        hyper = PipelineConfig(
+            window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.2, epsilon_guard=1e-10
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, ParamVector.initial(hyper), hyper)
+        _, loaded = load_checkpoint(path)
+        assert loaded == hyper
+
+    def test_missing_load_and_guard_get_defaults(self, tmp_path):
+        # checkpoints written before these two keys were saved still load
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, ParamVector.initial(hyper), hyper)
+        payload = json.loads(path.read_text())
+        del payload["diagonal_load"], payload["epsilon_guard"]
+        path.write_text(json.dumps(payload))
+        _, loaded = load_checkpoint(path)
+        assert loaded == SMALL
 
     def test_inconsistent_lengths_rejected(self, tmp_path):
         theta = ParamVector.initial(SMALL)
