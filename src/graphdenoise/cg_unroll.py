@@ -135,16 +135,19 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     return x, trace
 
 
-def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndarray]:
+def calibrate_cg_params(
+    system_batch, depth_T: int, epsilon_guard: float = CgConfig.epsilon_guard
+) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
     system_batch is a sequence of (system, y) pairs; every element is solved
-    in analytic mode and the realized scalars are averaged elementwise.
+    in analytic mode under epsilon_guard and the realized scalars (0 after a
+    breakdown) are averaged elementwise.
     """
     system_batch = list(system_batch)
     if not system_batch:
         raise InvalidInputError("calibration batch must be nonempty")
-    cfg = CgConfig(depth_T=depth_T, mode="analytic")
+    cfg = CgConfig(depth_T=depth_T, mode="analytic", epsilon_guard=epsilon_guard)
     all_alphas = []
     all_betas = []
     for system, y in system_batch:

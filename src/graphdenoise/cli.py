@@ -34,6 +34,7 @@ from .train import (
     forward,
     load_checkpoint,
     save_checkpoint,
+    solve_system,
     train_loop,
 )
 
@@ -79,11 +80,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _map_patches(image: GrayImage, patch_side: int, denoise_patch) -> GrayImage:
-    """Apply denoise_patch to every patch of the grid, clipped to [0, 1]."""
+def _map_patches(image: GrayImage, patch_side: int, denoise_patch) -> list[GrayImage]:
+    """Apply denoise_patch, which returns a list of outputs for one patch, to
+    every patch of the grid; one image per output, clipped to [0, 1]."""
     grid = partition(image, patch_side)
-    outputs = np.array([np.clip(denoise_patch(patch), 0.0, 1.0) for patch in grid.patches])
-    return reassemble(replace(grid, patches=outputs))
+    outputs = np.clip(np.array([denoise_patch(patch) for patch in grid.patches]), 0.0, 1.0)
+    return [reassemble(replace(grid, patches=outputs[:, i])) for i in range(outputs.shape[1])]
 
 
 def _crop_like(image: GrayImage, patch_side: int) -> GrayImage:
@@ -157,8 +159,8 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     out = _out_dir(cfg)
     params, hyper = load_checkpoint(cfg.checkpoint)
     noisy = load_image(image_path)
-    denoised = _map_patches(
-        noisy, cfg.patch_side, lambda patch: forward(params, patch, cfg.patch_side, hyper)
+    [denoised] = _map_patches(
+        noisy, cfg.patch_side, lambda patch: [forward(params, patch, cfg.patch_side, hyper)]
     )
     target = out / (Path(image_path).stem + "_denoised.pgm")
     save_image(denoised, target)
@@ -181,24 +183,25 @@ def cmd_eval(cfg: RunConfig) -> int:
     init_params = ParamVector.initial(init_hyper)
     side = cfg.patch_side
 
-    def bilateral(patch):
+    def columns(patch):
+        # the bilateral smoother is the initial system's Psi: one build serves both
         _, _, system = build_system(init_params, patch, side, init_hyper)
-        return system.psi.apply(patch)
+        return [
+            system.psi.apply(patch),
+            solve_system(init_params, system, patch, init_hyper),
+            forward(trained_params, patch, side, hyper),
+        ]
 
-    denoisers = {
-        "bilateral": bilateral,
-        "init": lambda patch: forward(init_params, patch, side, init_hyper),
-        "trained": lambda patch: forward(trained_params, patch, side, hyper),
-    }
+    names = ("bilateral", "init", "trained")
     paths = _list_images(cfg.test_dir)
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(cfg.sigma_test):
-        scores = {name: [] for name in denoisers}
+        scores = {name: [] for name in names}
         for image_index, path in enumerate(paths):
             clean = _crop_like(load_image(path), side)
             noisy = add_awgn(clean, sigma, cfg.seed + 1000 * sigma_index + image_index)
-            for name, denoise_patch in denoisers.items():
-                scores[name].append(psnr(clean, _map_patches(noisy, side, denoise_patch)))
+            for name, denoised in zip(names, _map_patches(noisy, side, columns)):
+                scores[name].append(psnr(clean, denoised))
         lines.append(
             f"{_fmt(sigma)},{_fmt(np.mean(scores['bilateral']))},"
             f"{_fmt(np.mean(scores['init']))},{_fmt(np.mean(scores['trained']))}"

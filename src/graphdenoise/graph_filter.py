@@ -284,16 +284,26 @@ def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> flo
     return float(np.exp(-(scaled @ scaled)))
 
 
-def _window_offsets(radius: int) -> list[tuple[int, int]]:
-    # Half of the Chebyshev window, fixed enumeration order; the mirrored
-    # half is emitted afterwards so each unordered pair is computed once.
-    offsets = []
+def window_blocks(side: int, radius: int):
+    """The grid blocks of build_filter_matrix's half-window edges, in COO order.
+
+    Yields (dr, dc, block_i, block_j) for every offset of half the Chebyshev
+    window whose block is nonempty on a side x side grid. block_i and
+    block_j are (row slice, column slice) pairs; pixel (r, c) of block_i is
+    joined to pixel (r + dr, c + dc), the same position of block_j.
+    """
+    # fixed order; the mirrored half follows it, so each unordered pair is computed once
     for dr in range(0, radius + 1):
         for dc in range(-radius, radius + 1):
-            if dr == 0 and dc <= 0:
-                continue
-            offsets.append((dr, dc))
-    return offsets
+            r0, r1 = max(0, -dr), side - max(0, dr)
+            c0, c1 = max(0, -dc), side - max(0, dc)
+            if (dr > 0 or dc > 0) and r0 < r1 and c0 < c1:
+                yield (
+                    dr,
+                    dc,
+                    (slice(r0, r1), slice(c0, c1)),
+                    (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc)),
+                )
 
 
 def build_filter_matrix(
@@ -318,13 +328,9 @@ def build_filter_matrix(
     rows_parts = [np.arange(n)]
     cols_parts = [np.arange(n)]
     weight_parts = [np.ones(n)]
-    for dr, dc in _window_offsets(window_radius):
-        r0, r1 = max(0, -dr), side - max(0, dr)
-        c0, c1 = max(0, -dc), side - max(0, dc)
-        if r0 >= r1 or c0 >= c1:
-            continue
-        i_block = idx[r0:r1, c0:c1].ravel()
-        j_block = idx[r0 + dr : r1 + dr, c0 + dc : c1 + dc].ravel()
+    for _, _, block_i, block_j in window_blocks(side, window_radius):
+        i_block = idx[block_i].ravel()
+        j_block = idx[block_j].ravel()
         d = feats[i_block] - feats[j_block]
         scaled = d @ metric.entries.T
         w = np.exp(-np.einsum("ij,ij->i", scaled, scaled))

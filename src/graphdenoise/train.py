@@ -34,6 +34,7 @@ from .graph_filter import (
     build_filter_matrix,
     extract_features,
     normalize,
+    window_blocks,
 )
 from .taylor_system import TaylorSystemOperator, default_coefficients
 
@@ -143,7 +144,7 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
     systems = [
         (build_system(theta, noisy, patch_side, hyper)[2], noisy) for noisy in noisy_patches
     ]
-    alpha, beta = calibrate_cg_params(systems, hyper.depth_T)
+    alpha, beta = calibrate_cg_params(systems, hyper.depth_T, hyper.epsilon_guard)
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
 
 
@@ -171,7 +172,7 @@ class _RecordingSystem:
         self.system = system
         self.inputs: list[np.ndarray] = []
         self.outputs: list[np.ndarray] = []
-        self.t_caches: list[list[np.ndarray]] = []
+        self.t_caches: list[list[np.ndarray] | None] = []
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         out, cache = self.system.apply_truncated_inverse_with_cache(v)
@@ -190,6 +191,13 @@ def forward(
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
     _, _, system = build_system(theta, noisy, patch_side, hyper)
+    return solve_system(theta, system, noisy, hyper)
+
+
+def solve_system(
+    theta: ParamVector, system: TaylorSystemOperator, noisy: np.ndarray, hyper: PipelineConfig
+) -> np.ndarray:
+    """The unrolled CG of theta on a built patch system (build_system)."""
     x, _ = unrolled_cg(system, noisy, _cg_config(theta, hyper))
     return x
 
@@ -206,6 +214,32 @@ def loss(theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = Pip
         d = clean - x
         total += float(d @ d)
     return total
+
+
+def edge_outer_sum(
+    g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: int
+) -> np.ndarray:
+    """sum_m g_stack[m, rows] * t_stack[m, cols] for every entry (rows, cols)
+    of build_filter_matrix on a side x side grid, in its COO order.
+
+    Bitwise equal to adding the gather g[rows] * t[cols] term by term, since
+    every entry sums its terms in order of m. Each window block
+    (window_blocks) and its mirror is one einsum over strided views of the
+    grid, which numpy reduces with m as the outer loop (or, for a 1x1 block,
+    in one strided loop over m) instead of two gathers per term.
+    """
+    g_grid = g_stack.reshape(-1, side, side)
+    t_grid = t_stack.reshape(-1, side, side)
+    # a loop: on a 1-pixel grid the term axis is contiguous, and einsum sums
+    # a contiguous axis with several partial accumulators
+    diagonal = np.zeros(side * side)
+    for g, t in zip(g_stack, t_stack):
+        diagonal += g * t
+    half, mirror = [], []
+    for _, _, (ri, ci), (rj, cj) in window_blocks(side, radius):
+        half.append(np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj]).ravel())
+        mirror.append(np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci]).ravel())
+    return np.concatenate([diagonal, *half, *mirror])
 
 
 def _grad_single(
@@ -229,19 +263,27 @@ def _grad_single(
     pair_loss = float(resid @ resid)
 
     ga = np.zeros(K + 1)
-    psi_bar = np.zeros(op.values.shape)
+    # dL/dPsi_e sums gt[rows_e] * t_{k-1}[cols_e] over every Psi matvec of
+    # the solve; its (gt, t_{k-1}) pairs are stacked in visit order and
+    # contracted once the sweep is done (edge_outer_sum).
+    g_stack = np.empty((K * (T + 1), n))
+    t_stack = np.empty((K * (T + 1), n))
+    m = 0
 
     def apply_vjp(idx: int, g_out: np.ndarray) -> np.ndarray:
         # Adjoint of one truncated-inverse apply. Accumulates dL/da_k and
-        # dL/dPsi_e; returns the adjoint of the apply's input vector.
-        nonlocal ga
+        # stacks the dL/dPsi terms; returns the adjoint of the apply's input.
+        nonlocal ga, m
         ts = recorder.t_caches[idx]
         ga += np.array([g_out @ t for t in ts]) / powers
         gt = c[K] * g_out
         for k in range(K, 0, -1):
             # forward: t_k = Psi t_{k-1} - s t_{k-1}
-            psi_bar[:] += gt[op.rows] * ts[k - 1][op.cols]
+            g_stack[m] = gt
+            t_stack[m] = ts[k - 1]
+            m += 1
             gt = op.apply(gt) - s * gt + c[k - 1] * g_out
+        recorder.t_caches[idx] = None  # its terms now live in t_stack
         return gt
 
     # --- reverse through the CG updates (alpha, beta are leaves) ---
@@ -269,6 +311,8 @@ def _grad_single(
     # p_0 = r_0 and r_0 = y - A y (y is a constant input)
     gr = gr + gp
     apply_vjp(0, -gr)
+    psi_bar = edge_outer_sum(g_stack, t_stack, patch_side, hyper.window_radius)
+    del g_stack, t_stack
 
     # --- reverse through Psi = (1-eps) S^{-1/2} B S^{-1/2} + eps I ---
     rows, cols = op.rows, op.cols

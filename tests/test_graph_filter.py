@@ -16,6 +16,7 @@ from graphdenoise import (
     extract_features,
     filter_weight,
     normalize,
+    window_blocks,
 )
 from graphdenoise.errors import DegenerateMatrixError
 from oracles import dense_filter_matrix, dense_normalize, random_patch, stencil_gradients
@@ -150,6 +151,28 @@ class TestBuildFilterMatrix:
         filt = build_filter_matrix(field, metric, 3)
         dense = dense_filter_matrix(field, metric, 3)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
+
+    def test_coo_order_is_diagonal_then_half_window_offsets_then_mirror(self):
+        side, radius = 5, 2
+        field = extract_features(random_patch(4, side), side)
+        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), radius)
+        offsets = [(0, 1), (0, 2)] + [(dr, dc) for dr in (1, 2) for dc in range(-2, 3)]
+        half = [
+            (r * side + c, (r + dr) * side + c + dc)
+            for dr, dc in offsets
+            for r in range(side)
+            for c in range(side)
+            if 0 <= r + dr < side and 0 <= c + dc < side
+        ]
+        diagonal = [(i, i) for i in range(side * side)]
+        expected = diagonal + half + [(j, i) for i, j in half]
+        assert list(zip(filt.rows.tolist(), filt.cols.tolist())) == expected
+        assert [(dr, dc) for dr, dc, _, _ in window_blocks(side, radius)] == offsets
+
+    def test_window_blocks_skip_empty_blocks(self):
+        # on a 2x2 grid only offsets with |dr|, |dc| <= 1 join two pixels
+        assert [(dr, dc) for dr, dc, _, _ in window_blocks(2, 3)] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+        assert list(window_blocks(1, 3)) == []
 
     def test_invariants_hold(self):
         field = extract_features(random_patch(3, 6), 6)

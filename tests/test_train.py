@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (
+    CgConfig,
     InvalidInputError,
     MetricFactor,
     NumericDivergenceError,
@@ -20,6 +21,7 @@ from graphdenoise import (
     calibrated_initial,
     central_difference,
     default_coefficients,
+    edge_outer_sum,
     evaluate_psnr,
     extract_features,
     forward,
@@ -33,6 +35,7 @@ from graphdenoise import (
     save_checkpoint,
     synthesize_image,
     train_loop,
+    unrolled_cg,
 )
 from oracles import dense_truncated_inverse_matrix, random_patch
 
@@ -259,6 +262,21 @@ class TestReverseGradients:
         assert np.any(grad.cg_alpha != 0.0)
         assert np.any(grad.cg_beta != 0.0)
 
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_edge_outer_sum_equals_in_order_gather(self, side, radius):
+        # the per-edge gather the offset blocks replace, summed term by term
+        filt = build_filter_matrix(
+            extract_features(random_patch(side, side), side), MetricFactor.bilateral_default(), radius
+        )
+        rng = np.random.default_rng(10 * side + radius)
+        g_stack = rng.standard_normal((12, side * side))
+        t_stack = rng.standard_normal((12, side * side))
+        gathered = np.zeros(filt.nnz)
+        for g, t in zip(g_stack, t_stack):
+            gathered += g[filt.rows] * t[filt.cols]
+        assert np.array_equal(edge_outer_sum(g_stack, t_stack, side, radius), gathered)
+
     def test_requires_learned_mode(self):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, cg_mode="analytic")
         noisy, clean = noisy_clean_pair(13, 8)
@@ -330,6 +348,17 @@ class TestTrainLoop:
         assert np.array_equal(state.params.cg_beta, beta)
         direct = calibrated_initial(SMALL, [noisy for noisy, _ in pairs[:2]], 8)
         assert np.array_equal(direct.pack(), state.params.pack())
+
+    def test_calibration_uses_the_configured_guard(self):
+        hyper = PipelineConfig(depth_T=8, epsilon_guard=1e-3)
+        noisy, _ = noisy_clean_pair(40, 8)
+        theta = calibrated_initial(hyper, [noisy], 8)
+        _, _, system = build_system(theta, noisy, 8, hyper)
+        cfg = CgConfig(depth_T=8, mode="analytic", epsilon_guard=1e-3)
+        _, trace = unrolled_cg(system, noisy, cfg, want_trace=True)
+        assert trace.used_alphas[-1] == 0.0  # the guard stopped the solve early
+        assert np.array_equal(theta.cg_alpha, trace.used_alphas)
+        assert np.array_equal(theta.cg_beta, trace.used_betas)
 
     def test_two_epochs_do_not_worsen_training_loss(self):
         pairs = self.make_pairs(5, 16)
