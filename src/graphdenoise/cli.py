@@ -58,7 +58,6 @@ def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
         degree_K=cfg.K,
         expansion_s=cfg.s,
         depth_T=cfg.T,
-        cg_mode=cfg.cg_mode,
     )
 
 
@@ -125,8 +124,6 @@ def cmd_train(cfg: RunConfig) -> int:
         raise CliUsageError("--train_dir is required for train")
     out = _out_dir(cfg)
     hyper = _pipeline_config(cfg)
-    if hyper.cg_mode != "learned":
-        raise CliUsageError("training requires cg_mode = learned")
     train_pairs = _load_pairs(_list_images(cfg.train_dir), cfg.sigma_train, cfg.patch_side, cfg.seed)
     val_pairs = None
     if cfg.test_dir:

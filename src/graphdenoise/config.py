@@ -17,7 +17,6 @@ class RunConfig:
     K: int = 10
     s: float = 1.0
     T: int = 15
-    cg_mode: str = "learned"
     sigma: float = 15.0
     sigma_train: float = 15.0
     sigma_test: tuple[float, ...] = (10.0, 15.0, 25.0)
@@ -78,7 +77,4 @@ def build_config(config_path: str | None, overrides: dict) -> RunConfig:
         if text is None:
             continue
         values[key] = _coerce(key, str(text), _FIELD_KINDS[key])
-    cfg = RunConfig(**values)
-    if cfg.cg_mode not in ("analytic", "learned"):
-        raise CliUsageError(f"cg_mode must be 'analytic' or 'learned', got {cfg.cg_mode!r}")
-    return cfg
+    return RunConfig(**values)

@@ -12,6 +12,12 @@ row sums. The symmetric normalization keeps the operator symmetric and
 non-expansive (spectral radius <= 1, by similarity to the row-stochastic
 S^{-1} B), at the cost of rows no longer summing exactly to one.
 
+Every edge joins a pixel to one of the window's grid offsets, so B is
+stored as one weight plane per half-window offset (window_blocks), each
+unordered pair once, with the unit diagonal implied. normalize computes
+the row sums and Psi's values from the planes and assembles Psi as CSR,
+the format of its matvec.
+
 The metric is parameterized through its factor C so that M = C^T C is
 positive semi-definite for any real C, which keeps later optimization of
 the metric unconstrained.
@@ -131,71 +137,53 @@ class MetricFactor:
 class SparseFilterMatrix:
     """Symmetric positive filter weights on a Chebyshev-window grid graph.
 
-    Entries are stored in COO form over all ordered pairs (both (i, j) and
-    (j, i), plus the unit diagonal).
+    planes[k] holds the weights of the k-th block of window_blocks(side,
+    window_radius): entry (r, c) joins pixel (r, c) of block_i to the same
+    position of block_j. The mirror B_ji = B_ij and the unit diagonal are
+    implied, so each unordered pair is stored once.
     """
 
-    n: int
+    side: int
     window_radius: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
+    planes: list[np.ndarray]
+
+    def __post_init__(self):
+        shapes = [(ri.stop - ri.start, ci.stop - ci.start) for _, _, (ri, ci), _ in self.blocks()]
+        if [np.shape(plane) for plane in self.planes] != shapes:
+            raise InvalidInputError(f"weight planes must have the window block shapes {shapes}")
+
+    @property
+    def n(self) -> int:
+        return self.side * self.side
 
     @property
     def nnz(self) -> int:
-        return self.rows.size
+        """Stored entries of B as a sparse matrix: the diagonal and both halves."""
+        return self.n + 2 * sum(plane.size for plane in self.planes)
+
+    def blocks(self):
+        return window_blocks(self.side, self.window_radius)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        dense[self.rows, self.cols] = self.weights
+        dense = np.eye(self.n)
+        idx = np.arange(self.n).reshape(self.side, self.side)
+        for (_, _, block_i, block_j), plane in zip(self.blocks(), self.planes):
+            dense[idx[block_i], idx[block_j]] = plane
+            dense[idx[block_j], idx[block_i]] = plane
         return dense
-
-    def validate(self) -> None:
-        """Check the symmetry / diagonal / range invariants (test hook)."""
-        if np.any(self.weights <= 0.0) or np.any(self.weights > 1.0):
-            raise InvalidInputError("filter weights must lie in (0, 1]")
-        diag = self.rows == self.cols
-        if not np.array_equal(np.sort(self.rows[diag]), np.arange(self.n)):
-            raise InvalidInputError("every node needs exactly one diagonal entry")
-        if np.any(self.weights[diag] != 1.0):
-            raise InvalidInputError("diagonal entries must equal 1 exactly")
-        dense = self.to_dense()
-        if not np.array_equal(dense, dense.T):
-            raise InvalidInputError("filter matrix must be exactly symmetric")
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, window_radius: int = 0) -> "SparseFilterMatrix":
-        """Wrap a dense symmetric matrix (hand-built fixtures, oracles)."""
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise InvalidInputError("dense filter matrix must be square")
-        if not np.array_equal(dense, dense.T):
-            raise InvalidInputError("dense filter matrix must be symmetric")
-        rows, cols = np.nonzero(dense)
-        return cls(
-            n=dense.shape[0],
-            window_radius=window_radius,
-            rows=rows,
-            cols=cols,
-            weights=dense[rows, cols].astype(float),
-        )
 
 
 @dataclass(eq=False)
 class DenoiserOperator:
-    """Sparse symmetric normalized smoother Psi with matrix-free apply."""
+    """Sparse symmetric normalized smoother Psi with matrix-free apply.
+
+    Psi is held as a scipy CSR matrix with sorted column indices; row_sums
+    are the row sums S of the filter matrix it was normalized from.
+    """
 
     n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    _matrix: sparse.csr_array = field(repr=False)
     row_sums: np.ndarray | None = None
-    _matrix: sparse.csr_array = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._matrix = sparse.csr_array(
-            (self.values, (self.rows, self.cols)), shape=(self.n, self.n)
-        )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -214,8 +202,7 @@ class DenoiserOperator:
             raise InvalidInputError("operator matrix must be square")
         if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
             raise InvalidInputError("operator matrix must be symmetric")
-        rows, cols = np.nonzero(dense)
-        return cls(n=dense.shape[0], rows=rows, cols=cols, values=dense[rows, cols].astype(float))
+        return cls(n=dense.shape[0], _matrix=sparse.csr_array(dense))
 
 
 def central_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,14 +272,14 @@ def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> flo
 
 
 def window_blocks(side: int, radius: int):
-    """The grid blocks of build_filter_matrix's half-window edges, in COO order.
+    """The grid blocks of the half-window offsets, in B's plane order.
 
     Yields (dr, dc, block_i, block_j) for every offset of half the Chebyshev
     window whose block is nonempty on a side x side grid. block_i and
     block_j are (row slice, column slice) pairs; pixel (r, c) of block_i is
     joined to pixel (r + dr, c + dc), the same position of block_j.
     """
-    # fixed order; the mirrored half follows it, so each unordered pair is computed once
+    # the other half of the window is the mirror (-dr, -dc) of these offsets
     for dr in range(0, radius + 1):
         for dc in range(-radius, radius + 1):
             r0, r1 = max(0, -dr), side - max(0, dr)
@@ -311,8 +298,8 @@ def build_filter_matrix(
 ) -> SparseFilterMatrix:
     """Evaluate filter weights for all grid pairs within the Chebyshev window.
 
-    Each unordered pair is evaluated once and mirrored, so the stored matrix
-    is exactly symmetric; the diagonal is exactly 1.
+    Each unordered pair is evaluated once, into the plane of its half-window
+    offset, so B is exactly symmetric; its diagonal is exactly 1.
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
@@ -321,31 +308,13 @@ def build_filter_matrix(
             f"metric dimension {metric.dim} != feature dimension {field_.feature_dim}"
         )
     side = field_.patch_side
-    n = side * side
-    feats = field_.features
-    idx = np.arange(n).reshape(side, side)
-
-    rows_parts = [np.arange(n)]
-    cols_parts = [np.arange(n)]
-    weight_parts = [np.ones(n)]
+    feats = field_.features.reshape(side, side, field_.feature_dim)
+    planes = []
     for _, _, block_i, block_j in window_blocks(side, window_radius):
-        i_block = idx[block_i].ravel()
-        j_block = idx[block_j].ravel()
-        d = feats[i_block] - feats[j_block]
-        scaled = d @ metric.entries.T
-        w = np.exp(-np.einsum("ij,ij->i", scaled, scaled))
-        rows_parts.append(i_block)
-        cols_parts.append(j_block)
-        weight_parts.append(w)
-
-    # the mirrored half, (j, i) for every (i, j) above, follows in the same order
-    return SparseFilterMatrix(
-        n=n,
-        window_radius=window_radius,
-        rows=np.concatenate(rows_parts + cols_parts[1:]),
-        cols=np.concatenate(cols_parts + rows_parts[1:]),
-        weights=np.concatenate(weight_parts + weight_parts[1:]),
-    )
+        d = feats[block_i] - feats[block_j]
+        scaled = d.reshape(-1, field_.feature_dim) @ metric.entries.T
+        planes.append(np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2]))
+    return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
 
 
 def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserOperator:
@@ -355,21 +324,58 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
     shift toward the identity for patches whose spectrum dips below zero.
     The default 0 leaves Psi untouched.
     """
-    row_sums = np.bincount(filt.rows, weights=filt.weights, minlength=filt.n)
+    blocks = list(filt.blocks())
+    # each row sum starts at the unit diagonal and adds its pixel's weights
+    # in plane order, first where it is block_i, then where it is block_j
+    row_sums = np.ones((filt.side, filt.side))
+    for (_, _, block_i, _), plane in zip(blocks, filt.planes):
+        row_sums[block_i] += plane
+    for (_, _, _, block_j), plane in zip(blocks, filt.planes):
+        row_sums[block_j] += plane
     if np.any(row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(row_sums)
-    # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so mirrored entries stay
-    # bitwise equal and Psi is exactly symmetric.
-    values = filt.weights * (inv_sqrt[filt.rows] * inv_sqrt[filt.cols])
+    diagonal = inv_sqrt * inv_sqrt
+    # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves Psi_ij
+    # and Psi_ji, and Psi is exactly symmetric.
+    halves = [
+        plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
+        for (_, _, block_i, block_j), plane in zip(blocks, filt.planes)
+    ]
     if diagonal_load != 0.0:
         if not 0.0 <= diagonal_load < 1.0:
             raise InvalidInputError("diagonal_load must lie in [0, 1)")
-        values = (1.0 - diagonal_load) * values
-        values = values + diagonal_load * (filt.rows == filt.cols)
+        diagonal = (1.0 - diagonal_load) * diagonal + diagonal_load
+        halves = [(1.0 - diagonal_load) * half for half in halves]
     return DenoiserOperator(
-        n=filt.n, rows=filt.rows, cols=filt.cols, values=values, row_sums=row_sums
+        n=filt.n,
+        _matrix=_window_csr(filt.side, blocks, diagonal, halves),
+        row_sums=row_sums.ravel(),
     )
+
+
+def _window_csr(side: int, blocks, diagonal: np.ndarray, halves) -> sparse.csr_array:
+    """CSR with the given diagonal and, per window block, entries (i, j) and
+    (j, i) from its half plane. Rows hold their entries in order of the flat
+    offset dr * side + dc, i.e. sorted by column; two offsets with the same
+    flat offset (side <= 2 * radius) join disjoint pixels."""
+    parts = [(0, (slice(None), slice(None)), diagonal)]
+    for (dr, dc, block_i, block_j), half in zip(blocks, halves):
+        parts.append((dr * side + dc, block_i, half))
+        parts.append((-dr * side - dc, block_j, half))
+    parts.sort(key=lambda part: part[0])
+    values = np.zeros((len(parts), side, side))
+    stored = np.zeros(values.shape, dtype=bool)
+    for slot, (_, block, plane) in enumerate(parts):
+        values[slot][block] = plane
+        stored[slot][block] = True
+    n = side * side
+    flat = np.array([part[0] for part in parts])
+    stored = stored.reshape(-1, n).T
+    indices = (np.arange(n)[:, None] + flat)[stored]
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    data = values.reshape(-1, n).T[stored]
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def estimate_spectrum(

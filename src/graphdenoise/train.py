@@ -56,6 +56,10 @@ class PipelineConfig:
     diagonal_load: float = 0.0
     epsilon_guard: float = 1e-12
 
+    def __post_init__(self):
+        if self.depth_T < 0:
+            raise InvalidInputError(f"depth_T must be >= 0, got {self.depth_T}")
+
 
 @dataclass(eq=False)
 class ParamVector:
@@ -218,15 +222,16 @@ def loss(theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = Pip
 
 def edge_outer_sum(
     g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: int
-) -> np.ndarray:
-    """sum_m g_stack[m, rows] * t_stack[m, cols] for every entry (rows, cols)
-    of build_filter_matrix on a side x side grid, in its COO order.
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """sum_m g_stack[m, i] * t_stack[m, j] for every stored entry (i, j) of
+    B on a side x side grid, as planes: the diagonal (side x side), then one
+    half plane (i in block_i, j in block_j) and one mirror plane (i in
+    block_j, j in block_i) per window_blocks block.
 
-    Bitwise equal to adding the gather g[rows] * t[cols] term by term, since
-    every entry sums its terms in order of m. Each window block
-    (window_blocks) and its mirror is one einsum over strided views of the
-    grid, which numpy reduces with m as the outer loop (or, for a 1x1 block,
-    in one strided loop over m) instead of two gathers per term.
+    Bitwise equal to adding g[i] * t[j] term by term, since every entry
+    sums its terms in order of m. Each block and its mirror is one einsum
+    over strided views of the grid, which numpy reduces with m as the outer
+    loop (or, for a 1x1 block, in one strided loop over m).
     """
     g_grid = g_stack.reshape(-1, side, side)
     t_grid = t_stack.reshape(-1, side, side)
@@ -237,9 +242,9 @@ def edge_outer_sum(
         diagonal += g * t
     half, mirror = [], []
     for _, _, (ri, ci), (rj, cj) in window_blocks(side, radius):
-        half.append(np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj]).ravel())
-        mirror.append(np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci]).ravel())
-    return np.concatenate([diagonal, *half, *mirror])
+        half.append(np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj]))
+        mirror.append(np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci]))
+    return diagonal.reshape(side, side), half, mirror
 
 
 def _grad_single(
@@ -263,7 +268,7 @@ def _grad_single(
     pair_loss = float(resid @ resid)
 
     ga = np.zeros(K + 1)
-    # dL/dPsi_e sums gt[rows_e] * t_{k-1}[cols_e] over every Psi matvec of
+    # dL/dPsi_ij sums gt[i] * t_{k-1}[j] over every Psi matvec of
     # the solve; its (gt, t_{k-1}) pairs are stacked in visit order and
     # contracted once the sweep is done (edge_outer_sum).
     g_stack = np.empty((K * (T + 1), n))
@@ -311,28 +316,32 @@ def _grad_single(
     # p_0 = r_0 and r_0 = y - A y (y is a constant input)
     gr = gr + gp
     apply_vjp(0, -gr)
-    psi_bar = edge_outer_sum(g_stack, t_stack, patch_side, hyper.window_radius)
+    diag_bar, half_bar, mirror_bar = edge_outer_sum(g_stack, t_stack, patch_side, hyper.window_radius)
     del g_stack, t_stack
 
     # --- reverse through Psi = (1-eps) S^{-1/2} B S^{-1/2} + eps I ---
-    rows, cols = op.rows, op.cols
-    S = op.row_sums
-    load = hyper.diagonal_load
+    # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
+    # sum of the two directions'; the unit diagonal enters S_i twice
+    blocks = list(filt.blocks())
+    keep = 1.0 - hyper.diagonal_load
+    S = op.row_sums.reshape(patch_side, patch_side)
     inv_sqrt = 1.0 / np.sqrt(S)
-    pair = inv_sqrt[rows] * inv_sqrt[cols]
-    norm_part = (1.0 - load) * filt.weights * pair
-    tmp = psi_bar * norm_part
-    gS = -0.5 / S * (
-        np.bincount(rows, weights=tmp, minlength=n)
-        + np.bincount(cols, weights=tmp, minlength=n)
-    )
-    gb = (1.0 - load) * pair * psi_bar + gS[rows]
+    pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
+    weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]
+    gS = 2.0 * diag_bar * (keep * inv_sqrt * inv_sqrt)
+    for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
+        tmp = bar * (keep * b * pair)
+        gS[bi] += tmp
+        gS[bj] += tmp
+    gS *= -0.5 / S
 
-    # --- reverse through b_e = exp(-||C d_e||^2) into the factor C ---
-    gq = -filt.weights * gb
-    # np.take: fancy indexing F[rows] is about 4x slower here
-    d = np.take(field_.features, rows, axis=0) - np.take(field_.features, cols, axis=0)
-    scatter = d.T @ (d * gq[:, None])
+    # --- reverse through b_ij = exp(-||C d_ij||^2) into the factor C ---
+    feats = field_.features.reshape(patch_side, patch_side, FEATURE_DIM)
+    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
+        gq = (-b * (keep * pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
+        d = (feats[bi] - feats[bj]).reshape(-1, FEATURE_DIM)
+        scatter += d.T @ (d * gq)
     gC = 2.0 * theta.metric().entries @ scatter
     g_metric = gC[_TRIL]
 
@@ -357,13 +366,6 @@ def loss_and_grad(
         total_loss += pair_loss
         total += g.pack()
     return total_loss, ParamVector.unpack(total, hyper.degree_K, hyper.depth_T)
-
-
-def grad_reverse(
-    theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = PipelineConfig()
-) -> ParamVector:
-    _, g = loss_and_grad(theta, batch, patch_side, hyper)
-    return g
 
 
 def central_difference(fn, theta0: np.ndarray, h_rel: float = 1e-5) -> np.ndarray:

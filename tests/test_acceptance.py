@@ -22,7 +22,7 @@ from graphdenoise import (
     extract_features,
     forward,
     grad_fd,
-    grad_reverse,
+    loss_and_grad,
     normalize,
     partition,
     synthesize_image,
@@ -149,7 +149,7 @@ def test_criterion_4_gradient_fidelity():
             theta0.cg_beta + 0.05 * rng.standard_normal(hyper.depth_T - 1),
         )
         assert theta.size == 55
-        g_rev = grad_reverse(theta, pairs, side, hyper).pack()
+        g_rev = loss_and_grad(theta, pairs, side, hyper)[1].pack()
         g_fd = grad_fd(theta, pairs, side, hyper).pack()
         denom = np.maximum(np.maximum(np.abs(g_rev), np.abs(g_fd)), 1e-8)
         worst = max(worst, float(np.max(np.abs(g_rev - g_fd) / denom)))

@@ -265,6 +265,14 @@ class TestExitCodes:
             ["denoise", str(src), "--checkpoint", str(ckpt), "--out", str(out), *TINY]
         ) == 3
 
+    def test_negative_depth_is_one_line_usage_error(self, tmp_path, image_dir, capsys):
+        out = str(tmp_path / "neg")
+        code = main(
+            ["train", "--train_dir", str(image_dir), "--out", out, "--patch_side", "16", "--T", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: depth_T must be >= 0, got -1"]
 
     @pytest.mark.parametrize(
         "edit",
@@ -320,9 +328,13 @@ class TestConfigFile:
         with pytest.raises(CliUsageError):
             parse_config_file(cfg_file)
 
-    def test_bad_cg_mode_rejected(self):
-        with pytest.raises(CliUsageError):
-            build_config(None, {"cg_mode": "psychic"})
+    def test_cg_mode_is_not_a_config_key(self, tmp_path, image_dir):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("cg_mode = learned\n")
+        with pytest.raises(CliUsageError, match="unknown config key"):
+            parse_config_file(cfg_file)
+        out = str(tmp_path / "o")
+        assert main(["train", "--train_dir", str(image_dir), "--out", out, "--cg_mode", "learned"]) == 1
 
     def test_feature_dim_is_not_a_config_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

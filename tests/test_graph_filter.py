@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from graphdenoise import (
     DenoiserOperator,
@@ -20,6 +21,15 @@ from graphdenoise import (
 )
 from graphdenoise.errors import DegenerateMatrixError
 from oracles import dense_filter_matrix, dense_normalize, random_patch, stencil_gradients
+
+
+def grid_filter(side, weights):
+    """A radius-1 filter matrix with constant planes: weights[(dr, dc)], else 0."""
+    planes = [
+        np.full((ri.stop - ri.start, ci.stop - ci.start), weights.get((dr, dc), 0.0))
+        for dr, dc, (ri, ci), _ in window_blocks(side, 1)
+    ]
+    return SparseFilterMatrix(side=side, window_radius=1, planes=planes)
 
 
 class TestExtractFeatures:
@@ -132,7 +142,7 @@ class TestBuildFilterMatrix:
     def test_zero_metric_gives_all_ones(self):
         field = extract_features(random_patch(1, 4), 4)
         filt = build_filter_matrix(field, MetricFactor(dim=5, entries=np.zeros((5, 5))), 2)
-        assert np.all(filt.weights == 1.0)
+        assert all(np.all(plane == 1.0) for plane in filt.planes)
 
     def test_matches_dense_oracle(self):
         field = extract_features(random_patch(2, 5), 5)
@@ -152,22 +162,60 @@ class TestBuildFilterMatrix:
         dense = dense_filter_matrix(field, metric, 3)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
 
-    def test_coo_order_is_diagonal_then_half_window_offsets_then_mirror(self):
-        side, radius = 5, 2
-        field = extract_features(random_patch(4, side), side)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), radius)
-        offsets = [(0, 1), (0, 2)] + [(dr, dc) for dr in (1, 2) for dc in range(-2, 3)]
-        half = [
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("load", [0.0, 0.1])
+    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, load):
+        # scipy sorts each row by column; side <= 2r puts two offsets at one
+        # flat offset, on disjoint pixels
+        field = extract_features(random_patch(5 * side + radius, side), side)
+        metric = MetricFactor.bilateral_default()
+        filt = build_filter_matrix(field, metric, radius)
+        dense = filt.to_dense()
+        assert np.max(np.abs(dense - dense_filter_matrix(field, metric, radius))) < 1e-15
+        op = normalize(filt, diagonal_load=load)
+        inv_sqrt = 1.0 / np.sqrt(op.row_sums)
+        n = side * side
+        rows, cols, values = [], [], []
+        for i in range(n):
+            for j in range(n):
+                (ri, ci), (rj, cj) = divmod(i, side), divmod(j, side)
+                if max(abs(ri - rj), abs(ci - cj)) <= radius:
+                    value = dense[i, j] * (inv_sqrt[i] * inv_sqrt[j])
+                    if load:
+                        value = (1.0 - load) * value + load * (i == j)
+                    rows.append(i)
+                    cols.append(j)
+                    values.append(value)
+        expected = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(op._matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_row_sums_add_half_window_offsets_then_mirrors(self, side, radius):
+        field = extract_features(random_patch(side, side), side)
+        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15), 5)
+        filt = build_filter_matrix(field, metric, radius)
+        offsets = [(0, dc) for dc in range(1, radius + 1)]
+        offsets += [(dr, dc) for dr in range(1, radius + 1) for dc in range(-radius, radius + 1)]
+        offsets = [(dr, dc) for dr, dc in offsets if dr < side and abs(dc) < side]
+        assert [(dr, dc) for dr, dc, _, _ in window_blocks(side, radius)] == offsets
+        dense = filt.to_dense()
+        pairs = [
             (r * side + c, (r + dr) * side + c + dc)
             for dr, dc in offsets
             for r in range(side)
             for c in range(side)
             if 0 <= r + dr < side and 0 <= c + dc < side
         ]
-        diagonal = [(i, i) for i in range(side * side)]
-        expected = diagonal + half + [(j, i) for i, j in half]
-        assert list(zip(filt.rows.tolist(), filt.cols.tolist())) == expected
-        assert [(dr, dc) for dr, dc, _, _ in window_blocks(side, radius)] == offsets
+        expected = np.ones(side * side)
+        for i, j in pairs:
+            expected[i] += dense[i, j]
+        for i, j in pairs:
+            expected[j] += dense[i, j]
+        assert np.array_equal(normalize(filt).row_sums, expected)
 
     def test_window_blocks_skip_empty_blocks(self):
         # on a 2x2 grid only offsets with |dr|, |dc| <= 1 join two pixels
@@ -177,7 +225,17 @@ class TestBuildFilterMatrix:
     def test_invariants_hold(self):
         field = extract_features(random_patch(3, 6), 6)
         filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 3)
-        filt.validate()  # symmetry, unit diagonal, (0, 1] range
+        dense = filt.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert np.all(np.diag(dense) == 1.0)
+        assert all(np.all((plane > 0.0) & (plane <= 1.0)) for plane in filt.planes)
+        assert filt.nnz == np.count_nonzero(dense)
+
+    def test_planes_must_match_window_blocks(self):
+        # the (0, 1) block of a 2x2 grid is 2 rows by 1 column
+        planes = [np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 1))]
+        with pytest.raises(InvalidInputError):
+            SparseFilterMatrix(side=2, window_radius=1, planes=planes)
 
     def test_rejects_radius_below_one(self):
         field = extract_features(random_patch(0, 3), 3)
@@ -192,16 +250,16 @@ class TestBuildFilterMatrix:
 
 class TestNormalize:
     def test_identity_filter_normalizes_to_identity(self):
-        filt = SparseFilterMatrix.from_dense(np.eye(4))
-        op = normalize(filt)
+        op = normalize(grid_filter(2, {}))
         assert np.array_equal(op.to_dense(), np.eye(4))
 
     def test_two_node_hand_computation(self):
-        filt = SparseFilterMatrix.from_dense(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        op = normalize(filt)
-        expected = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-        assert np.allclose(op.to_dense(), expected, atol=1e-15)
-        assert np.array_equal(op.row_sums, np.array([1.5, 1.5]))
+        # a 2x2 grid whose only edges, weight 0.5, join pixels 0-1 and 2-3:
+        # two copies of the 2-node case
+        op = normalize(grid_filter(2, {(0, 1): 0.5}))
+        pair = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+        assert np.allclose(op.to_dense(), np.kron(np.eye(2), pair), atol=1e-15)
+        assert np.array_equal(op.row_sums, np.full(4, 1.5))
 
     def test_matches_dense_normalization_oracle(self):
         field = extract_features(random_patch(4, 4), 4)
@@ -227,15 +285,8 @@ class TestNormalize:
         assert np.all(normalize(filt).row_sums >= 1.0)
 
     def test_degenerate_row_sum_raises(self):
-        bad = SparseFilterMatrix(
-            n=2,
-            window_radius=0,
-            rows=np.array([0, 1]),
-            cols=np.array([0, 1]),
-            weights=np.array([1.0, -1.0]),
-        )
         with pytest.raises(DegenerateMatrixError):
-            normalize(bad)
+            normalize(grid_filter(2, {(0, 1): -1.0}))
 
     def test_diagonal_load_shifts_toward_identity(self):
         field = extract_features(random_patch(9, 4), 4)

@@ -26,7 +26,6 @@ from graphdenoise import (
     extract_features,
     forward,
     grad_fd,
-    grad_reverse,
     load_checkpoint,
     loss,
     loss_and_grad,
@@ -36,6 +35,7 @@ from graphdenoise import (
     synthesize_image,
     train_loop,
     unrolled_cg,
+    window_blocks,
 )
 from oracles import dense_truncated_inverse_matrix, random_patch
 
@@ -211,7 +211,7 @@ class TestReverseGradients:
     def test_matches_finite_differences(self):
         pairs = [noisy_clean_pair(9, 8), noisy_clean_pair(10, 8)]
         theta = perturbed_params(SMALL, 9, [p[0] for p in pairs], 8)
-        g_rev = grad_reverse(theta, pairs, 8, SMALL).pack()
+        g_rev = loss_and_grad(theta, pairs, 8, SMALL)[1].pack()
         g_fd = grad_fd(theta, pairs, 8, SMALL).pack()
         denom = np.maximum(np.maximum(np.abs(g_rev), np.abs(g_fd)), 1e-8)
         assert np.max(np.abs(g_rev - g_fd) / denom) < 1e-4
@@ -220,7 +220,7 @@ class TestReverseGradients:
         noisy, clean = noisy_clean_pair(11, 8)
         theta = perturbed_params(SMALL, 11, [noisy], 8)
         base = loss(theta, [(noisy, clean)], 8, SMALL)
-        grad = grad_reverse(theta, [(noisy, clean)], 8, SMALL).pack()
+        grad = loss_and_grad(theta, [(noisy, clean)], 8, SMALL)[1].pack()
         rng = np.random.default_rng(11)
         flat = theta.pack()
         checked = 0
@@ -248,7 +248,7 @@ class TestReverseGradients:
         )
         pairs = [noisy_clean_pair(21, 8)]
         theta = perturbed_params(hyper, 21, [pairs[0][0]], 8)
-        g_rev = grad_reverse(theta, pairs, 8, hyper).pack()
+        g_rev = loss_and_grad(theta, pairs, 8, hyper)[1].pack()
         g_fd = grad_fd(theta, pairs, 8, hyper).pack()
         denom = np.maximum(np.maximum(np.abs(g_rev), np.abs(g_fd)), 1e-8)
         assert np.max(np.abs(g_rev - g_fd) / denom) < 1e-4
@@ -256,7 +256,7 @@ class TestReverseGradients:
     def test_gradient_flows_into_every_block(self):
         noisy, clean = noisy_clean_pair(12, 8)
         theta = perturbed_params(SMALL, 12, [noisy], 8)
-        grad = grad_reverse(theta, [(noisy, clean)], 8, SMALL)
+        grad = loss_and_grad(theta, [(noisy, clean)], 8, SMALL)[1]
         assert np.any(grad.metric_factor != 0.0)
         assert np.any(grad.tse_coeffs != 0.0)
         assert np.any(grad.cg_alpha != 0.0)
@@ -265,23 +265,38 @@ class TestReverseGradients:
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_edge_outer_sum_equals_in_order_gather(self, side, radius):
-        # the per-edge gather the offset blocks replace, summed term by term
-        filt = build_filter_matrix(
-            extract_features(random_patch(side, side), side), MetricFactor.bilateral_default(), radius
-        )
+        # the per-pixel-pair gather the offset blocks replace, summed term by term
         rng = np.random.default_rng(10 * side + radius)
         g_stack = rng.standard_normal((12, side * side))
         t_stack = rng.standard_normal((12, side * side))
-        gathered = np.zeros(filt.nnz)
+        diagonal, half, mirror = edge_outer_sum(g_stack, t_stack, side, radius)
+        gathered = np.zeros(side * side)
         for g, t in zip(g_stack, t_stack):
-            gathered += g[filt.rows] * t[filt.cols]
-        assert np.array_equal(edge_outer_sum(g_stack, t_stack, side, radius), gathered)
+            gathered += g * t
+        assert np.array_equal(diagonal.ravel(), gathered)
+        offsets = [(dr, dc) for dr, dc, _, _ in window_blocks(side, radius)]
+        assert len(half) == len(mirror) == len(offsets)
+        for (dr, dc), half_plane, mirror_plane in zip(offsets, half, mirror):
+            pairs = [
+                (r * side + c, (r + dr) * side + c + dc)
+                for r in range(side)
+                for c in range(side)
+                if 0 <= r + dr < side and 0 <= c + dc < side
+            ]
+            i, j = np.array(pairs).T
+            forward_sum = np.zeros(len(pairs))
+            backward_sum = np.zeros(len(pairs))
+            for g, t in zip(g_stack, t_stack):
+                forward_sum += g[i] * t[j]
+                backward_sum += g[j] * t[i]
+            assert np.array_equal(half_plane.ravel(), forward_sum)
+            assert np.array_equal(mirror_plane.ravel(), backward_sum)
 
     def test_requires_learned_mode(self):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, cg_mode="analytic")
         noisy, clean = noisy_clean_pair(13, 8)
         with pytest.raises(InvalidInputError):
-            grad_reverse(ParamVector.initial(hyper), [(noisy, clean)], 8, hyper)
+            loss_and_grad(ParamVector.initial(hyper), [(noisy, clean)], 8, hyper)
 
 
 class TestAdam:
