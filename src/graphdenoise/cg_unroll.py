@@ -68,6 +68,8 @@ def _as_matvec(system):
     raise InvalidInputError("system must expose apply_system or be callable")
 
 
+# an overflow surfaces as a non-finite state, which is raised as an error
+@np.errstate(over="ignore", invalid="ignore")
 def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     """Run T unrolled CG steps on A x = y; returns (x, trace or None).
 

@@ -1,6 +1,7 @@
 """Run configuration: defaults, flat key=value config files, CLI overrides."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -28,6 +29,15 @@ class RunConfig:
     test_dir: str = ""
     checkpoint: str = ""
     out: str = ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            floats = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in floats if isinstance(v, float)):
+                raise CliUsageError(f"{f.name} must be finite, got {value}")
+        if self.learning_rate <= 0.0:
+            raise CliUsageError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def _coerce(name: str, text: str, kind) -> object:

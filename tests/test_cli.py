@@ -1,13 +1,34 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphdenoise import GrayImage, load_image, psnr, save_image, synthesize_image
+import graphdenoise
+from graphdenoise import (
+    GrayImage,
+    add_awgn,
+    build_system,
+    forward,
+    load_image,
+    partition,
+    psnr,
+    reassemble,
+    save_image,
+    synthesize_image,
+)
+from graphdenoise import cli
 from graphdenoise.cli import main
 from graphdenoise.config import build_config, parse_config_file
-from graphdenoise.errors import CliUsageError
-from graphdenoise.train import ParamVector, PipelineConfig, save_checkpoint
+from graphdenoise.errors import CliUsageError, NumericDivergenceError
+from graphdenoise.train import ParamVector, PipelineConfig, load_checkpoint, save_checkpoint
 
 TINY = [
     "--patch_side", "16",
@@ -296,6 +317,29 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: checkpoint")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--s", "nan"], "s must be finite, got nan"),
+            (["train", "--sigma_train", "nan"], "sigma_train must be finite, got nan"),
+            (["train", "--learning_rate", "nan"], "learning_rate must be finite, got nan"),
+            (["train", "--learning_rate", "-1"], "learning_rate must be > 0, got -1.0"),
+            (["train", "--learning_rate", "0"], "learning_rate must be > 0, got 0.0"),
+            (["eval", "--sigma_test", "10,nan"], "sigma_test must be finite, got (10.0, nan)"),
+        ],
+        ids=["s-nan", "sigma_train-nan", "lr-nan", "lr-negative", "lr-zero", "sigma_test-nan"],
+    )
+    def test_bad_config_float_is_one_line_usage_error(
+        self, tmp_path, image_dir, test_dir, capsys, argv, message
+    ):
+        out = tmp_path / "bad"
+        inputs = ["--train_dir", str(image_dir), "--test_dir", str(test_dir)]
+        code = main([*argv, *inputs, "--checkpoint", str(tmp_path / "c.json"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()  # rejected before any work
+
+
 class TestConfigFile:
     def test_parse_and_override_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -341,3 +385,196 @@ class TestConfigFile:
         cfg_file.write_text("feature_dim = 5\n")
         with pytest.raises(CliUsageError, match="unknown config key"):
             parse_config_file(cfg_file)
+
+
+SRC = Path(graphdenoise.__file__).resolve().parents[1]
+CPUS = sorted(os.sched_getaffinity(0))
+
+
+def run_subprocess(args, cpu=None):
+    """The CLI in a child process, pinned to one CPU when cpu is given; the
+    affinity call runs in the child only."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu})),
+    )
+
+
+def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
+    """cmd_eval's table computed patch by patch with forward, in one thread."""
+    params, hyper = load_checkpoint(ckpt)
+    init_hyper = replace(hyper, cg_mode="analytic")
+    init = ParamVector.initial(init_hyper)
+    lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
+    for sigma_index, sigma in enumerate(sigmas):
+        scores = [[], [], []]
+        for image_index, path in enumerate(sorted(test_dir.iterdir())):
+            grid = partition(load_image(path), side)
+            clean = reassemble(grid)
+            noisy = partition(add_awgn(clean, sigma, seed + 1000 * sigma_index + image_index), side)
+            columns = np.clip(
+                [
+                    [
+                        build_system(init, patch, side, init_hyper)[2].psi.apply(patch),
+                        forward(init, patch, side, init_hyper),
+                        forward(params, patch, side, hyper),
+                    ]
+                    for patch in noisy.patches
+                ],
+                0.0,
+                1.0,
+            )
+            for i, score in enumerate(scores):
+                score.append(psnr(clean, reassemble(replace(noisy, patches=columns[:, i]))))
+        lines.append(",".join(repr(float(v)) for v in [sigma, *map(np.mean, scores)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSolveLanes:
+    @pytest.mark.skipif(len(CPUS) < 2, reason="needs two available CPUs")
+    def test_outputs_do_not_depend_on_the_lane_count(self, tmp_path, image_dir, test_dir):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="lanes")
+        clean = synthesize_image(48, 32, seed=70)  # six 16x16 patches
+        save_image(clean, tmp_path / "clean.pgm")
+        save_image(add_awgn(clean, 15.0, 3), tmp_path / "noisy.pgm")
+        lanes = "from graphdenoise import cli; print(cli.LANES)"
+        assert run_subprocess(["-c", lanes], cpu=CPUS[0]).stdout == "1\n"
+        assert run_subprocess(["-c", lanes]).stdout == f"{len(CPUS)}\n"
+
+        # serial per-patch reference
+        params, hyper = load_checkpoint(ckpt)
+        grid = partition(load_image(tmp_path / "noisy.pgm"), 16)
+        patches = np.clip([forward(params, patch, 16, hyper) for patch in grid.patches], 0.0, 1.0)
+        save_image(reassemble(replace(grid, patches=patches)), tmp_path / "reference.pgm")
+        reference_psnr = psnr(clean, load_image(tmp_path / "reference.pgm"))
+        reference_csv = serial_eval_csv(ckpt, test_dir, (10.0, 25.0), 2, 16)
+
+        for name, cpu in (("pinned", CPUS[0]), ("default", None)):
+            out = tmp_path / name
+            den = run_subprocess(
+                [
+                    "-m", "graphdenoise", "denoise", str(tmp_path / "noisy.pgm"),
+                    "--truth", str(tmp_path / "clean.pgm"),
+                    "--checkpoint", str(ckpt), "--out", str(out), *TINY,
+                ],
+                cpu,
+            )
+            assert den.returncode == 0, den.stderr
+            assert den.stdout.splitlines()[-1] == f"psnr = {reference_psnr!r}"
+            denoised = (out / "noisy_denoised.pgm").read_bytes()
+            assert denoised == (tmp_path / "reference.pgm").read_bytes()
+            ev = run_subprocess(
+                [
+                    "-m", "graphdenoise", "eval", "--checkpoint", str(ckpt),
+                    "--test_dir", str(test_dir), "--out", str(out),
+                    "--sigma_test", "10,25", "--seed", "2", *TINY,
+                ],
+                cpu,
+            )
+            assert ev.returncode == 0, ev.stderr
+            assert (out / "eval.csv").read_text() == reference_csv
+
+    @pytest.mark.parametrize("command", ["denoise", "eval"])
+    def test_failing_lane_is_one_line_numeric_error(self, tmp_path, image_dir, test_dir, command):
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        theta = ParamVector.initial(hyper)
+        theta.cg_alpha[:] = 1e300  # every learned solve overflows at its first step
+        ckpt = tmp_path / "huge.json"
+        save_checkpoint(ckpt, theta, hyper)
+        if command == "denoise":
+            inputs = [str(sorted(image_dir.iterdir())[0])]
+        else:
+            inputs = ["--test_dir", str(test_dir), "--sigma_test", "10,25"]
+        done = run_subprocess(
+            ["-m", "graphdenoise", command, *inputs,
+             "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY]
+        )
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == ["numeric error: non-finite CG state at iteration 0"]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "build_fails, job_fails",
+        [
+            ((), ()),
+            ((), (1, 2)),
+            ((), (2, 3)),
+            ((4,), (3,)),
+            ((2,), (1,)),
+            ((5,), (7,)),
+            ((0,), (0,)),
+        ],
+    )
+    def test_first_failing_item_in_raster_order_wins(
+        self, monkeypatch, lanes, build_fails, job_fails
+    ):
+        # four constant 2x2 patches, patch p valued p / 10; item 2 * p + maker,
+        # as cmd_eval maps two systems per patch; the second maker gives two outputs
+        pixels = np.repeat(np.arange(4) / 10, 2)[None, :].repeat(2, axis=0)
+        image = GrayImage(width=8, height=2, pixels=pixels)
+
+        def maker(offset):
+            def build(patch):
+                item = 2 * round(10 * patch[0]) + offset
+                if item in build_fails:
+                    raise NumericDivergenceError(f"build {item}")
+
+                def job():
+                    if item in job_fails:
+                        raise NumericDivergenceError(f"job {item}")
+                    return [patch + 0.1 * k for k in range(offset + 1)]
+
+                return job
+
+            return build
+
+        monkeypatch.setattr(cli, "LANES", lanes)
+        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+            monkeypatch.setattr(cli, "_POOL", pool)
+            if not (build_fails or job_fails):
+                images = cli._map_patches(image, 2, [maker(0), maker(1)])
+                expected = [pixels, pixels, pixels + 0.1]
+                assert [i.pixels.tolist() for i in images] == [e.tolist() for e in expected]
+                return
+            first = min([*build_fails, *job_fails])
+            message = f"build {first}" if first in build_fails else f"job {first}"
+            with pytest.raises(NumericDivergenceError, match=f"^{message}$"):
+                cli._map_patches(image, 2, [maker(0), maker(1)])
+
+    def test_lanes_add_at_most_one_system_each_to_peak_memory(self, tmp_path, monkeypatch):
+        hyper = PipelineConfig()
+        theta = ParamVector.initial(hyper)
+        save_checkpoint(tmp_path / "c.json", theta, hyper)
+        noisy = add_awgn(synthesize_image(128, 128, seed=5), 15.0, 1)  # four 64x64 patches
+        save_image(noisy, tmp_path / "n.pgm")
+        _, _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
+        csr = system.psi._matrix
+        psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        del system, csr
+        argv = ["denoise", str(tmp_path / "n.pgm"), "--checkpoint", str(tmp_path / "c.json"),
+                "--out", str(tmp_path / "o")]
+
+        def peak(lanes):
+            monkeypatch.setattr(cli, "LANES", lanes)
+            with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+                monkeypatch.setattr(cli, "_POOL", pool)
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # warm-up: lazy imports and caches
+        serial = peak(1)
+        # margin per extra lane: its solve's vectors (K + 1 cached Taylor terms
+        # and the CG state, about 0.5 MB at 64x64), doubled
+        margin = 2**20
+        for lanes in (2, 3):
+            assert peak(lanes) <= serial + (lanes - 1) * (psi_bytes + margin)
