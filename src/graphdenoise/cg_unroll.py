@@ -16,10 +16,12 @@ feed-forward network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericDivergenceError
+from .lanes import in_lanes
 
 
 @dataclass(eq=False)
@@ -74,10 +76,12 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     """Run T unrolled CG steps on A x = y; returns (x, trace or None).
 
     Analytic mode guards against breakdown: once r_k.r_k or |p_k.v_{k+1}|
-    falls below epsilon_guard, every remaining step is an identity
+    is at most epsilon_guard * r_0.r_0, every remaining step is an identity
     pass-through with alpha = beta = 0 (a converged patch must not abort a
-    batch). Learned mode applies the stored scalars unconditionally and
-    raises NumericDivergenceError if the state stops being finite.
+    batch). Being relative, the guard lets scaling y by a power of two scale
+    x by exactly that. Learned mode applies the stored scalars
+    unconditionally and raises NumericDivergenceError if the state stops
+    being finite.
     """
     matvec = _as_matvec(system)
     y = np.asarray(y, dtype=float)
@@ -91,6 +95,9 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     if r.shape != y.shape:
         raise InvalidInputError("system output shape does not match the input")
     p = r.copy()
+    # relative breakdown threshold; an overflowed r_0.r_0 is not a breakdown,
+    # the first step then raises on its non-finite state
+    guard = cfg.epsilon_guard * float(r @ r)
 
     alphas = np.zeros(T)
     betas = np.zeros(max(T - 1, 0))
@@ -100,11 +107,11 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     for k in range(T):
         if analytic:
             rr_old = float(r @ r)
-            if rr_old < cfg.epsilon_guard:
+            if rr_old <= guard < np.inf:
                 break
             v = matvec(p)
             pv = float(p @ v)
-            if abs(pv) < cfg.epsilon_guard:
+            if abs(pv) <= guard < np.inf:
                 break
             alpha = rr_old / pv
         else:
@@ -142,18 +149,21 @@ def calibrate_cg_params(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
-    system_batch is a sequence of (system, y) pairs; every element is solved
-    in analytic mode under epsilon_guard and the realized scalars (0 after a
-    breakdown) are averaged elementwise.
+    system_batch is a sequence of (system, y) pairs, or of no-argument
+    callables that return one, so that a system can be built in its lane.
+    Every element is solved in analytic mode under epsilon_guard, on the
+    lanes (in_lanes), and the realized scalars (0 after a breakdown) are
+    averaged elementwise in batch order.
     """
     system_batch = list(system_batch)
     if not system_batch:
         raise InvalidInputError("calibration batch must be nonempty")
     cfg = CgConfig(depth_T=depth_T, mode="analytic", epsilon_guard=epsilon_guard)
-    all_alphas = []
-    all_betas = []
-    for system, y in system_batch:
+
+    def used_scalars(element):
+        system, y = element() if callable(element) else element
         _, trace = unrolled_cg(system, y, cfg, want_trace=True)
-        all_alphas.append(trace.used_alphas)
-        all_betas.append(trace.used_betas)
-    return np.mean(all_alphas, axis=0), np.mean(all_betas, axis=0)
+        return trace.used_alphas, trace.used_betas
+
+    runs = in_lanes([partial(used_scalars, element) for element in system_batch])
+    return np.mean([a for a, _ in runs], axis=0), np.mean([b for _, b in runs], axis=0)

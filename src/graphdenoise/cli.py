@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import lanes
 from .config import RunConfig, build_config
 from .errors import (
     CliUsageError,
@@ -43,12 +42,6 @@ from .train import (  # noqa: F401
 )
 
 logger = logging.getLogger(__name__)
-
-# One solve lane per core this process may run on: the calling thread and
-# LANES - 1 pool threads. scipy's CSR matvec, most of a solve, releases the GIL.
-# (sched_getaffinity is Linux-only; elsewhere every core counts.)
-LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(LANES - 1, thread_name_prefix="solve") if LANES > 1 else None
 
 IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
 
@@ -99,25 +92,25 @@ def _map_patches(image: GrayImage, patch_side: int, makers) -> list[GrayImage]:
 
     Each maker turns a patch into a job, a no-argument callable that returns
     a list of output patches; a patch's outputs are its makers' outputs in
-    order. Items (patch, maker) run in raster order, LANES at a time. The
-    calling thread builds each round's jobs, the expensive and
-    allocation-heavy part, hands all but the last to the pool and runs the
-    last itself. A round's jobs are finished and released before the next
-    round's builds start, so each lane holds one patch system at a time.
+    order. Items (patch, maker) run in raster order, lanes.LANES at a time.
+    The calling thread builds each round's jobs, the expensive and
+    allocation-heavy part, hands all but the last to lanes.POOL and runs
+    the last itself. A round's jobs are finished and released before the
+    next round's builds start, so each lane holds one patch system at a time.
 
     Every job computes exactly what it would serially, so the output is
-    bitwise independent of LANES. When items fail, the error raised is the
-    one the serial loop would raise: that of the first failing item.
+    bitwise independent of the lane count. When items fail, the error raised
+    is the one the serial loop would raise: that of the first failing item.
     """
     grid = partition(image, patch_side)
     items = [(build, patch) for patch in grid.patches for build in makers]
     outputs = []
-    for start in range(0, len(items), LANES):
-        *farmed, (build, patch) = items[start : start + LANES]
+    for start in range(0, len(items), lanes.LANES):
+        *farmed, (build, patch) = items[start : start + lanes.LANES]
         futures = []
         try:
             for farmed_build, farmed_patch in farmed:
-                futures.append(_POOL.submit(_run, [farmed_build(farmed_patch)]))
+                futures.append(lanes.POOL.submit(_run, [farmed_build(farmed_patch)]))
             own = build(patch)()
         finally:
             # read every future, in raster order: an earlier item's error

@@ -358,7 +358,8 @@ def _window_csr(side: int, blocks, diagonal: np.ndarray, halves) -> sparse.csr_a
     """CSR with the given diagonal and, per window block, entries (i, j) and
     (j, i) from its half plane. Rows hold their entries in order of the flat
     offset dr * side + dc, i.e. sorted by column; two offsets with the same
-    flat offset (side <= 2 * radius) join disjoint pixels."""
+    flat offset (side <= 2 * radius) join disjoint pixels. Indices are int32,
+    which scipy keeps, unless the entry count needs int64."""
     parts = [(0, (slice(None), slice(None)), diagonal)]
     for (dr, dc, block_i, block_j), half in zip(blocks, halves):
         parts.append((dr * side + dc, block_i, half))
@@ -370,10 +371,12 @@ def _window_csr(side: int, blocks, diagonal: np.ndarray, halves) -> sparse.csr_a
         values[slot][block] = plane
         stored[slot][block] = True
     n = side * side
-    flat = np.array([part[0] for part in parts])
+    index = np.int32 if len(parts) * n < 2**31 else np.int64
+    flat = np.array([part[0] for part in parts], dtype=index)
     stored = stored.reshape(-1, n).T
-    indices = (np.arange(n)[:, None] + flat)[stored]
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    indices = (np.arange(n, dtype=index)[:, None] + flat)[stored]
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
     data = values.reshape(-1, n).T[stored]
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
 

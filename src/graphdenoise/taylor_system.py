@@ -95,15 +95,21 @@ class TaylorSystemOperator:
         """
         v = self._check(v)
         s = self.expansion_point_s
-        c = self._scaled
         t = v
-        acc = c[0] * v
         cache = [v]
         for k in range(1, self.degree_K + 1):
             t = self.psi.apply(t) - s * t
-            acc = acc + c[k] * t
             cache.append(t)
-        return acc, cache
+        return self.combine(cache), cache
+
+    def combine(self, terms) -> np.ndarray:
+        """sum_k a_k / s^{k+1} t_k over the terms t_0..t_K of one apply,
+        added in order of k; rebuilds the apply's output bitwise."""
+        c = self._scaled
+        acc = c[0] * terms[0]
+        for k in range(1, self.degree_K + 1):
+            acc = acc + c[k] * terms[k]
+        return acc
 
     def apply_truncated_inverse(self, v: np.ndarray) -> np.ndarray:
         """sum_k a_k / s^{k+1} (Psi - s I)^k v, exactly K applies of Psi."""

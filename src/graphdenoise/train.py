@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .graph_filter import (
     normalize,
     window_blocks,
 )
+from .lanes import in_lanes
 from .taylor_system import TaylorSystemOperator, default_coefficients
 
 _TRIL = np.tril_indices(FEATURE_DIM)
@@ -143,12 +145,15 @@ def build_system(
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:
     """ParamVector.initial with the CG scalars calibrated by analytic runs
-    on the given noisy patches (calibrate_cg_params)."""
+    on the given noisy patches (calibrate_cg_params); each patch's system
+    is built in the lane that solves it."""
     theta = ParamVector.initial(hyper)
-    systems = [
-        (build_system(theta, noisy, patch_side, hyper)[2], noisy) for noisy in noisy_patches
-    ]
-    alpha, beta = calibrate_cg_params(systems, hyper.depth_T, hyper.epsilon_guard)
+
+    def patch_system(noisy):
+        return build_system(theta, noisy, patch_side, hyper)[2], noisy
+
+    builds = [partial(patch_system, noisy) for noisy in noisy_patches]
+    alpha, beta = calibrate_cg_params(builds, hyper.depth_T, hyper.epsilon_guard)
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
 
 
@@ -165,24 +170,33 @@ def _cg_config(theta: ParamVector, hyper: PipelineConfig) -> CgConfig:
 
 
 class _RecordingSystem:
-    """Wraps a system so unrolled_cg leaves behind the per-apply caches.
+    """Wraps a system so unrolled_cg leaves behind each apply's terms.
 
     The solver calls apply_system once for the initial residual (input y)
-    and once per depth step (input p_k); recording inputs, outputs and the
-    polynomial terms in call order is all the backward pass needs.
+    and once per depth step (input p_k). For each depth step, in call
+    order, it keeps the polynomial terms t_0..t_K (newest_first): all the
+    backward pass needs, since the output is rebuilt from them
+    (TaylorSystemOperator.combine). The initial residual's apply is
+    reversed last, so its terms are recomputed then rather than held
+    through the whole reverse pass; its slot holds None until then.
     """
 
     def __init__(self, system: TaylorSystemOperator):
         self.system = system
-        self.inputs: list[np.ndarray] = []
-        self.outputs: list[np.ndarray] = []
-        self.t_caches: list[list[np.ndarray] | None] = []
+        self.terms: list[np.ndarray | None] = []
+
+    def newest_first(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The apply's output and its terms as one (K+1, n) array, newest
+        first: row K - k holds t_k, row K the input v."""
+        out, cache = self.system.apply_truncated_inverse_with_cache(v)
+        return out, np.array(cache[::-1])
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
-        out, cache = self.system.apply_truncated_inverse_with_cache(v)
-        self.inputs.append(v)
-        self.outputs.append(out)
-        self.t_caches.append(cache)
+        if not self.terms:
+            self.terms.append(None)
+            return self.system.apply_truncated_inverse(v)
+        out, terms = self.newest_first(v)
+        self.terms.append(terms)
         return out
 
 
@@ -220,6 +234,51 @@ def loss(theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = Pip
     return total
 
 
+class EdgeOuterSum:
+    """Running sums of g_m[i] * t_m[j] over terms m, for every stored entry
+    (i, j) of B on a side x side grid, fed up to `chunk` terms at a time.
+
+    A chunk's g terms go into rows 0..count-1 of g_terms; fold(t) adds them
+    with the t terms in rows 1..count of t. planes() returns the sums as
+    edge_outer_sum does. However the terms are chunked, every sum is
+    bitwise the one-pass in-order sum: row 0 of both operands is reserved,
+    with t = 1 and g holding a block's running sum during its einsum, so
+    the reduction over the term axis carries on from that sum in order.
+    """
+
+    def __init__(self, side: int, radius: int, chunk: int):
+        n = side * side
+        self.side = side
+        self._blocks = [(bi, bj) for _, _, bi, bj in window_blocks(side, radius)]
+        self._g = np.empty((chunk + 1, n))
+        self.g_terms = self._g[1:]
+        grid = self._g[0].reshape(side, side)
+        self._diagonal = np.zeros(n)
+        self._half = [np.zeros(grid[bi].shape) for bi, _ in self._blocks]
+        self._mirror = [np.zeros(grid[bj].shape) for _, bj in self._blocks]
+
+    def fold(self, t: np.ndarray) -> None:
+        """Add the first len(t) - 1 g terms, paired with t[1:]; t is a
+        (count + 1, n) array whose row 0 is scratch (set to 1 here)."""
+        count = len(t) - 1
+        # a loop: on a 1-pixel grid the term axis is contiguous, and einsum
+        # sums a contiguous axis with several partial accumulators
+        for g_m, t_m in zip(self.g_terms[:count], t[1:]):
+            self._diagonal += g_m * t_m
+        t[0] = 1.0
+        g_grid = self._g[: count + 1].reshape(-1, self.side, self.side)
+        t_grid = t.reshape(-1, self.side, self.side)
+        running = g_grid[0]
+        for b, ((ri, ci), (rj, cj)) in enumerate(self._blocks):
+            running[ri, ci] = self._half[b]
+            self._half[b] = np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj])
+            running[rj, cj] = self._mirror[b]
+            self._mirror[b] = np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci])
+
+    def planes(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        return self._diagonal.reshape(self.side, self.side), self._half, self._mirror
+
+
 def edge_outer_sum(
     g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: int
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -231,20 +290,15 @@ def edge_outer_sum(
     Bitwise equal to adding g[i] * t[j] term by term, since every entry
     sums its terms in order of m. Each block and its mirror is one einsum
     over strided views of the grid, which numpy reduces with m as the outer
-    loop (or, for a 1x1 block, in one strided loop over m).
+    loop (or, for a 1x1 block, in one strided loop over m). This is the
+    one-pass form of EdgeOuterSum.
     """
-    g_grid = g_stack.reshape(-1, side, side)
-    t_grid = t_stack.reshape(-1, side, side)
-    # a loop: on a 1-pixel grid the term axis is contiguous, and einsum sums
-    # a contiguous axis with several partial accumulators
-    diagonal = np.zeros(side * side)
-    for g, t in zip(g_stack, t_stack):
-        diagonal += g * t
-    half, mirror = [], []
-    for _, _, (ri, ci), (rj, cj) in window_blocks(side, radius):
-        half.append(np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj]))
-        mirror.append(np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci]))
-    return diagonal.reshape(side, side), half, mirror
+    sums = EdgeOuterSum(side, radius, len(g_stack))
+    sums.g_terms[:] = g_stack
+    t = np.empty((len(t_stack) + 1, side * side))
+    t[1:] = t_stack
+    sums.fold(t)
+    return sums.planes()
 
 
 def _grad_single(
@@ -252,7 +306,8 @@ def _grad_single(
 ) -> tuple[float, ParamVector]:
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
-    field_, filt, system = build_system(theta, noisy, patch_side, hyper)
+    # B is rebuilt for its adjoint below rather than held through the solve
+    field_, _, system = build_system(theta, noisy, patch_side, hyper)
     op = system.psi
     recorder = _RecordingSystem(system)
     x, _ = unrolled_cg(recorder, noisy, _cg_config(theta, hyper))
@@ -268,27 +323,25 @@ def _grad_single(
     pair_loss = float(resid @ resid)
 
     ga = np.zeros(K + 1)
-    # dL/dPsi_ij sums gt[i] * t_{k-1}[j] over every Psi matvec of
-    # the solve; its (gt, t_{k-1}) pairs are stacked in visit order and
-    # contracted once the sweep is done (edge_outer_sum).
-    g_stack = np.empty((K * (T + 1), n))
-    t_stack = np.empty((K * (T + 1), n))
-    m = 0
+    # dL/dPsi_ij sums gt[i] * t_{k-1}[j] over every Psi matvec of the
+    # solve, in visit order; each apply's K terms are folded into the sums
+    # as soon as the apply is reversed
+    psi_sums = EdgeOuterSum(patch_side, hyper.window_radius, K)
 
     def apply_vjp(idx: int, g_out: np.ndarray) -> np.ndarray:
         # Adjoint of one truncated-inverse apply. Accumulates dL/da_k and
-        # stacks the dL/dPsi terms; returns the adjoint of the apply's input.
-        nonlocal ga, m
-        ts = recorder.t_caches[idx]
-        ga += np.array([g_out @ t for t in ts]) / powers
+        # the dL/dPsi terms; returns the adjoint of the apply's input.
+        nonlocal ga
+        terms = recorder.terms[idx]  # row K - k holds t_k
+        ga += np.array([g_out @ t for t in terms[::-1]]) / powers
         gt = c[K] * g_out
-        for k in range(K, 0, -1):
-            # forward: t_k = Psi t_{k-1} - s t_{k-1}
-            g_stack[m] = gt
-            t_stack[m] = ts[k - 1]
-            m += 1
+        for m, k in enumerate(range(K, 0, -1)):
+            # forward: t_k = Psi t_{k-1} - s t_{k-1}; t_{k-1} is row m + 1
+            psi_sums.g_terms[m] = gt
             gt = op.apply(gt) - s * gt + c[k - 1] * g_out
-        recorder.t_caches[idx] = None  # its terms now live in t_stack
+        # t_K, in row 0, is spent: fold uses the row as scratch
+        psi_sums.fold(terms)
+        recorder.terms[idx] = None
         return gt
 
     # --- reverse through the CG updates (alpha, beta are leaves) ---
@@ -299,8 +352,8 @@ def _grad_single(
     g_beta = np.zeros(max(T - 1, 0))
     for k in range(T - 1, -1, -1):
         alpha = float(theta.cg_alpha[k])
-        p_k = recorder.inputs[k + 1]
-        v_k1 = recorder.outputs[k + 1]
+        p_k = recorder.terms[k + 1][K]
+        v_k1 = system.combine(recorder.terms[k + 1][::-1])
         if k < T - 1:
             # p_{k+1} = r_{k+1} + beta_k p_k; gp currently holds d/dp_{k+1}
             g_beta[k] = float(gp @ p_k)
@@ -315,11 +368,13 @@ def _grad_single(
         gp = gp + apply_vjp(k + 1, gv)
     # p_0 = r_0 and r_0 = y - A y (y is a constant input)
     gr = gr + gp
+    recorder.terms[0] = recorder.newest_first(noisy)[1]
     apply_vjp(0, -gr)
-    diag_bar, half_bar, mirror_bar = edge_outer_sum(g_stack, t_stack, patch_side, hyper.window_radius)
-    del g_stack, t_stack
+    diag_bar, half_bar, mirror_bar = psi_sums.planes()
+    del psi_sums
 
     # --- reverse through Psi = (1-eps) S^{-1/2} B S^{-1/2} + eps I ---
+    filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
@@ -361,8 +416,11 @@ def loss_and_grad(
     total = np.zeros(
         N_METRIC_PARAMS + hyper.degree_K + 1 + hyper.depth_T + max(hyper.depth_T - 1, 0)
     )
-    for noisy, clean in batch:
-        pair_loss, g = _grad_single(theta, noisy, clean, patch_side, hyper)
+    pairs = in_lanes(
+        [partial(_grad_single, theta, noisy, clean, patch_side, hyper) for noisy, clean in batch]
+    )
+    # summed in batch order, so the result does not depend on the lanes
+    for pair_loss, g in pairs:
         total_loss += pair_loss
         total += g.pack()
     return total_loss, ParamVector.unpack(total, hyper.degree_K, hyper.depth_T)
@@ -454,8 +512,9 @@ def adam_step(state: TrainState, gradient) -> TrainState:
     return replace(state, params=params, adam_m=m, adam_v=v, step_count=t)
 
 
-def _patch_psnr(clean: np.ndarray, out: np.ndarray) -> float:
-    err = clean - np.clip(out, 0.0, 1.0)
+def _patch_psnr(theta, noisy, clean, patch_side, hyper) -> float:
+    out = np.clip(forward(theta, noisy, patch_side, hyper), 0.0, 1.0)
+    err = np.asarray(clean, dtype=float) - out
     mse = float(err @ err) / err.size
     if mse == 0.0:
         return float("inf")
@@ -465,14 +524,14 @@ def _patch_psnr(clean: np.ndarray, out: np.ndarray) -> float:
 def evaluate_psnr(
     theta: ParamVector, pairs, patch_side: int, hyper: PipelineConfig = PipelineConfig()
 ) -> float:
-    """Mean patch PSNR of the denoised outputs against the clean patches."""
+    """Mean patch PSNR of the denoised outputs against the clean patches;
+    the patches are denoised on the lanes (in_lanes)."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInputError("evaluation set must be nonempty")
-    vals = [
-        _patch_psnr(np.asarray(clean, dtype=float), forward(theta, noisy, patch_side, hyper))
-        for noisy, clean in pairs
-    ]
+    vals = in_lanes(
+        [partial(_patch_psnr, theta, noisy, clean, patch_side, hyper) for noisy, clean in pairs]
+    )
     return float(np.mean(vals))
 
 

@@ -107,6 +107,17 @@ class TestAnalyticMode:
         assert np.all(trace.used_alphas == 0.0)
         assert np.all(np.isfinite(x))
 
+    @given(st.integers(0, 500), st.sampled_from([2.0**-30, 2.0**30]))
+    @settings(max_examples=20)
+    def test_scaling_the_rhs_by_a_power_of_two_scales_the_solution(self, seed, c):
+        # the breakdown guard is relative to r_0.r_0, so it trips at the same
+        # step for y and c * y; every other operation scales exactly
+        a, y = dense_system(seed, 6, lo=0.8, hi=4.0)
+        cfg = CgConfig(depth_T=10)
+        x, _ = unrolled_cg(lambda v: a @ v, y, cfg)
+        scaled, _ = unrolled_cg(lambda v: a @ v, c * y, cfg)
+        assert np.array_equal(scaled, c * x)
+
     @given(st.integers(0, 500))
     @settings(max_examples=20)
     def test_finite_termination_property(self, seed):

@@ -28,7 +28,13 @@ from graphdenoise import cli
 from graphdenoise.cli import main
 from graphdenoise.config import build_config, parse_config_file
 from graphdenoise.errors import CliUsageError, NumericDivergenceError
-from graphdenoise.train import ParamVector, PipelineConfig, load_checkpoint, save_checkpoint
+from graphdenoise.train import (
+    ParamVector,
+    PipelineConfig,
+    load_checkpoint,
+    save_checkpoint,
+    train_loop,
+)
 
 TINY = [
     "--patch_side", "16",
@@ -443,9 +449,9 @@ class TestSolveLanes:
         clean = synthesize_image(48, 32, seed=70)  # six 16x16 patches
         save_image(clean, tmp_path / "clean.pgm")
         save_image(add_awgn(clean, 15.0, 3), tmp_path / "noisy.pgm")
-        lanes = "from graphdenoise import cli; print(cli.LANES)"
-        assert run_subprocess(["-c", lanes], cpu=CPUS[0]).stdout == "1\n"
-        assert run_subprocess(["-c", lanes]).stdout == f"{len(CPUS)}\n"
+        count = "from graphdenoise.lanes import LANES; print(LANES)"
+        assert run_subprocess(["-c", count], cpu=CPUS[0]).stdout == "1\n"
+        assert run_subprocess(["-c", count]).stdout == f"{len(CPUS)}\n"
 
         # serial per-patch reference
         params, hyper = load_checkpoint(ckpt)
@@ -479,6 +485,44 @@ class TestSolveLanes:
             )
             assert ev.returncode == 0, ev.stderr
             assert (out / "eval.csv").read_text() == reference_csv
+
+    @pytest.mark.skipif(len(CPUS) < 2, reason="needs two available CPUs")
+    def test_training_does_not_depend_on_the_lane_count(
+        self, tmp_path, monkeypatch, image_dir, test_dir
+    ):
+        # serial in-process reference: cmd_train's pairs and files, one lane
+        def pairs(folder, seed):
+            out = []
+            for index, path in enumerate(sorted(folder.iterdir())):
+                clean = load_image(path)
+                noisy = add_awgn(clean, 15.0, seed + index)
+                out += zip(partition(noisy, 16).patches, partition(clean, 16).patches)
+            return out
+
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)
+        state, history = train_loop(
+            pairs(image_dir, 5), 16, epochs=2, batch_size=3, seed=5, hyper=hyper,
+            val_pairs=pairs(test_dir, 10_005),
+        )
+        save_checkpoint(tmp_path / "reference.json", state.params, hyper)
+        lines = ["epoch,train_loss,val_psnr"]
+        lines += [f"{h.epoch},{h.train_loss!r},{h.val_psnr!r}" for h in history]
+
+        for name, cpu in (("pinned", CPUS[0]), ("default", None)):
+            out = tmp_path / name
+            done = run_subprocess(
+                [
+                    "-m", "graphdenoise", "train", "--train_dir", str(image_dir),
+                    "--test_dir", str(test_dir), "--out", str(out), "--epochs", "2",
+                    "--batch_size", "3", "--sigma_train", "15", "--seed", "5", *TINY,
+                ],
+                cpu,
+            )
+            assert done.returncode == 0, done.stderr
+            checkpoint = (out / "checkpoint.json").read_bytes()
+            assert checkpoint == (tmp_path / "reference.json").read_bytes()
+            assert (out / "history.csv").read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("command", ["denoise", "eval"])
     def test_failing_lane_is_one_line_numeric_error(self, tmp_path, image_dir, test_dir, command):
@@ -534,9 +578,9 @@ class TestSolveLanes:
 
             return build
 
-        monkeypatch.setattr(cli, "LANES", lanes)
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
         with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-            monkeypatch.setattr(cli, "_POOL", pool)
+            monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
             if not (build_fails or job_fails):
                 images = cli._map_patches(image, 2, [maker(0), maker(1)])
                 expected = [pixels, pixels, pixels + 0.1]
@@ -561,9 +605,9 @@ class TestSolveLanes:
                 "--out", str(tmp_path / "o")]
 
         def peak(lanes):
-            monkeypatch.setattr(cli, "LANES", lanes)
+            monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
             with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-                monkeypatch.setattr(cli, "_POOL", pool)
+                monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
                 tracemalloc.start()
                 try:
                     assert main(argv) == 0

@@ -188,6 +188,11 @@ class TestBuildFilterMatrix:
                     cols.append(j)
                     values.append(value)
         expected = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+        # scipy picks int64 indices here; Psi stores them as int32
+        expected = sparse.csr_array(
+            (expected.data, expected.indices.astype(np.int32), expected.indptr.astype(np.int32)),
+            shape=(n, n),
+        )
         for name in ("data", "indices", "indptr"):
             got, want = getattr(op._matrix, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphdenoise.lanes
 from graphdenoise import (
     CgConfig,
+    EdgeOuterSum,
     InvalidInputError,
     MetricFactor,
     NumericDivergenceError,
@@ -292,11 +296,103 @@ class TestReverseGradients:
             assert np.array_equal(half_plane.ravel(), forward_sum)
             assert np.array_equal(mirror_plane.ravel(), backward_sum)
 
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_edge_outer_sum_folded_in_chunks_equals_one_pass(self, side, radius):
+        rng = np.random.default_rng(100 + 10 * side + radius)
+        g_stack = rng.standard_normal((31, side * side))
+        t_stack = rng.standard_normal((31, side * side))
+        diagonal, half, mirror = edge_outer_sum(g_stack, t_stack, side, radius)
+        for chunk in (1, 3, 10):  # the last chunk is partial for 3 and 10
+            sums = EdgeOuterSum(side, radius, chunk)
+            for start in range(0, len(g_stack), chunk):
+                count = min(chunk, len(g_stack) - start)
+                sums.g_terms[:count] = g_stack[start : start + count]
+                t = np.empty((count + 1, side * side))
+                t[1:] = t_stack[start : start + count]
+                sums.fold(t)
+            got_diagonal, got_half, got_mirror = sums.planes()
+            assert np.array_equal(got_diagonal, diagonal)
+            assert len(got_half) == len(half) and len(got_mirror) == len(mirror)
+            for got, want in zip(got_half + got_mirror, half + mirror):
+                assert np.array_equal(got, want)
+
     def test_requires_learned_mode(self):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, cg_mode="analytic")
         noisy, clean = noisy_clean_pair(13, 8)
         with pytest.raises(InvalidInputError):
             loss_and_grad(ParamVector.initial(hyper), [(noisy, clean)], 8, hyper)
+
+
+def set_lanes(monkeypatch, pool, lanes):
+    monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
+    monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
+
+
+class TestTrainingLanes:
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            (("zero", "diverge", "short", "zero"), NumericDivergenceError),
+            (("zero", "short", "diverge"), InvalidInputError),
+            (("diverge", "short"), NumericDivergenceError),
+            (("zero", "zero", "zero", "short"), InvalidInputError),
+        ],
+    )
+    def test_first_failing_pair_in_batch_order_wins(self, monkeypatch, lanes, order, error):
+        # cg_alpha = 1e300 overflows every solve but that of a zero patch;
+        # a short patch fails its build at once, a diverging one after its solve
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        theta = ParamVector.initial(hyper)
+        theta.cg_alpha[:] = 1e300
+        noisy, clean = noisy_clean_pair(30, 8)
+        pairs = {
+            "zero": (np.zeros(64), np.zeros(64)),
+            "diverge": (noisy, clean),
+            "short": (noisy[:60], clean[:60]),
+        }
+        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+            set_lanes(monkeypatch, pool, lanes)
+            with pytest.raises(error):
+                loss_and_grad(theta, [pairs[name] for name in order], 8, hyper)
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_gradient_does_not_depend_on_the_lane_count(self, monkeypatch, lanes):
+        pairs = [noisy_clean_pair(60 + i, 8) for i in range(5)]
+        theta = perturbed_params(SMALL, 60, [noisy for noisy, _ in pairs], 8)
+        def run():
+            loss_value, grad = loss_and_grad(theta, pairs, 8, SMALL)
+            return loss_value, grad.pack().tobytes(), evaluate_psnr(theta, pairs, 8, SMALL)
+
+        with ThreadPoolExecutor(lanes - 1) as pool:
+            set_lanes(monkeypatch, pool, 1)
+            serial = run()
+            set_lanes(monkeypatch, pool, lanes)
+            assert run() == serial
+
+    def test_two_lanes_fit_in_the_old_serial_peak(self, monkeypatch):
+        hyper = PipelineConfig()
+        pairs = [noisy_clean_pair(50 + i, 64) for i in range(3)]
+        theta = calibrated_initial(hyper, [noisy for noisy, _ in pairs], 64)
+
+        def peak(lanes):
+            with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+                set_lanes(monkeypatch, pool, lanes)
+                tracemalloc.start()
+                try:
+                    loss_and_grad(theta, pairs, 64, hyper)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # warm-up: lazy imports and caches
+        serial = peak(1)
+        # two lanes fit in what one lane would need if it contracted the
+        # weight adjoint once, after the sweep: all (gt, t_{k-1}) terms of
+        # the solve in two (K (T+1), n) stacks, 10.5 MB here
+        stacks = 2 * hyper.degree_K * (hyper.depth_T + 1) * 64 * 64 * 8
+        assert peak(2) <= serial + stacks
 
 
 class TestAdam:
