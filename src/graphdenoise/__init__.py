@@ -26,7 +26,6 @@ from .graph_filter import (
     central_gradients,
     estimate_spectrum,
     extract_features,
-    filter_weight,
     normalize,
     window_blocks,
 )
@@ -51,13 +50,9 @@ from .train import (
     adam_step,
     build_system,
     calibrated_initial,
-    central_difference,
-    edge_outer_sum,
     evaluate_psnr,
     forward,
-    grad_fd,
     load_checkpoint,
-    loss,
     loss_and_grad,
     save_checkpoint,
     solve_system,
@@ -94,19 +89,14 @@ __all__ = [
     "build_system",
     "calibrate_cg_params",
     "calibrated_initial",
-    "central_difference",
     "central_gradients",
     "default_coefficients",
-    "edge_outer_sum",
     "estimate_spectrum",
     "evaluate_psnr",
     "extract_features",
-    "filter_weight",
     "forward",
-    "grad_fd",
     "load_checkpoint",
     "load_image",
-    "loss",
     "loss_and_grad",
     "normalize",
     "partition",

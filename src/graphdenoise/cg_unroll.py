@@ -149,9 +149,9 @@ def calibrate_cg_params(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
-    system_batch is a sequence of (system, y) pairs, or of no-argument
-    callables that return one, so that a system can be built in its lane.
-    Every element is solved in analytic mode under epsilon_guard, on the
+    system_batch is a sequence of no-argument callables that return a
+    (system, y) pair, so that each system is built in the lane that solves
+    it. Every element is solved in analytic mode under epsilon_guard, on the
     lanes (in_lanes), and the realized scalars (0 after a breakdown) are
     averaged elementwise in batch order.
     """
@@ -161,7 +161,7 @@ def calibrate_cg_params(
     cfg = CgConfig(depth_T=depth_T, mode="analytic", epsilon_guard=epsilon_guard)
 
     def used_scalars(element):
-        system, y = element() if callable(element) else element
+        system, y = element()
         _, trace = unrolled_cg(system, y, cfg, want_trace=True)
         return trace.used_alphas, trace.used_betas
 

@@ -38,6 +38,8 @@ class RunConfig:
                 raise CliUsageError(f"{f.name} must be finite, got {value}")
         if self.learning_rate <= 0.0:
             raise CliUsageError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise CliUsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def _coerce(name: str, text: str, kind) -> object:

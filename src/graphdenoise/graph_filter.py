@@ -54,17 +54,15 @@ class FeatureField:
     """
 
     patch_side: int
-    feature_dim: int
-    features: np.ndarray  # (patch_side**2, feature_dim)
+    features: np.ndarray  # (patch_side**2, FEATURE_DIM)
 
     def __post_init__(self):
         n = self.patch_side * self.patch_side
         if self.patch_side < 1:
             raise InvalidInputError("patch_side must be positive")
-        if self.features.shape != (n, self.feature_dim):
+        if self.features.shape != (n, FEATURE_DIM):
             raise InvalidInputError(
-                f"features must have shape {(n, self.feature_dim)}, "
-                f"got {self.features.shape}"
+                f"features must have shape {(n, FEATURE_DIM)}, got {self.features.shape}"
             )
         intensity = self.features[:, 2]
         if intensity.min() < 0.0 or intensity.max() > 1.0:
@@ -111,24 +109,20 @@ class MetricFactor:
         return cls(dim=values.size, entries=np.diag(values))
 
     @classmethod
-    def bilateral_default(
-        cls,
-        sigma_spatial: float = DEFAULT_SIGMA_SPATIAL,
-        sigma_intensity: float = DEFAULT_SIGMA_INTENSITY,
-        gradient_scale: float = DEFAULT_GRADIENT_SCALE,
-    ) -> "MetricFactor":
-        """C = diag(1/sigma_l, 1/sigma_l, 1/sigma_x, eps_g, eps_g).
+    def bilateral_default(cls) -> "MetricFactor":
+        """C = diag(1/sigma_l, 1/sigma_l, 1/sigma_x, eps_g, eps_g) from the
+        DEFAULT_* constants.
 
-        With a zero gradient_scale this reproduces the classic bilateral
-        weight exp(-|dl|^2/sigma_l^2) * exp(-|dx|^2/sigma_x^2) exactly.
+        Up to the tiny eps_g this is the classic bilateral weight
+        exp(-|dl|^2/sigma_l^2) * exp(-|dx|^2/sigma_x^2).
         """
         return cls.diagonal(
             [
-                1.0 / sigma_spatial,
-                1.0 / sigma_spatial,
-                1.0 / sigma_intensity,
-                gradient_scale,
-                gradient_scale,
+                1.0 / DEFAULT_SIGMA_SPATIAL,
+                1.0 / DEFAULT_SIGMA_SPATIAL,
+                1.0 / DEFAULT_SIGMA_INTENSITY,
+                DEFAULT_GRADIENT_SCALE,
+                DEFAULT_GRADIENT_SCALE,
             ]
         )
 
@@ -194,16 +188,6 @@ class DenoiserOperator:
     def to_dense(self) -> np.ndarray:
         return self._matrix.toarray()
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "DenoiserOperator":
-        """Wrap a dense symmetric matrix (synthetic spectra in tests)."""
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise InvalidInputError("operator matrix must be square")
-        if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
-            raise InvalidInputError("operator matrix must be symmetric")
-        return cls(n=dense.shape[0], _matrix=sparse.csr_array(dense))
-
 
 def central_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal/vertical gradients: central differences, one-sided at borders.
@@ -256,19 +240,7 @@ def extract_features(noisy_patch: np.ndarray, patch_side: int) -> FeatureField:
         ],
         axis=1,
     )
-    return FeatureField(patch_side=patch_side, feature_dim=FEATURE_DIM, features=features)
-
-
-def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> float:
-    """exp(-||C (f_i - f_j)||^2); equals 1 iff C(f_i - f_j) = 0."""
-    f_i = np.asarray(f_i, dtype=float)
-    f_j = np.asarray(f_j, dtype=float)
-    if f_i.shape != (metric.dim,) or f_j.shape != (metric.dim,):
-        raise InvalidInputError(
-            f"feature vectors must have length {metric.dim}, got {f_i.shape} and {f_j.shape}"
-        )
-    scaled = metric.entries @ (f_i - f_j)
-    return float(np.exp(-(scaled @ scaled)))
+    return FeatureField(patch_side=patch_side, features=features)
 
 
 def window_blocks(side: int, radius: int):
@@ -303,16 +275,14 @@ def build_filter_matrix(
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
-    if metric.dim != field_.feature_dim:
-        raise InvalidInputError(
-            f"metric dimension {metric.dim} != feature dimension {field_.feature_dim}"
-        )
+    if metric.dim != FEATURE_DIM:
+        raise InvalidInputError(f"metric dimension {metric.dim} != feature dimension {FEATURE_DIM}")
     side = field_.patch_side
-    feats = field_.features.reshape(side, side, field_.feature_dim)
+    feats = field_.features.reshape(side, side, FEATURE_DIM)
     planes = []
     for _, _, block_i, block_j in window_blocks(side, window_radius):
         d = feats[block_i] - feats[block_j]
-        scaled = d.reshape(-1, field_.feature_dim) @ metric.entries.T
+        scaled = d.reshape(-1, FEATURE_DIM) @ metric.entries.T
         planes.append(np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2]))
     return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
 

@@ -12,8 +12,10 @@ in the system, it cancels:
 
     (I + mu*L) v = v + (Psi^{-1}_K v - v) = Psi^{-1}_K v.
 
-apply_system is therefore implemented *as* the truncated inverse (single
-code path); mu is kept only for the Laplacian / regularizer diagnostics.
+apply_system is therefore the truncated inverse itself, and every apply
+goes through apply_truncated_inverse_with_cache, which also returns the
+recurrence terms for the reverse pass. mu is kept only for the Laplacian /
+regularizer diagnostics.
 """
 from __future__ import annotations
 
@@ -59,22 +61,6 @@ class TaylorSystemOperator:
         powers = self.expansion_point_s ** np.arange(1, self.degree_K + 2)
         self._scaled = self.coefficients / powers
 
-    @classmethod
-    def with_default_coefficients(
-        cls,
-        psi: DenoiserOperator,
-        degree_K: int,
-        expansion_point_s: float = 1.0,
-        mu: float = 1.0,
-    ) -> "TaylorSystemOperator":
-        return cls(
-            psi=psi,
-            degree_K=degree_K,
-            coefficients=default_coefficients(degree_K),
-            expansion_point_s=expansion_point_s,
-            mu=mu,
-        )
-
     @property
     def n(self) -> int:
         return self.psi.n
@@ -88,7 +74,8 @@ class TaylorSystemOperator:
     def apply_truncated_inverse_with_cache(
         self, v: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Truncated-inverse apply that returns the recurrence terms t_k.
+        """sum_k a_k / s^{k+1} (Psi - s I)^k v, exactly K applies of Psi, and
+        the recurrence terms t_k.
 
         t_0 = v, t_{k+1} = Psi t_k - s t_k; the cache enables exact
         reverse-mode differentiation through the polynomial.
@@ -111,19 +98,14 @@ class TaylorSystemOperator:
             acc = acc + c[k] * terms[k]
         return acc
 
-    def apply_truncated_inverse(self, v: np.ndarray) -> np.ndarray:
-        """sum_k a_k / s^{k+1} (Psi - s I)^k v, exactly K applies of Psi."""
-        acc, _ = self.apply_truncated_inverse_with_cache(v)
-        return acc
-
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         """(I + mu*L) v. The shared-mu cancellation makes this the truncated
         inverse itself, so the output is bitwise independent of mu."""
-        return self.apply_truncated_inverse(v)
+        return self.apply_truncated_inverse_with_cache(v)[0]
 
     def apply_laplacian(self, v: np.ndarray) -> np.ndarray:
         """mu^{-1} (Psi^{-1}_K - I) v; diagnostic path only."""
-        return (self.apply_truncated_inverse(v) - self._check(v)) / self.mu
+        return (self.apply_system(v) - self._check(v)) / self.mu
 
     def glr_value(self, x: np.ndarray) -> float:
         """Smoothness diagnostic x^T L x.

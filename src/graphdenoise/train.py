@@ -45,6 +45,11 @@ N_METRIC_PARAMS = _TRIL[0].size  # 15
 
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -194,7 +199,7 @@ class _RecordingSystem:
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         if not self.terms:
             self.terms.append(None)
-            return self.system.apply_truncated_inverse(v)
+            return self.system.apply_system(v)
         out, terms = self.newest_first(v)
         self.terms.append(terms)
         return out
@@ -220,30 +225,18 @@ def solve_system(
     return x
 
 
-def loss(theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = PipelineConfig()) -> float:
-    """Summed squared error over (noisy, clean) pairs (sum, not mean)."""
-    batch = list(batch)
-    if not batch:
-        raise InvalidInputError("batch must be nonempty")
-    total = 0.0
-    for noisy, clean in batch:
-        clean = np.asarray(clean, dtype=float)
-        x = forward(theta, noisy, patch_side, hyper)
-        d = clean - x
-        total += float(d @ d)
-    return total
-
-
 class EdgeOuterSum:
     """Running sums of g_m[i] * t_m[j] over terms m, for every stored entry
     (i, j) of B on a side x side grid, fed up to `chunk` terms at a time.
 
     A chunk's g terms go into rows 0..count-1 of g_terms; fold(t) adds them
-    with the t terms in rows 1..count of t. planes() returns the sums as
-    edge_outer_sum does. However the terms are chunked, every sum is
-    bitwise the one-pass in-order sum: row 0 of both operands is reserved,
-    with t = 1 and g holding a block's running sum during its einsum, so
-    the reduction over the term axis carries on from that sum in order.
+    with the t terms in rows 1..count of t. planes() returns the diagonal
+    (side x side), then per window_blocks block a half plane (i in block_i,
+    j in block_j) and a mirror plane (i in block_j, j in block_i). However
+    the terms are chunked, every sum is bitwise the in-order sum over m:
+    each block is one einsum over strided grid views with m as the outer
+    loop, and row 0 of both operands is reserved, with t = 1 and g holding
+    the block's running sum, so the reduction carries on from that sum.
     """
 
     def __init__(self, side: int, radius: int, chunk: int):
@@ -277,28 +270,6 @@ class EdgeOuterSum:
 
     def planes(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         return self._diagonal.reshape(self.side, self.side), self._half, self._mirror
-
-
-def edge_outer_sum(
-    g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: int
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """sum_m g_stack[m, i] * t_stack[m, j] for every stored entry (i, j) of
-    B on a side x side grid, as planes: the diagonal (side x side), then one
-    half plane (i in block_i, j in block_j) and one mirror plane (i in
-    block_j, j in block_i) per window_blocks block.
-
-    Bitwise equal to adding g[i] * t[j] term by term, since every entry
-    sums its terms in order of m. Each block and its mirror is one einsum
-    over strided views of the grid, which numpy reduces with m as the outer
-    loop (or, for a 1x1 block, in one strided loop over m). This is the
-    one-pass form of EdgeOuterSum.
-    """
-    sums = EdgeOuterSum(side, radius, len(g_stack))
-    sums.g_terms[:] = g_stack
-    t = np.empty((len(t_stack) + 1, side * side))
-    t[1:] = t_stack
-    sums.fold(t)
-    return sums.planes()
 
 
 def _grad_single(
@@ -426,44 +397,6 @@ def loss_and_grad(
     return total_loss, ParamVector.unpack(total, hyper.degree_K, hyper.depth_T)
 
 
-def central_difference(fn, theta0: np.ndarray, h_rel: float = 1e-5) -> np.ndarray:
-    """Central finite differences with per-coordinate step h*max(|x_i|, 1)."""
-    if h_rel <= 0.0:
-        raise InvalidInputError("finite-difference step must be positive")
-    theta0 = np.asarray(theta0, dtype=float)
-    g = np.zeros_like(theta0)
-    for i in range(theta0.size):
-        h = h_rel * max(abs(theta0[i]), 1.0)
-        plus = theta0.copy()
-        plus[i] += h
-        minus = theta0.copy()
-        minus[i] -= h
-        f_plus = fn(plus)
-        f_minus = fn(minus)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericDivergenceError(f"non-finite loss while differencing parameter {i}")
-        g[i] = (f_plus - f_minus) / (2.0 * h)
-    return g
-
-
-def grad_fd(
-    theta: ParamVector,
-    batch,
-    patch_side: int,
-    hyper: PipelineConfig = PipelineConfig(),
-    h: float = 1e-5,
-) -> ParamVector:
-    """Finite-difference gradient oracle (2 * n_params forward passes)."""
-    batch = list(batch)
-    flat0 = theta.pack()
-
-    def fn(flat):
-        return loss(ParamVector.unpack(flat, hyper.degree_K, hyper.depth_T), batch, patch_side, hyper)
-
-    g = central_difference(fn, flat0, h)
-    return ParamVector.unpack(g, hyper.degree_K, hyper.depth_T)
-
-
 @dataclass(eq=False)
 class TrainState:
     """Parameters plus Adam first/second moments."""
@@ -473,9 +406,6 @@ class TrainState:
     adam_v: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.adam_m.shape != (self.params.size,) or self.adam_v.shape != (self.params.size,):
@@ -501,11 +431,11 @@ def adam_step(state: TrainState, gradient) -> TrainState:
     if not np.all(np.isfinite(g)):
         raise NumericDivergenceError("non-finite gradient passed to adam_step")
     t = state.step_count + 1
-    m = state.beta1 * state.adam_m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.adam_v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    flat = state.params.pack() - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.adam_m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.adam_v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    flat = state.params.pack() - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     degree_K = state.params.tse_coeffs.size - 1
     depth_T = state.params.cg_alpha.size
     params = ParamVector.unpack(flat, degree_K, depth_T)

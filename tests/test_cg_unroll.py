@@ -5,22 +5,20 @@ from hypothesis import strategies as st
 
 from graphdenoise import (
     CgConfig,
-    DenoiserOperator,
     InvalidInputError,
     NumericDivergenceError,
     TaylorSystemOperator,
     calibrate_cg_params,
+    default_coefficients,
     unrolled_cg,
 )
-from oracles import random_spd
+from oracles import operator_from_dense, random_spd
 
 TIGHT = 1e-300  # guard far below machine noise: pure solver behaviour
 
 
 def identity_system(n):
-    return TaylorSystemOperator.with_default_coefficients(
-        DenoiserOperator.from_dense(np.eye(n)), 5
-    )
+    return TaylorSystemOperator(operator_from_dense(np.eye(n)), 5, default_coefficients(5))
 
 
 def dense_system(seed, n, lo=0.5, hi=5.0):
@@ -195,7 +193,7 @@ class TestCalibration:
     def test_single_element_batch_copies_analytic_scalars(self):
         a, y = dense_system(11, 8)
         system = lambda v: a @ v
-        alpha, beta = calibrate_cg_params([(system, y)], 8)
+        alpha, beta = calibrate_cg_params([lambda: (system, y)], 8)
         _, trace = unrolled_cg(system, y, CgConfig(depth_T=8), want_trace=True)
         assert np.array_equal(alpha, trace.used_alphas)
         assert np.array_equal(beta, trace.used_betas)
@@ -203,8 +201,8 @@ class TestCalibration:
     def test_identical_systems_average_to_single_run(self):
         a, y = dense_system(12, 6)
         system = lambda v: a @ v
-        alpha1, beta1 = calibrate_cg_params([(system, y)], 6)
-        alpha3, beta3 = calibrate_cg_params([(system, y)] * 3, 6)
+        alpha1, beta1 = calibrate_cg_params([lambda: (system, y)], 6)
+        alpha3, beta3 = calibrate_cg_params([lambda: (system, y)] * 3, 6)
         assert np.allclose(alpha1, alpha3, atol=1e-15)
         assert np.allclose(beta1, beta3, atol=1e-15)
 
@@ -212,7 +210,7 @@ class TestCalibration:
         a1, y1 = dense_system(13, 5)
         a2, y2 = dense_system(14, 5)
         batch = [(lambda v: a1 @ v, y1), (lambda v: a2 @ v, y2)]
-        alpha, beta = calibrate_cg_params(batch, 5)
+        alpha, beta = calibrate_cg_params([lambda pair=pair: pair for pair in batch], 5)
         traces = [
             unrolled_cg(s, y, CgConfig(depth_T=5), want_trace=True)[1] for s, y in batch
         ]

@@ -301,6 +301,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: depth_T must be >= 0, got -1"]
 
+    @pytest.mark.parametrize("command", ["corrupt", "train", "eval"])
+    def test_negative_seed_is_one_line_usage_error(
+        self, tmp_path, image_dir, test_dir, capsys, command
+    ):
+        ckpt = tmp_path / "c.json"
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+        argv = {
+            "corrupt": ["corrupt", str(image_dir)],
+            "train": ["train", "--train_dir", str(image_dir)],
+            "eval": ["eval", "--test_dir", str(test_dir), "--checkpoint", str(ckpt)],
+        }[command]
+        out = tmp_path / "neg"
+        assert main([*argv, "--out", str(out), "--seed", "-3", *TINY]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -3"]
+        assert not out.exists()  # rejected before any work
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from graphdenoise import (
-    DenoiserOperator,
     InvalidInputError,
     MetricFactor,
     SparseFilterMatrix,
@@ -15,12 +14,18 @@ from graphdenoise import (
     central_gradients,
     estimate_spectrum,
     extract_features,
-    filter_weight,
     normalize,
     window_blocks,
 )
 from graphdenoise.errors import DegenerateMatrixError
-from oracles import dense_filter_matrix, dense_normalize, random_patch, stencil_gradients
+from oracles import (
+    dense_filter_matrix,
+    dense_normalize,
+    filter_weight,
+    operator_from_dense,
+    random_patch,
+    stencil_gradients,
+)
 
 
 def grid_filter(side, weights):
@@ -311,7 +316,7 @@ class TestNormalize:
 
 class TestApplyPsi:
     def test_identity(self):
-        op = DenoiserOperator.from_dense(np.eye(6))
+        op = operator_from_dense(np.eye(6))
         v = np.arange(6.0)
         assert np.array_equal(op.apply(v), v)
 
@@ -329,20 +334,20 @@ class TestApplyPsi:
         assert np.linalg.norm(out - dense_out) / np.linalg.norm(dense_out) < 1e-13
 
     def test_length_mismatch(self):
-        op = DenoiserOperator.from_dense(np.eye(4))
+        op = operator_from_dense(np.eye(4))
         with pytest.raises(InvalidInputError):
             op.apply(np.zeros(5))
 
 
 class TestEstimateSpectrum:
     def test_identity_operator(self):
-        op = DenoiserOperator.from_dense(np.eye(8))
+        op = operator_from_dense(np.eye(8))
         lam_min, lam_max = estimate_spectrum(op, 50)
         assert lam_min == pytest.approx(1.0, abs=1e-12)
         assert lam_max == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_two_node(self):
-        op = DenoiserOperator.from_dense(np.diag([0.2, 0.9]))
+        op = operator_from_dense(np.diag([0.2, 0.9]))
         lam_min, lam_max = estimate_spectrum(op, 500)
         assert lam_min == pytest.approx(0.2, abs=1e-6)
         assert lam_max == pytest.approx(0.9, abs=1e-6)
@@ -357,12 +362,12 @@ class TestEstimateSpectrum:
         assert lam_min == pytest.approx(eigs.min(), abs=1e-3)
 
     def test_rejects_nonpositive_iterations(self):
-        op = DenoiserOperator.from_dense(np.eye(2))
+        op = operator_from_dense(np.eye(2))
         with pytest.raises(InvalidInputError):
             estimate_spectrum(op, 0)
 
     def test_flags_non_pd(self, caplog):
-        op = DenoiserOperator.from_dense(np.diag([-0.5, 0.9]))
+        op = operator_from_dense(np.diag([-0.5, 0.9]))
         with caplog.at_level("WARNING"):
             lam_min, _ = estimate_spectrum(op, 300)
         assert lam_min <= 0.0

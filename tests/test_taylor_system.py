@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphdenoise import (
-    DenoiserOperator,
     InvalidInputError,
     MetricFactor,
     TaylorSystemOperator,
@@ -11,13 +10,18 @@ from graphdenoise import (
     extract_features,
     normalize,
 )
-from oracles import dense_truncated_inverse_matrix, operator_with_spectrum, random_patch
+from oracles import (
+    dense_truncated_inverse_matrix,
+    operator_from_dense,
+    operator_with_spectrum,
+    random_patch,
+)
 
 
 def make_system(psi_dense, degree_K=10, s=1.0, mu=1.0, coeffs=None):
-    op = DenoiserOperator.from_dense(psi_dense)
+    op = operator_from_dense(psi_dense)
     if coeffs is None:
-        return TaylorSystemOperator.with_default_coefficients(op, degree_K, s, mu)
+        coeffs = default_coefficients(degree_K)
     return TaylorSystemOperator(
         psi=op, degree_K=degree_K, coefficients=coeffs, expansion_point_s=s, mu=mu
     )
@@ -26,7 +30,7 @@ def make_system(psi_dense, degree_K=10, s=1.0, mu=1.0, coeffs=None):
 def patch_system(seed, side, degree_K=10, radius=2):
     field = extract_features(random_patch(seed, side), side)
     op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), radius))
-    return TaylorSystemOperator.with_default_coefficients(op, degree_K)
+    return TaylorSystemOperator(op, degree_K, default_coefficients(degree_K))
 
 
 class TestDefaultCoefficients:
@@ -44,12 +48,12 @@ class TestTruncatedInverse:
         system = make_system(np.eye(5))
         v = np.linspace(-1, 1, 5)
         # (Psi - I) v = 0, so only the k = 0 term survives
-        assert np.array_equal(system.apply_truncated_inverse(v), v)
+        assert np.array_equal(system.apply_system(v), v)
 
     def test_half_identity_geometric_tail(self):
         system = make_system(np.diag([0.5, 0.5]), degree_K=10)
         v = np.array([1.0, -2.0])
-        out = system.apply_truncated_inverse(v)
+        out = system.apply_system(v)
         exact = 2.0 * v  # dense inverse of diag(0.5)
         rel = np.linalg.norm(out - exact) / np.linalg.norm(exact)
         assert rel <= 0.5**11  # geometric truncation tail
@@ -58,10 +62,10 @@ class TestTruncatedInverse:
     def test_matches_dense_inverse_for_well_conditioned_psi(self):
         rng = np.random.default_rng(17)
         op = operator_with_spectrum(rng, 16, 0.3, 1.0)
-        system = TaylorSystemOperator.with_default_coefficients(op, 30)
+        system = TaylorSystemOperator(op, 30, default_coefficients(30))
         v = rng.standard_normal(16)
         exact = np.linalg.solve(op.to_dense(), v)
-        out = system.apply_truncated_inverse(v)
+        out = system.apply_system(v)
         assert np.linalg.norm(out - exact) / np.linalg.norm(exact) < 1e-4
 
     def test_exactly_k_smoother_applies(self):
@@ -76,14 +80,14 @@ class TestTruncatedInverse:
             return original(v)
 
         op.apply = counting_apply
-        system = TaylorSystemOperator.with_default_coefficients(op, 7)
-        system.apply_truncated_inverse(np.ones(16))
+        system = TaylorSystemOperator(op, 7, default_coefficients(7))
+        system.apply_system(np.ones(16))
         assert calls == 7
 
     def test_length_mismatch(self):
         system = make_system(np.eye(4))
         with pytest.raises(InvalidInputError):
-            system.apply_truncated_inverse(np.zeros(5))
+            system.apply_system(np.zeros(5))
 
 
 class TestApplySystem:
@@ -101,16 +105,11 @@ class TestApplySystem:
         op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
         v = np.random.default_rng(0).standard_normal(16)
         outs = [
-            TaylorSystemOperator.with_default_coefficients(op, 10, mu=mu).apply_system(v)
+            TaylorSystemOperator(op, 10, default_coefficients(10), mu=mu).apply_system(v)
             for mu in (0.1, 1.0, 10.0)
         ]
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[1], outs[2])
-
-    def test_system_equals_truncated_inverse(self):
-        system = patch_system(5, 4)
-        v = np.random.default_rng(5).standard_normal(16)
-        assert np.array_equal(system.apply_system(v), system.apply_truncated_inverse(v))
 
 
 class TestApplyLaplacian:
@@ -131,7 +130,7 @@ class TestApplyLaplacian:
         rng = np.random.default_rng(8)
         op = operator_with_spectrum(rng, 12, 0.2, 1.0)
         mu = 0.7
-        system = TaylorSystemOperator.with_default_coefficients(op, 9, mu=mu)
+        system = TaylorSystemOperator(op, 9, default_coefficients(9), mu=mu)
         dense = dense_truncated_inverse_matrix(op.to_dense(), 9, 1.0, default_coefficients(9))
         v = rng.standard_normal(12)
         exact = (dense @ v - v) / mu
@@ -151,7 +150,7 @@ class TestGlrValue:
         rng = np.random.default_rng(9)
         op = operator_with_spectrum(rng, 10, 0.3, 1.0)
         mu = 2.5
-        system = TaylorSystemOperator.with_default_coefficients(op, 8, mu=mu)
+        system = TaylorSystemOperator(op, 8, default_coefficients(8), mu=mu)
         dense = dense_truncated_inverse_matrix(op.to_dense(), 8, 1.0, default_coefficients(8))
         laplacian = (dense - np.eye(10)) / mu
         x = rng.standard_normal(10)
@@ -169,8 +168,8 @@ class TestProperties:
             exact = inv @ v
             errs = []
             for degree in (10, 15):
-                system = TaylorSystemOperator.with_default_coefficients(op, degree)
-                out = system.apply_truncated_inverse(v)
+                system = TaylorSystemOperator(op, degree, default_coefficients(degree))
+                out = system.apply_system(v)
                 errs.append(np.linalg.norm(out - exact) / np.linalg.norm(exact))
             assert errs[1] <= errs[0]
 
@@ -195,27 +194,27 @@ class TestProperties:
     def test_composition_with_smoother_approaches_identity(self):
         rng = np.random.default_rng(7)
         op = operator_with_spectrum(rng, 12, 0.3, 1.0)
-        system = TaylorSystemOperator.with_default_coefficients(op, 30)
+        system = TaylorSystemOperator(op, 30, default_coefficients(30))
         v = rng.standard_normal(12)
-        out = system.apply_truncated_inverse(op.apply(v))
+        out = system.apply_system(op.apply(v))
         assert np.linalg.norm(out - v) / np.linalg.norm(v) < 1e-3
 
 
 class TestValidation:
     def test_wrong_coefficient_count(self):
-        op = DenoiserOperator.from_dense(np.eye(3))
+        op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
             TaylorSystemOperator(psi=op, degree_K=5, coefficients=np.ones(5))
 
     def test_nonpositive_expansion_point(self):
-        op = DenoiserOperator.from_dense(np.eye(3))
+        op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
             TaylorSystemOperator(
                 psi=op, degree_K=2, coefficients=np.ones(3), expansion_point_s=0.0
             )
 
     def test_nonpositive_mu(self):
-        op = DenoiserOperator.from_dense(np.eye(3))
+        op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
             TaylorSystemOperator(psi=op, degree_K=2, coefficients=np.ones(3), mu=-1.0)
 

@@ -23,15 +23,11 @@ from graphdenoise import (
     build_system,
     calibrate_cg_params,
     calibrated_initial,
-    central_difference,
     default_coefficients,
-    edge_outer_sum,
     evaluate_psnr,
     extract_features,
     forward,
-    grad_fd,
     load_checkpoint,
-    loss,
     loss_and_grad,
     normalize,
     partition,
@@ -41,7 +37,14 @@ from graphdenoise import (
     unrolled_cg,
     window_blocks,
 )
-from oracles import dense_truncated_inverse_matrix, random_patch
+from oracles import (
+    central_difference,
+    dense_truncated_inverse_matrix,
+    edge_outer_sum,
+    grad_fd,
+    loss,
+    random_patch,
+)
 
 SMALL = PipelineConfig(window_radius=2, degree_K=4, depth_T=5)
 
@@ -453,7 +456,7 @@ class TestTrainLoop:
         systems = []
         for noisy, _ in pairs[:2]:
             _, _, system = build_system(theta0, noisy, 8, SMALL)
-            systems.append((system, noisy))
+            systems.append(lambda system=system, noisy=noisy: (system, noisy))
         alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
         assert np.array_equal(state.params.cg_alpha, alpha)
         assert np.array_equal(state.params.cg_beta, beta)
