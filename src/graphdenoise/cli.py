@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
     NumericDivergenceError,
 )
-from .graph_filter import estimate_spectrum
+from .graph_filter import FEATURE_DIM, estimate_spectrum
 from .imaging import GrayImage, add_awgn, load_image, partition, psnr, reassemble, save_image
 # `forward` is not called here; the benchmark's tracer tests check that this
 # module binds it, so that patching `train.forward` reaches every namespace
@@ -40,8 +40,6 @@ from .train import (  # noqa: F401
     solve_system,
     train_loop,
 )
-
-logger = logging.getLogger(__name__)
 
 IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
 
@@ -260,7 +258,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         f"expansion_s = {_fmt(hyper.expansion_s)}",
     ]
     metric = params.metric()
-    for i in range(metric.dim):
+    for i in range(FEATURE_DIM):
         for j in range(i + 1):
             lines.append(f"metric_factor_{i}{j} = {_fmt(metric.entries[i, j])}")
     for i, value in enumerate(np.linalg.eigvalsh(metric.metric())):

@@ -40,6 +40,8 @@ class RunConfig:
             raise CliUsageError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise CliUsageError(f"seed must be >= 0, got {self.seed}")
+        if not self.sigma_test:
+            raise CliUsageError("sigma_test must list at least one sigma")
 
 
 def _coerce(name: str, text: str, kind) -> object:

@@ -15,8 +15,9 @@ S^{-1} B), at the cost of rows no longer summing exactly to one.
 Every edge joins a pixel to one of the window's grid offsets, so B is
 stored as one weight plane per half-window offset (window_blocks), each
 unordered pair once, with the unit diagonal implied. normalize computes
-the row sums and Psi's values from the planes and assembles Psi as CSR,
-the format of its matvec.
+the row sums from the planes, writes Psi's values by diagonal (the planes
+laid out at flat offsets dr * side + dc) and converts them to CSR, the
+format of its matvec.
 
 The metric is parameterized through its factor C so that M = C^T C is
 positive semi-definite for any real C, which keeps later optimization of
@@ -76,12 +77,13 @@ class FeatureField:
 class MetricFactor:
     """Factor C of the PSD metric M = C^T C used in the filter weights."""
 
-    dim: int
-    entries: np.ndarray  # (dim, dim), lower-triangular by convention
+    entries: np.ndarray  # (FEATURE_DIM, FEATURE_DIM), lower-triangular by convention
 
     def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
-            raise InvalidInputError(f"metric factor must be {self.dim}x{self.dim}")
+        if self.entries.shape != (FEATURE_DIM, FEATURE_DIM):
+            raise InvalidInputError(
+                f"metric factor must be {FEATURE_DIM}x{FEATURE_DIM}, got shape {self.entries.shape}"
+            )
 
     def metric(self) -> np.ndarray:
         """The induced metric M = C^T C (symmetric PSD by construction)."""
@@ -89,24 +91,24 @@ class MetricFactor:
 
     def lower_triangle(self) -> np.ndarray:
         """Row-major lower-triangular entries (the free parameters)."""
-        return self.entries[np.tril_indices(self.dim)].copy()
+        return self.entries[np.tril_indices(FEATURE_DIM)].copy()
 
     @classmethod
-    def from_lower_triangle(cls, values, dim: int) -> "MetricFactor":
+    def from_lower_triangle(cls, values) -> "MetricFactor":
         values = np.asarray(values, dtype=float)
-        idx = np.tril_indices(dim)
+        idx = np.tril_indices(FEATURE_DIM)
         if values.shape != idx[0].shape:
             raise InvalidInputError(
                 f"expected {idx[0].size} lower-triangular entries, got {values.size}"
             )
-        entries = np.zeros((dim, dim))
+        entries = np.zeros((FEATURE_DIM, FEATURE_DIM))
         entries[idx] = values
-        return cls(dim=dim, entries=entries)
+        return cls(entries=entries)
 
     @classmethod
     def diagonal(cls, values) -> "MetricFactor":
         values = np.asarray(values, dtype=float)
-        return cls(dim=values.size, entries=np.diag(values))
+        return cls(entries=np.diag(values))
 
     @classmethod
     def bilateral_default(cls) -> "MetricFactor":
@@ -171,8 +173,10 @@ class SparseFilterMatrix:
 class DenoiserOperator:
     """Sparse symmetric normalized smoother Psi with matrix-free apply.
 
-    Psi is held as a scipy CSR matrix with sorted column indices; row_sums
-    are the row sums S of the filter matrix it was normalized from.
+    Psi is held as a scipy CSR matrix with sorted column indices, converted
+    from its diagonals, so entries that are exactly 0 (weights whose exp
+    underflows) are not stored; row_sums are the row sums S of the filter
+    matrix it was normalized from.
     """
 
     n: int
@@ -275,8 +279,6 @@ def build_filter_matrix(
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
-    if metric.dim != FEATURE_DIM:
-        raise InvalidInputError(f"metric dimension {metric.dim} != feature dimension {FEATURE_DIM}")
     side = field_.patch_side
     feats = field_.features.reshape(side, side, FEATURE_DIM)
     planes = []
@@ -294,10 +296,13 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
     shift toward the identity for patches whose spectrum dips below zero.
     The default 0 leaves Psi untouched.
     """
+    if not 0.0 <= diagonal_load < 1.0:
+        raise InvalidInputError("diagonal_load must lie in [0, 1)")
+    side = filt.side
     blocks = list(filt.blocks())
     # each row sum starts at the unit diagonal and adds its pixel's weights
     # in plane order, first where it is block_i, then where it is block_j
-    row_sums = np.ones((filt.side, filt.side))
+    row_sums = np.ones((side, side))
     for (_, _, block_i, _), plane in zip(blocks, filt.planes):
         row_sums[block_i] += plane
     for (_, _, _, block_j), plane in zip(blocks, filt.planes):
@@ -305,50 +310,29 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
     if np.any(row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(row_sums)
-    diagonal = inv_sqrt * inv_sqrt
-    # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves Psi_ij
-    # and Psi_ji, and Psi is exactly symmetric.
-    halves = [
-        plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
-        for (_, _, block_i, block_j), plane in zip(blocks, filt.planes)
-    ]
+    # Psi by diagonals: entry (i, i + o) sits at column i + o of diagonal o,
+    # so a block's half plane fills block_j of diagonal o = dr * side + dc
+    # and block_i of diagonal -o. side <= 2 * radius puts two blocks on one
+    # diagonal, at disjoint columns.
+    flat = [dr * side + dc for dr, dc, _, _ in blocks]
+    offsets = sorted({0, *flat, *(-o for o in flat)})
+    slot = {o: k for k, o in enumerate(offsets)}
+    diagonals = np.zeros((len(offsets), side, side))
+    diagonals[slot[0]] = inv_sqrt * inv_sqrt
+    for o, (_, _, block_i, block_j), plane in zip(flat, blocks, filt.planes):
+        # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves
+        # Psi_ij and Psi_ji, and Psi is exactly symmetric.
+        half = plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
+        diagonals[slot[o]][block_j] = half
+        diagonals[slot[-o]][block_i] = half
     if diagonal_load != 0.0:
-        if not 0.0 <= diagonal_load < 1.0:
-            raise InvalidInputError("diagonal_load must lie in [0, 1)")
-        diagonal = (1.0 - diagonal_load) * diagonal + diagonal_load
-        halves = [(1.0 - diagonal_load) * half for half in halves]
-    return DenoiserOperator(
-        n=filt.n,
-        _matrix=_window_csr(filt.side, blocks, diagonal, halves),
-        row_sums=row_sums.ravel(),
-    )
-
-
-def _window_csr(side: int, blocks, diagonal: np.ndarray, halves) -> sparse.csr_array:
-    """CSR with the given diagonal and, per window block, entries (i, j) and
-    (j, i) from its half plane. Rows hold their entries in order of the flat
-    offset dr * side + dc, i.e. sorted by column; two offsets with the same
-    flat offset (side <= 2 * radius) join disjoint pixels. Indices are int32,
-    which scipy keeps, unless the entry count needs int64."""
-    parts = [(0, (slice(None), slice(None)), diagonal)]
-    for (dr, dc, block_i, block_j), half in zip(blocks, halves):
-        parts.append((dr * side + dc, block_i, half))
-        parts.append((-dr * side - dc, block_j, half))
-    parts.sort(key=lambda part: part[0])
-    values = np.zeros((len(parts), side, side))
-    stored = np.zeros(values.shape, dtype=bool)
-    for slot, (_, block, plane) in enumerate(parts):
-        values[slot][block] = plane
-        stored[slot][block] = True
-    n = side * side
-    index = np.int32 if len(parts) * n < 2**31 else np.int64
-    flat = np.array([part[0] for part in parts], dtype=index)
-    stored = stored.reshape(-1, n).T
-    indices = (np.arange(n, dtype=index)[:, None] + flat)[stored]
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    data = values.reshape(-1, n).T[stored]
-    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+        diagonals *= 1.0 - diagonal_load
+        diagonals[slot[0]] += diagonal_load
+    n = filt.n
+    # the conversion keeps each row in offset order, i.e. sorted by column,
+    # and drops the exact zeros: the padding and any weight that underflows
+    psi = sparse.dia_array((diagonals.reshape(len(offsets), n), offsets), shape=(n, n))
+    return DenoiserOperator(n=n, _matrix=psi.tocsr(), row_sums=row_sums.ravel())
 
 
 def estimate_spectrum(

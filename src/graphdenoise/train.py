@@ -129,7 +129,7 @@ class ParamVector:
         )
 
     def metric(self) -> MetricFactor:
-        return MetricFactor.from_lower_triangle(self.metric_factor, FEATURE_DIM)
+        return MetricFactor.from_lower_triangle(self.metric_factor)
 
 
 def build_system(
@@ -384,9 +384,7 @@ def loss_and_grad(
     if hyper.cg_mode != "learned":
         raise InvalidInputError("reverse-mode gradients require learned-mode CG")
     total_loss = 0.0
-    total = np.zeros(
-        N_METRIC_PARAMS + hyper.degree_K + 1 + hyper.depth_T + max(hyper.depth_T - 1, 0)
-    )
+    total = np.zeros(theta.size)
     pairs = in_lanes(
         [partial(_grad_single, theta, noisy, clean, patch_side, hyper) for noisy, clean in batch]
     )
@@ -422,10 +420,7 @@ class TrainState:
 def adam_step(state: TrainState, gradient) -> TrainState:
     """One bias-corrected Adam update; the gradient is expected to be
     pre-divided by the batch size by the caller."""
-    if isinstance(gradient, ParamVector):
-        g = gradient.pack()
-    else:
-        g = np.asarray(gradient, dtype=float)
+    g = np.asarray(gradient, dtype=float)
     if g.shape != (state.params.size,):
         raise InvalidInputError("gradient length does not match parameters")
     if not np.all(np.isfinite(g)):

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import sparse
 
 from graphdenoise import (
+    FEATURE_DIM,
     DenoiserOperator,
     EdgeOuterSum,
     FeatureField,
@@ -52,9 +53,9 @@ def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> flo
     """exp(-||C (f_i - f_j)||^2) for one pair; equals 1 iff C(f_i - f_j) = 0."""
     f_i = np.asarray(f_i, dtype=float)
     f_j = np.asarray(f_j, dtype=float)
-    if f_i.shape != (metric.dim,) or f_j.shape != (metric.dim,):
+    if f_i.shape != (FEATURE_DIM,) or f_j.shape != (FEATURE_DIM,):
         raise InvalidInputError(
-            f"feature vectors must have length {metric.dim}, got {f_i.shape} and {f_j.shape}"
+            f"feature vectors must have length {FEATURE_DIM}, got {f_i.shape} and {f_j.shape}"
         )
     scaled = metric.entries @ (f_i - f_j)
     return float(np.exp(-(scaled @ scaled)))

@@ -202,7 +202,7 @@ def test_criterion_6_non_expansiveness():
     for _ in range(100):
         patch = rng.random(16 * 16)
         field = extract_features(patch, 16)
-        metric = MetricFactor.from_lower_triangle(rng.normal(0.0, 0.6, 15), 5)
+        metric = MetricFactor.from_lower_triangle(rng.normal(0.0, 0.6, 15))
         op = normalize(build_filter_matrix(field, metric, 3))
         worst = max(worst, float(np.linalg.eigvalsh(op.to_dense()).max()))
     _report(

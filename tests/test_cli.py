@@ -349,8 +349,17 @@ class TestExitCodes:
             (["train", "--learning_rate", "-1"], "learning_rate must be > 0, got -1.0"),
             (["train", "--learning_rate", "0"], "learning_rate must be > 0, got 0.0"),
             (["eval", "--sigma_test", "10,nan"], "sigma_test must be finite, got (10.0, nan)"),
+            (["eval", "--sigma_test", ","], "sigma_test must list at least one sigma"),
         ],
-        ids=["s-nan", "sigma_train-nan", "lr-nan", "lr-negative", "lr-zero", "sigma_test-nan"],
+        ids=[
+            "s-nan",
+            "sigma_train-nan",
+            "lr-nan",
+            "lr-negative",
+            "lr-zero",
+            "sigma_test-nan",
+            "sigma_test-empty",
+        ],
     )
     def test_bad_config_float_is_one_line_usage_error(
         self, tmp_path, image_dir, test_dir, capsys, argv, message

@@ -90,7 +90,7 @@ class TestFilterWeight:
         assert filter_weight(f, f, metric) == 1.0
 
     def test_unit_difference_identity_metric(self):
-        metric = MetricFactor(dim=5, entries=np.eye(5))
+        metric = MetricFactor(entries=np.eye(5))
         f_i = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         f_j = np.zeros(5)
         assert filter_weight(f_i, f_j, metric) == pytest.approx(math.exp(-1.0), rel=1e-15)
@@ -127,8 +127,8 @@ class TestFilterWeight:
     @given(st.floats(1.0, 8.0))
     @settings(max_examples=25)
     def test_scaling_metric_never_increases_weight(self, t):
-        base = MetricFactor(dim=5, entries=np.tril(np.linspace(0.1, 1.0, 25).reshape(5, 5)))
-        scaled = MetricFactor(dim=5, entries=t * base.entries)
+        base = MetricFactor(entries=np.tril(np.linspace(0.1, 1.0, 25).reshape(5, 5)))
+        scaled = MetricFactor(entries=t * base.entries)
         f_i = np.array([1.0, 2.0, 0.3, 0.1, -0.4])
         f_j = np.array([0.0, 1.0, 0.8, -0.2, 0.3])
         assert filter_weight(f_i, f_j, scaled) <= filter_weight(f_i, f_j, base)
@@ -146,7 +146,7 @@ class TestBuildFilterMatrix:
 
     def test_zero_metric_gives_all_ones(self):
         field = extract_features(random_patch(1, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor(dim=5, entries=np.zeros((5, 5))), 2)
+        filt = build_filter_matrix(field, MetricFactor(entries=np.zeros((5, 5))), 2)
         assert all(np.all(plane == 1.0) for plane in filt.planes)
 
     def test_matches_dense_oracle(self):
@@ -160,9 +160,7 @@ class TestBuildFilterMatrix:
         # the map (i, j) -> weight must not depend on construction order;
         # the oracle enumerates pairs in a completely different order
         field = extract_features(random_patch(9, 4), 4)
-        metric = MetricFactor.from_lower_triangle(
-            np.linspace(-0.5, 0.9, 15), 5
-        )
+        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15))
         filt = build_filter_matrix(field, metric, 3)
         dense = dense_filter_matrix(field, metric, 3)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
@@ -170,11 +168,16 @@ class TestBuildFilterMatrix:
     @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("load", [0.0, 0.1])
-    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, load):
+    @pytest.mark.parametrize(
+        "metric",
+        [MetricFactor.bilateral_default(), MetricFactor.diagonal([0.0, 0.0, 100.0, 0.0, 0.0])],
+        ids=["bilateral", "underflow"],
+    )
+    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, load, metric):
         # scipy sorts each row by column; side <= 2r puts two offsets at one
-        # flat offset, on disjoint pixels
+        # flat offset, on disjoint pixels. The underflow metric makes most
+        # weights exactly 0, which Psi does not store.
         field = extract_features(random_patch(5 * side + radius, side), side)
-        metric = MetricFactor.bilateral_default()
         filt = build_filter_matrix(field, metric, radius)
         dense = filt.to_dense()
         assert np.max(np.abs(dense - dense_filter_matrix(field, metric, radius))) < 1e-15
@@ -192,7 +195,12 @@ class TestBuildFilterMatrix:
                     rows.append(i)
                     cols.append(j)
                     values.append(value)
-        expected = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+        with_zeros = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+        rng = np.random.default_rng(side + radius)
+        for v in rng.standard_normal((3, n)):
+            assert op.apply(v).tobytes() == (with_zeros @ v).tobytes()
+        expected = with_zeros.copy()
+        expected.eliminate_zeros()
         # scipy picks int64 indices here; Psi stores them as int32
         expected = sparse.csr_array(
             (expected.data, expected.indices.astype(np.int32), expected.indptr.astype(np.int32)),
@@ -206,7 +214,7 @@ class TestBuildFilterMatrix:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_row_sums_add_half_window_offsets_then_mirrors(self, side, radius):
         field = extract_features(random_patch(side, side), side)
-        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15), 5)
+        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15))
         filt = build_filter_matrix(field, metric, radius)
         offsets = [(0, dc) for dc in range(1, radius + 1)]
         offsets += [(dr, dc) for dr in range(1, radius + 1) for dc in range(-radius, radius + 1)]
@@ -378,15 +386,15 @@ class TestMetricFactor:
     def test_metric_is_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            metric = MetricFactor.from_lower_triangle(rng.standard_normal(15), 5)
+            metric = MetricFactor.from_lower_triangle(rng.standard_normal(15))
             eigs = np.linalg.eigvalsh(metric.metric())
             assert eigs.min() >= -1e-10
 
     def test_lower_triangle_round_trip(self):
         values = np.random.default_rng(4).standard_normal(15)
-        metric = MetricFactor.from_lower_triangle(values, 5)
+        metric = MetricFactor.from_lower_triangle(values)
         assert np.array_equal(metric.lower_triangle(), values)
 
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(InvalidInputError):
-            MetricFactor.from_lower_triangle(np.zeros(14), 5)
+            MetricFactor.from_lower_triangle(np.zeros(14))
