@@ -8,6 +8,13 @@ polynomial coefficients, per-depth step scalars) is trained end to end.
 """
 
 from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, unrolled_cg
+from .compiled import (
+    CompiledFilter,
+    compile_filter,
+    guard_estimate,
+    network_response,
+    solve_patch,
+)
 from .errors import (
     CliUsageError,
     DegenerateMatrixError,
@@ -26,6 +33,7 @@ from .graph_filter import (
     central_gradients,
     estimate_spectrum,
     extract_features,
+    lanczos_ritz,
     normalize,
     window_blocks,
 )
@@ -57,6 +65,7 @@ from .train import (
     save_checkpoint,
     solve_system,
     train_loop,
+    write_text_durably,
 )
 
 __version__ = "0.1.0"
@@ -65,6 +74,7 @@ __all__ = [
     "CgConfig",
     "CgTrace",
     "CliUsageError",
+    "CompiledFilter",
     "DegenerateMatrixError",
     "DenoiserOperator",
     "EdgeOuterSum",
@@ -90,23 +100,29 @@ __all__ = [
     "calibrate_cg_params",
     "calibrated_initial",
     "central_gradients",
+    "compile_filter",
     "default_coefficients",
     "estimate_spectrum",
     "evaluate_psnr",
     "extract_features",
     "forward",
+    "guard_estimate",
+    "lanczos_ritz",
     "load_checkpoint",
     "load_image",
     "loss_and_grad",
+    "network_response",
     "normalize",
     "partition",
     "psnr",
     "reassemble",
     "save_checkpoint",
     "save_image",
+    "solve_patch",
     "solve_system",
     "synthesize_image",
     "train_loop",
     "unrolled_cg",
     "window_blocks",
+    "write_text_durably",
 ]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lanes
+from .compiled import LOWER, compile_filter, guard_estimate, network_response, solve_patch
 from .config import RunConfig, build_config
 from .errors import (
     CliUsageError,
@@ -39,6 +40,7 @@ from .train import (  # noqa: F401
     save_checkpoint,
     solve_system,
     train_loop,
+    write_text_durably,
 )
 
 IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
@@ -177,7 +179,7 @@ def cmd_train(cfg: RunConfig) -> int:
     history_path = out / "history.csv"
     lines = ["epoch,train_loss,val_psnr"]
     lines += [f"{h.epoch},{_fmt(h.train_loss)},{_fmt(h.val_psnr)}" for h in history]
-    history_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_durably(history_path, "\n".join(lines) + "\n")
     print(f"wrote {checkpoint_path} and {history_path}")
     return 0
 
@@ -187,11 +189,12 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
         raise CliUsageError("--checkpoint is required for denoise")
     out = _out_dir(cfg)
     params, hyper = load_checkpoint(cfg.checkpoint)
+    compiled = compile_filter(params, hyper)
     noisy = load_image(image_path)
 
     def build(patch):
         _, _, system = build_system(params, patch, cfg.patch_side, hyper)
-        return lambda: [solve_system(params, system, patch, hyper)]
+        return lambda: [solve_patch(params, system, patch, hyper, compiled)]
 
     [denoised] = _map_patches(noisy, cfg.patch_side, [build])
     target = out / (Path(image_path).stem + "_denoised.pgm")
@@ -211,6 +214,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise CliUsageError("--test_dir is required for eval")
     out = _out_dir(cfg)
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
+    compiled = compile_filter(trained_params, hyper)
     init_hyper = replace(hyper, cg_mode="analytic")
     init_params = ParamVector.initial(init_hyper)
     side = cfg.patch_side
@@ -225,7 +229,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def trained(patch):
         _, _, system = build_system(trained_params, patch, side, hyper)
-        return lambda: [solve_system(trained_params, system, patch, hyper)]
+        return lambda: [solve_patch(trained_params, system, patch, hyper, compiled)]
 
     names = ("bilateral", "init", "trained")
     paths = _list_images(cfg.test_dir)
@@ -269,6 +273,12 @@ def cmd_inspect(cfg: RunConfig) -> int:
         lines.append(f"cg_alpha_{k} = {_fmt(value)}")
     for k, value in enumerate(params.cg_beta):
         lines.append(f"cg_beta_{k} = {_fmt(value)}")
+    compiled = compile_filter(params, hyper)
+    if compiled is None:
+        lines += ["compiled_degree = none", "compiled_fit_error = none"]
+    else:
+        lines.append(f"compiled_degree = {compiled.degree}")
+        lines.append(f"compiled_fit_error = {_fmt(compiled.fit_error)}")
     if cfg.test_dir:
         paths = _list_images(cfg.test_dir)
         image = load_image(paths[0])
@@ -279,6 +289,16 @@ def cmd_inspect(cfg: RunConfig) -> int:
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")
             lines.append(f"patch_{index}_pd = {'yes' if lam_min > 0 else 'no'}")
+            estimate = guard_estimate(system.psi, patch)
+            path = "compiled" if compiled is not None and estimate >= LOWER else "unrolled"
+            try:
+                spectrum = np.linspace(min(estimate, 1.0), 1.0, 1001)
+                max_gain = np.max(np.abs(network_response(params, hyper, spectrum)))
+            except NumericDivergenceError:
+                max_gain = float("nan")
+            lines.append(f"patch_{index}_guard_lower = {_fmt(estimate)}")
+            lines.append(f"patch_{index}_path = {path}")
+            lines.append(f"patch_{index}_max_abs_q = {_fmt(max_gain)}")
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if cfg.out:

@@ -84,6 +84,8 @@ class MetricFactor:
             raise InvalidInputError(
                 f"metric factor must be {FEATURE_DIM}x{FEATURE_DIM}, got shape {self.entries.shape}"
             )
+        if not np.all(np.isfinite(self.entries)):
+            raise InvalidInputError("metric factor entries must be finite")
 
     def metric(self) -> np.ndarray:
         """The induced metric M = C^T C (symmetric PSD by construction)."""
@@ -335,41 +337,72 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
     return DenoiserOperator(n=n, _matrix=psi.tocsr(), row_sums=row_sums.ravel())
 
 
+# A Lanczos step breaks down when its new direction is at most this times
+# the norm of the matvec it came from: the Krylov space is then invariant
+# up to round-off, whatever the scale of Psi or of the start vector.
+LANCZOS_BREAKDOWN = 1e-12
+
+
+def lanczos_ritz(
+    op: DenoiserOperator, start: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values of Psi after up to `steps` Lanczos steps from `start`,
+    ascending, and the residual norm ||Psi u - theta u|| of each.
+
+    In exact arithmetic an eigenvalue of Psi lies within a Ritz value's
+    residual norm of it. That places some eigenvalue, not the smallest: an
+    eigenvector the start vector barely touches stays unseen, so no value
+    here is a rigorous bound on lambda_min. There is no reorthogonalization
+    (two basis vectors are held at a time); lost orthogonality shows as
+    repeated Ritz values, not as wrong extremes. After a breakdown
+    (LANCZOS_BREAKDOWN) the Ritz values are exact and the residuals 0. A
+    zero start vector spans no Krylov space and gives no Ritz values.
+    """
+    v = np.asarray(start, dtype=float)
+    # scaled by its largest entry first, so that the norm cannot underflow
+    largest = np.max(np.abs(v), initial=0.0)
+    if largest == 0.0:
+        return np.empty(0), np.empty(0)
+    v = v / largest
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(steps):
+        w = op.apply(v)
+        scale = np.linalg.norm(w)
+        alpha = float(v @ w)
+        w -= alpha * v
+        w -= beta * v_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        if beta <= LANCZOS_BREAKDOWN * scale:
+            betas.append(0.0)
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    # the tridiagonal Lanczos matrix is at most steps x steps: dense is cheap
+    off = betas[:-1]
+    values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    return values, np.abs(betas[-1] * vectors[-1])
+
+
 def estimate_spectrum(
     op: DenoiserOperator, iterations: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Power-iteration estimates of the extremal eigenvalues of Psi.
+    """Lanczos estimates of the extremal eigenvalues of Psi.
 
-    The maximum comes from plain power iteration (the positive weights make
-    the dominant eigenvalue positive); the minimum from power iteration on
-    the shifted operator lambda_max * I - Psi. Estimates carry no exactness
-    guarantee; they converge at the usual eigengap-dependent rate. A
-    non-positive minimum estimate is logged as a positive-definiteness
-    violation.
+    The estimates are the extreme Ritz values of lanczos_ritz after
+    `iterations` steps from a seeded random start, which has a component
+    along every eigenvector. They lie inside the spectrum and converge to
+    its ends, but carry no exactness guarantee. A non-positive minimum
+    estimate is logged as a positive-definiteness violation.
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
-    n = op.n
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(iterations):
-        w = op.apply(v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break
-        v = w / norm
-    lam_max = float(v @ op.apply(v))
-
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    u /= np.linalg.norm(u)
-    for _ in range(iterations):
-        w = lam_max * u - op.apply(u)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break
-        u = w / norm
-    gap = float(u @ (lam_max * u - op.apply(u)))
-    lam_min = lam_max - gap
+    start = np.random.default_rng(seed).standard_normal(op.n)
+    values, _ = lanczos_ritz(op, start, iterations)
+    lam_min, lam_max = float(values[0]), float(values[-1])
     if lam_min <= 0.0:
         logger.warning(
             "operator is not positive definite: lambda_min estimate %.3e", lam_min

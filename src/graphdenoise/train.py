@@ -19,6 +19,8 @@ extraction is deliberately treated as a constant of the noisy input
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -66,6 +68,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.depth_T < 0:
             raise InvalidInputError(f"depth_T must be >= 0, got {self.depth_T}")
+        for name in ("expansion_s", "epsilon_guard"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.diagonal_load < 1.0:
+            raise InvalidInputError(f"diagonal_load must lie in [0, 1), got {self.diagonal_load}")
 
 
 @dataclass(eq=False)
@@ -539,7 +547,26 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
         "cg_alpha": [float(v) for v in params.cg_alpha],
         "cg_beta": [float(v) for v in params.cg_beta],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    write_text_durably(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_text_durably(path, text: str) -> None:
+    """Write ASCII text to path through a temporary file in the same
+    directory, synced and then renamed over path: a reader sees the old file
+    or the new one, never a part. On failure the temporary file is removed
+    and path is left as it was."""
+    path = Path(path)
+    # opened as path itself would be, so it gets the same (umask) permissions
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
@@ -574,10 +601,11 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
             cg_alpha=np.asarray(payload["cg_alpha"], dtype=float),
             cg_beta=np.asarray(payload["cg_beta"], dtype=float),
         )
+        params.metric()  # MetricFactor rejects non-finite entries
     except KeyError as exc:
         raise InvalidInputError(f"checkpoint {path} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"checkpoint {path} has an ill-typed value: {exc}") from exc
+        raise InvalidInputError(f"checkpoint {path} has an invalid value: {exc}") from exc
     if params.tse_coeffs.size != hyper.degree_K + 1 or params.cg_alpha.size != hyper.depth_T:
         raise InvalidInputError("checkpoint parameter lengths do not match its hyperparameters")
     return params, hyper

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,10 @@ from graphdenoise import (
     GrayImage,
     add_awgn,
     build_system,
+    calibrated_initial,
+    compile_filter,
     forward,
+    guard_estimate,
     load_image,
     partition,
     psnr,
@@ -26,6 +30,7 @@ from graphdenoise import (
 )
 from graphdenoise import cli
 from graphdenoise.cli import main
+from graphdenoise.compiled import LOWER
 from graphdenoise.config import build_config, parse_config_file
 from graphdenoise.errors import CliUsageError, NumericDivergenceError
 from graphdenoise.train import (
@@ -131,6 +136,27 @@ class TestTrain:
         c1, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, seed=4, name="r1")
         c2, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, seed=4, name="r2")
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_failed_replace_keeps_the_previous_checkpoint(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="dur")
+        before = {path.name: path.read_bytes() for path in ckpt.parent.iterdir()}
+        replaced = []
+
+        def failing_replace(src, dst):
+            replaced.append(Path(dst).name)
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code = main([
+            "train", "--train_dir", str(image_dir), "--out", str(ckpt.parent),
+            "--epochs", "1", "--sigma_train", "25", *TINY,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["i/o error: replace failed"]
+        assert replaced == ["checkpoint.json"]  # a new checkpoint was ready to replace it
+        assert {path.name: path.read_bytes() for path in ckpt.parent.iterdir()} == before
 
     def test_requires_train_dir(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1
@@ -326,8 +352,30 @@ class TestExitCodes:
             lambda payload: json.dumps({**payload, "degree_K": "ten"}),
             lambda payload: json.dumps({**payload, "cg_alpha": {"a": 1}}),
             lambda payload: "\u00e9",
+            lambda payload: json.dumps({**payload, "expansion_s": float("nan")}),
+            lambda payload: json.dumps({**payload, "expansion_s": 0.0}),
+            lambda payload: json.dumps({**payload, "epsilon_guard": float("nan")}),
+            lambda payload: json.dumps({**payload, "epsilon_guard": -1e-12}),
+            lambda payload: json.dumps({**payload, "diagonal_load": float("nan")}),
+            lambda payload: json.dumps({**payload, "diagonal_load": 1.0}),
+            lambda payload: json.dumps(
+                {**payload, "metric_factor": [float("inf"), *payload["metric_factor"][1:]]}
+            ),
         ],
-        ids=["not-an-object", "missing-key", "bad-int", "bad-array", "not-ascii"],
+        ids=[
+            "not-an-object",
+            "missing-key",
+            "bad-int",
+            "bad-array",
+            "not-ascii",
+            "s-nan",
+            "s-zero",
+            "guard-nan",
+            "guard-negative",
+            "load-nan",
+            "load-one",
+            "metric-inf",
+        ],
     )
     def test_malformed_checkpoint_is_one_line_usage_error(self, tmp_path, capsys, edit):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
@@ -620,31 +668,97 @@ class TestSolveLanes:
     def test_lanes_add_at_most_one_system_each_to_peak_memory(self, tmp_path, monkeypatch):
         hyper = PipelineConfig()
         theta = ParamVector.initial(hyper)
-        save_checkpoint(tmp_path / "c.json", theta, hyper)
         noisy = add_awgn(synthesize_image(128, 128, seed=5), 15.0, 1)  # four 64x64 patches
+        assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy)
+
+
+def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy):
+    """denoise's traced peak memory at 2 and 3 lanes exceeds the serial
+    peak by at most one patch system per extra lane."""
+    hyper = PipelineConfig()
+    save_checkpoint(tmp_path / "c.json", theta, hyper)
+    save_image(noisy, tmp_path / "n.pgm")
+    _, _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
+    csr = system.psi._matrix
+    psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    del system, csr
+    argv = ["denoise", str(tmp_path / "n.pgm"), "--checkpoint", str(tmp_path / "c.json"),
+            "--out", str(tmp_path / "o")]
+
+    def peak(lanes):
+        tracemalloc.start()
+        try:
+            denoise_in_lanes(monkeypatch, lanes, argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up: lazy imports and caches
+    serial = peak(1)
+    # margin per extra lane: its solve's vectors (K + 1 cached Taylor terms
+    # and the CG state, about 0.5 MB at 64x64), doubled
+    margin = 2**20
+    for lanes in (2, 3):
+        assert peak(lanes) <= serial + (lanes - 1) * (psi_bytes + margin)
+
+
+def denoise_in_lanes(monkeypatch, lanes, argv):
+    """cli.main(argv), which must succeed, on `lanes` lanes."""
+    monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+        monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
+        assert main(argv) == 0
+
+
+class TestCompiledLanes:
+    """denoise at the default K and T with calibrated CG scalars, where the
+    learned network compiles and every patch takes the compiled filter."""
+
+    @pytest.fixture
+    def noisy(self):
+        return add_awgn(synthesize_image(128, 128, seed=5), 15.0, 1)  # four 64x64 patches
+
+    @pytest.fixture
+    def theta(self, noisy):
+        hyper = PipelineConfig()
+        theta = calibrated_initial(hyper, partition(noisy, 64).patches[:3], 64)
+        compiled = compile_filter(theta, hyper)
+        assert compiled is not None
+        for patch in partition(noisy, 64).patches:
+            _, _, system = build_system(theta, patch, 64, hyper)
+            assert guard_estimate(system.psi, patch) >= LOWER
+        return theta
+
+    def test_denoise_bytes_do_not_depend_on_the_lane_count(
+        self, tmp_path, monkeypatch, noisy, theta
+    ):
+        save_checkpoint(tmp_path / "c.json", theta, PipelineConfig())
         save_image(noisy, tmp_path / "n.pgm")
-        _, _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
-        csr = system.psi._matrix
-        psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        del system, csr
-        argv = ["denoise", str(tmp_path / "n.pgm"), "--checkpoint", str(tmp_path / "c.json"),
-                "--out", str(tmp_path / "o")]
+        outputs = []
+        for lanes in (1, 2, 3):
+            out = tmp_path / f"lanes{lanes}"
+            denoise_in_lanes(monkeypatch, lanes, [
+                "denoise", str(tmp_path / "n.pgm"), "--checkpoint", str(tmp_path / "c.json"),
+                "--out", str(out),
+            ])
+            outputs.append((out / "n_denoised.pgm").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-        def peak(lanes):
-            monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
-            with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-                monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
-                tracemalloc.start()
-                try:
-                    assert main(argv) == 0
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+    def test_lanes_add_at_most_one_system_each_to_peak_memory(
+        self, tmp_path, monkeypatch, noisy, theta
+    ):
+        assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy)
 
-        peak(1)  # warm-up: lazy imports and caches
-        serial = peak(1)
-        # margin per extra lane: its solve's vectors (K + 1 cached Taylor terms
-        # and the CG state, about 0.5 MB at 64x64), doubled
-        margin = 2**20
-        for lanes in (2, 3):
-            assert peak(lanes) <= serial + (lanes - 1) * (psi_bytes + margin)
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_zero_image_denoises_to_zeros_without_warnings(
+        self, tmp_path, monkeypatch, theta, lanes
+    ):
+        save_checkpoint(tmp_path / "c.json", theta, PipelineConfig())
+        save_image(GrayImage(width=128, height=64, pixels=np.zeros((64, 128))), tmp_path / "z.pgm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            denoise_in_lanes(monkeypatch, lanes, [
+                "denoise", str(tmp_path / "z.pgm"), "--checkpoint", str(tmp_path / "c.json"),
+                "--out", str(tmp_path / "o"),
+            ])
+        assert not load_image(tmp_path / "o" / "z_denoised.pgm").pixels.any()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from graphdenoise import (
+    FEATURE_DIM,
     InvalidInputError,
     MetricFactor,
     SparseFilterMatrix,
@@ -14,6 +15,7 @@ from graphdenoise import (
     central_gradients,
     estimate_spectrum,
     extract_features,
+    lanczos_ritz,
     normalize,
     window_blocks,
 )
@@ -382,7 +384,44 @@ class TestEstimateSpectrum:
         assert any("positive definite" in rec.message for rec in caplog.records)
 
 
+class TestLanczosRitz:
+    def patch_operator(self, seed=21, side=6):
+        field = extract_features(random_patch(seed, side), side)
+        return normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+
+    def test_each_ritz_value_has_an_eigenvalue_within_its_residual(self):
+        op = self.patch_operator()
+        eigs = np.linalg.eigvalsh(op.to_dense())
+        values, residuals = lanczos_ritz(op, random_patch(3, 6), 12)
+        assert values.shape == residuals.shape == (12,)
+        assert np.all(np.diff(values) >= 0.0)
+        for value, residual in zip(values, residuals):
+            assert np.min(np.abs(eigs - value)) <= residual * (1 + 1e-9) + 1e-14
+        assert eigs.min() - 1e-12 <= values[0] and values[-1] <= eigs.max() + 1e-12
+
+    def test_breakdown_is_relative(self):
+        # an invariant two-dimensional Krylov space ends the run at step 2,
+        # at any scale of the operator and of the start vector
+        for scale in (1.0, 2.0**-200, 2.0**200):
+            op = operator_from_dense(scale * np.diag([0.2, 0.9, 0.5, 0.3]))
+            for start in ([1.0, 1.0, 0.0, 0.0], [2.0**-600, 2.0**-600, 0.0, 0.0]):
+                values, residuals = lanczos_ritz(op, np.array(start), 10)
+                np.testing.assert_allclose(values, [0.2 * scale, 0.9 * scale], rtol=1e-12)
+                assert np.array_equal(residuals, [0.0, 0.0])
+
+    def test_zero_start_gives_no_ritz_values(self):
+        values, residuals = lanczos_ritz(self.patch_operator(), np.zeros(36), 12)
+        assert values.size == residuals.size == 0
+
+
 class TestMetricFactor:
+    def test_rejects_non_finite_entries(self):
+        entries = np.eye(FEATURE_DIM)
+        for bad in (np.inf, -np.inf, np.nan):
+            entries[2, 1] = bad
+            with pytest.raises(InvalidInputError, match="finite"):
+                MetricFactor(entries=entries)
+
     def test_metric_is_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
