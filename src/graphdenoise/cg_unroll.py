@@ -144,21 +144,19 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
     return x, trace
 
 
-def calibrate_cg_params(
-    system_batch, depth_T: int, epsilon_guard: float = CgConfig.epsilon_guard
-) -> tuple[np.ndarray, np.ndarray]:
+def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
     system_batch is a sequence of no-argument callables that return a
     (system, y) pair, so that each system is built in the lane that solves
-    it. Every element is solved in analytic mode under epsilon_guard, on the
-    lanes (in_lanes), and the realized scalars (0 after a breakdown) are
-    averaged elementwise in batch order.
+    it. Every element is solved in analytic mode under the default
+    breakdown guard, on the lanes (in_lanes), and the realized scalars (0
+    after a breakdown) are averaged elementwise in batch order.
     """
     system_batch = list(system_batch)
     if not system_batch:
         raise InvalidInputError("calibration batch must be nonempty")
-    cfg = CgConfig(depth_T=depth_T, mode="analytic", epsilon_guard=epsilon_guard)
+    cfg = CgConfig(depth_T=depth_T, mode="analytic")
 
     def used_scalars(element):
         system, y = element()

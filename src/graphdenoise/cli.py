@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lanes
+from .cg_unroll import CgConfig, unrolled_cg
 from .compiled import LOWER, compile_filter, guard_estimate, network_response, solve_patch
 from .config import RunConfig, build_config
 from .errors import (
@@ -38,7 +39,6 @@ from .train import (  # noqa: F401
     forward,
     load_checkpoint,
     save_checkpoint,
-    solve_system,
     train_loop,
     write_text_durably,
 )
@@ -137,7 +137,7 @@ def cmd_corrupt(cfg: RunConfig, input_dir: str) -> int:
         save_image(noisy, target)
         rows.append(f"{target.name},{file_seed},{_fmt(cfg.sigma)}")
     manifest = out / "manifest.csv"
-    manifest.write_text("file,seed,sigma\n" + "\n".join(rows) + "\n", encoding="ascii")
+    write_text_durably(manifest, "file,seed,sigma\n" + "\n".join(rows) + "\n")
     print(f"wrote {len(rows)} noisy images and {manifest}")
     return 0
 
@@ -194,7 +194,7 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
 
     def build(patch):
         _, _, system = build_system(params, patch, cfg.patch_side, hyper)
-        return lambda: [solve_patch(params, system, patch, hyper, compiled)]
+        return lambda: [solve_patch(params, system, patch, compiled)]
 
     [denoised] = _map_patches(noisy, cfg.patch_side, [build])
     target = out / (Path(image_path).stem + "_denoised.pgm")
@@ -215,21 +215,19 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
     compiled = compile_filter(trained_params, hyper)
-    init_hyper = replace(hyper, cg_mode="analytic")
-    init_params = ParamVector.initial(init_hyper)
+    init_params = ParamVector.initial(hyper)
+    # the initialization baseline solves the initial system by classic CG
+    analytic = CgConfig(depth_T=hyper.depth_T, mode="analytic")
     side = cfg.patch_side
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
-        _, _, system = build_system(init_params, patch, side, init_hyper)
-        return lambda: [
-            system.psi.apply(patch),
-            solve_system(init_params, system, patch, init_hyper),
-        ]
+        _, _, system = build_system(init_params, patch, side, hyper)
+        return lambda: [system.psi.apply(patch), unrolled_cg(system, patch, analytic)[0]]
 
     def trained(patch):
         _, _, system = build_system(trained_params, patch, side, hyper)
-        return lambda: [solve_patch(trained_params, system, patch, hyper, compiled)]
+        return lambda: [solve_patch(trained_params, system, patch, compiled)]
 
     names = ("bilateral", "init", "trained")
     paths = _list_images(cfg.test_dir)
@@ -246,7 +244,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             f"{_fmt(np.mean(scores['init']))},{_fmt(np.mean(scores['trained']))}"
         )
     table = out / "eval.csv"
-    table.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_durably(table, "\n".join(lines) + "\n")
     print(f"wrote {table}")
     return 0
 
@@ -302,8 +300,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if cfg.out:
-        out = _out_dir(cfg)
-        (out / "inspect.txt").write_text(report, encoding="ascii")
+        write_text_durably(_out_dir(cfg) / "inspect.txt", report)
     return 0
 
 

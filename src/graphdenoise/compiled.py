@@ -30,7 +30,7 @@ from .cg_unroll import unrolled_cg
 from .errors import NumericDivergenceError
 from .graph_filter import DenoiserOperator, lanczos_ritz
 from .taylor_system import TaylorSystemOperator
-from .train import ParamVector, PipelineConfig, _cg_config, solve_system
+from .train import ParamVector, PipelineConfig, solve_system
 
 # lower end of the fitted interval [LOWER, 1]
 LOWER = -0.1
@@ -69,7 +69,7 @@ def network_response(theta: ParamVector, hyper: PipelineConfig, lam) -> np.ndarr
         for c in scaled[1:]:
             term = lam * term - s * term
             p = p + c * term
-    x, _ = unrolled_cg(lambda v: p * v, np.ones_like(lam), _cg_config(theta, hyper))
+    x, _ = unrolled_cg(lambda v: p * v, np.ones_like(lam), theta.cg_config())
     return x
 
 
@@ -150,7 +150,6 @@ def solve_patch(
     theta: ParamVector,
     system: TaylorSystemOperator,
     noisy: np.ndarray,
-    hyper: PipelineConfig,
     compiled: CompiledFilter | None,
 ) -> np.ndarray:
     """The learned network of theta on a built patch system: the compiled
@@ -158,4 +157,4 @@ def solve_patch(
     LOWER, else the unrolled solve_system."""
     if compiled is not None and guard_estimate(system.psi, noisy) >= LOWER:
         return compiled.apply(system.psi, noisy)
-    return solve_system(theta, system, noisy, hyper)
+    return solve_system(theta, system, noisy)

@@ -358,6 +358,8 @@ def lanczos_ritz(
     (LANCZOS_BREAKDOWN) the Ritz values are exact and the residuals 0. A
     zero start vector spans no Krylov space and gives no Ritz values.
     """
+    if steps < 1:
+        raise InvalidInputError(f"steps must be >= 1, got {steps}")
     v = np.asarray(start, dtype=float)
     # scaled by its largest entry first, so that the norm cannot underflow
     largest = np.max(np.abs(v), initial=0.0)
@@ -398,8 +400,6 @@ def estimate_spectrum(
     its ends, but carry no exactness guarantee. A non-positive minimum
     estimate is logged as a positive-definiteness violation.
     """
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
     start = np.random.default_rng(seed).standard_normal(op.n)
     values, _ = lanczos_ritz(op, start, iterations)
     lam_min, lam_max = float(values[0]), float(values[-1])

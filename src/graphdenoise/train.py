@@ -61,17 +61,17 @@ class PipelineConfig:
     degree_K: int = 10
     expansion_s: float = 1.0
     depth_T: int = 15
-    cg_mode: str = "learned"
     diagonal_load: float = 0.0
-    epsilon_guard: float = 1e-12
 
     def __post_init__(self):
-        if self.depth_T < 0:
-            raise InvalidInputError(f"depth_T must be >= 0, got {self.depth_T}")
-        for name in ("expansion_s", "epsilon_guard"):
+        for name, least in (("window_radius", 1), ("degree_K", 1), ("depth_T", 0)):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+            if value < least:
+                raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+        if not (math.isfinite(self.expansion_s) and self.expansion_s > 0.0):
+            raise InvalidInputError(
+                f"expansion_s must be finite and positive, got {self.expansion_s}"
+            )
         if not 0.0 <= self.diagonal_load < 1.0:
             raise InvalidInputError(f"diagonal_load must lie in [0, 1), got {self.diagonal_load}")
 
@@ -139,12 +139,26 @@ class ParamVector:
     def metric(self) -> MetricFactor:
         return MetricFactor.from_lower_triangle(self.metric_factor)
 
+    def cg_config(self) -> CgConfig:
+        """The learned-mode unrolled CG of these scalars."""
+        return CgConfig(
+            depth_T=self.cg_alpha.size,
+            mode="learned",
+            learned_alpha=self.cg_alpha,
+            learned_beta=self.cg_beta,
+        )
+
 
 def build_system(
     theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
 ) -> tuple[FeatureField, SparseFilterMatrix, TaylorSystemOperator]:
     """The patch system of theta: features, filter weights B and the
-    truncated-inverse system, whose smoother Psi is `system.psi`."""
+    truncated-inverse system, whose smoother Psi is `system.psi`. theta
+    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+    if theta.cg_alpha.size != hyper.depth_T:
+        raise InvalidInputError(
+            f"theta has {theta.cg_alpha.size} CG steps, depth_T is {hyper.depth_T}"
+        )
     field_ = extract_features(noisy, patch_side)
     filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
     system = TaylorSystemOperator(
@@ -166,20 +180,8 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
         return build_system(theta, noisy, patch_side, hyper)[2], noisy
 
     builds = [partial(patch_system, noisy) for noisy in noisy_patches]
-    alpha, beta = calibrate_cg_params(builds, hyper.depth_T, hyper.epsilon_guard)
+    alpha, beta = calibrate_cg_params(builds, hyper.depth_T)
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
-
-
-def _cg_config(theta: ParamVector, hyper: PipelineConfig) -> CgConfig:
-    if hyper.cg_mode == "learned":
-        return CgConfig(
-            depth_T=hyper.depth_T,
-            mode="learned",
-            learned_alpha=theta.cg_alpha,
-            learned_beta=theta.cg_beta,
-            epsilon_guard=hyper.epsilon_guard,
-        )
-    return CgConfig(depth_T=hyper.depth_T, mode="analytic", epsilon_guard=hyper.epsilon_guard)
 
 
 class _RecordingSystem:
@@ -222,14 +224,12 @@ def forward(
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
     _, _, system = build_system(theta, noisy, patch_side, hyper)
-    return solve_system(theta, system, noisy, hyper)
+    return solve_system(theta, system, noisy)
 
 
-def solve_system(
-    theta: ParamVector, system: TaylorSystemOperator, noisy: np.ndarray, hyper: PipelineConfig
-) -> np.ndarray:
-    """The unrolled CG of theta on a built patch system (build_system)."""
-    x, _ = unrolled_cg(system, noisy, _cg_config(theta, hyper))
+def solve_system(theta: ParamVector, system: TaylorSystemOperator, noisy: np.ndarray) -> np.ndarray:
+    """The learned unrolled CG of theta on a built patch system (build_system)."""
+    x, _ = unrolled_cg(system, noisy, theta.cg_config())
     return x
 
 
@@ -289,7 +289,7 @@ def _grad_single(
     field_, _, system = build_system(theta, noisy, patch_side, hyper)
     op = system.psi
     recorder = _RecordingSystem(system)
-    x, _ = unrolled_cg(recorder, noisy, _cg_config(theta, hyper))
+    x, _ = unrolled_cg(recorder, noisy, theta.cg_config())
 
     T = hyper.depth_T
     K = hyper.degree_K
@@ -385,12 +385,10 @@ def _grad_single(
 def loss_and_grad(
     theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = PipelineConfig()
 ) -> tuple[float, ParamVector]:
-    """Batch loss and its exact reverse-mode gradient (learned-mode CG only)."""
+    """Batch loss and its exact reverse-mode gradient."""
     batch = list(batch)
     if not batch:
         raise InvalidInputError("batch must be nonempty")
-    if hyper.cg_mode != "learned":
-        raise InvalidInputError("reverse-mode gradients require learned-mode CG")
     total_loss = 0.0
     total = np.zeros(theta.size)
     pairs = in_lanes(
@@ -501,8 +499,6 @@ def train_loop(
         raise InvalidInputError("epochs must be >= 0")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
-    if hyper.cg_mode != "learned":
-        raise InvalidInputError("training requires learned-mode CG")
 
     theta = calibrated_initial(hyper, [noisy for noisy, _ in train_pairs[:batch_size]], patch_side)
     state = TrainState.fresh(theta, learning_rate=learning_rate)
@@ -541,7 +537,6 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
         "expansion_s": hyper.expansion_s,
         "depth_T": hyper.depth_T,
         "diagonal_load": float(hyper.diagonal_load),
-        "epsilon_guard": float(hyper.epsilon_guard),
         "metric_factor": [float(v) for v in params.metric_factor],
         "tse_coeffs": [float(v) for v in params.tse_coeffs],
         "cg_alpha": [float(v) for v in params.cg_alpha],
@@ -571,8 +566,9 @@ def write_text_durably(path, text: str) -> None:
 
 def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
     """Inverse of save_checkpoint. Any malformed payload raises
-    InvalidInputError; files without diagonal_load / epsilon_guard get the
-    PipelineConfig defaults."""
+    InvalidInputError; files without diagonal_load get the PipelineConfig
+    default. Unknown keys are ignored, among them the analytic solver's
+    breakdown guard that older files carry."""
     try:
         payload = json.loads(Path(path).read_text(encoding="ascii"))
     except ValueError as exc:  # undecodable bytes or invalid JSON
@@ -584,16 +580,13 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
         raise InvalidInputError(f"unsupported checkpoint version {version!r}")
     if payload.get("feature_dim") != FEATURE_DIM:
         raise InvalidInputError("checkpoint feature_dim does not match this build")
-    defaults = PipelineConfig()
     try:
         hyper = PipelineConfig(
             window_radius=int(payload["window_radius"]),
             degree_K=int(payload["degree_K"]),
             expansion_s=float(payload["expansion_s"]),
             depth_T=int(payload["depth_T"]),
-            cg_mode="learned",
-            diagonal_load=float(payload.get("diagonal_load", defaults.diagonal_load)),
-            epsilon_guard=float(payload.get("epsilon_guard", defaults.epsilon_guard)),
+            diagonal_load=float(payload.get("diagonal_load", PipelineConfig.diagonal_load)),
         )
         params = ParamVector(
             metric_factor=np.asarray(payload["metric_factor"], dtype=float),

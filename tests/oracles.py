@@ -6,13 +6,15 @@ matrix powers, direct solves, finite differences), so agreement is
 meaningful. The package exports only what the pipeline and scripts use;
 the helpers that only tests need live here too: the batch loss and its
 finite-difference gradient, a dense-matrix smoother for synthetic
-spectra, and the one-pass form of EdgeOuterSum.
+spectra, the one-pass form of EdgeOuterSum, and the patch system solved
+by classic CG.
 """
 import numpy as np
 from scipy import sparse
 
 from graphdenoise import (
     FEATURE_DIM,
+    CgConfig,
     DenoiserOperator,
     EdgeOuterSum,
     FeatureField,
@@ -21,7 +23,9 @@ from graphdenoise import (
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
+    build_system,
     forward,
+    unrolled_cg,
 )
 
 
@@ -180,3 +184,18 @@ def edge_outer_sum(g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: 
     t[1:] = t_stack
     sums.fold(t)
     return sums.planes()
+
+
+def analytic_forward(
+    theta: ParamVector,
+    patch: np.ndarray,
+    side: int,
+    hyper: PipelineConfig,
+    epsilon_guard: float = CgConfig.epsilon_guard,
+) -> np.ndarray:
+    """The patch system of theta (build_system) solved by depth_T steps of
+    classic CG, whose alpha and beta follow the data, under epsilon_guard."""
+    _, _, system = build_system(theta, patch, side, hyper)
+    cfg = CgConfig(depth_T=hyper.depth_T, mode="analytic", epsilon_guard=epsilon_guard)
+    x, _ = unrolled_cg(system, patch, cfg)
+    return x

@@ -21,7 +21,6 @@ from graphdenoise import (
     default_coefficients,
     evaluate_psnr,
     extract_features,
-    forward,
     loss_and_grad,
     normalize,
     partition,
@@ -30,6 +29,7 @@ from graphdenoise import (
     unrolled_cg,
 )
 from oracles import (
+    analytic_forward,
     dense_filter_matrix,
     dense_normalize,
     dense_truncated_inverse_matrix,
@@ -68,15 +68,13 @@ def _make_pairs(image_seeds, size, patch_side, sigma, noise_seed_base):
 def test_criterion_1_oracle_equivalence():
     side, degree = 6, 30
     n = side * side
-    hyper = PipelineConfig(
-        degree_K=degree, depth_T=n, cg_mode="analytic", epsilon_guard=TIGHT_GUARD
-    )
+    hyper = PipelineConfig(degree_K=degree, depth_T=n)
     theta = ParamVector.initial(hyper)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
         patch = random_patch(seed, side)
-        x = forward(theta, patch, side, hyper)
+        x = analytic_forward(theta, patch, side, hyper, epsilon_guard=TIGHT_GUARD)
         field = extract_features(patch, side)
         dense_b = dense_filter_matrix(field, theta.metric(), hyper.window_radius)
         psi_dense = dense_normalize(dense_b)
@@ -93,7 +91,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_initialization_baseline():
-    hyper = PipelineConfig(cg_mode="analytic")  # defaults: K=10, T=15
+    hyper = PipelineConfig()  # defaults: K=10, T=15
     theta = ParamVector.initial(hyper)
     start = time.perf_counter()
     worst_gap = 0.0
@@ -103,7 +101,7 @@ def test_criterion_2_initialization_baseline():
             noisy = add_awgn(img, sigma, seed=1000 * sigma_index + i)
             y = partition(noisy, 64).patches[0]
             clean = partition(img, 64).patches[0]
-            x = forward(theta, y, 64, hyper)
+            x = analytic_forward(theta, y, 64, hyper)
             _, _, system = build_system(theta, y, 64, hyper)
             bf = system.psi.apply(y)
             gap = abs(_patch_psnr(clean, x) - _patch_psnr(clean, bf))
@@ -215,7 +213,7 @@ def test_criterion_6_non_expansiveness():
 
 def test_criterion_7_mu_invariance():
     patch = random_patch(77, 8)
-    hyper = PipelineConfig(window_radius=2, degree_K=6, depth_T=8, cg_mode="analytic")
+    hyper = PipelineConfig(window_radius=2, degree_K=6, depth_T=8)
     theta = ParamVector.initial(hyper)
     field = extract_features(patch, 8)
     op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))

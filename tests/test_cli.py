@@ -40,6 +40,7 @@ from graphdenoise.train import (
     save_checkpoint,
     train_loop,
 )
+from oracles import analytic_forward
 
 TINY = [
     "--patch_side", "16",
@@ -263,6 +264,27 @@ class TestEval:
             outs.append((out / "eval.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_failed_replace_keeps_the_previous_table(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="dur")
+        out = tmp_path / "evalout"
+        argv = ["eval", "--checkpoint", str(ckpt), "--test_dir", str(test_dir), "--out", str(out)]
+        assert main([*argv, "--sigma_test", "15", *TINY]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        replaced = []
+
+        def failing_replace(src, dst):
+            replaced.append(Path(dst).name)
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert main([*argv, "--sigma_test", "25", *TINY]) == 2
+        assert capsys.readouterr().err.splitlines() == ["i/o error: replace failed"]
+        assert replaced == ["eval.csv"]  # a new table was ready to replace it
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
 
 class TestInspect:
     def test_untrained_coefficients_printed_exactly(self, tmp_path, image_dir, test_dir, capsys):
@@ -354,8 +376,11 @@ class TestExitCodes:
             lambda payload: "\u00e9",
             lambda payload: json.dumps({**payload, "expansion_s": float("nan")}),
             lambda payload: json.dumps({**payload, "expansion_s": 0.0}),
-            lambda payload: json.dumps({**payload, "epsilon_guard": float("nan")}),
-            lambda payload: json.dumps({**payload, "epsilon_guard": -1e-12}),
+            lambda payload: json.dumps({**payload, "window_radius": 0}),
+            lambda payload: json.dumps({**payload, "window_radius": -2}),
+            lambda payload: json.dumps(
+                {**payload, "degree_K": 0, "tse_coeffs": payload["tse_coeffs"][:1]}
+            ),
             lambda payload: json.dumps({**payload, "diagonal_load": float("nan")}),
             lambda payload: json.dumps({**payload, "diagonal_load": 1.0}),
             lambda payload: json.dumps(
@@ -370,8 +395,9 @@ class TestExitCodes:
             "not-ascii",
             "s-nan",
             "s-zero",
-            "guard-nan",
-            "guard-negative",
+            "radius-zero",
+            "radius-negative",
+            "K-zero",
             "load-nan",
             "load-one",
             "metric-inf",
@@ -489,8 +515,7 @@ def run_subprocess(args, cpu=None):
 def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
     """cmd_eval's table computed patch by patch with forward, in one thread."""
     params, hyper = load_checkpoint(ckpt)
-    init_hyper = replace(hyper, cg_mode="analytic")
-    init = ParamVector.initial(init_hyper)
+    init = ParamVector.initial(hyper)
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(sigmas):
         scores = [[], [], []]
@@ -501,8 +526,8 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
             columns = np.clip(
                 [
                     [
-                        build_system(init, patch, side, init_hyper)[2].psi.apply(patch),
-                        forward(init, patch, side, init_hyper),
+                        build_system(init, patch, side, hyper)[2].psi.apply(patch),
+                        analytic_forward(init, patch, side, hyper),
                         forward(params, patch, side, hyper),
                     ]
                     for patch in noisy.patches

@@ -72,7 +72,7 @@ class TestCompileFilter:
             for patch in noisy_patches(31, sigma):
                 _, _, system = build_system(theta, patch, 64, DEFAULT)
                 assert guard_estimate(system.psi, patch) >= LOWER
-                out = solve_patch(theta, system, patch, DEFAULT, compiled)
+                out = solve_patch(theta, system, patch, compiled)
                 reference = forward(theta, patch, 64, DEFAULT)
                 assert not np.array_equal(out, reference)  # the compiled path ran
                 error = np.linalg.norm(out - reference) / np.linalg.norm(reference)
@@ -86,7 +86,7 @@ class TestCompileFilter:
             degree_K=DEFAULT.degree_K,
             coefficients=calibrated.tse_coeffs,
         )
-        x = solve_system(calibrated, system, np.ones(64), DEFAULT)
+        x = solve_system(calibrated, system, np.ones(64))
         np.testing.assert_allclose(network_response(calibrated, DEFAULT, lam), x, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -114,16 +114,16 @@ class TestGuard:
         y = np.random.default_rng(2).random(64)
         compiled = compile_filter(calibrated, DEFAULT)
         assert guard_estimate(system.psi, y) < LOWER
-        out = solve_patch(calibrated, system, y, DEFAULT, compiled)
-        assert np.array_equal(out, solve_system(calibrated, system, y, DEFAULT))
+        out = solve_patch(calibrated, system, y, compiled)
+        assert np.array_equal(out, solve_system(calibrated, system, y))
 
     def test_spectrum_inside_the_interval_takes_the_compiled_path(self, calibrated):
         system = system_with_spectrum(calibrated, 0.0, 1.0)
         y = np.random.default_rng(2).random(64)
         compiled = compile_filter(calibrated, DEFAULT)
         assert guard_estimate(system.psi, y) >= LOWER
-        out = solve_patch(calibrated, system, y, DEFAULT, compiled)
-        reference = solve_system(calibrated, system, y, DEFAULT)
+        out = solve_patch(calibrated, system, y, compiled)
+        reference = solve_system(calibrated, system, y)
         assert not np.array_equal(out, reference)
         assert np.linalg.norm(out - reference) <= 1e-8 * np.linalg.norm(reference)
 
@@ -131,5 +131,5 @@ class TestGuard:
         patch = np.zeros(64 * 64)
         _, _, system = build_system(calibrated, patch, 64, DEFAULT)
         assert guard_estimate(system.psi, patch) == np.inf
-        out = solve_patch(calibrated, system, patch, DEFAULT, compile_filter(calibrated, DEFAULT))
+        out = solve_patch(calibrated, system, patch, compile_filter(calibrated, DEFAULT))
         assert np.array_equal(out, patch)

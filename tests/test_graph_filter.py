@@ -409,6 +409,11 @@ class TestLanczosRitz:
                 np.testing.assert_allclose(values, [0.2 * scale, 0.9 * scale], rtol=1e-12)
                 assert np.array_equal(residuals, [0.0, 0.0])
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_fewer_than_one_step(self, steps):
+        with pytest.raises(InvalidInputError, match=f"steps must be >= 1, got {steps}"):
+            lanczos_ritz(self.patch_operator(), random_patch(3, 6), steps)
+
     def test_zero_start_gives_no_ritz_values(self):
         values, residuals = lanczos_ritz(self.patch_operator(), np.zeros(36), 12)
         assert values.size == residuals.size == 0

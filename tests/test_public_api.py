@@ -10,10 +10,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_underscore_imports_from_graphdenoise():
+    # scripts and tests import graphdenoise by name, the package's own
+    # modules import each other relatively
+    paths = [
+        *ROOT.glob("scripts/*.py"),
+        *ROOT.glob("tests/*.py"),
+        *(ROOT / "src" / "graphdenoise").glob("*.py"),
+    ]
     offenders = []
-    for path in sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphdenoise"):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("graphdenoise")
+            ):
                 offenders += [
                     f"{path.name}:{node.lineno} {alias.name}"
                     for alias in node.names

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from graphdenoise import (
     window_blocks,
 )
 from oracles import (
+    analytic_forward,
     central_difference,
     dense_truncated_inverse_matrix,
     edge_outer_sum,
@@ -106,19 +108,19 @@ class TestForward:
         b = forward(theta, noisy, 8, SMALL)
         assert np.array_equal(a, b)
 
+    def test_rejects_theta_of_another_depth(self):
+        noisy, _ = noisy_clean_pair(1, 8)
+        theta = ParamVector.initial(replace(SMALL, depth_T=4))
+        with pytest.raises(InvalidInputError, match="theta has 4 CG steps, depth_T is 5"):
+            forward(theta, noisy, 8, SMALL)
+
     def test_matches_dense_solve_of_truncated_system(self):
         # analytic CG run to full depth against a dense direct solve
         side, degree = 4, 30
-        hyper = PipelineConfig(
-            window_radius=3,
-            degree_K=degree,
-            depth_T=side * side,
-            cg_mode="analytic",
-            epsilon_guard=1e-300,
-        )
+        hyper = PipelineConfig(window_radius=3, degree_K=degree, depth_T=side * side)
         theta = ParamVector.initial(hyper)
         patch = random_patch(23, side)
-        x = forward(theta, patch, side, hyper)
+        x = analytic_forward(theta, patch, side, hyper, epsilon_guard=1e-300)
         field = extract_features(patch, side)
         op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))
         system_dense = dense_truncated_inverse_matrix(
@@ -133,10 +135,10 @@ class TestForward:
         # deviation is boundary-concentrated; deep-interior pixels are
         # preserved to within the truncation error.
         side = 16
-        hyper = PipelineConfig(cg_mode="analytic")
+        hyper = PipelineConfig()
         theta = ParamVector.initial(hyper)
         const = np.full(side * side, 0.5)
-        x = forward(theta, const, side, hyper)
+        x = analytic_forward(theta, const, side, hyper)
         dev = np.abs(x - const).reshape(side, side)
         assert dev.max() < 0.15
         assert dev[6:10, 6:10].max() < 1e-3  # window-widths away from the border
@@ -145,10 +147,10 @@ class TestForward:
     def test_untrained_output_close_to_pure_smoother(self):
         # the initialization baseline: solving the truncated system undoes
         # the truncated inverse, so the output is close to Psi y
-        hyper = PipelineConfig(cg_mode="analytic")
+        hyper = PipelineConfig()
         theta = ParamVector.initial(hyper)
         noisy, clean = noisy_clean_pair(2, 32, sigma=15.0)
-        x = forward(theta, noisy, 32, hyper)
+        x = analytic_forward(theta, noisy, 32, hyper)
         _, _, system = build_system(theta, noisy, 32, hyper)
         bf = system.psi.apply(noisy)
 
@@ -320,12 +322,6 @@ class TestReverseGradients:
             for got, want in zip(got_half + got_mirror, half + mirror):
                 assert np.array_equal(got, want)
 
-    def test_requires_learned_mode(self):
-        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, cg_mode="analytic")
-        noisy, clean = noisy_clean_pair(13, 8)
-        with pytest.raises(InvalidInputError):
-            loss_and_grad(ParamVector.initial(hyper), [(noisy, clean)], 8, hyper)
-
 
 def set_lanes(monkeypatch, pool, lanes):
     monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
@@ -463,14 +459,15 @@ class TestTrainLoop:
         direct = calibrated_initial(SMALL, [noisy for noisy, _ in pairs[:2]], 8)
         assert np.array_equal(direct.pack(), state.params.pack())
 
-    def test_calibration_uses_the_configured_guard(self):
-        hyper = PipelineConfig(depth_T=8, epsilon_guard=1e-3)
-        noisy, _ = noisy_clean_pair(40, 8)
-        theta = calibrated_initial(hyper, [noisy], 8)
-        _, _, system = build_system(theta, noisy, 8, hyper)
-        cfg = CgConfig(depth_T=8, mode="analytic", epsilon_guard=1e-3)
-        _, trace = unrolled_cg(system, noisy, cfg, want_trace=True)
-        assert trace.used_alphas[-1] == 0.0  # the guard stopped the solve early
+    def test_calibration_counts_guarded_steps_as_zero(self):
+        # a 2x2 patch system is solved before depth 8, and the guard skips the rest
+        hyper = PipelineConfig(depth_T=8)
+        noisy, _ = noisy_clean_pair(40, 2)
+        theta = calibrated_initial(hyper, [noisy], 2)
+        _, _, system = build_system(theta, noisy, 2, hyper)
+        _, trace = unrolled_cg(system, noisy, CgConfig(depth_T=8), want_trace=True)
+        assert np.all(trace.used_alphas[:2] != 0.0)
+        assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
         assert np.array_equal(theta.cg_alpha, trace.used_alphas)
         assert np.array_equal(theta.cg_beta, trace.used_betas)
 
@@ -542,23 +539,25 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
 
-    def test_round_trip_keeps_load_and_guard(self, tmp_path):
-        hyper = PipelineConfig(
-            window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.2, epsilon_guard=1e-10
-        )
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        # a field that save_checkpoint does not write comes back as its default
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, ParamVector.initial(hyper), hyper)
-        _, loaded = load_checkpoint(path)
-        assert loaded == hyper
+        for field_ in fields(PipelineConfig):
+            value = field_.default + {int: 1, float: 0.25}[type(field_.default)]
+            hyper = replace(PipelineConfig(), **{field_.name: value})
+            save_checkpoint(path, ParamVector.initial(hyper), hyper)
+            _, loaded = load_checkpoint(path)
+            assert getattr(loaded, field_.name) == value, field_.name
 
-    def test_missing_load_and_guard_get_defaults(self, tmp_path):
-        # checkpoints written before these two keys were saved still load
+    def test_older_files_load(self, tmp_path):
+        # files from before diagonal_load was saved get its default, and the
+        # epsilon_guard that older files carry is ignored
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, ParamVector.initial(hyper), hyper)
         payload = json.loads(path.read_text())
-        del payload["diagonal_load"], payload["epsilon_guard"]
-        path.write_text(json.dumps(payload))
+        del payload["diagonal_load"]
+        path.write_text(json.dumps({**payload, "epsilon_guard": 1e-3}))
         _, loaded = load_checkpoint(path)
         assert loaded == SMALL
 
