@@ -8,13 +8,7 @@ polynomial coefficients, per-depth step scalars) is trained end to end.
 """
 
 from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, unrolled_cg
-from .compiled import (
-    CompiledFilter,
-    compile_filter,
-    guard_estimate,
-    network_response,
-    solve_patch,
-)
+from .compiled import CompiledFilter, compile_filter, network_response, solve_patch
 from .errors import (
     CliUsageError,
     DegenerateMatrixError,
@@ -106,7 +100,6 @@ __all__ = [
     "evaluate_psnr",
     "extract_features",
     "forward",
-    "guard_estimate",
     "lanczos_ritz",
     "load_checkpoint",
     "load_image",

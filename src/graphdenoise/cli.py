@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lanes
 from .cg_unroll import CgConfig, unrolled_cg
-from .compiled import LOWER, compile_filter, guard_estimate, network_response, solve_patch
+from .compiled import LOWER, compile_filter, network_response, solve_patch
 from .config import RunConfig, build_config
 from .errors import (
     CliUsageError,
@@ -187,8 +187,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     if not cfg.checkpoint:
         raise CliUsageError("--checkpoint is required for denoise")
-    out = _out_dir(cfg)
     params, hyper = load_checkpoint(cfg.checkpoint)
+    out = _out_dir(cfg)
     compiled = compile_filter(params, hyper)
     noisy = load_image(image_path)
 
@@ -212,8 +212,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise CliUsageError("--checkpoint is required for eval")
     if not cfg.test_dir:
         raise CliUsageError("--test_dir is required for eval")
-    out = _out_dir(cfg)
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
+    out = _out_dir(cfg)
     compiled = compile_filter(trained_params, hyper)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
@@ -277,6 +277,13 @@ def cmd_inspect(cfg: RunConfig) -> int:
     else:
         lines.append(f"compiled_degree = {compiled.degree}")
         lines.append(f"compiled_fit_error = {_fmt(compiled.fit_error)}")
+    # the most the network amplifies any eigencomponent of any patch
+    try:
+        spectrum = np.linspace(LOWER, 1.0, 1001)
+        max_gain = np.max(np.abs(network_response(params, hyper, spectrum)))
+    except NumericDivergenceError:
+        max_gain = float("nan")
+    lines.append(f"compiled_max_abs_q = {_fmt(max_gain)}")
     if cfg.test_dir:
         paths = _list_images(cfg.test_dir)
         image = load_image(paths[0])
@@ -287,16 +294,6 @@ def cmd_inspect(cfg: RunConfig) -> int:
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")
             lines.append(f"patch_{index}_pd = {'yes' if lam_min > 0 else 'no'}")
-            estimate = guard_estimate(system.psi, patch)
-            path = "compiled" if compiled is not None and estimate >= LOWER else "unrolled"
-            try:
-                spectrum = np.linspace(min(estimate, 1.0), 1.0, 1001)
-                max_gain = np.max(np.abs(network_response(params, hyper, spectrum)))
-            except NumericDivergenceError:
-                max_gain = float("nan")
-            lines.append(f"patch_{index}_guard_lower = {_fmt(estimate)}")
-            lines.append(f"patch_{index}_path = {path}")
-            lines.append(f"patch_{index}_max_abs_q = {_fmt(max_gain)}")
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if cfg.out:

@@ -4,20 +4,18 @@ Learned CG applies the same scalars to every input, so the trained network
 is one fixed polynomial of the smoother, x = Q(Psi) y, of degree K * T,
 which costs K * (T + 1) matvecs unrolled. Its scalar response Q(lambda) is
 the unrolled CG itself run on scalars (network_response). compile_filter
-fits Q on [LOWER, 1] with the lowest-degree Chebyshev interpolant that
-matches it to FIT_TOLERANCE, and the compiled filter is applied by the
-three-term Chebyshev recurrence in Psi, one matvec per degree.
+fits Q on [LOWER, 1] = [0, 1] with the lowest-degree Chebyshev interpolant
+that matches it to FIT_TOLERANCE, and the compiled filter is applied by
+the three-term Chebyshev recurrence in Psi, one matvec per degree.
 
-The interval is tight on purpose. Psi's spectrum lies in [-1, 1] (Psi is
-similar to the row-stochastic S^{-1} B), but Q explodes below 0: trained
-checkpoints reach about -1e13 at -0.25, so no polynomial of useful degree
-fits Q on [-1, 1]. solve_patch therefore guards each patch with
-GUARD_STEPS Lanczos steps started from the patch itself. The patch takes
-the compiled filter only if the smallest Ritz value minus its residual
-norm is at least LOWER, and the unrolled network (solve_system) otherwise.
-That estimate is not a rigorous bound on lambda_min: an eigenvector that
-the patch barely touches can lie below it unseen (and the patch then has
-little weight along it).
+The interval holds every patch's spectrum: Psi is positive definite and
+non-expansive by construction (graph_filter: the tapered window's Fejer
+symbol is >= 0, the Schur product with the Gaussian kernel keeps it
+positive definite, and Psi is congruent to that product), so its
+eigenvalues lie in (0, 1]. The fit is therefore valid on every patch, and
+a checkpoint that compiles takes the compiled filter for every patch with
+no per-patch check. The interval is also as tight as it can be: Q may
+explode below 0, where no eigenvalue lies.
 """
 from __future__ import annotations
 
@@ -28,21 +26,21 @@ from numpy.polynomial import chebyshev
 
 from .cg_unroll import unrolled_cg
 from .errors import NumericDivergenceError
-from .graph_filter import DenoiserOperator, lanczos_ritz
+from .graph_filter import DenoiserOperator
 from .taylor_system import TaylorSystemOperator
 from .train import ParamVector, PipelineConfig, solve_system
 
-# lower end of the fitted interval [LOWER, 1]
-LOWER = -0.1
+# lower end of the fitted interval [LOWER, 1]: Psi's spectrum lies in (0, 1]
+LOWER = 0.0
 # largest |Q - P| / max(|Q|, 1) the fit may leave on the check grid
 FIT_TOLERANCE = 1e-8
-# Lanczos steps of the per-patch spectrum guard
-GUARD_STEPS = 12
 # candidate degrees are the multiples of DEGREE_STEP
 DEGREE_STEP = 8
 # the fit is checked at the extrema of the Chebyshev polynomial of this
 # degree: on them the maximum of a polynomial of degree n is at least
-# cos(n pi / (2 CHECK_DEGREE)) times its maximum on the interval
+# cos(n pi / (2 CHECK_DEGREE)) times its maximum on the interval, so
+# candidate degrees stay below CHECK_DEGREE // 2, where that factor is
+# above cos(pi / 4)
 CHECK_DEGREE = 1024
 
 # [-1, 1] onto [LOWER, 1] and back
@@ -109,12 +107,13 @@ def compile_filter(theta: ParamVector, hyper: PipelineConfig) -> CompiledFilter 
     The degree is the smallest multiple of DEGREE_STEP whose interpolant
     at the first-kind Chebyshev points matches Q to FIT_TOLERANCE on the
     check grid. Returns None, and the unrolled network stays the only
-    path, when Q is not finite on the interval, when no degree fits, or
-    when no degree fits that beats the unrolled cost: degree plus
-    GUARD_STEPS must stay below the K * (T + 1) matvecs of solve_system.
+    path, when Q is not finite on the interval or when no degree fits
+    below both CHECK_DEGREE // 2 (the check grid bounds the fit no higher)
+    and the K * (T + 1) matvecs of solve_system (the compiled filter must
+    beat the unrolled cost).
     """
     unrolled_matvecs = hyper.degree_K * (hyper.depth_T + 1)
-    degrees = range(DEGREE_STEP, unrolled_matvecs - GUARD_STEPS, DEGREE_STEP)
+    degrees = range(DEGREE_STEP, min(unrolled_matvecs, CHECK_DEGREE // 2), DEGREE_STEP)
     if not degrees:
         return None
     check = chebyshev.chebpts2(CHECK_DEGREE + 1)
@@ -138,14 +137,6 @@ def compile_filter(theta: ParamVector, hyper: PipelineConfig) -> CompiledFilter 
     return None
 
 
-def guard_estimate(psi: DenoiserOperator, y: np.ndarray) -> float:
-    """The smallest Ritz value of Psi minus its residual norm, after
-    GUARD_STEPS Lanczos steps from y (lanczos_ritz); +inf for y = 0, which
-    every filter maps to 0."""
-    values, residuals = lanczos_ritz(psi, y, GUARD_STEPS)
-    return float(values[0] - residuals[0]) if values.size else np.inf
-
-
 def solve_patch(
     theta: ParamVector,
     system: TaylorSystemOperator,
@@ -153,8 +144,7 @@ def solve_patch(
     compiled: CompiledFilter | None,
 ) -> np.ndarray:
     """The learned network of theta on a built patch system: the compiled
-    filter when there is one and the patch's guard_estimate is at least
-    LOWER, else the unrolled solve_system."""
-    if compiled is not None and guard_estimate(system.psi, noisy) >= LOWER:
+    filter when there is one, else the unrolled solve_system."""
+    if compiled is not None:
         return compiled.apply(system.psi, noisy)
     return solve_system(theta, system, noisy)

@@ -4,13 +4,24 @@ The smoothing operator is assembled in three steps. Per-pixel feature
 vectors (grid coordinates, intensity, intensity gradients) are extracted
 from the noisy patch; pairwise weights
 
-    b_ij = exp(-(f_i - f_j)^T C^T C (f_i - f_j))
+    b_ij = w(dr) w(dc) exp(-(f_i - f_j)^T C^T C (f_i - f_j))
 
-are evaluated for pixel pairs within a Chebyshev window; and the weight
+are evaluated for pixel pairs (dr, dc) apart within a Chebyshev window of
+radius r, under the triangle taper w(d) = 1 - |d| / (r + 1); and the weight
 matrix B is normalized as Psi = S^{-1/2} B S^{-1/2} with S the diagonal of
-row sums. The symmetric normalization keeps the operator symmetric and
-non-expansive (spectral radius <= 1, by similarity to the row-stochastic
-S^{-1} B), at the cost of rows no longer summing exactly to one.
+row sums.
+
+Psi is positive definite with its spectrum in (0, 1], for every metric C
+and patch. The exponential is a Gaussian kernel on the mapped features
+C f_i, so over all pixel pairs it is a positive semi-definite matrix with
+unit diagonal. The taper is the autocorrelation of a box of r + 1 ones, so
+its symbol (a product of two Fejer kernels) is >= 0 and the window matrix
+W_ij = w(dr) w(dc) is positive definite. By the Schur product theorem B,
+their entrywise product, is positive definite; Psi is congruent to B, so
+it is too. It is non-expansive by similarity to the row-stochastic
+S^{-1} B. (An untapered box window is not positive semi-definite, and
+neither is B under it.) The symmetric normalization keeps the operator
+symmetric, at the cost of rows no longer summing exactly to one.
 
 Every edge joins a pixel to one of the window's grid offsets, so B is
 stored as one weight plane per half-window offset (window_blocks), each
@@ -274,32 +285,31 @@ def window_blocks(side: int, radius: int):
 def build_filter_matrix(
     field_: FeatureField, metric: MetricFactor, window_radius: int
 ) -> SparseFilterMatrix:
-    """Evaluate filter weights for all grid pairs within the Chebyshev window.
+    """Evaluate tapered filter weights for all grid pairs within the
+    Chebyshev window.
 
     Each unordered pair is evaluated once, into the plane of its half-window
-    offset, so B is exactly symmetric; its diagonal is exactly 1.
+    offset, so B is exactly symmetric; its diagonal is exactly 1. Each
+    plane is scaled by its offset's taper w(dr) w(dc).
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
     side = field_.patch_side
     feats = field_.features.reshape(side, side, FEATURE_DIM)
+    width = window_radius + 1
     planes = []
-    for _, _, block_i, block_j in window_blocks(side, window_radius):
+    for dr, dc, block_i, block_j in window_blocks(side, window_radius):
         d = feats[block_i] - feats[block_j]
         scaled = d.reshape(-1, FEATURE_DIM) @ metric.entries.T
-        planes.append(np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2]))
+        plane = np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2])
+        # w(dr) w(dc) with w(d) = (width - |d|) / width, dr >= 0
+        plane *= (width - dr) * (width - abs(dc)) / (width * width)
+        planes.append(plane)
     return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
 
 
-def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserOperator:
-    """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B.
-
-    diagonal_load epsilon replaces Psi by (1 - eps) Psi + eps I, a convex
-    shift toward the identity for patches whose spectrum dips below zero.
-    The default 0 leaves Psi untouched.
-    """
-    if not 0.0 <= diagonal_load < 1.0:
-        raise InvalidInputError("diagonal_load must lie in [0, 1)")
+def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
+    """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
     side = filt.side
     blocks = list(filt.blocks())
     # each row sum starts at the unit diagonal and adds its pixel's weights
@@ -327,9 +337,6 @@ def normalize(filt: SparseFilterMatrix, diagonal_load: float = 0.0) -> DenoiserO
         half = plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
         diagonals[slot[o]][block_j] = half
         diagonals[slot[-o]][block_i] = half
-    if diagonal_load != 0.0:
-        diagonals *= 1.0 - diagonal_load
-        diagonals[slot[0]] += diagonal_load
     n = filt.n
     # the conversion keeps each row in offset order, i.e. sorted by column,
     # and drops the exact zeros: the padding and any weight that underflows

@@ -45,7 +45,8 @@ from .taylor_system import TaylorSystemOperator, default_coefficients
 _TRIL = np.tril_indices(FEATURE_DIM)
 N_METRIC_PARAMS = _TRIL[0].size  # 15
 
-CHECKPOINT_VERSION = 1
+# 2: the tapered window; a version-1 file describes a box-window network
+CHECKPOINT_VERSION = 2
 
 # Adam's moment decay rates and denominator floor
 ADAM_BETA1 = 0.9
@@ -61,7 +62,6 @@ class PipelineConfig:
     degree_K: int = 10
     expansion_s: float = 1.0
     depth_T: int = 15
-    diagonal_load: float = 0.0
 
     def __post_init__(self):
         for name, least in (("window_radius", 1), ("degree_K", 1), ("depth_T", 0)):
@@ -72,8 +72,6 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"expansion_s must be finite and positive, got {self.expansion_s}"
             )
-        if not 0.0 <= self.diagonal_load < 1.0:
-            raise InvalidInputError(f"diagonal_load must lie in [0, 1), got {self.diagonal_load}")
 
 
 @dataclass(eq=False)
@@ -162,7 +160,7 @@ def build_system(
     field_ = extract_features(noisy, patch_side)
     filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
     system = TaylorSystemOperator(
-        psi=normalize(filt, diagonal_load=hyper.diagonal_load),
+        psi=normalize(filt),
         degree_K=hyper.degree_K,
         coefficients=theta.tse_coeffs,
         expansion_point_s=hyper.expansion_s,
@@ -352,28 +350,28 @@ def _grad_single(
     diag_bar, half_bar, mirror_bar = psi_sums.planes()
     del psi_sums
 
-    # --- reverse through Psi = (1-eps) S^{-1/2} B S^{-1/2} + eps I ---
+    # --- reverse through Psi = S^{-1/2} B S^{-1/2} ---
     filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
-    keep = 1.0 - hyper.diagonal_load
     S = op.row_sums.reshape(patch_side, patch_side)
     inv_sqrt = 1.0 / np.sqrt(S)
     pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
     weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]
-    gS = 2.0 * diag_bar * (keep * inv_sqrt * inv_sqrt)
+    gS = 2.0 * diag_bar * (inv_sqrt * inv_sqrt)
     for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
-        tmp = bar * (keep * b * pair)
+        tmp = bar * (b * pair)
         gS[bi] += tmp
         gS[bj] += tmp
     gS *= -0.5 / S
 
-    # --- reverse through b_ij = exp(-||C d_ij||^2) into the factor C ---
+    # --- reverse through b_ij = w_ij exp(-||C d_ij||^2) into the factor C ---
+    # db/dq = -b for q = ||C d_ij||^2, with the taper w_ij inside the stored b
     feats = field_.features.reshape(patch_side, patch_side, FEATURE_DIM)
     scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
     for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
-        gq = (-b * (keep * pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
+        gq = (-b * (pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
         d = (feats[bi] - feats[bj]).reshape(-1, FEATURE_DIM)
         scatter += d.T @ (d * gq)
     gC = 2.0 * theta.metric().entries @ scatter
@@ -536,7 +534,6 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
         "degree_K": hyper.degree_K,
         "expansion_s": hyper.expansion_s,
         "depth_T": hyper.depth_T,
-        "diagonal_load": float(hyper.diagonal_load),
         "metric_factor": [float(v) for v in params.metric_factor],
         "tse_coeffs": [float(v) for v in params.tse_coeffs],
         "cg_alpha": [float(v) for v in params.cg_alpha],
@@ -566,9 +563,9 @@ def write_text_durably(path, text: str) -> None:
 
 def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
     """Inverse of save_checkpoint. Any malformed payload raises
-    InvalidInputError; files without diagonal_load get the PipelineConfig
-    default. Unknown keys are ignored, among them the analytic solver's
-    breakdown guard that older files carry."""
+    InvalidInputError, among them a structural integer that is not a JSON
+    integer (3.7, true or "3" would load another network). Unknown keys
+    are ignored."""
     try:
         payload = json.loads(Path(path).read_text(encoding="ascii"))
     except ValueError as exc:  # undecodable bytes or invalid JSON
@@ -581,13 +578,12 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
     if payload.get("feature_dim") != FEATURE_DIM:
         raise InvalidInputError("checkpoint feature_dim does not match this build")
     try:
-        hyper = PipelineConfig(
-            window_radius=int(payload["window_radius"]),
-            degree_K=int(payload["degree_K"]),
-            expansion_s=float(payload["expansion_s"]),
-            depth_T=int(payload["depth_T"]),
-            diagonal_load=float(payload.get("diagonal_load", PipelineConfig.diagonal_load)),
-        )
+        structure = {key: payload[key] for key in ("window_radius", "degree_K", "depth_T")}
+        for key, value in structure.items():
+            # bool is a subclass of int, so the type is compared exactly
+            if type(value) is not int:
+                raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+        hyper = PipelineConfig(**structure, expansion_s=float(payload["expansion_s"]))
         params = ParamVector(
             metric_factor=np.asarray(payload["metric_factor"], dtype=float),
             tse_coeffs=np.asarray(payload["tse_coeffs"], dtype=float),

@@ -65,8 +65,15 @@ def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> flo
     return float(np.exp(-(scaled @ scaled)))
 
 
+def window_taper(dr: int, dc: int, radius: int) -> float:
+    """The triangle taper (1 - |dr| / (r + 1)) (1 - |dc| / (r + 1)) of a
+    pixel offset inside the Chebyshev window."""
+    return (1.0 - abs(dr) / (radius + 1)) * (1.0 - abs(dc) / (radius + 1))
+
+
 def dense_filter_matrix(field: FeatureField, metric: MetricFactor, radius: int) -> np.ndarray:
-    """Dense weight matrix: every pair checked against the Chebyshev window."""
+    """Dense weight matrix: every pair checked against the Chebyshev window
+    and its weight tapered by the pair's offset."""
     side = field.patch_side
     n = side * side
     dense = np.zeros((n, n))
@@ -75,7 +82,8 @@ def dense_filter_matrix(field: FeatureField, metric: MetricFactor, radius: int) 
         for j in range(n):
             rj, cj = divmod(j, side)
             if max(abs(ri - rj), abs(ci - cj)) <= radius:
-                dense[i, j] = filter_weight(field.features[i], field.features[j], metric)
+                weight = filter_weight(field.features[i], field.features[j], metric)
+                dense[i, j] = window_taper(ri - rj, ci - cj, radius) * weight
     return dense
 
 

@@ -19,18 +19,16 @@ from graphdenoise import (
     build_system,
     calibrated_initial,
     compile_filter,
-    forward,
-    guard_estimate,
     load_image,
     partition,
     psnr,
     reassemble,
     save_image,
+    solve_patch,
     synthesize_image,
 )
 from graphdenoise import cli
 from graphdenoise.cli import main
-from graphdenoise.compiled import LOWER
 from graphdenoise.config import build_config, parse_config_file
 from graphdenoise.errors import CliUsageError, NumericDivergenceError
 from graphdenoise.train import (
@@ -310,6 +308,9 @@ class TestInspect:
                 eigen.append(float(value))
         assert eigen and min(eigen) >= -1e-10
         assert "patch_0_lambda_max" in out
+        # Psi is positive definite: no per-patch guard or path to report
+        assert re.search(r"^compiled_max_abs_q = \S+$", out, re.M)
+        assert "patch_0_pd = yes" in out and "_path" not in out and "guard" not in out
 
 
 class TestExitCodes:
@@ -381,8 +382,10 @@ class TestExitCodes:
             lambda payload: json.dumps(
                 {**payload, "degree_K": 0, "tse_coeffs": payload["tse_coeffs"][:1]}
             ),
-            lambda payload: json.dumps({**payload, "diagonal_load": float("nan")}),
-            lambda payload: json.dumps({**payload, "diagonal_load": 1.0}),
+            lambda payload: json.dumps({**payload, "window_radius": 2.7}),
+            lambda payload: json.dumps({**payload, "window_radius": True}),
+            lambda payload: json.dumps({**payload, "degree_K": 4.0}),
+            lambda payload: json.dumps({**payload, "depth_T": "4"}),
             lambda payload: json.dumps(
                 {**payload, "metric_factor": [float("inf"), *payload["metric_factor"][1:]]}
             ),
@@ -398,21 +401,33 @@ class TestExitCodes:
             "radius-zero",
             "radius-negative",
             "K-zero",
-            "load-nan",
-            "load-one",
+            "radius-float",
+            "radius-bool",
+            "K-integral-float",
+            "T-string",
             "metric-inf",
         ],
     )
-    def test_malformed_checkpoint_is_one_line_usage_error(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("command", ["inspect", "denoise", "eval"])
+    def test_malformed_checkpoint_is_one_line_usage_error(
+        self, tmp_path, image_dir, test_dir, capsys, edit, command
+    ):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
         ckpt.write_text(edit(json.loads(ckpt.read_text())), encoding="utf-8")
+        argv = {
+            "inspect": ["inspect"],
+            "denoise": ["denoise", str(sorted(image_dir.iterdir())[0])],
+            "eval": ["eval", "--test_dir", str(test_dir)],
+        }[command]
+        out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
+        assert main([*argv, "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: checkpoint")
         assert "Traceback" not in err
+        assert not out.exists()  # rejected before the output directory is made
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -512,10 +527,22 @@ def run_subprocess(args, cpu=None):
     )
 
 
+def learned_solver(params, hyper, side):
+    """The learned network as denoise and eval run it on one patch: the
+    compiled filter when the checkpoint compiles, else the unrolled one."""
+    compiled = compile_filter(params, hyper)
+
+    def solve(patch):
+        return solve_patch(params, build_system(params, patch, side, hyper)[2], patch, compiled)
+
+    return solve
+
+
 def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
-    """cmd_eval's table computed patch by patch with forward, in one thread."""
+    """cmd_eval's table computed patch by patch, in one thread."""
     params, hyper = load_checkpoint(ckpt)
     init = ParamVector.initial(hyper)
+    solve = learned_solver(params, hyper, side)
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(sigmas):
         scores = [[], [], []]
@@ -528,7 +555,7 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
                     [
                         build_system(init, patch, side, hyper)[2].psi.apply(patch),
                         analytic_forward(init, patch, side, hyper),
-                        forward(params, patch, side, hyper),
+                        solve(patch),
                     ]
                     for patch in noisy.patches
                 ],
@@ -555,7 +582,8 @@ class TestSolveLanes:
         # serial per-patch reference
         params, hyper = load_checkpoint(ckpt)
         grid = partition(load_image(tmp_path / "noisy.pgm"), 16)
-        patches = np.clip([forward(params, patch, 16, hyper) for patch in grid.patches], 0.0, 1.0)
+        solve = learned_solver(params, hyper, 16)
+        patches = np.clip([solve(patch) for patch in grid.patches], 0.0, 1.0)
         save_image(reassemble(replace(grid, patches=patches)), tmp_path / "reference.pgm")
         reference_psnr = psnr(clean, load_image(tmp_path / "reference.pgm"))
         reference_csv = serial_eval_csv(ckpt, test_dir, (10.0, 25.0), 2, 16)
@@ -747,11 +775,7 @@ class TestCompiledLanes:
     def theta(self, noisy):
         hyper = PipelineConfig()
         theta = calibrated_initial(hyper, partition(noisy, 64).patches[:3], 64)
-        compiled = compile_filter(theta, hyper)
-        assert compiled is not None
-        for patch in partition(noisy, 64).patches:
-            _, _, system = build_system(theta, patch, 64, hyper)
-            assert guard_estimate(system.psi, patch) >= LOWER
+        assert compile_filter(theta, hyper) is not None
         return theta
 
     def test_denoise_bytes_do_not_depend_on_the_lane_count(

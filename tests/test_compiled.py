@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphdenoise import compiled as compiled_module
 from graphdenoise import (
     ParamVector,
     PipelineConfig,
@@ -10,7 +11,6 @@ from graphdenoise import (
     calibrated_initial,
     compile_filter,
     forward,
-    guard_estimate,
     network_response,
     partition,
     solve_patch,
@@ -18,7 +18,7 @@ from graphdenoise import (
     synthesize_image,
     train_loop,
 )
-from graphdenoise.compiled import FIT_TOLERANCE, GUARD_STEPS, LOWER
+from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE, LOWER
 from oracles import operator_from_dense, operator_with_spectrum
 
 DEFAULT = PipelineConfig()  # K = 10, T = 15: 160 matvecs unrolled
@@ -67,11 +67,10 @@ class TestCompileFilter:
         compiled = compile_filter(theta, DEFAULT)
         assert compiled is not None
         assert compiled.fit_error <= FIT_TOLERANCE
-        assert compiled.degree + GUARD_STEPS < DEFAULT.degree_K * (DEFAULT.depth_T + 1)
+        assert compiled.degree < DEFAULT.degree_K * (DEFAULT.depth_T + 1)
         for sigma in (15.0, 50.0):
             for patch in noisy_patches(31, sigma):
                 _, _, system = build_system(theta, patch, 64, DEFAULT)
-                assert guard_estimate(system.psi, patch) >= LOWER
                 out = solve_patch(theta, system, patch, compiled)
                 reference = forward(theta, patch, 64, DEFAULT)
                 assert not np.array_equal(out, reference)  # the compiled path ran
@@ -92,9 +91,10 @@ class TestCompileFilter:
     @pytest.mark.parametrize(
         "hyper, theta_of",
         [
-            # K (T + 1) = 20 leaves no degree of 8 or more below it after the guard
-            (PipelineConfig(window_radius=2, degree_K=4, depth_T=4), None),
-            (PipelineConfig(depth_T=0), None),
+            # K (T + 1) = 8 leaves no degree of 8 or more below it
+            (PipelineConfig(window_radius=2, degree_K=2, depth_T=3), None),
+            # the identity network of the CLI's depth-zero test: K (T + 1) = 4
+            (PipelineConfig(window_radius=2, degree_K=4, depth_T=0), None),
             (DEFAULT, None),  # uncalibrated: alpha = 1, beta = 0; no degree fits
             (DEFAULT, lambda theta: theta.cg_alpha.__setitem__(slice(None), 1e300)),
             (DEFAULT, lambda theta: theta.cg_alpha.__setitem__(1, np.nan)),
@@ -107,21 +107,29 @@ class TestCompileFilter:
             theta_of(theta)
         assert compile_filter(theta, hyper) is None
 
+    def test_candidate_degrees_stop_below_half_the_check_grid(self, monkeypatch):
+        # K (T + 1) = 101000: one node set per candidate below it would need
+        # about 6e8 points; above CHECK_DEGREE // 2 the check grid no
+        # longer bounds the fit
+        hyper = PipelineConfig(window_radius=2, degree_K=1000, depth_T=100)
+        sizes = []
 
-class TestGuard:
-    def test_spectrum_below_the_interval_takes_the_unrolled_path_bitwise(self, calibrated):
-        system = system_with_spectrum(calibrated, -0.5, 1.0)
-        y = np.random.default_rng(2).random(64)
-        compiled = compile_filter(calibrated, DEFAULT)
-        assert guard_estimate(system.psi, y) < LOWER
-        out = solve_patch(calibrated, system, y, compiled)
-        assert np.array_equal(out, solve_system(calibrated, system, y))
+        def counting_response(theta, hyper, lam):
+            sizes.append(lam.size)
+            return network_response(theta, hyper, lam)
 
+        monkeypatch.setattr(compiled_module, "network_response", counting_response)
+        compiled = compile_filter(ParamVector.initial(hyper), hyper)
+        assert compiled is None or compiled.degree < CHECK_DEGREE // 2
+        below = range(8, CHECK_DEGREE // 2, 8)
+        assert sizes == [CHECK_DEGREE + 1 + sum(degree + 1 for degree in below)]
+
+
+class TestSolvePatch:
     def test_spectrum_inside_the_interval_takes_the_compiled_path(self, calibrated):
-        system = system_with_spectrum(calibrated, 0.0, 1.0)
+        system = system_with_spectrum(calibrated, LOWER, 1.0)
         y = np.random.default_rng(2).random(64)
         compiled = compile_filter(calibrated, DEFAULT)
-        assert guard_estimate(system.psi, y) >= LOWER
         out = solve_patch(calibrated, system, y, compiled)
         reference = solve_system(calibrated, system, y)
         assert not np.array_equal(out, reference)
@@ -130,6 +138,5 @@ class TestGuard:
     def test_zero_patch_is_zero_on_the_compiled_path(self, calibrated):
         patch = np.zeros(64 * 64)
         _, _, system = build_system(calibrated, patch, 64, DEFAULT)
-        assert guard_estimate(system.psi, patch) == np.inf
         out = solve_patch(calibrated, system, patch, compile_filter(calibrated, DEFAULT))
         assert np.array_equal(out, patch)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -27,6 +27,7 @@ from oracles import (
     operator_from_dense,
     random_patch,
     stencil_gradients,
+    window_taper,
 )
 
 
@@ -146,10 +147,11 @@ class TestBuildFilterMatrix:
         assert np.count_nonzero(dense[center]) == 9
         assert np.count_nonzero(dense[corner]) == 4
 
-    def test_zero_metric_gives_all_ones(self):
+    def test_zero_metric_gives_the_window_taper(self):
         field = extract_features(random_patch(1, 4), 4)
         filt = build_filter_matrix(field, MetricFactor(entries=np.zeros((5, 5))), 2)
-        assert all(np.all(plane == 1.0) for plane in filt.planes)
+        for (dr, dc, _, _), plane in zip(filt.blocks(), filt.planes):
+            np.testing.assert_allclose(plane, window_taper(dr, dc, 2), rtol=1e-15)
 
     def test_matches_dense_oracle(self):
         field = extract_features(random_patch(2, 5), 5)
@@ -169,21 +171,25 @@ class TestBuildFilterMatrix:
 
     @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    @pytest.mark.parametrize("load", [0.0, 0.1])
     @pytest.mark.parametrize(
         "metric",
-        [MetricFactor.bilateral_default(), MetricFactor.diagonal([0.0, 0.0, 100.0, 0.0, 0.0])],
-        ids=["bilateral", "underflow"],
+        [
+            MetricFactor.bilateral_default(),
+            MetricFactor.diagonal([0.0, 0.0, 100.0, 0.0, 0.0]),
+            MetricFactor.from_lower_triangle(np.random.default_rng(6).normal(0.0, 0.6, 15)),
+        ],
+        ids=["bilateral", "underflow", "random"],
     )
-    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, load, metric):
+    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, metric):
         # scipy sorts each row by column; side <= 2r puts two offsets at one
         # flat offset, on disjoint pixels. The underflow metric makes most
-        # weights exactly 0, which Psi does not store.
+        # weights exactly 0, which Psi does not store. The loop's weights
+        # are the tapered ones, checked against the tapered dense oracle.
         field = extract_features(random_patch(5 * side + radius, side), side)
         filt = build_filter_matrix(field, metric, radius)
         dense = filt.to_dense()
         assert np.max(np.abs(dense - dense_filter_matrix(field, metric, radius))) < 1e-15
-        op = normalize(filt, diagonal_load=load)
+        op = normalize(filt)
         inv_sqrt = 1.0 / np.sqrt(op.row_sums)
         n = side * side
         rows, cols, values = [], [], []
@@ -192,8 +198,6 @@ class TestBuildFilterMatrix:
                 (ri, ci), (rj, cj) = divmod(i, side), divmod(j, side)
                 if max(abs(ri - rj), abs(ci - cj)) <= radius:
                     value = dense[i, j] * (inv_sqrt[i] * inv_sqrt[j])
-                    if load:
-                        value = (1.0 - load) * value + load * (i == j)
                     rows.append(i)
                     cols.append(j)
                     values.append(value)
@@ -308,13 +312,6 @@ class TestNormalize:
         with pytest.raises(DegenerateMatrixError):
             normalize(grid_filter(2, {(0, 1): -1.0}))
 
-    def test_diagonal_load_shifts_toward_identity(self):
-        field = extract_features(random_patch(9, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 2)
-        plain = normalize(filt).to_dense()
-        loaded = normalize(filt, diagonal_load=0.25).to_dense()
-        assert np.allclose(loaded, 0.75 * plain + 0.25 * np.eye(16), atol=1e-15)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
     def test_nonexpansive_over_random_patches(self, seed):
@@ -322,6 +319,19 @@ class TestNormalize:
         filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 2)
         eigs = np.linalg.eigvalsh(normalize(filt).to_dense())
         assert eigs.max() <= 1.0 + 1e-8
+
+    @given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @example(side=2, radius=3, seed=0)  # side <= 2r: the window covers the patch
+    @example(side=16, radius=3, seed=321)
+    @settings(max_examples=60)
+    def test_positive_definite_for_any_metric(self, side, radius, seed):
+        # metric entries drawn as in acceptance criterion 6; the tapered
+        # window makes B, and so Psi, positive definite for every metric
+        rng = np.random.default_rng(seed)
+        field = extract_features(rng.random(side * side), side)
+        metric = MetricFactor.from_lower_triangle(rng.normal(0.0, 0.6, 15))
+        psi = normalize(build_filter_matrix(field, metric, radius))
+        assert np.linalg.eigvalsh(psi.to_dense()).min() > -1e-12
 
 
 class TestApplyPsi:

@@ -38,6 +38,7 @@ from graphdenoise import (
     unrolled_cg,
     window_blocks,
 )
+from graphdenoise.train import CHECKPOINT_VERSION
 from oracles import (
     analytic_forward,
     central_difference,
@@ -250,17 +251,6 @@ class TestReverseGradients:
             if checked == 20:
                 break
         assert checked == 20
-
-    def test_matches_finite_differences_with_diagonal_load(self):
-        hyper = PipelineConfig(
-            window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.1
-        )
-        pairs = [noisy_clean_pair(21, 8)]
-        theta = perturbed_params(hyper, 21, [pairs[0][0]], 8)
-        g_rev = loss_and_grad(theta, pairs, 8, hyper)[1].pack()
-        g_fd = grad_fd(theta, pairs, 8, hyper).pack()
-        denom = np.maximum(np.maximum(np.abs(g_rev), np.abs(g_fd)), 1e-8)
-        assert np.max(np.abs(g_rev - g_fd) / denom) < 1e-4
 
     def test_gradient_flows_into_every_block(self):
         noisy, clean = noisy_clean_pair(12, 8)
@@ -528,7 +518,9 @@ class TestCheckpoint:
         theta = ParamVector.initial(SMALL)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, theta, SMALL)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        text = path.read_text().replace(
+            f'"format_version": {CHECKPOINT_VERSION}', '"format_version": 99'
+        )
         path.write_text(text)
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
@@ -549,17 +541,22 @@ class TestCheckpoint:
             _, loaded = load_checkpoint(path)
             assert getattr(loaded, field_.name) == value, field_.name
 
-    def test_older_files_load(self, tmp_path):
-        # files from before diagonal_load was saved get its default, and the
-        # epsilon_guard that older files carry is ignored
-        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=5, diagonal_load=0.2)
+    def test_unknown_keys_are_ignored(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, ParamVector.initial(hyper), hyper)
+        save_checkpoint(path, ParamVector.initial(SMALL), SMALL)
         payload = json.loads(path.read_text())
-        del payload["diagonal_load"]
-        path.write_text(json.dumps({**payload, "epsilon_guard": 1e-3}))
+        path.write_text(json.dumps({**payload, "epsilon_guard": 1e-3, "diagonal_load": 0.2}))
         _, loaded = load_checkpoint(path)
         assert loaded == SMALL
+
+    def test_box_window_files_rejected(self, tmp_path):
+        # version 1 described the untapered window: another network
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, ParamVector.initial(SMALL), SMALL)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "format_version": 1}))
+        with pytest.raises(InvalidInputError, match="^unsupported checkpoint version 1$"):
+            load_checkpoint(path)
 
     def test_inconsistent_lengths_rejected(self, tmp_path):
         theta = ParamVector.initial(SMALL)
