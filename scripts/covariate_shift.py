@@ -2,9 +2,9 @@
 """Covariate-shift experiment: train at one noise level, test across many.
 
 Trains the denoiser on synthetic images contaminated at --sigma_train, then
-reports mean test PSNR at each sigma in --sigmas for three pipelines: the
-pure normalized smoother, the untrained initialization, and the trained
-network. With a mismatched test sigma the trained model degrades gracefully
+reports mean test PSNR at each sigma in --sigmas for two pipelines: the
+untrained initialization (calibrated CG scalars) and the trained network.
+With a mismatched test sigma the trained model degrades gracefully
 (PSNR falls monotonically in sigma).
 
 Example:

@@ -8,7 +8,7 @@ polynomial coefficients, per-depth step scalars) is trained end to end.
 """
 
 from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, unrolled_cg
-from .compiled import CompiledFilter, compile_filter, network_response, solve_patch
+from .compiled import CompiledFilter, compile_filter, network_response
 from .errors import (
     CliUsageError,
     DegenerateMatrixError,
@@ -57,7 +57,6 @@ from .train import (
     load_checkpoint,
     loss_and_grad,
     save_checkpoint,
-    solve_system,
     train_loop,
     write_text_durably,
 )
@@ -111,8 +110,6 @@ __all__ = [
     "reassemble",
     "save_checkpoint",
     "save_image",
-    "solve_patch",
-    "solve_system",
     "synthesize_image",
     "train_loop",
     "unrolled_cg",

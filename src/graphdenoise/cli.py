@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lanes
 from .cg_unroll import CgConfig, unrolled_cg
-from .compiled import LOWER, compile_filter, network_response, solve_patch
+from .compiled import compile_filter, network_response
 from .config import RunConfig, build_config
 from .errors import (
     CliUsageError,
@@ -188,13 +188,13 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     if not cfg.checkpoint:
         raise CliUsageError("--checkpoint is required for denoise")
     params, hyper = load_checkpoint(cfg.checkpoint)
-    out = _out_dir(cfg)
     compiled = compile_filter(params, hyper)
+    out = _out_dir(cfg)
     noisy = load_image(image_path)
 
     def build(patch):
         _, _, system = build_system(params, patch, cfg.patch_side, hyper)
-        return lambda: [solve_patch(params, system, patch, compiled)]
+        return lambda: [compiled.apply(system.psi, patch)]
 
     [denoised] = _map_patches(noisy, cfg.patch_side, [build])
     target = out / (Path(image_path).stem + "_denoised.pgm")
@@ -213,8 +213,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.test_dir:
         raise CliUsageError("--test_dir is required for eval")
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
-    out = _out_dir(cfg)
     compiled = compile_filter(trained_params, hyper)
+    out = _out_dir(cfg)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
     analytic = CgConfig(depth_T=hyper.depth_T, mode="analytic")
@@ -227,7 +227,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def trained(patch):
         _, _, system = build_system(trained_params, patch, side, hyper)
-        return lambda: [solve_patch(trained_params, system, patch, compiled)]
+        return lambda: [compiled.apply(system.psi, patch)]
 
     names = ("bilateral", "init", "trained")
     paths = _list_images(cfg.test_dir)
@@ -271,15 +271,15 @@ def cmd_inspect(cfg: RunConfig) -> int:
         lines.append(f"cg_alpha_{k} = {_fmt(value)}")
     for k, value in enumerate(params.cg_beta):
         lines.append(f"cg_beta_{k} = {_fmt(value)}")
-    compiled = compile_filter(params, hyper)
-    if compiled is None:
-        lines += ["compiled_degree = none", "compiled_fit_error = none"]
-    else:
+    try:
+        compiled = compile_filter(params, hyper)
         lines.append(f"compiled_degree = {compiled.degree}")
         lines.append(f"compiled_fit_error = {_fmt(compiled.fit_error)}")
+    except NumericDivergenceError:
+        lines += ["compiled_degree = none", "compiled_fit_error = none"]
     # the most the network amplifies any eigencomponent of any patch
     try:
-        spectrum = np.linspace(LOWER, 1.0, 1001)
+        spectrum = np.linspace(0.0, 1.0, 1001)
         max_gain = np.max(np.abs(network_response(params, hyper, spectrum)))
     except NumericDivergenceError:
         max_gain = float("nan")

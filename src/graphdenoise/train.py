@@ -222,11 +222,6 @@ def forward(
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
     _, _, system = build_system(theta, noisy, patch_side, hyper)
-    return solve_system(theta, system, noisy)
-
-
-def solve_system(theta: ParamVector, system: TaylorSystemOperator, noisy: np.ndarray) -> np.ndarray:
-    """The learned unrolled CG of theta on a built patch system (build_system)."""
     x, _ = unrolled_cg(system, noisy, theta.cg_config())
     return x
 

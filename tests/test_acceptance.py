@@ -11,6 +11,7 @@ import numpy as np
 from graphdenoise import (
     CgConfig,
     MetricFactor,
+    NumericDivergenceError,
     ParamVector,
     PipelineConfig,
     TaylorSystemOperator,
@@ -186,13 +187,17 @@ def test_criterion_5_training_gain():
     final_psnr = evaluate_psnr(state.params, test_pairs, patch_side, hyper)
     gain = final_psnr - init_psnr
     loss_ok = history[-1].train_loss <= history[0].train_loss
-    # the trained network compiles, so denoise runs it as one filter of Psi
-    compiled = compile_filter(state.params, hyper)
-    degree = "none" if compiled is None else compiled.degree
+    # the trained network compiles, so denoise can run it, and at no more
+    # than the K * T degree of its polynomial
+    try:
+        degree = compile_filter(state.params, hyper).degree
+        compiles = degree <= hyper.degree_K * hyper.depth_T
+    except NumericDivergenceError:
+        degree, compiles = "none", False
     _report(
         5,
         "training gain",
-        gain >= 1.0 and loss_ok and elapsed < 1800.0 and compiled is not None,
+        gain >= 1.0 and loss_ok and elapsed < 1800.0 and compiles,
         f"test PSNR {init_psnr:.2f} -> {final_psnr:.2f} dB (gain {gain:+.2f}) "
         f"in {elapsed:.0f}s over 20 epochs; compiles at degree {degree}",
     )

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from graphdenoise import compiled as compiled_module
 from graphdenoise import (
+    DenoiserOperator,
+    NumericDivergenceError,
     ParamVector,
     PipelineConfig,
     TaylorSystemOperator,
@@ -13,12 +16,11 @@ from graphdenoise import (
     forward,
     network_response,
     partition,
-    solve_patch,
-    solve_system,
     synthesize_image,
     train_loop,
+    unrolled_cg,
 )
-from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE, LOWER
+from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE
 from oracles import operator_from_dense, operator_with_spectrum
 
 DEFAULT = PipelineConfig()  # K = 10, T = 15: 160 matvecs unrolled
@@ -60,58 +62,119 @@ def system_with_spectrum(theta, lo, hi, seed=0):
     )
 
 
+def relative_error(out, reference):
+    return np.linalg.norm(out - reference) / np.linalg.norm(reference)
+
+
 class TestCompileFilter:
     @pytest.mark.parametrize("which", ["calibrated", "trained"])
     def test_matches_forward_to_one_in_1e8(self, request, which):
         theta = request.getfixturevalue(which)
         compiled = compile_filter(theta, DEFAULT)
-        assert compiled is not None
         assert compiled.fit_error <= FIT_TOLERANCE
-        assert compiled.degree < DEFAULT.degree_K * (DEFAULT.depth_T + 1)
+        assert compiled.degree <= DEFAULT.degree_K * DEFAULT.depth_T
         for sigma in (15.0, 50.0):
             for patch in noisy_patches(31, sigma):
                 _, _, system = build_system(theta, patch, 64, DEFAULT)
-                out = solve_patch(theta, system, patch, compiled)
+                out = compiled.apply(system.psi, patch)
                 reference = forward(theta, patch, 64, DEFAULT)
-                assert not np.array_equal(out, reference)  # the compiled path ran
-                error = np.linalg.norm(out - reference) / np.linalg.norm(reference)
-                assert error <= 1e-8
+                assert not np.array_equal(out, reference)  # the compiled filter ran
+                assert relative_error(out, reference) <= 1e-8
+
+    @pytest.mark.parametrize("which", ["calibrated", "trained"])
+    def test_keeps_the_shortest_prefix_whose_dropped_tail_is_within_tolerance(
+        self, request, which
+    ):
+        theta = request.getfixturevalue(which)
+        full = chebyshev.chebinterpolate(
+            lambda x: network_response(theta, DEFAULT, (1.0 + x) / 2.0),
+            DEFAULT.degree_K * DEFAULT.depth_T,
+        )
+        kept = compile_filter(theta, DEFAULT).degree + 1
+        assert kept < full.size
+        assert np.sum(np.abs(full[kept:])) <= FIT_TOLERANCE < np.sum(np.abs(full[kept - 1 :]))
 
     def test_response_is_the_network_on_an_eigenvector(self, calibrated):
         # on a diagonal Psi every basis vector is an eigenvector
-        lam = np.linspace(LOWER, 1.0, 64)
+        lam = np.linspace(0.0, 1.0, 64)
         system = TaylorSystemOperator(
             psi=operator_from_dense(np.diag(lam)),
             degree_K=DEFAULT.degree_K,
             coefficients=calibrated.tse_coeffs,
         )
-        x = solve_system(calibrated, system, np.ones(64))
+        x, _ = unrolled_cg(system, np.ones(64), calibrated.cg_config())
         np.testing.assert_allclose(network_response(calibrated, DEFAULT, lam), x, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "hyper, theta_of",
+        "hyper",
         [
-            # K (T + 1) = 8 leaves no degree of 8 or more below it
-            (PipelineConfig(window_radius=2, degree_K=2, depth_T=3), None),
-            # the identity network of the CLI's depth-zero test: K (T + 1) = 4
-            (PipelineConfig(window_radius=2, degree_K=4, depth_T=0), None),
-            (DEFAULT, None),  # uncalibrated: alpha = 1, beta = 0; no degree fits
-            (DEFAULT, lambda theta: theta.cg_alpha.__setitem__(slice(None), 1e300)),
-            (DEFAULT, lambda theta: theta.cg_alpha.__setitem__(1, np.nan)),
+            PipelineConfig(window_radius=2, degree_K=2, depth_T=3),
+            # the identity network of the CLI's depth-zero test
+            PipelineConfig(window_radius=2, degree_K=4, depth_T=0),
+            PipelineConfig(degree_K=10, depth_T=1),
         ],
-        ids=["tiny", "depth-zero", "uncalibrated", "alpha-1e300", "alpha-nan"],
+        ids=["tiny", "depth-zero", "K10-T1"],
     )
-    def test_not_compiled(self, hyper, theta_of):
+    def test_uncalibrated_small_networks_compile_exactly(self, hyper):
         theta = ParamVector.initial(hyper)
+        compiled = compile_filter(theta, hyper)
+        assert compiled.degree <= hyper.degree_K * hyper.depth_T
+        for patch in noisy_patches(41):
+            _, _, system = build_system(theta, patch, 64, hyper)
+            out = compiled.apply(system.psi, patch)
+            assert relative_error(out, forward(theta, patch, 64, hyper)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "theta_of, message",
+        [
+            # alpha = 1, beta = 0: max |Q| is about 9e14, no filter fits
+            (None, "^the learned network does not compile: fit error "),
+            (
+                lambda theta: theta.cg_alpha.__setitem__(slice(None), 1e300),
+                "^non-finite CG state at iteration 0$",
+            ),
+            (
+                lambda theta: theta.cg_alpha.__setitem__(1, np.nan),
+                "^non-finite CG state at iteration 1$",
+            ),
+        ],
+        ids=["uncalibrated", "alpha-1e300", "alpha-nan"],
+    )
+    def test_networks_that_do_not_compile_raise(self, theta_of, message):
+        theta = ParamVector.initial(DEFAULT)
         if theta_of is not None:
             theta_of(theta)
-        assert compile_filter(theta, hyper) is None
+        with pytest.raises(NumericDivergenceError, match=message):
+            compile_filter(theta, DEFAULT)
 
-    def test_candidate_degrees_stop_below_half_the_check_grid(self, monkeypatch):
-        # K (T + 1) = 101000: one node set per candidate below it would need
-        # about 6e8 points; above CHECK_DEGREE // 2 the check grid no
-        # longer bounds the fit
-        hyper = PipelineConfig(window_radius=2, degree_K=1000, depth_T=100)
+    def test_depth_zero_is_the_identity_filter(self, monkeypatch):
+        hyper = PipelineConfig(depth_T=0)
+        theta = ParamVector.initial(hyper)
+        compiled = compile_filter(theta, hyper)
+        assert compiled.coefficients.tolist() == [1.0]
+        patch = noisy_patches(51)[0]
+        _, _, system = build_system(theta, patch, 64, hyper)
+        calls = []
+        real_apply = DenoiserOperator.apply
+        monkeypatch.setattr(
+            DenoiserOperator, "apply", lambda psi, v: calls.append(1) or real_apply(psi, v)
+        )
+        assert np.array_equal(compiled.apply(system.psi, patch), patch)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            PipelineConfig(window_radius=2, degree_K=2, depth_T=3),
+            # K T = 100000: interpolated at CHECK_DEGREE // 2, where the
+            # check grid still bounds the fit
+            PipelineConfig(window_radius=2, degree_K=1000, depth_T=100),
+        ],
+        ids=["tiny", "K1000-T100"],
+    )
+    def test_response_is_evaluated_once_at_the_nodes_and_the_check_grid(
+        self, monkeypatch, hyper
+    ):
         sizes = []
 
         def counting_response(theta, hyper, lam):
@@ -119,24 +182,27 @@ class TestCompileFilter:
             return network_response(theta, hyper, lam)
 
         monkeypatch.setattr(compiled_module, "network_response", counting_response)
-        compiled = compile_filter(ParamVector.initial(hyper), hyper)
-        assert compiled is None or compiled.degree < CHECK_DEGREE // 2
-        below = range(8, CHECK_DEGREE // 2, 8)
-        assert sizes == [CHECK_DEGREE + 1 + sum(degree + 1 for degree in below)]
+        try:
+            compiled = compile_filter(ParamVector.initial(hyper), hyper)
+        except NumericDivergenceError:
+            pass
+        else:
+            assert compiled.degree <= CHECK_DEGREE // 2
+        degree = min(hyper.degree_K * hyper.depth_T, CHECK_DEGREE // 2)
+        assert sizes == [degree + 1 + CHECK_DEGREE + 1]
 
 
-class TestSolvePatch:
-    def test_spectrum_inside_the_interval_takes_the_compiled_path(self, calibrated):
-        system = system_with_spectrum(calibrated, LOWER, 1.0)
+class TestApply:
+    def test_matches_the_unrolled_network_on_a_spectrum_filling_the_interval(self, calibrated):
+        system = system_with_spectrum(calibrated, 0.0, 1.0)
         y = np.random.default_rng(2).random(64)
-        compiled = compile_filter(calibrated, DEFAULT)
-        out = solve_patch(calibrated, system, y, compiled)
-        reference = solve_system(calibrated, system, y)
+        out = compile_filter(calibrated, DEFAULT).apply(system.psi, y)
+        reference, _ = unrolled_cg(system, y, calibrated.cg_config())
         assert not np.array_equal(out, reference)
-        assert np.linalg.norm(out - reference) <= 1e-8 * np.linalg.norm(reference)
+        assert relative_error(out, reference) <= 1e-8
 
-    def test_zero_patch_is_zero_on_the_compiled_path(self, calibrated):
+    def test_zero_patch_is_zero(self, calibrated):
         patch = np.zeros(64 * 64)
         _, _, system = build_system(calibrated, patch, 64, DEFAULT)
-        out = solve_patch(calibrated, system, patch, compile_filter(calibrated, DEFAULT))
+        out = compile_filter(calibrated, DEFAULT).apply(system.psi, patch)
         assert np.array_equal(out, patch)
