@@ -27,7 +27,6 @@ from .graph_filter import (
     central_gradients,
     estimate_spectrum,
     extract_features,
-    lanczos_ritz,
     normalize,
     window_blocks,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "evaluate_psnr",
     "extract_features",
     "forward",
-    "lanczos_ritz",
     "load_checkpoint",
     "load_image",
     "loss_and_grad",

@@ -59,7 +59,6 @@ def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
     return PipelineConfig(
         window_radius=cfg.window_radius,
         degree_K=cfg.K,
-        expansion_s=cfg.s,
         depth_T=cfg.T,
     )
 
@@ -128,9 +127,10 @@ def _crop_like(image: GrayImage, patch_side: int) -> GrayImage:
 
 
 def cmd_corrupt(cfg: RunConfig, input_dir: str) -> int:
+    paths = _list_images(input_dir)
     out = _out_dir(cfg)
     rows = []
-    for index, path in enumerate(_list_images(input_dir)):
+    for index, path in enumerate(paths):
         file_seed = cfg.seed + index
         noisy = add_awgn(load_image(path), cfg.sigma, file_seed)
         target = out / (path.stem + ".pgm")
@@ -156,14 +156,13 @@ def _load_pairs(paths, sigma: float, patch_side: int, seed_base: int):
 def cmd_train(cfg: RunConfig) -> int:
     if not cfg.train_dir:
         raise CliUsageError("--train_dir is required for train")
+    train_paths = _list_images(cfg.train_dir)
+    # without a test_dir, train_loop validates on the training pairs
+    val_paths = _list_images(cfg.test_dir) if cfg.test_dir else []
     out = _out_dir(cfg)
     hyper = _pipeline_config(cfg)
-    train_pairs = _load_pairs(_list_images(cfg.train_dir), cfg.sigma_train, cfg.patch_side, cfg.seed)
-    val_pairs = None
-    if cfg.test_dir:
-        val_pairs = _load_pairs(
-            _list_images(cfg.test_dir), cfg.sigma_train, cfg.patch_side, cfg.seed + 10_000
-        )
+    train_pairs = _load_pairs(train_paths, cfg.sigma_train, cfg.patch_side, cfg.seed)
+    val_pairs = _load_pairs(val_paths, cfg.sigma_train, cfg.patch_side, cfg.seed + 10_000)
     state, history = train_loop(
         train_pairs,
         cfg.patch_side,
@@ -188,12 +187,12 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     if not cfg.checkpoint:
         raise CliUsageError("--checkpoint is required for denoise")
     params, hyper = load_checkpoint(cfg.checkpoint)
-    compiled = compile_filter(params, hyper)
-    out = _out_dir(cfg)
+    compiled = compile_filter(params)
     noisy = load_image(image_path)
+    out = _out_dir(cfg)
 
     def build(patch):
-        _, _, system = build_system(params, patch, cfg.patch_side, hyper)
+        _, system = build_system(params, patch, cfg.patch_side, hyper)
         return lambda: [compiled.apply(system.psi, patch)]
 
     [denoised] = _map_patches(noisy, cfg.patch_side, [build])
@@ -213,7 +212,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.test_dir:
         raise CliUsageError("--test_dir is required for eval")
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
-    compiled = compile_filter(trained_params, hyper)
+    compiled = compile_filter(trained_params)
+    paths = _list_images(cfg.test_dir)
     out = _out_dir(cfg)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
@@ -222,15 +222,14 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
-        _, _, system = build_system(init_params, patch, side, hyper)
+        _, system = build_system(init_params, patch, side, hyper)
         return lambda: [system.psi.apply(patch), unrolled_cg(system, patch, analytic)[0]]
 
     def trained(patch):
-        _, _, system = build_system(trained_params, patch, side, hyper)
+        _, system = build_system(trained_params, patch, side, hyper)
         return lambda: [compiled.apply(system.psi, patch)]
 
     names = ("bilateral", "init", "trained")
-    paths = _list_images(cfg.test_dir)
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(cfg.sigma_test):
         scores = {name: [] for name in names}
@@ -257,7 +256,6 @@ def cmd_inspect(cfg: RunConfig) -> int:
         f"degree_K = {hyper.degree_K}",
         f"depth_T = {hyper.depth_T}",
         f"window_radius = {hyper.window_radius}",
-        f"expansion_s = {_fmt(hyper.expansion_s)}",
     ]
     metric = params.metric()
     for i in range(FEATURE_DIM):
@@ -272,7 +270,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
     for k, value in enumerate(params.cg_beta):
         lines.append(f"cg_beta_{k} = {_fmt(value)}")
     try:
-        compiled = compile_filter(params, hyper)
+        compiled = compile_filter(params)
         lines.append(f"compiled_degree = {compiled.degree}")
         lines.append(f"compiled_fit_error = {_fmt(compiled.fit_error)}")
     except NumericDivergenceError:
@@ -280,7 +278,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
     # the most the network amplifies any eigencomponent of any patch
     try:
         spectrum = np.linspace(0.0, 1.0, 1001)
-        max_gain = np.max(np.abs(network_response(params, hyper, spectrum)))
+        max_gain = np.max(np.abs(network_response(params, spectrum)))
     except NumericDivergenceError:
         max_gain = float("nan")
     lines.append(f"compiled_max_abs_q = {_fmt(max_gain)}")
@@ -289,7 +287,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         image = load_image(paths[0])
         grid = partition(image, cfg.patch_side)
         for index, patch in enumerate(grid.patches[:4]):
-            _, _, system = build_system(params, patch, cfg.patch_side, hyper)
+            _, system = build_system(params, patch, cfg.patch_side, hyper)
             lam_min, lam_max = estimate_spectrum(system.psi, iterations=200)
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")

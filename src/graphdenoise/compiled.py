@@ -27,7 +27,7 @@ from numpy.polynomial import chebyshev
 from .cg_unroll import unrolled_cg
 from .errors import NumericDivergenceError
 from .graph_filter import DenoiserOperator
-from .train import ParamVector, PipelineConfig
+from .train import ParamVector
 
 # largest sum |c_k| of the dropped coefficients, and largest
 # |Q - P| / max(|Q|, 1) the filter may leave on the check grid
@@ -40,7 +40,7 @@ FIT_TOLERANCE = 1e-8
 CHECK_DEGREE = 1024
 
 
-def network_response(theta: ParamVector, hyper: PipelineConfig, lam) -> np.ndarray:
+def network_response(theta: ParamVector, lam) -> np.ndarray:
     """Q(lam): the learned network's gain on an eigenvector of Psi with
     eigenvalue lam, for each entry of lam.
 
@@ -50,14 +50,12 @@ def network_response(theta: ParamVector, hyper: PipelineConfig, lam) -> np.ndarr
     NumericDivergenceError where the CG state stops being finite.
     """
     lam = np.asarray(lam, dtype=float)
-    s = hyper.expansion_s
-    scaled = theta.tse_coeffs / s ** np.arange(1, hyper.degree_K + 2)
     # a non-finite p is caught by unrolled_cg
     with np.errstate(over="ignore", invalid="ignore"):
         term = np.ones_like(lam)
-        p = scaled[0] * term
-        for c in scaled[1:]:
-            term = lam * term - s * term
+        p = theta.tse_coeffs[0] * term
+        for c in theta.tse_coeffs[1:]:
+            term = lam * term - term
             p = p + c * term
     x, _ = unrolled_cg(lambda v: p * v, np.ones_like(lam), theta.cg_config())
     return x
@@ -93,21 +91,22 @@ class CompiledFilter:
         return out
 
 
-def compile_filter(theta: ParamVector, hyper: PipelineConfig) -> CompiledFilter:
+def compile_filter(theta: ParamVector) -> CompiledFilter:
     """The learned network of theta as a Chebyshev filter on [0, 1].
 
     Q is interpolated at the first-kind Chebyshev points of degree
-    min(K * T, CHECK_DEGREE // 2), exactly up to rounding since Q has degree
-    K * T, and the series is cut to the shortest prefix whose dropped tail
+    min(K * T, CHECK_DEGREE // 2), with K = tse_coeffs.size - 1 and
+    T = cg_alpha.size, exactly up to rounding since Q has degree K * T,
+    and the series is cut to the shortest prefix whose dropped tail
     has sum |c_k| <= FIT_TOLERANCE. The degree is thus at most K * T, below
     the K * (T + 1) matvecs of the unrolled network. Raises
     NumericDivergenceError when Q is not finite on the interval, or when
     the filter misses Q by more than FIT_TOLERANCE on the check grid.
     """
-    degree = min(hyper.degree_K * hyper.depth_T, CHECK_DEGREE // 2)
+    degree = min((theta.tse_coeffs.size - 1) * theta.cg_alpha.size, CHECK_DEGREE // 2)
     nodes = chebyshev.chebpts1(degree + 1)
     check = chebyshev.chebpts2(CHECK_DEGREE + 1)
-    response = network_response(theta, hyper, (1.0 + np.concatenate([nodes, check])) / 2.0)
+    response = network_response(theta, (1.0 + np.concatenate([nodes, check])) / 2.0)
     at_nodes, q = response[: nodes.size], response[nodes.size :]
     # discrete orthogonality of T_0 .. T_degree at the nodes
     coefficients = chebyshev.chebvander(nodes, degree).T @ at_nodes * (2.0 / nodes.size)

@@ -11,12 +11,15 @@ from .errors import CliUsageError
 @dataclass
 class RunConfig:
     """Everything a command needs; defaults match the reference protocol
-    (64x64 patches, K=10, 15 CG steps, s=1, 20 epochs, batch 3, lr 0.001)."""
+    (64x64 patches, K=10, 15 CG steps, 20 epochs, batch 3, lr 0.001).
+
+    The Taylor series of the system is always expanded about 1, so there is
+    no expansion-point field (taylor_system). Noise levels are on the 0..255
+    scale and must be >= 0."""
 
     patch_side: int = 64
     window_radius: int = 3
     K: int = 10
-    s: float = 1.0
     T: int = 15
     sigma: float = 15.0
     sigma_train: float = 15.0
@@ -36,6 +39,9 @@ class RunConfig:
             floats = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in floats if isinstance(v, float)):
                 raise CliUsageError(f"{f.name} must be finite, got {value}")
+            # sigma, sigma_train and sigma_test are noise levels
+            if f.name.startswith("sigma") and any(v < 0.0 for v in floats):
+                raise CliUsageError(f"{f.name} must be >= 0, got {value}")
         if self.learning_rate <= 0.0:
             raise CliUsageError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.seed < 0:

@@ -350,34 +350,31 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
 LANCZOS_BREAKDOWN = 1e-12
 
 
-def lanczos_ritz(
-    op: DenoiserOperator, start: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz values of Psi after up to `steps` Lanczos steps from `start`,
-    ascending, and the residual norm ||Psi u - theta u|| of each.
+def estimate_spectrum(
+    op: DenoiserOperator, iterations: int, seed: int = 0
+) -> tuple[float, float]:
+    """Lanczos estimates of the extremal eigenvalues of Psi.
 
-    In exact arithmetic an eigenvalue of Psi lies within a Ritz value's
-    residual norm of it. That places some eigenvalue, not the smallest: an
-    eigenvector the start vector barely touches stays unseen, so no value
-    here is a rigorous bound on lambda_min. There is no reorthogonalization
+    The estimates are the extreme Ritz values after up to `iterations`
+    Lanczos steps from a seeded random start, which has a component along
+    every eigenvector. They lie inside the spectrum and converge to its
+    ends, but carry no exactness guarantee. There is no reorthogonalization
     (two basis vectors are held at a time); lost orthogonality shows as
     repeated Ritz values, not as wrong extremes. After a breakdown
-    (LANCZOS_BREAKDOWN) the Ritz values are exact and the residuals 0. A
-    zero start vector spans no Krylov space and gives no Ritz values.
+    (LANCZOS_BREAKDOWN) the Ritz values are exact. A non-positive minimum
+    estimate is logged as a positive-definiteness violation.
     """
-    if steps < 1:
-        raise InvalidInputError(f"steps must be >= 1, got {steps}")
-    v = np.asarray(start, dtype=float)
-    # scaled by its largest entry first, so that the norm cannot underflow
-    largest = np.max(np.abs(v), initial=0.0)
-    if largest == 0.0:
-        return np.empty(0), np.empty(0)
-    v = v / largest
+    if iterations < 1:
+        raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
+    v = np.random.default_rng(seed).standard_normal(op.n)
+    # scaled by its largest entry before it is normalized: these roundings
+    # fix the last bits of the estimates, which inspect prints
+    v /= np.max(np.abs(v))
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
     beta = 0.0
-    for _ in range(steps):
+    for _ in range(iterations):
         w = op.apply(v)
         scale = np.linalg.norm(w)
         alpha = float(v @ w)
@@ -386,29 +383,13 @@ def lanczos_ritz(
         beta = float(np.linalg.norm(w))
         alphas.append(alpha)
         if beta <= LANCZOS_BREAKDOWN * scale:
-            betas.append(0.0)
             break
         betas.append(beta)
         v_prev, v = v, w / beta
-    # the tridiagonal Lanczos matrix is at most steps x steps: dense is cheap
-    off = betas[:-1]
-    values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
-    return values, np.abs(betas[-1] * vectors[-1])
-
-
-def estimate_spectrum(
-    op: DenoiserOperator, iterations: int, seed: int = 0
-) -> tuple[float, float]:
-    """Lanczos estimates of the extremal eigenvalues of Psi.
-
-    The estimates are the extreme Ritz values of lanczos_ritz after
-    `iterations` steps from a seeded random start, which has a component
-    along every eigenvector. They lie inside the spectrum and converge to
-    its ends, but carry no exactness guarantee. A non-positive minimum
-    estimate is logged as a positive-definiteness violation.
-    """
-    start = np.random.default_rng(seed).standard_normal(op.n)
-    values, _ = lanczos_ritz(op, start, iterations)
+    # the tridiagonal Lanczos matrix is at most iterations x iterations:
+    # dense is cheap
+    off = betas[: len(alphas) - 1]
+    values, _ = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
     lam_min, lam_max = float(values[0]), float(values[-1])
     if lam_min <= 0.0:
         logger.warning(

@@ -2,13 +2,18 @@
 
 The smoothing MAP problem solves (I + mu*L) x = y, where the generalized
 graph Laplacian is tied to the smoother by L = mu^{-1}(Psi^{-1} - I).
-Expanding f(x) = 1/x around a point s > 0 gives
+Expanding f(x) = 1/x around 1 gives the Neumann series
 
-    Psi^{-1} ~= sum_{k=0}^{K} a_k / s^{k+1} (Psi - s I)^k,   a_k = (-1)^k,
+    Psi^{-1} ~= sum_{k=0}^{K} a_k (Psi - I)^k,   a_k = (-1)^k,
 
 so the Laplacian is a degree-K polynomial of Psi and never needs to be
-materialized. Because the same mu appears in the Laplacian definition and
-in the system, it cancels:
+materialized. The expansion point is fixed: the spectrum of Psi lies in
+(0, 1] (graph_filter), inside the series' interval of convergence (0, 2),
+and since the a_k are trained, the powers of (x - s) about any other point
+s would span the same degree-K polynomials.
+
+Because the same mu appears in the Laplacian definition and in the
+system, it cancels:
 
     (I + mu*L) v = v + (Psi^{-1}_K v - v) = Psi^{-1}_K v.
 
@@ -19,7 +24,7 @@ regularizer diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +46,7 @@ class TaylorSystemOperator:
     psi: DenoiserOperator
     degree_K: int
     coefficients: np.ndarray
-    expansion_point_s: float = 1.0
     mu: float = 1.0
-    _scaled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -53,13 +56,8 @@ class TaylorSystemOperator:
             raise InvalidInputError(
                 f"need {self.degree_K + 1} coefficients, got {self.coefficients.shape}"
             )
-        if self.expansion_point_s <= 0.0:
-            raise InvalidInputError("expansion point must be positive")
         if self.mu <= 0.0:
             raise InvalidInputError("mu must be positive")
-        # c_k = a_k / s^{k+1}; with the default s = 1 this is exact.
-        powers = self.expansion_point_s ** np.arange(1, self.degree_K + 2)
-        self._scaled = self.coefficients / powers
 
     @property
     def n(self) -> int:
@@ -74,25 +72,24 @@ class TaylorSystemOperator:
     def apply_truncated_inverse_with_cache(
         self, v: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """sum_k a_k / s^{k+1} (Psi - s I)^k v, exactly K applies of Psi, and
-        the recurrence terms t_k.
+        """sum_k a_k (Psi - I)^k v, exactly K applies of Psi, and the
+        recurrence terms t_k.
 
-        t_0 = v, t_{k+1} = Psi t_k - s t_k; the cache enables exact
+        t_0 = v, t_{k+1} = Psi t_k - t_k; the cache enables exact
         reverse-mode differentiation through the polynomial.
         """
         v = self._check(v)
-        s = self.expansion_point_s
         t = v
         cache = [v]
         for k in range(1, self.degree_K + 1):
-            t = self.psi.apply(t) - s * t
+            t = self.psi.apply(t) - t
             cache.append(t)
         return self.combine(cache), cache
 
     def combine(self, terms) -> np.ndarray:
-        """sum_k a_k / s^{k+1} t_k over the terms t_0..t_K of one apply,
-        added in order of k; rebuilds the apply's output bitwise."""
-        c = self._scaled
+        """sum_k a_k t_k over the terms t_0..t_K of one apply, added in
+        order of k; rebuilds the apply's output bitwise."""
+        c = self.coefficients
         acc = c[0] * terms[0]
         for k in range(1, self.degree_K + 1):
             acc = acc + c[k] * terms[k]

@@ -19,7 +19,6 @@ extraction is deliberately treated as a constant of the noisy input
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -33,7 +32,6 @@ from .graph_filter import (
     FEATURE_DIM,
     FeatureField,
     MetricFactor,
-    SparseFilterMatrix,
     build_filter_matrix,
     extract_features,
     normalize,
@@ -60,7 +58,6 @@ class PipelineConfig:
 
     window_radius: int = 3
     degree_K: int = 10
-    expansion_s: float = 1.0
     depth_T: int = 15
 
     def __post_init__(self):
@@ -68,10 +65,6 @@ class PipelineConfig:
             value = getattr(self, name)
             if value < least:
                 raise InvalidInputError(f"{name} must be >= {least}, got {value}")
-        if not (math.isfinite(self.expansion_s) and self.expansion_s > 0.0):
-            raise InvalidInputError(
-                f"expansion_s must be finite and positive, got {self.expansion_s}"
-            )
 
 
 @dataclass(eq=False)
@@ -149,10 +142,10 @@ class ParamVector:
 
 def build_system(
     theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> tuple[FeatureField, SparseFilterMatrix, TaylorSystemOperator]:
-    """The patch system of theta: features, filter weights B and the
-    truncated-inverse system, whose smoother Psi is `system.psi`. theta
-    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+) -> tuple[FeatureField, TaylorSystemOperator]:
+    """The patch system of theta: its features and the truncated-inverse
+    system, whose smoother Psi is `system.psi`. theta must have hyper's
+    degree_K + 1 coefficients and depth_T CG steps."""
     if theta.cg_alpha.size != hyper.depth_T:
         raise InvalidInputError(
             f"theta has {theta.cg_alpha.size} CG steps, depth_T is {hyper.depth_T}"
@@ -160,12 +153,9 @@ def build_system(
     field_ = extract_features(noisy, patch_side)
     filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
     system = TaylorSystemOperator(
-        psi=normalize(filt),
-        degree_K=hyper.degree_K,
-        coefficients=theta.tse_coeffs,
-        expansion_point_s=hyper.expansion_s,
+        psi=normalize(filt), degree_K=hyper.degree_K, coefficients=theta.tse_coeffs
     )
-    return field_, filt, system
+    return field_, system
 
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:
@@ -175,7 +165,7 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
     theta = ParamVector.initial(hyper)
 
     def patch_system(noisy):
-        return build_system(theta, noisy, patch_side, hyper)[2], noisy
+        return build_system(theta, noisy, patch_side, hyper)[1], noisy
 
     builds = [partial(patch_system, noisy) for noisy in noisy_patches]
     alpha, beta = calibrate_cg_params(builds, hyper.depth_T)
@@ -221,7 +211,7 @@ def forward(
 ) -> np.ndarray:
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
-    _, _, system = build_system(theta, noisy, patch_side, hyper)
+    _, system = build_system(theta, noisy, patch_side, hyper)
     x, _ = unrolled_cg(system, noisy, theta.cg_config())
     return x
 
@@ -279,17 +269,15 @@ def _grad_single(
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
     # B is rebuilt for its adjoint below rather than held through the solve
-    field_, _, system = build_system(theta, noisy, patch_side, hyper)
+    field_, system = build_system(theta, noisy, patch_side, hyper)
     op = system.psi
     recorder = _RecordingSystem(system)
     x, _ = unrolled_cg(recorder, noisy, theta.cg_config())
 
     T = hyper.depth_T
     K = hyper.degree_K
-    s = hyper.expansion_s
     n = op.n
-    c = system._scaled
-    powers = s ** np.arange(1, K + 2)
+    c = system.coefficients
 
     resid = x - clean
     pair_loss = float(resid @ resid)
@@ -305,12 +293,12 @@ def _grad_single(
         # the dL/dPsi terms; returns the adjoint of the apply's input.
         nonlocal ga
         terms = recorder.terms[idx]  # row K - k holds t_k
-        ga += np.array([g_out @ t for t in terms[::-1]]) / powers
+        ga += np.array([g_out @ t for t in terms[::-1]])
         gt = c[K] * g_out
         for m, k in enumerate(range(K, 0, -1)):
-            # forward: t_k = Psi t_{k-1} - s t_{k-1}; t_{k-1} is row m + 1
+            # forward: t_k = Psi t_{k-1} - t_{k-1}; t_{k-1} is row m + 1
             psi_sums.g_terms[m] = gt
-            gt = op.apply(gt) - s * gt + c[k - 1] * g_out
+            gt = op.apply(gt) - gt + c[k - 1] * g_out
         # t_K, in row 0, is spent: fold uses the row as scratch
         psi_sums.fold(terms)
         recorder.terms[idx] = None
@@ -527,7 +515,6 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
         "feature_dim": FEATURE_DIM,
         "window_radius": hyper.window_radius,
         "degree_K": hyper.degree_K,
-        "expansion_s": hyper.expansion_s,
         "depth_T": hyper.depth_T,
         "metric_factor": [float(v) for v in params.metric_factor],
         "tse_coeffs": [float(v) for v in params.tse_coeffs],
@@ -560,7 +547,9 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
     """Inverse of save_checkpoint. Any malformed payload raises
     InvalidInputError, among them a structural integer that is not a JSON
     integer (3.7, true or "3" would load another network). Unknown keys
-    are ignored."""
+    are ignored, and so is the "expansion_s": 1.0 that files written while
+    the Taylor expansion point was a setting carry; any other value
+    describes another network and is rejected."""
     try:
         payload = json.loads(Path(path).read_text(encoding="ascii"))
     except ValueError as exc:  # undecodable bytes or invalid JSON
@@ -572,13 +561,18 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
         raise InvalidInputError(f"unsupported checkpoint version {version!r}")
     if payload.get("feature_dim") != FEATURE_DIM:
         raise InvalidInputError("checkpoint feature_dim does not match this build")
+    expansion_s = payload.get("expansion_s", 1.0)
+    if type(expansion_s) not in (int, float) or expansion_s != 1.0:
+        raise InvalidInputError(
+            f"checkpoint {path} expands about s = {expansion_s!r}; only s = 1 is supported"
+        )
     try:
         structure = {key: payload[key] for key in ("window_radius", "degree_K", "depth_T")}
         for key, value in structure.items():
             # bool is a subclass of int, so the type is compared exactly
             if type(value) is not int:
                 raise TypeError(f"{key} must be a JSON integer, got {value!r}")
-        hyper = PipelineConfig(**structure, expansion_s=float(payload["expansion_s"]))
+        hyper = PipelineConfig(**structure)
         params = ParamVector(
             metric_factor=np.asarray(payload["metric_factor"], dtype=float),
             tse_coeffs=np.asarray(payload["tse_coeffs"], dtype=float),

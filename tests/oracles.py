@@ -94,15 +94,15 @@ def dense_normalize(dense_b: np.ndarray) -> np.ndarray:
 
 
 def dense_truncated_inverse_matrix(
-    psi_dense: np.ndarray, degree_K: int, s: float, coeffs: np.ndarray
+    psi_dense: np.ndarray, degree_K: int, coeffs: np.ndarray
 ) -> np.ndarray:
-    """sum_k a_k / s^{k+1} (Psi - s I)^k accumulated from explicit powers."""
+    """sum_k a_k (Psi - I)^k accumulated from explicit powers."""
     n = psi_dense.shape[0]
-    shifted = psi_dense - s * np.eye(n)
+    shifted = psi_dense - np.eye(n)
     result = np.zeros((n, n))
     term = np.eye(n)
     for k in range(degree_K + 1):
-        result += coeffs[k] / s ** (k + 1) * term
+        result += coeffs[k] * term
         term = term @ shifted
     return result
 
@@ -203,7 +203,7 @@ def analytic_forward(
 ) -> np.ndarray:
     """The patch system of theta (build_system) solved by depth_T steps of
     classic CG, whose alpha and beta follow the data, under epsilon_guard."""
-    _, _, system = build_system(theta, patch, side, hyper)
+    _, system = build_system(theta, patch, side, hyper)
     cfg = CgConfig(depth_T=hyper.depth_T, mode="analytic", epsilon_guard=epsilon_guard)
     x, _ = unrolled_cg(system, patch, cfg)
     return x

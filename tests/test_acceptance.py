@@ -80,7 +80,7 @@ def test_criterion_1_oracle_equivalence():
         field = extract_features(patch, side)
         dense_b = dense_filter_matrix(field, theta.metric(), hyper.window_radius)
         psi_dense = dense_normalize(dense_b)
-        system_dense = dense_truncated_inverse_matrix(psi_dense, degree, 1.0, theta.tse_coeffs)
+        system_dense = dense_truncated_inverse_matrix(psi_dense, degree, theta.tse_coeffs)
         x_star = np.linalg.solve(system_dense, patch)
         worst = max(worst, np.linalg.norm(x - x_star) / np.linalg.norm(x_star))
     elapsed = time.perf_counter() - start
@@ -104,7 +104,7 @@ def test_criterion_2_initialization_baseline():
             y = partition(noisy, 64).patches[0]
             clean = partition(img, 64).patches[0]
             x = analytic_forward(theta, y, 64, hyper)
-            _, _, system = build_system(theta, y, 64, hyper)
+            _, system = build_system(theta, y, 64, hyper)
             bf = system.psi.apply(y)
             gap = abs(_patch_psnr(clean, x) - _patch_psnr(clean, bf))
             worst_gap = max(worst_gap, gap)
@@ -190,7 +190,7 @@ def test_criterion_5_training_gain():
     # the trained network compiles, so denoise can run it, and at no more
     # than the K * T degree of its polynomial
     try:
-        degree = compile_filter(state.params, hyper).degree
+        degree = compile_filter(state.params).degree
         compiles = degree <= hyper.degree_K * hyper.depth_T
     except NumericDivergenceError:
         degree, compiles = "none", False
@@ -232,7 +232,6 @@ def test_criterion_7_mu_invariance():
             psi=op,
             degree_K=hyper.degree_K,
             coefficients=theta.tse_coeffs,
-            expansion_point_s=hyper.expansion_s,
             mu=mu,
         )
         x, _ = unrolled_cg(system, patch, CgConfig(depth_T=hyper.depth_T, mode="analytic"))

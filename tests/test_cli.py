@@ -181,6 +181,21 @@ class TestDenoise:
         result = out / (src.stem + "_denoised.pgm")
         assert result.read_bytes() == src.read_bytes()
 
+    def test_expansion_point_one_in_an_older_file_is_ignored(self, tmp_path, image_dir, test_dir):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="s1")
+        older = tmp_path / "older.json"
+        payload = {**json.loads(ckpt.read_text()), "expansion_s": 1.0}
+        older.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        (theta, hyper), (older_theta, older_hyper) = load_checkpoint(ckpt), load_checkpoint(older)
+        assert np.array_equal(older_theta.pack(), theta.pack()) and older_hyper == hyper
+        src = sorted(image_dir.iterdir())[0]
+        denoised = []
+        for path in (ckpt, older):
+            out = tmp_path / f"den_{path.stem}"
+            assert main(["denoise", str(src), "--checkpoint", str(path), "--out", str(out), *TINY]) == 0
+            denoised.append((out / (src.stem + "_denoised.pgm")).read_bytes())
+        assert denoised[0] == denoised[1]
+
     def test_reported_psnr_matches_recomputation(self, tmp_path, image_dir, test_dir, capsys):
         ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="ps")
         noisy_dir = tmp_path / "noisy"
@@ -334,6 +349,7 @@ class TestExitCodes:
         assert main(
             ["denoise", str(bad), "--checkpoint", str(ckpt), "--out", str(out), *TINY]
         ) == 2
+        assert not out.exists()  # the image is read before the output directory is made
 
     def test_numeric_error_is_three(self, tmp_path, image_dir):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
@@ -398,6 +414,30 @@ class TestExitCodes:
         assert not out.exists()  # rejected before any work
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("train", "--train_dir"), ("train", "--test_dir"), ("eval", "--test_dir"), ("corrupt", None)],
+        ids=["train-train_dir", "train-test_dir", "eval-test_dir", "corrupt-input_dir"],
+    )
+    def test_missing_input_directory_is_rejected_before_the_output_directory(
+        self, tmp_path, image_dir, test_dir, capsys, command, flag
+    ):
+        ckpt = tmp_path / "c.json"
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+        missing = str(tmp_path / "missing")
+        argv = {
+            "train": ["train", "--train_dir", str(image_dir)],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--test_dir", str(test_dir)],
+            "corrupt": ["corrupt"],
+        }[command]
+        # a flag given twice takes its last value
+        argv += [flag, missing] if flag else [missing]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), *TINY]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: not a directory: {missing}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda payload: "[]",
@@ -405,8 +445,8 @@ class TestExitCodes:
             lambda payload: json.dumps({**payload, "degree_K": "ten"}),
             lambda payload: json.dumps({**payload, "cg_alpha": {"a": 1}}),
             lambda payload: "\u00e9",
-            lambda payload: json.dumps({**payload, "expansion_s": float("nan")}),
-            lambda payload: json.dumps({**payload, "expansion_s": 0.0}),
+            lambda payload: json.dumps({**payload, "expansion_s": 0.5}),
+            lambda payload: json.dumps({**payload, "expansion_s": True}),
             lambda payload: json.dumps({**payload, "window_radius": 0}),
             lambda payload: json.dumps({**payload, "window_radius": -2}),
             lambda payload: json.dumps(
@@ -426,8 +466,8 @@ class TestExitCodes:
             "bad-int",
             "bad-array",
             "not-ascii",
-            "s-nan",
-            "s-zero",
+            "s-half",
+            "s-bool",
             "radius-zero",
             "radius-negative",
             "K-zero",
@@ -462,22 +502,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["train", "--s", "nan"], "s must be finite, got nan"),
+            (["train", "--sigma", "nan"], "sigma must be finite, got nan"),
             (["train", "--sigma_train", "nan"], "sigma_train must be finite, got nan"),
             (["train", "--learning_rate", "nan"], "learning_rate must be finite, got nan"),
             (["train", "--learning_rate", "-1"], "learning_rate must be > 0, got -1.0"),
             (["train", "--learning_rate", "0"], "learning_rate must be > 0, got 0.0"),
             (["eval", "--sigma_test", "10,nan"], "sigma_test must be finite, got (10.0, nan)"),
             (["eval", "--sigma_test", ","], "sigma_test must list at least one sigma"),
+            (["train", "--sigma", "-5"], "sigma must be >= 0, got -5.0"),
+            (["train", "--sigma_train", "-1"], "sigma_train must be >= 0, got -1.0"),
+            (["eval", "--sigma_test", "10,-5"], "sigma_test must be >= 0, got (10.0, -5.0)"),
         ],
         ids=[
-            "s-nan",
+            "sigma-nan",
             "sigma_train-nan",
             "lr-nan",
             "lr-negative",
             "lr-zero",
             "sigma_test-nan",
             "sigma_test-empty",
+            "sigma-negative",
+            "sigma_train-negative",
+            "sigma_test-negative",
         ],
     )
     def test_bad_config_float_is_one_line_usage_error(
@@ -523,19 +569,17 @@ class TestConfigFile:
         with pytest.raises(CliUsageError):
             parse_config_file(cfg_file)
 
-    def test_cg_mode_is_not_a_config_key(self, tmp_path, image_dir):
+    @pytest.mark.parametrize(
+        "key, value", [("cg_mode", "learned"), ("feature_dim", "5"), ("s", "1.0")]
+    )
+    def test_removed_settings_are_not_config_keys(self, tmp_path, image_dir, key, value):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("cg_mode = learned\n")
-        with pytest.raises(CliUsageError, match="unknown config key"):
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(CliUsageError, match=f"unknown config key {key!r}"):
             parse_config_file(cfg_file)
-        out = str(tmp_path / "o")
-        assert main(["train", "--train_dir", str(image_dir), "--out", out, "--cg_mode", "learned"]) == 1
-
-    def test_feature_dim_is_not_a_config_key(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("feature_dim = 5\n")
-        with pytest.raises(CliUsageError, match="unknown config key"):
-            parse_config_file(cfg_file)
+        out = tmp_path / "o"
+        assert main(["train", "--train_dir", str(image_dir), "--out", str(out), f"--{key}", value]) == 1
+        assert not out.exists()
 
 
 SRC = Path(graphdenoise.__file__).resolve().parents[1]
@@ -560,10 +604,10 @@ def run_subprocess(args, cpu=None):
 def learned_solver(params, hyper, side):
     """The learned network as denoise and eval run it on one patch: the
     compiled filter of the checkpoint."""
-    compiled = compile_filter(params, hyper)
+    compiled = compile_filter(params)
 
     def solve(patch):
-        return compiled.apply(build_system(params, patch, side, hyper)[2].psi, patch)
+        return compiled.apply(build_system(params, patch, side, hyper)[1].psi, patch)
 
     return solve
 
@@ -583,7 +627,7 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
             columns = np.clip(
                 [
                     [
-                        build_system(init, patch, side, hyper)[2].psi.apply(patch),
+                        build_system(init, patch, side, hyper)[1].psi.apply(patch),
                         analytic_forward(init, patch, side, hyper),
                         solve(patch),
                     ]
@@ -758,7 +802,7 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
     hyper = PipelineConfig()
     save_checkpoint(tmp_path / "c.json", theta, hyper)
     save_image(noisy, tmp_path / "n.pgm")
-    _, _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
+    _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
     csr = system.psi._matrix
     psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del system, csr
@@ -801,7 +845,7 @@ class TestCompiledLanes:
     def theta(self, noisy):
         hyper = PipelineConfig()
         theta = calibrated_initial(hyper, partition(noisy, 64).patches[:3], 64)
-        compile_filter(theta, hyper)  # raises when it does not compile
+        compile_filter(theta)  # raises when it does not compile
         return theta
 
     def test_denoise_bytes_do_not_depend_on_the_lane_count(

@@ -54,12 +54,7 @@ def trained():
 
 def system_with_spectrum(theta, lo, hi, seed=0):
     psi = operator_with_spectrum(np.random.default_rng(seed), 64, lo, hi)
-    return TaylorSystemOperator(
-        psi=psi,
-        degree_K=DEFAULT.degree_K,
-        coefficients=theta.tse_coeffs,
-        expansion_point_s=DEFAULT.expansion_s,
-    )
+    return TaylorSystemOperator(psi=psi, degree_K=DEFAULT.degree_K, coefficients=theta.tse_coeffs)
 
 
 def relative_error(out, reference):
@@ -70,12 +65,12 @@ class TestCompileFilter:
     @pytest.mark.parametrize("which", ["calibrated", "trained"])
     def test_matches_forward_to_one_in_1e8(self, request, which):
         theta = request.getfixturevalue(which)
-        compiled = compile_filter(theta, DEFAULT)
+        compiled = compile_filter(theta)
         assert compiled.fit_error <= FIT_TOLERANCE
         assert compiled.degree <= DEFAULT.degree_K * DEFAULT.depth_T
         for sigma in (15.0, 50.0):
             for patch in noisy_patches(31, sigma):
-                _, _, system = build_system(theta, patch, 64, DEFAULT)
+                _, system = build_system(theta, patch, 64, DEFAULT)
                 out = compiled.apply(system.psi, patch)
                 reference = forward(theta, patch, 64, DEFAULT)
                 assert not np.array_equal(out, reference)  # the compiled filter ran
@@ -87,10 +82,10 @@ class TestCompileFilter:
     ):
         theta = request.getfixturevalue(which)
         full = chebyshev.chebinterpolate(
-            lambda x: network_response(theta, DEFAULT, (1.0 + x) / 2.0),
+            lambda x: network_response(theta, (1.0 + x) / 2.0),
             DEFAULT.degree_K * DEFAULT.depth_T,
         )
-        kept = compile_filter(theta, DEFAULT).degree + 1
+        kept = compile_filter(theta).degree + 1
         assert kept < full.size
         assert np.sum(np.abs(full[kept:])) <= FIT_TOLERANCE < np.sum(np.abs(full[kept - 1 :]))
 
@@ -103,7 +98,7 @@ class TestCompileFilter:
             coefficients=calibrated.tse_coeffs,
         )
         x, _ = unrolled_cg(system, np.ones(64), calibrated.cg_config())
-        np.testing.assert_allclose(network_response(calibrated, DEFAULT, lam), x, rtol=1e-12)
+        np.testing.assert_allclose(network_response(calibrated, lam), x, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "hyper",
@@ -117,10 +112,10 @@ class TestCompileFilter:
     )
     def test_uncalibrated_small_networks_compile_exactly(self, hyper):
         theta = ParamVector.initial(hyper)
-        compiled = compile_filter(theta, hyper)
+        compiled = compile_filter(theta)
         assert compiled.degree <= hyper.degree_K * hyper.depth_T
         for patch in noisy_patches(41):
-            _, _, system = build_system(theta, patch, 64, hyper)
+            _, system = build_system(theta, patch, 64, hyper)
             out = compiled.apply(system.psi, patch)
             assert relative_error(out, forward(theta, patch, 64, hyper)) <= 1e-8
 
@@ -145,15 +140,15 @@ class TestCompileFilter:
         if theta_of is not None:
             theta_of(theta)
         with pytest.raises(NumericDivergenceError, match=message):
-            compile_filter(theta, DEFAULT)
+            compile_filter(theta)
 
     def test_depth_zero_is_the_identity_filter(self, monkeypatch):
         hyper = PipelineConfig(depth_T=0)
         theta = ParamVector.initial(hyper)
-        compiled = compile_filter(theta, hyper)
+        compiled = compile_filter(theta)
         assert compiled.coefficients.tolist() == [1.0]
         patch = noisy_patches(51)[0]
-        _, _, system = build_system(theta, patch, 64, hyper)
+        _, system = build_system(theta, patch, 64, hyper)
         calls = []
         real_apply = DenoiserOperator.apply
         monkeypatch.setattr(
@@ -177,13 +172,13 @@ class TestCompileFilter:
     ):
         sizes = []
 
-        def counting_response(theta, hyper, lam):
+        def counting_response(theta, lam):
             sizes.append(lam.size)
-            return network_response(theta, hyper, lam)
+            return network_response(theta, lam)
 
         monkeypatch.setattr(compiled_module, "network_response", counting_response)
         try:
-            compiled = compile_filter(ParamVector.initial(hyper), hyper)
+            compiled = compile_filter(ParamVector.initial(hyper))
         except NumericDivergenceError:
             pass
         else:
@@ -196,13 +191,13 @@ class TestApply:
     def test_matches_the_unrolled_network_on_a_spectrum_filling_the_interval(self, calibrated):
         system = system_with_spectrum(calibrated, 0.0, 1.0)
         y = np.random.default_rng(2).random(64)
-        out = compile_filter(calibrated, DEFAULT).apply(system.psi, y)
+        out = compile_filter(calibrated).apply(system.psi, y)
         reference, _ = unrolled_cg(system, y, calibrated.cg_config())
         assert not np.array_equal(out, reference)
         assert relative_error(out, reference) <= 1e-8
 
     def test_zero_patch_is_zero(self, calibrated):
         patch = np.zeros(64 * 64)
-        _, _, system = build_system(calibrated, patch, 64, DEFAULT)
-        out = compile_filter(calibrated, DEFAULT).apply(system.psi, patch)
+        _, system = build_system(calibrated, patch, 64, DEFAULT)
+        out = compile_filter(calibrated).apply(system.psi, patch)
         assert np.array_equal(out, patch)

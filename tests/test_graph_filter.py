@@ -15,7 +15,6 @@ from graphdenoise import (
     central_gradients,
     estimate_spectrum,
     extract_features,
-    lanczos_ritz,
     normalize,
     window_blocks,
 )
@@ -381,10 +380,20 @@ class TestEstimateSpectrum:
         assert lam_max == pytest.approx(eigs.max(), abs=1e-3)
         assert lam_min == pytest.approx(eigs.min(), abs=1e-3)
 
-    def test_rejects_nonpositive_iterations(self):
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_rejects_nonpositive_iterations(self, iterations):
         op = operator_from_dense(np.eye(2))
-        with pytest.raises(InvalidInputError):
-            estimate_spectrum(op, 0)
+        with pytest.raises(InvalidInputError, match=f"iterations must be >= 1, got {iterations}"):
+            estimate_spectrum(op, iterations)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-200, 2.0**200])
+    def test_breakdown_is_relative(self, scale):
+        # the random start spans all four eigenvectors, so the run breaks
+        # down at step 4 with the exact ends, at any scale of the operator
+        op = operator_from_dense(scale * np.diag([0.2, 0.9, 0.5, 0.3]))
+        np.testing.assert_allclose(
+            estimate_spectrum(op, 10), [0.2 * scale, 0.9 * scale], rtol=1e-12
+        )
 
     def test_flags_non_pd(self, caplog):
         op = operator_from_dense(np.diag([-0.5, 0.9]))
@@ -392,41 +401,6 @@ class TestEstimateSpectrum:
             lam_min, _ = estimate_spectrum(op, 300)
         assert lam_min <= 0.0
         assert any("positive definite" in rec.message for rec in caplog.records)
-
-
-class TestLanczosRitz:
-    def patch_operator(self, seed=21, side=6):
-        field = extract_features(random_patch(seed, side), side)
-        return normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
-
-    def test_each_ritz_value_has_an_eigenvalue_within_its_residual(self):
-        op = self.patch_operator()
-        eigs = np.linalg.eigvalsh(op.to_dense())
-        values, residuals = lanczos_ritz(op, random_patch(3, 6), 12)
-        assert values.shape == residuals.shape == (12,)
-        assert np.all(np.diff(values) >= 0.0)
-        for value, residual in zip(values, residuals):
-            assert np.min(np.abs(eigs - value)) <= residual * (1 + 1e-9) + 1e-14
-        assert eigs.min() - 1e-12 <= values[0] and values[-1] <= eigs.max() + 1e-12
-
-    def test_breakdown_is_relative(self):
-        # an invariant two-dimensional Krylov space ends the run at step 2,
-        # at any scale of the operator and of the start vector
-        for scale in (1.0, 2.0**-200, 2.0**200):
-            op = operator_from_dense(scale * np.diag([0.2, 0.9, 0.5, 0.3]))
-            for start in ([1.0, 1.0, 0.0, 0.0], [2.0**-600, 2.0**-600, 0.0, 0.0]):
-                values, residuals = lanczos_ritz(op, np.array(start), 10)
-                np.testing.assert_allclose(values, [0.2 * scale, 0.9 * scale], rtol=1e-12)
-                assert np.array_equal(residuals, [0.0, 0.0])
-
-    @pytest.mark.parametrize("steps", [0, -1])
-    def test_rejects_fewer_than_one_step(self, steps):
-        with pytest.raises(InvalidInputError, match=f"steps must be >= 1, got {steps}"):
-            lanczos_ritz(self.patch_operator(), random_patch(3, 6), steps)
-
-    def test_zero_start_gives_no_ritz_values(self):
-        values, residuals = lanczos_ritz(self.patch_operator(), np.zeros(36), 12)
-        assert values.size == residuals.size == 0
 
 
 class TestMetricFactor:

@@ -7,18 +7,20 @@ from pathlib import Path
 import graphdenoise
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    [
+        *ROOT.glob("scripts/*.py"),
+        *ROOT.glob("tests/*.py"),
+        *(ROOT / "src" / "graphdenoise").glob("*.py"),
+    ]
+)
 
 
 def test_no_underscore_imports_from_graphdenoise():
     # scripts and tests import graphdenoise by name, the package's own
     # modules import each other relatively
-    paths = [
-        *ROOT.glob("scripts/*.py"),
-        *ROOT.glob("tests/*.py"),
-        *(ROOT / "src" / "graphdenoise").glob("*.py"),
-    ]
     offenders = []
-    for path in sorted(paths):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").startswith("graphdenoise")
@@ -44,4 +46,27 @@ def test_every_exported_name_is_used_by_the_package_or_scripts():
         used = re.compile(rf"\b{name}\b")
         if not any(used.search(line) and not own_definition.match(line) for line in lines):
             unused.append(name)
+    assert unused == []
+
+
+def test_no_unused_imports():
+    # the package's __init__.py imports are its re-exports, and an import
+    # whose first line is marked `# noqa: F401` is kept on purpose
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []

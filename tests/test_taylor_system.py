@@ -18,13 +18,11 @@ from oracles import (
 )
 
 
-def make_system(psi_dense, degree_K=10, s=1.0, mu=1.0, coeffs=None):
+def make_system(psi_dense, degree_K=10, mu=1.0, coeffs=None):
     op = operator_from_dense(psi_dense)
     if coeffs is None:
         coeffs = default_coefficients(degree_K)
-    return TaylorSystemOperator(
-        psi=op, degree_K=degree_K, coefficients=coeffs, expansion_point_s=s, mu=mu
-    )
+    return TaylorSystemOperator(psi=op, degree_K=degree_K, coefficients=coeffs, mu=mu)
 
 
 def patch_system(seed, side, degree_K=10, radius=2):
@@ -131,7 +129,7 @@ class TestApplyLaplacian:
         op = operator_with_spectrum(rng, 12, 0.2, 1.0)
         mu = 0.7
         system = TaylorSystemOperator(op, 9, default_coefficients(9), mu=mu)
-        dense = dense_truncated_inverse_matrix(op.to_dense(), 9, 1.0, default_coefficients(9))
+        dense = dense_truncated_inverse_matrix(op.to_dense(), 9, default_coefficients(9))
         v = rng.standard_normal(12)
         exact = (dense @ v - v) / mu
         out = system.apply_laplacian(v)
@@ -151,7 +149,7 @@ class TestGlrValue:
         op = operator_with_spectrum(rng, 10, 0.3, 1.0)
         mu = 2.5
         system = TaylorSystemOperator(op, 8, default_coefficients(8), mu=mu)
-        dense = dense_truncated_inverse_matrix(op.to_dense(), 8, 1.0, default_coefficients(8))
+        dense = dense_truncated_inverse_matrix(op.to_dense(), 8, default_coefficients(8))
         laplacian = (dense - np.eye(10)) / mu
         x = rng.standard_normal(10)
         exact = float(x @ laplacian @ x)
@@ -205,13 +203,6 @@ class TestValidation:
         op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
             TaylorSystemOperator(psi=op, degree_K=5, coefficients=np.ones(5))
-
-    def test_nonpositive_expansion_point(self):
-        op = operator_from_dense(np.eye(3))
-        with pytest.raises(InvalidInputError):
-            TaylorSystemOperator(
-                psi=op, degree_K=2, coefficients=np.ones(3), expansion_point_s=0.0
-            )
 
     def test_nonpositive_mu(self):
         op = operator_from_dense(np.eye(3))

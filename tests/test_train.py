@@ -124,9 +124,7 @@ class TestForward:
         x = analytic_forward(theta, patch, side, hyper, epsilon_guard=1e-300)
         field = extract_features(patch, side)
         op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))
-        system_dense = dense_truncated_inverse_matrix(
-            op.to_dense(), degree, 1.0, theta.tse_coeffs
-        )
+        system_dense = dense_truncated_inverse_matrix(op.to_dense(), degree, theta.tse_coeffs)
         x_star = np.linalg.solve(system_dense, patch)
         assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) < 1e-8
 
@@ -152,7 +150,7 @@ class TestForward:
         theta = ParamVector.initial(hyper)
         noisy, clean = noisy_clean_pair(2, 32, sigma=15.0)
         x = analytic_forward(theta, noisy, 32, hyper)
-        _, _, system = build_system(theta, noisy, 32, hyper)
+        _, system = build_system(theta, noisy, 32, hyper)
         bf = system.psi.apply(noisy)
 
         def patch_psnr(ref, out):
@@ -441,7 +439,7 @@ class TestTrainLoop:
         # CG scalars must equal a fresh calibration on the first batch
         systems = []
         for noisy, _ in pairs[:2]:
-            _, _, system = build_system(theta0, noisy, 8, SMALL)
+            _, system = build_system(theta0, noisy, 8, SMALL)
             systems.append(lambda system=system, noisy=noisy: (system, noisy))
         alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
         assert np.array_equal(state.params.cg_alpha, alpha)
@@ -454,7 +452,7 @@ class TestTrainLoop:
         hyper = PipelineConfig(depth_T=8)
         noisy, _ = noisy_clean_pair(40, 2)
         theta = calibrated_initial(hyper, [noisy], 2)
-        _, _, system = build_system(theta, noisy, 2, hyper)
+        _, system = build_system(theta, noisy, 2, hyper)
         _, trace = unrolled_cg(system, noisy, CgConfig(depth_T=8), want_trace=True)
         assert np.all(trace.used_alphas[:2] != 0.0)
         assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
@@ -502,10 +500,7 @@ class TestCheckpoint:
         save_checkpoint(path, theta, SMALL)
         loaded, hyper = load_checkpoint(path)
         assert np.array_equal(loaded.pack(), theta.pack())
-        assert hyper.degree_K == SMALL.degree_K
-        assert hyper.depth_T == SMALL.depth_T
-        assert hyper.window_radius == SMALL.window_radius
-        assert hyper.expansion_s == SMALL.expansion_s
+        assert hyper == SMALL
 
     def test_identical_params_identical_bytes(self, tmp_path):
         theta = ParamVector.initial(SMALL)
