@@ -6,12 +6,12 @@ floats are written with repr-exact formatting.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
 """
-from __future__ import annotations
-
 import argparse
 import logging
 import sys
+import threading
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +81,16 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _run(slot: list):
-    # pops the job first, so a finished work item holds no patch system
-    return slot.pop()()
+# one patch system is built at a time, whatever the lane count: concurrent
+# builds would add their transient arrays to the peak memory, which stays
+# at one system per lane
+_BUILD_LOCK = threading.Lock()
+
+
+def _build_and_solve(build, patch) -> list:
+    with _BUILD_LOCK:
+        job = build(patch)
+    return job()
 
 
 def _map_patches(image: GrayImage, patch_side: int, makers) -> list[GrayImage]:
@@ -91,39 +98,25 @@ def _map_patches(image: GrayImage, patch_side: int, makers) -> list[GrayImage]:
 
     Each maker turns a patch into a job, a no-argument callable that returns
     a list of output patches; a patch's outputs are its makers' outputs in
-    order. Items (patch, maker) run in raster order, lanes.LANES at a time.
-    The calling thread builds each round's jobs, the expensive and
-    allocation-heavy part, hands all but the last to lanes.POOL and runs
-    the last itself. A round's jobs are finished and released before the
-    next round's builds start, so each lane holds one patch system at a time.
+    order. Items (patch, maker) run on the lanes (lanes.in_lanes) in raster
+    order. Each item builds its job under _BUILD_LOCK, the expensive and
+    allocation-heavy part, and runs it outside the lock.
 
     Every job computes exactly what it would serially, so the output is
     bitwise independent of the lane count. When items fail, the error raised
     is the one the serial loop would raise: that of the first failing item.
     """
     grid = partition(image, patch_side)
-    items = [(build, patch) for patch in grid.patches for build in makers]
-    outputs = []
-    for start in range(0, len(items), lanes.LANES):
-        *farmed, (build, patch) = items[start : start + lanes.LANES]
-        futures = []
-        try:
-            for farmed_build, farmed_patch in farmed:
-                futures.append(lanes.POOL.submit(_run, [farmed_build(farmed_patch)]))
-            own = build(patch)()
-        finally:
-            # read every future, in raster order: an earlier item's error
-            # replaces a later one's
-            outputs += [out for future in futures for out in future.result()]
-        outputs += own
+    items = [partial(_build_and_solve, build, patch) for patch in grid.patches for build in makers]
+    outputs = [out for job_outputs in lanes.in_lanes(items) for out in job_outputs]
     columns = np.clip(np.array(outputs), 0.0, 1.0).reshape(len(grid.patches), -1, patch_side**2)
     return [reassemble(replace(grid, patches=columns[:, i])) for i in range(columns.shape[1])]
 
 
-def _crop_like(image: GrayImage, patch_side: int) -> GrayImage:
-    gh = (image.height // patch_side) * patch_side
-    gw = (image.width // patch_side) * patch_side
-    return GrayImage(width=gw, height=gh, pixels=image.pixels[:gh, :gw])
+def _crop(image: GrayImage, patch_side: int) -> GrayImage:
+    """The image cropped to whole patches; partition rejects one smaller
+    than a patch."""
+    return reassemble(partition(image, patch_side))
 
 
 def cmd_corrupt(cfg: RunConfig, input_dir: str) -> int:
@@ -159,10 +152,10 @@ def cmd_train(cfg: RunConfig) -> int:
     train_paths = _list_images(cfg.train_dir)
     # without a test_dir, train_loop validates on the training pairs
     val_paths = _list_images(cfg.test_dir) if cfg.test_dir else []
-    out = _out_dir(cfg)
     hyper = _pipeline_config(cfg)
     train_pairs = _load_pairs(train_paths, cfg.sigma_train, cfg.patch_side, cfg.seed)
     val_pairs = _load_pairs(val_paths, cfg.sigma_train, cfg.patch_side, cfg.seed + 10_000)
+    out = _out_dir(cfg)
     state, history = train_loop(
         train_pairs,
         cfg.patch_side,
@@ -188,7 +181,14 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
         raise CliUsageError("--checkpoint is required for denoise")
     params, hyper = load_checkpoint(cfg.checkpoint)
     compiled = compile_filter(params)
-    noisy = load_image(image_path)
+    noisy = _crop(load_image(image_path), cfg.patch_side)
+    # the truth is read and checked before anything is written
+    truth = _crop(load_image(truth_path), cfg.patch_side) if truth_path else None
+    if truth_path and (truth.width, truth.height) != (noisy.width, noisy.height):
+        raise InvalidInputError(
+            f"the truth crops to {truth.width}x{truth.height}, "
+            f"the image to {noisy.width}x{noisy.height}"
+        )
     out = _out_dir(cfg)
 
     def build(patch):
@@ -200,7 +200,6 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     save_image(denoised, target)
     print(f"wrote {target}")
     if truth_path:
-        truth = _crop_like(load_image(truth_path), cfg.patch_side)
         # score the saved artifact, so the report is exactly reproducible
         print(f"psnr = {_fmt(psnr(truth, load_image(target)))}")
     return 0
@@ -213,12 +212,12 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise CliUsageError("--test_dir is required for eval")
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
     compiled = compile_filter(trained_params)
-    paths = _list_images(cfg.test_dir)
+    side = cfg.patch_side
+    cleans = [_crop(load_image(path), side) for path in _list_images(cfg.test_dir)]
     out = _out_dir(cfg)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
     analytic = CgConfig(depth_T=hyper.depth_T, mode="analytic")
-    side = cfg.patch_side
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
@@ -233,8 +232,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma_index, sigma in enumerate(cfg.sigma_test):
         scores = {name: [] for name in names}
-        for image_index, path in enumerate(paths):
-            clean = _crop_like(load_image(path), side)
+        for image_index, clean in enumerate(cleans):
             noisy = add_awgn(clean, sigma, cfg.seed + 1000 * sigma_index + image_index)
             for name, denoised in zip(names, _map_patches(noisy, side, [initial, trained])):
                 scores[name].append(psnr(clean, denoised))
@@ -310,26 +308,22 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="graphdenoise", description=__doc__)
+    # no abbreviated flags: `--learn` must not be read as `--learning_rate`
+    parser = _Parser(prog="graphdenoise", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_corrupt = sub.add_parser("corrupt", help="write noisy copies of a directory of images")
-    p_corrupt.add_argument("input_dir")
-    _add_config_flags(p_corrupt)
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        _add_config_flags(p)
+        return p
 
-    p_train = sub.add_parser("train", help="train a denoiser; writes checkpoint + history")
-    _add_config_flags(p_train)
-
-    p_denoise = sub.add_parser("denoise", help="denoise one image with a checkpoint")
+    command("corrupt", "write noisy copies of a directory of images").add_argument("input_dir")
+    command("train", "train a denoiser; writes checkpoint + history")
+    p_denoise = command("denoise", "denoise one image with a checkpoint")
     p_denoise.add_argument("image")
     p_denoise.add_argument("--truth", default=None, help="clean reference for PSNR reporting")
-    _add_config_flags(p_denoise)
-
-    p_eval = sub.add_parser("eval", help="PSNR-vs-sigma table for bilateral / init / trained")
-    _add_config_flags(p_eval)
-
-    p_inspect = sub.add_parser("inspect", help="report learned parameters and diagnostics")
-    _add_config_flags(p_inspect)
+    command("eval", "PSNR-vs-sigma table for bilateral / init / trained")
+    command("inspect", "report learned parameters and diagnostics")
 
     return parser
 

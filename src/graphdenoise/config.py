@@ -44,8 +44,10 @@ class RunConfig:
                 raise CliUsageError(f"{f.name} must be >= 0, got {value}")
         if self.learning_rate <= 0.0:
             raise CliUsageError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise CliUsageError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("patch_side", 2), ("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise CliUsageError(f"{name} must be >= {least}, got {value}")
         if not self.sigma_test:
             raise CliUsageError("sigma_test must list at least one sigma")
 

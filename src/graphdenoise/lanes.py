@@ -4,7 +4,10 @@ LANES is the number of cores this process may run on. POOL holds LANES - 1
 threads, so with the calling thread up to LANES jobs run at once. scipy's
 CSR matvec, most of a solve, releases the GIL, so the lanes overlap. The
 program has this one pool: every pool thread adds a malloc arena, and a
-second pool added its memory to the peak.
+second pool added its memory to the peak. Every parallel job goes through
+in_lanes, the one scheduler: training's gradient pairs, calibration and
+validation, and the patch jobs of denoise and eval, which build one patch
+system at a time (cli._map_patches).
 """
 from __future__ import annotations
 

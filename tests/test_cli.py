@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -237,6 +239,25 @@ class TestDenoise:
         img = load_image(out / (src.stem + "_denoised.pgm"))
         assert (img.width, img.height) == (32, 32)  # 32 is a multiple of 16
 
+    @pytest.mark.parametrize(
+        "truth, code", [("missing.pgm", 2), ("wide.pgm", 1)], ids=["missing", "other-size"]
+    )
+    def test_bad_truth_fails_before_anything_is_written(
+        self, tmp_path, image_dir, test_dir, capsys, truth, code
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="truth")
+        # crops to 48x32 at patch side 16, the 32x32 input to 32x32
+        save_image(synthesize_image(48, 32, seed=1), tmp_path / "wide.pgm")
+        src = sorted(image_dir.iterdir())[0]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([
+            "denoise", str(src), "--truth", str(tmp_path / truth),
+            "--checkpoint", str(ckpt), "--out", str(out), *TINY,
+        ]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_table_shape_and_baseline_property(self, tmp_path, image_dir, test_dir):
@@ -387,14 +408,55 @@ class TestExitCodes:
         assert line.startswith("numeric error: the learned network does not compile")
         assert not out.exists()
 
-    def test_negative_depth_is_one_line_usage_error(self, tmp_path, image_dir, capsys):
-        out = str(tmp_path / "neg")
-        code = main(
-            ["train", "--train_dir", str(image_dir), "--out", out, "--patch_side", "16", "--T", "-1"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: depth_T must be >= 0, got -1"]
+    def test_abbreviated_flag_is_not_accepted(self, tmp_path, image_dir, capsys):
+        # `--learn` would otherwise be read as `--learning_rate`
+        out = tmp_path / "abbrev"
+        argv = ["train", "--train_dir", str(image_dir), "--out", str(out), "--learn", "0.1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unrecognized arguments: --learn 0.1"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--patch_side", "1"], "patch_side must be >= 2, got 1"),
+            (["train", "--batch_size", "0"], "batch_size must be >= 1, got 0"),
+            (["train", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+            (["train", "--T", "-1"], "depth_T must be >= 0, got -1"),
+            (["train", "--K", "0"], "degree_K must be >= 1, got 0"),
+            (["train", "--train_dir", "{small}"], "image 8x8 is smaller than one 16x16 patch"),
+            (["denoise", "{small}/s.pgm"], "image 8x8 is smaller than one 16x16 patch"),
+            (["eval", "--test_dir", "{small}"], "image 8x8 is smaller than one 16x16 patch"),
+        ],
+        ids=[
+            "patch_side-1",
+            "batch_size-0",
+            "epochs-negative",
+            "T-negative",
+            "K-0",
+            "train-small-image",
+            "denoise-small-image",
+            "eval-small-image",
+        ],
+    )
+    def test_bad_setting_or_small_image_fails_before_the_output_directory(
+        self, tmp_path, image_dir, test_dir, capsys, argv, message
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="ok")
+        small = tmp_path / "small"
+        small.mkdir()
+        save_image(synthesize_image(8, 8, seed=3), small / "s.pgm")
+        argv = [arg.format(small=small) for arg in argv]
+        out = tmp_path / "out"
+        inputs = ["--train_dir", str(image_dir), "--test_dir", str(test_dir),
+                  "--checkpoint", str(ckpt), "--out", str(out), *TINY]
+        capsys.readouterr()
+        # a flag given twice takes its last value, so argv's come last
+        assert main([argv[0], *inputs, *argv[1:]]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["corrupt", "train", "eval"])
     def test_negative_seed_is_one_line_usage_error(
@@ -794,6 +856,38 @@ class TestSolveLanes:
             message = f"build {first}" if first in build_fails else f"job {first}"
             with pytest.raises(NumericDivergenceError, match=f"^{message}$"):
                 cli._map_patches(image, 2, [maker(0), maker(1)])
+
+    @pytest.mark.parametrize("command", ["denoise", "eval"])
+    def test_one_patch_system_is_built_at_a_time(
+        self, tmp_path, monkeypatch, image_dir, test_dir, command
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="lock")
+        building, most, threads = [0], [0], set()
+        count = threading.Lock()
+
+        def counting_build(*args):
+            with count:
+                building[0] += 1
+                most[0] = max(most[0], building[0])
+                threads.add(threading.get_ident())
+            # long enough that unlocked builds on three lanes overlap
+            time.sleep(0.02)
+            try:
+                return build_system(*args)
+            finally:
+                with count:
+                    building[0] -= 1
+
+        monkeypatch.setattr(cli, "build_system", counting_build)
+        if command == "denoise":
+            inputs = ["denoise", str(sorted(image_dir.iterdir())[0])]  # four patches
+        else:
+            inputs = ["eval", "--test_dir", str(test_dir), "--sigma_test", "10"]  # sixteen
+        denoise_in_lanes(monkeypatch, 3, [
+            *inputs, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY
+        ])
+        assert most[0] == 1
+        assert len(threads) > 1  # the builds ran on more than one lane
 
 
 def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy):

@@ -70,3 +70,11 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_lanes_touches_the_pool():
+    # every parallel job of the package and the scripts goes through
+    # lanes.in_lanes, the one scheduler
+    sources = [*(ROOT / "src" / "graphdenoise").glob("*.py"), *ROOT.glob("scripts/*.py")]
+    users = [p.name for p in sources if re.search(r"\bPOOL\b", p.read_text(encoding="utf-8"))]
+    assert users == ["lanes.py"]
