@@ -73,10 +73,14 @@ def _list_images(directory: str) -> list[Path]:
     return paths
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_path(cfg: RunConfig) -> Path:
     if not cfg.out:
         raise CliUsageError("--out is required for this command")
-    out = Path(cfg.out)
+    return Path(cfg.out)
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out = _out_path(cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -113,6 +117,20 @@ def _map_patches(image: GrayImage, patch_side: int, makers) -> list[GrayImage]:
     return [reassemble(replace(grid, patches=columns[:, i])) for i in range(columns.shape[1])]
 
 
+def _learned_maker(params: ParamVector, hyper: PipelineConfig, patch_side: int):
+    """The maker of the learned network's jobs: the patch's system is built,
+    then its Psi filters the patch by the network's compiled filter. The
+    network is compiled here, so a checkpoint that does not compile fails
+    before any patch is read."""
+    compiled = compile_filter(params)
+
+    def build(patch):
+        _, system = build_system(params, patch, patch_side, hyper)
+        return lambda: [compiled.apply(system.psi, patch)]
+
+    return build
+
+
 def _crop(image: GrayImage, patch_side: int) -> GrayImage:
     """The image cropped to whole patches; partition rejects one smaller
     than a patch."""
@@ -121,12 +139,23 @@ def _crop(image: GrayImage, patch_side: int) -> GrayImage:
 
 def cmd_corrupt(cfg: RunConfig, input_dir: str) -> int:
     paths = _list_images(input_dir)
-    out = _out_dir(cfg)
+    out = _out_path(cfg)
+    targets = [out / (path.stem + ".pgm") for path in paths]
+    # every noisy copy gets its own file, and none replaces an input
+    inputs = {path.resolve() for path in paths}
+    writers = {}
+    for path, target in zip(paths, targets):
+        resolved = target.resolve()
+        if resolved in inputs:
+            raise CliUsageError(f"the noisy copy of {path.name} would replace the input {target}")
+        if resolved in writers:
+            raise CliUsageError(f"{writers[resolved]} and {path.name} would both write {target}")
+        writers[resolved] = path.name
+    _out_dir(cfg)
     rows = []
-    for index, path in enumerate(paths):
+    for index, (path, target) in enumerate(zip(paths, targets)):
         file_seed = cfg.seed + index
         noisy = add_awgn(load_image(path), cfg.sigma, file_seed)
-        target = out / (path.stem + ".pgm")
         save_image(noisy, target)
         rows.append(f"{target.name},{file_seed},{_fmt(cfg.sigma)}")
     manifest = out / "manifest.csv"
@@ -155,7 +184,13 @@ def cmd_train(cfg: RunConfig) -> int:
     hyper = _pipeline_config(cfg)
     train_pairs = _load_pairs(train_paths, cfg.sigma_train, cfg.patch_side, cfg.seed)
     val_pairs = _load_pairs(val_paths, cfg.sigma_train, cfg.patch_side, cfg.seed + 10_000)
-    out = _out_dir(cfg)
+    out = _out_path(cfg)
+    checkpoint_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "checkpoint.json"
+    if checkpoint_path.is_dir():
+        raise CliUsageError(f"the checkpoint path is a directory: {checkpoint_path}")
+    # both are made before training, so a bad path fails before the epochs run
+    _out_dir(cfg)
+    checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     state, history = train_loop(
         train_pairs,
         cfg.patch_side,
@@ -166,7 +201,6 @@ def cmd_train(cfg: RunConfig) -> int:
         val_pairs=val_pairs,
         learning_rate=cfg.learning_rate,
     )
-    checkpoint_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "checkpoint.json"
     save_checkpoint(checkpoint_path, state.params, hyper)
     history_path = out / "history.csv"
     lines = ["epoch,train_loss,val_psnr"]
@@ -180,7 +214,7 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     if not cfg.checkpoint:
         raise CliUsageError("--checkpoint is required for denoise")
     params, hyper = load_checkpoint(cfg.checkpoint)
-    compiled = compile_filter(params)
+    learned = _learned_maker(params, hyper, cfg.patch_side)
     noisy = _crop(load_image(image_path), cfg.patch_side)
     # the truth is read and checked before anything is written
     truth = _crop(load_image(truth_path), cfg.patch_side) if truth_path else None
@@ -190,12 +224,7 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
             f"the image to {noisy.width}x{noisy.height}"
         )
     out = _out_dir(cfg)
-
-    def build(patch):
-        _, system = build_system(params, patch, cfg.patch_side, hyper)
-        return lambda: [compiled.apply(system.psi, patch)]
-
-    [denoised] = _map_patches(noisy, cfg.patch_side, [build])
+    [denoised] = _map_patches(noisy, cfg.patch_side, [learned])
     target = out / (Path(image_path).stem + "_denoised.pgm")
     save_image(denoised, target)
     print(f"wrote {target}")
@@ -211,8 +240,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.test_dir:
         raise CliUsageError("--test_dir is required for eval")
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
-    compiled = compile_filter(trained_params)
     side = cfg.patch_side
+    trained = _learned_maker(trained_params, hyper, side)
     cleans = [_crop(load_image(path), side) for path in _list_images(cfg.test_dir)]
     out = _out_dir(cfg)
     init_params = ParamVector.initial(hyper)
@@ -223,10 +252,6 @@ def cmd_eval(cfg: RunConfig) -> int:
         # the bilateral smoother is the initial system's Psi: one build serves both
         _, system = build_system(init_params, patch, side, hyper)
         return lambda: [system.psi.apply(patch), unrolled_cg(system, patch, analytic)[0]]
-
-    def trained(patch):
-        _, system = build_system(trained_params, patch, side, hyper)
-        return lambda: [compiled.apply(system.psi, patch)]
 
     names = ("bilateral", "init", "trained")
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]

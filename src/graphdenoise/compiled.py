@@ -7,7 +7,7 @@ the unrolled CG itself run on scalars (network_response). compile_filter
 interpolates Q on [0, 1] at K * T + 1 Chebyshev points (at most 513), which
 is exact, and the compiled filter is applied by the three-term Chebyshev
 recurrence in Psi, one matvec per degree. It is the only path learned
-inference takes.
+inference takes: denoise, eval and training's validation (evaluate_psnr).
 
 The interval holds every patch's spectrum: Psi is positive definite and
 non-expansive by construction (graph_filter: the tapered window's Fejer
@@ -20,6 +20,7 @@ explode below 0, where no eigenvalue lies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -27,7 +28,9 @@ from numpy.polynomial import chebyshev
 from .cg_unroll import unrolled_cg
 from .errors import NumericDivergenceError
 from .graph_filter import DenoiserOperator
-from .train import ParamVector
+
+if TYPE_CHECKING:  # train imports this module, so the import runs one way
+    from .train import ParamVector
 
 # largest sum |c_k| of the dropped coefficients, and largest
 # |Q - P| / max(|Q|, 1) the filter may leave on the check grid

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cg_unroll import CgConfig, calibrate_cg_params, unrolled_cg
+from .compiled import compile_filter
 from .errors import InvalidInputError, NumericDivergenceError
 from .graph_filter import (
     FEATURE_DIM,
@@ -424,8 +425,10 @@ def adam_step(state: TrainState, gradient) -> TrainState:
     return replace(state, params=params, adam_m=m, adam_v=v, step_count=t)
 
 
-def _patch_psnr(theta, noisy, clean, patch_side, hyper) -> float:
-    out = np.clip(forward(theta, noisy, patch_side, hyper), 0.0, 1.0)
+def _patch_psnr(theta, compiled, noisy, clean, patch_side, hyper) -> float:
+    noisy = np.asarray(noisy, dtype=float)
+    _, system = build_system(theta, noisy, patch_side, hyper)
+    out = np.clip(compiled.apply(system.psi, noisy), 0.0, 1.0)
     err = np.asarray(clean, dtype=float) - out
     mse = float(err @ err) / err.size
     if mse == 0.0:
@@ -436,13 +439,22 @@ def _patch_psnr(theta, noisy, clean, patch_side, hyper) -> float:
 def evaluate_psnr(
     theta: ParamVector, pairs, patch_side: int, hyper: PipelineConfig = PipelineConfig()
 ) -> float:
-    """Mean patch PSNR of the denoised outputs against the clean patches;
-    the patches are denoised on the lanes (in_lanes)."""
+    """Mean patch PSNR of the denoised outputs against the clean patches.
+
+    Each patch is denoised as denoise and eval denoise it: by the compiled
+    filter of theta, applied to the patch's own Psi. The patches run on the
+    lanes (in_lanes). Raises NumericDivergenceError when theta's network
+    does not compile (compile_filter).
+    """
     pairs = list(pairs)
     if not pairs:
         raise InvalidInputError("evaluation set must be nonempty")
+    compiled = compile_filter(theta)
     vals = in_lanes(
-        [partial(_patch_psnr, theta, noisy, clean, patch_side, hyper) for noisy, clean in pairs]
+        [
+            partial(_patch_psnr, theta, compiled, noisy, clean, patch_side, hyper)
+            for noisy, clean in pairs
+        ]
     )
     return float(np.mean(vals))
 

@@ -118,6 +118,26 @@ class TestCorrupt:
         src = sorted(image_dir.iterdir())[0]
         assert (out / src.name).read_bytes() != src.read_bytes()
 
+    def test_two_inputs_writing_one_output_are_rejected(self, tmp_path, image_dir, capsys):
+        # img0.pgm and img0.pnm both map to img0.pgm
+        (image_dir / "img0.pnm").write_bytes((image_dir / "img0.pgm").read_bytes())
+        out = tmp_path / "noisy"
+        assert main(["corrupt", str(image_dir), "--out", str(out), "--sigma", "10"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: img0.pgm and img0.pnm would both write {out / 'img0.pgm'}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_output_that_replaces_an_input_is_rejected(self, tmp_path, image_dir, capsys, spelling):
+        out = image_dir if spelling == "same" else tmp_path / "other" / ".." / image_dir.name
+        before = {path.name: path.read_bytes() for path in image_dir.iterdir()}
+        assert main(["corrupt", str(image_dir), "--out", str(out), "--sigma", "10"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the noisy copy of img0.pgm would replace the input {out / 'img0.pgm'}"
+        ]
+        assert {path.name: path.read_bytes() for path in image_dir.iterdir()} == before
+
 
 class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path, image_dir, test_dir):
@@ -158,6 +178,48 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == ["i/o error: replace failed"]
         assert replaced == ["checkpoint.json"]  # a new checkpoint was ready to replace it
         assert {path.name: path.read_bytes() for path in ckpt.parent.iterdir()} == before
+
+    def test_missing_checkpoint_directory_is_made_before_training(
+        self, tmp_path, monkeypatch, image_dir
+    ):
+        ckpt = tmp_path / "missing" / "dir" / "ck.json"
+
+        def train_loop_after_the_directory(*args, **kwargs):
+            assert ckpt.parent.is_dir()
+            return train_loop(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_loop", train_loop_after_the_directory)
+        code = main([
+            "train", "--train_dir", str(image_dir), "--out", str(tmp_path / "o"),
+            "--checkpoint", str(ckpt), "--epochs", "1", *TINY,
+        ])
+        assert code == 0
+        load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("case", ["directory", "under-a-file"])
+    def test_bad_checkpoint_path_fails_before_training(
+        self, tmp_path, monkeypatch, image_dir, capsys, case
+    ):
+        if case == "directory":
+            ckpt = tmp_path / "ck"
+            ckpt.mkdir()
+            code, err = 1, f"error: the checkpoint path is a directory: {ckpt}"
+        else:
+            (tmp_path / "file").write_text("")
+            ckpt = tmp_path / "file" / "ck.json"
+            code, err = 2, "i/o error: "
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("train_loop was reached")
+
+        monkeypatch.setattr(cli, "train_loop", unreachable)
+        out = tmp_path / "o"
+        argv = ["train", "--train_dir", str(image_dir), "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main([*argv, *TINY]) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(err)
+        if case == "directory":
+            assert not out.exists()
 
     def test_requires_train_dir(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1

@@ -1,8 +1,11 @@
 """Scripts and tests use only the package's public names, and the package
 exports only names that the pipeline or the scripts use."""
 import ast
+import graphlib
 import re
 from pathlib import Path
+
+import pytest
 
 import graphdenoise
 
@@ -78,3 +81,37 @@ def test_only_lanes_touches_the_pool():
     sources = [*(ROOT / "src" / "graphdenoise").glob("*.py"), *ROOT.glob("scripts/*.py")]
     users = [p.name for p in sources if re.search(r"\bPOOL\b", p.read_text(encoding="utf-8"))]
     assert users == ["lanes.py"]
+
+
+def _relative_imports(tree, modules):
+    """The package modules a module imports relatively at run time: imports
+    under `if TYPE_CHECKING:` are for annotations only and are skipped."""
+    targets = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                targets.add(node.module.split(".")[0])
+            else:  # from . import lanes
+                targets |= {alias.name for alias in node.names if alias.name in modules}
+        stack += ast.iter_child_nodes(node)
+    return targets
+
+
+def test_relative_imports_form_no_cycle():
+    # the package's __init__ imports every module and is left out
+    package = ROOT / "src" / "graphdenoise"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    graph = {
+        name: _relative_imports(ast.parse((package / f"{name}.py").read_text("utf-8")), modules)
+        for name in modules
+    }
+    assert "compiled" in graph["train"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))

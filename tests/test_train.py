@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 import graphdenoise.lanes
 from graphdenoise import (
     CgConfig,
+    DenoiserOperator,
     EdgeOuterSum,
     InvalidInputError,
     MetricFactor,
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
+    TaylorSystemOperator,
     TrainState,
     adam_step,
     add_awgn,
@@ -24,6 +26,7 @@ from graphdenoise import (
     build_system,
     calibrate_cg_params,
     calibrated_initial,
+    compile_filter,
     default_coefficients,
     evaluate_psnr,
     extract_features,
@@ -311,6 +314,16 @@ class TestReverseGradients:
                 assert np.array_equal(got, want)
 
 
+def counted(method, calls):
+    """method, recording each call in calls."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
 def set_lanes(monkeypatch, pool, lanes):
     monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
     monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
@@ -490,6 +503,56 @@ class TestTrainLoop:
         )
         expected = evaluate_psnr(state.params, val, 8, SMALL)
         assert history[0].val_psnr == expected
+
+
+class TestCompiledValidation:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return [noisy_clean_pair(70 + i, 16) for i in range(3)]
+
+    @pytest.fixture(scope="class")
+    def theta(self, pairs):
+        return calibrated_initial(SMALL, [noisy for noisy, _ in pairs], 16)
+
+    @staticmethod
+    def mean_psnr(denoise, pairs):
+        scores = []
+        for noisy, clean in pairs:
+            err = clean - np.clip(denoise(noisy), 0.0, 1.0)
+            scores.append(10.0 * np.log10(1.0 / (float(err @ err) / err.size)))
+        return float(np.mean(scores))
+
+    def test_equals_the_mean_psnr_of_the_compiled_filter_outputs(self, pairs, theta):
+        compiled = compile_filter(theta)
+
+        def denoise(noisy):
+            return compiled.apply(build_system(theta, noisy, 16, SMALL)[1].psi, noisy)
+
+        value = evaluate_psnr(theta, pairs, 16, SMALL)
+        assert value == self.mean_psnr(denoise, pairs)
+        # the unrolled network gives other bits, so the check tells the two apart
+        assert value != self.mean_psnr(lambda noisy: forward(theta, noisy, 16, SMALL), pairs)
+
+    def test_makes_no_system_apply(self, monkeypatch, pairs, theta):
+        applies, matvecs = [], []
+        monkeypatch.setattr(
+            TaylorSystemOperator,
+            "apply_truncated_inverse_with_cache",
+            counted(TaylorSystemOperator.apply_truncated_inverse_with_cache, applies),
+        )
+        monkeypatch.setattr(DenoiserOperator, "apply", counted(DenoiserOperator.apply, matvecs))
+        evaluate_psnr(theta, pairs, 16, SMALL)
+        assert applies == []
+        # one Psi matvec per degree of the compiled filter and patch
+        assert len(matvecs) == compile_filter(theta).degree * len(pairs)
+        forward(theta, pairs[0][0], 16, SMALL)
+        assert len(applies) == SMALL.depth_T + 1  # the counter sees the unrolled network
+
+    def test_uncompilable_theta_raises_numeric_divergence(self, pairs):
+        # the uncalibrated CG scalars give max |Q| of about 9e14 on [0, 1]
+        theta = ParamVector.initial(PipelineConfig())
+        with pytest.raises(NumericDivergenceError, match="does not compile"):
+            evaluate_psnr(theta, pairs, 16)
 
 
 class TestCheckpoint:
