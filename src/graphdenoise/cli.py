@@ -188,6 +188,10 @@ def cmd_train(cfg: RunConfig) -> int:
     checkpoint_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "checkpoint.json"
     if checkpoint_path.is_dir():
         raise CliUsageError(f"the checkpoint path is a directory: {checkpoint_path}")
+    history_path = out / "history.csv"
+    for taken in (out, history_path):
+        if checkpoint_path.resolve() == taken.resolve():
+            raise CliUsageError(f"the checkpoint path {checkpoint_path} is the output {taken}")
     # both are made before training, so a bad path fails before the epochs run
     _out_dir(cfg)
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
@@ -202,7 +206,6 @@ def cmd_train(cfg: RunConfig) -> int:
         learning_rate=cfg.learning_rate,
     )
     save_checkpoint(checkpoint_path, state.params, hyper)
-    history_path = out / "history.csv"
     lines = ["epoch,train_loss,val_psnr"]
     lines += [f"{h.epoch},{_fmt(h.train_loss)},{_fmt(h.val_psnr)}" for h in history]
     write_text_durably(history_path, "\n".join(lines) + "\n")

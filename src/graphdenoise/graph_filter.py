@@ -192,9 +192,12 @@ class DenoiserOperator:
     matrix it was normalized from.
     """
 
-    n: int
     _matrix: sparse.csr_array = field(repr=False)
     row_sums: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self._matrix.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -268,9 +271,11 @@ def window_blocks(side: int, radius: int):
     block_j are (row slice, column slice) pairs; pixel (r, c) of block_i is
     joined to pixel (r + dr, c + dc), the same position of block_j.
     """
-    # the other half of the window is the mirror (-dr, -dc) of these offsets
-    for dr in range(0, radius + 1):
-        for dc in range(-radius, radius + 1):
+    # the other half of the window is the mirror (-dr, -dc) of these offsets;
+    # an offset of side or more has an empty block, so the loops stop short
+    reach = min(radius, side - 1)
+    for dr in range(0, reach + 1):
+        for dc in range(-reach, reach + 1):
             r0, r1 = max(0, -dr), side - max(0, dr)
             c0, c1 = max(0, -dc), side - max(0, dc)
             if (dr > 0 or dc > 0) and r0 < r1 and c0 < c1:
@@ -341,7 +346,7 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     # the conversion keeps each row in offset order, i.e. sorted by column,
     # and drops the exact zeros: the padding and any weight that underflows
     psi = sparse.dia_array((diagonals.reshape(len(offsets), n), offsets), shape=(n, n))
-    return DenoiserOperator(n=n, _matrix=psi.tocsr(), row_sums=row_sums.ravel())
+    return DenoiserOperator(_matrix=psi.tocsr(), row_sums=row_sums.ravel())
 
 
 # A Lanczos step breaks down when its new direction is at most this times

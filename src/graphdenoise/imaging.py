@@ -22,20 +22,21 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 class GrayImage:
     """Row-major grayscale image with pixels in [0, 1]."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width) float64
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidInputError("image dimensions must be positive")
-        if self.pixels.shape != (self.height, self.width):
-            raise InvalidInputError(
-                f"pixel array shape {self.pixels.shape} does not match "
-                f"{(self.height, self.width)}"
-            )
+        if self.pixels.ndim != 2 or self.pixels.size == 0:
+            raise InvalidInputError(f"pixels must be a nonempty 2-D array, got {self.pixels.shape}")
         if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise InvalidInputError("pixel values must lie in [0, 1]")
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +44,7 @@ class PatchGrid:
     """Non-overlapping square patches tiling the cropped image exactly."""
 
     patch_side: int
-    patches: np.ndarray  # (num_patches, patch_side**2), row-major blocks
-    origins: np.ndarray  # (num_patches, 2) top-left (row, col) per patch
+    patches: np.ndarray  # (num_patches, patch_side**2), row-major blocks in raster order
     grid_height: int
     grid_width: int
 
@@ -100,7 +100,7 @@ def _load_pnm(path) -> GrayImage:
         rgb = arr.reshape(height, width, 3)
         wr, wg, wb = LUMA_WEIGHTS
         pixels = wr * rgb[:, :, 0] + wg * rgb[:, :, 1] + wb * rgb[:, :, 2]
-    return GrayImage(width=width, height=height, pixels=pixels)
+    return GrayImage(pixels)
 
 
 def _load_png(path) -> GrayImage:
@@ -112,7 +112,7 @@ def _load_png(path) -> GrayImage:
         arr = np.asarray(im.convert("RGB"), dtype=float) / 255.0
     wr, wg, wb = LUMA_WEIGHTS
     pixels = wr * arr[:, :, 0] + wg * arr[:, :, 1] + wb * arr[:, :, 2]
-    return GrayImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
+    return GrayImage(pixels)
 
 
 def load_image(path) -> GrayImage:
@@ -146,7 +146,7 @@ def add_awgn(image: GrayImage, sigma_8bit: float, seed: int) -> GrayImage:
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma_8bit / 255.0, size=image.pixels.shape)
     pixels = np.clip(image.pixels + noise, 0.0, 1.0)
-    return GrayImage(width=image.width, height=image.height, pixels=pixels)
+    return GrayImage(pixels)
 
 
 def partition(image: GrayImage, patch_side: int) -> PatchGrid:
@@ -160,18 +160,12 @@ def partition(image: GrayImage, patch_side: int) -> PatchGrid:
             f"image {image.width}x{image.height} is smaller than one {patch_side}x{patch_side} patch"
         )
     gh, gw = rows * patch_side, cols * patch_side
-    cropped = image.pixels[:gh, :gw]
-    patches = []
-    origins = []
-    for pr in range(rows):
-        for pc in range(cols):
-            r0, c0 = pr * patch_side, pc * patch_side
-            patches.append(cropped[r0 : r0 + patch_side, c0 : c0 + patch_side].ravel())
-            origins.append((r0, c0))
+    # axes (patch row, pixel row, patch col, pixel col), swapped to put each
+    # patch's pixels last; the copy lays the patches out in raster order
+    blocks = image.pixels[:gh, :gw].reshape(rows, patch_side, cols, patch_side).swapaxes(1, 2)
     return PatchGrid(
         patch_side=patch_side,
-        patches=np.array(patches),
-        origins=np.array(origins, dtype=int),
+        patches=blocks.copy().reshape(rows * cols, patch_side * patch_side),
         grid_height=gh,
         grid_width=gw,
     )
@@ -179,11 +173,10 @@ def partition(image: GrayImage, patch_side: int) -> PatchGrid:
 
 def reassemble(grid: PatchGrid) -> GrayImage:
     """Inverse of partition on the cropped image (exact round trip)."""
-    out = np.zeros((grid.grid_height, grid.grid_width))
     side = grid.patch_side
-    for patch, (r0, c0) in zip(grid.patches, grid.origins):
-        out[r0 : r0 + side, c0 : c0 + side] = patch.reshape(side, side)
-    return GrayImage(width=grid.grid_width, height=grid.grid_height, pixels=out)
+    rows, cols = grid.grid_height // side, grid.grid_width // side
+    blocks = grid.patches.reshape(rows, cols, side, side).swapaxes(1, 2)
+    return GrayImage(blocks.astype(float, order="C").reshape(grid.grid_height, grid.grid_width))
 
 
 def psnr(reference: GrayImage, test: GrayImage) -> float:
@@ -230,4 +223,4 @@ def synthesize_image(width: int, height: int, seed: int) -> GrayImage:
     lo, hi = img.min(), img.max()
     img = 0.05 + 0.9 * (img - lo) / max(hi - lo, 1e-12)
     img = np.rint(img * 255.0) / 255.0
-    return GrayImage(width=width, height=height, pixels=img)
+    return GrayImage(img)

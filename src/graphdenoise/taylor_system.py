@@ -44,20 +44,21 @@ class TaylorSystemOperator:
     """Matrix-free (I + mu*L) realized as the degree-K truncated inverse of Psi."""
 
     psi: DenoiserOperator
-    degree_K: int
-    coefficients: np.ndarray
+    coefficients: np.ndarray  # a_0..a_K
     mu: float = 1.0
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.degree_K < 1:
-            raise InvalidInputError("degree_K must be >= 1")
-        if self.coefficients.shape != (self.degree_K + 1,):
+        if self.coefficients.ndim != 1 or self.coefficients.size < 2:
             raise InvalidInputError(
-                f"need {self.degree_K + 1} coefficients, got {self.coefficients.shape}"
+                f"need K + 1 >= 2 coefficients, got shape {self.coefficients.shape}"
             )
         if self.mu <= 0.0:
             raise InvalidInputError("mu must be positive")
+
+    @property
+    def degree_K(self) -> int:
+        return self.coefficients.size - 1
 
     @property
     def n(self) -> int:

@@ -147,16 +147,15 @@ def build_system(
     """The patch system of theta: its features and the truncated-inverse
     system, whose smoother Psi is `system.psi`. theta must have hyper's
     degree_K + 1 coefficients and depth_T CG steps."""
-    if theta.cg_alpha.size != hyper.depth_T:
-        raise InvalidInputError(
-            f"theta has {theta.cg_alpha.size} CG steps, depth_T is {hyper.depth_T}"
-        )
+    for count, what, name, value in (
+        (theta.tse_coeffs.size, "Taylor coefficients", "degree_K + 1", hyper.degree_K + 1),
+        (theta.cg_alpha.size, "CG steps", "depth_T", hyper.depth_T),
+    ):
+        if count != value:
+            raise InvalidInputError(f"theta has {count} {what}, {name} is {value}")
     field_ = extract_features(noisy, patch_side)
     filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
-    system = TaylorSystemOperator(
-        psi=normalize(filt), degree_K=hyper.degree_K, coefficients=theta.tse_coeffs
-    )
-    return field_, system
+    return field_, TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
 
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:

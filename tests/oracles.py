@@ -4,10 +4,10 @@ Everything here recomputes quantities by a different route than the
 production code (explicit stencils, per-pair weights, dense matrices,
 matrix powers, direct solves, finite differences), so agreement is
 meaningful. The package exports only what the pipeline and scripts use;
-the helpers that only tests need live here too: the batch loss and its
-finite-difference gradient, a dense-matrix smoother for synthetic
-spectra, the one-pass form of EdgeOuterSum, and the patch system solved
-by classic CG.
+the helpers that only tests need live here too: per-patch partition and
+reassembly loops, the batch loss and its finite-difference gradient, a
+dense-matrix smoother for synthetic spectra, the one-pass form of
+EdgeOuterSum, and the patch system solved by classic CG.
 """
 import numpy as np
 from scipy import sparse
@@ -27,6 +27,27 @@ from graphdenoise import (
     forward,
     unrolled_cg,
 )
+
+
+def loop_partition(pixels: np.ndarray, side: int) -> np.ndarray:
+    """The whole side x side patches of an image, cropped at its bottom and
+    right edges, each raveled row-major, in raster order: one slice a patch."""
+    rows, cols = pixels.shape[0] // side, pixels.shape[1] // side
+    patches = []
+    for pr in range(rows):
+        for pc in range(cols):
+            r0, c0 = pr * side, pc * side
+            patches.append(pixels[r0 : r0 + side, c0 : c0 + side].ravel())
+    return np.array(patches)
+
+
+def loop_reassemble(patches: np.ndarray, side: int, cols: int) -> np.ndarray:
+    """Inverse of loop_partition: the patches written back one at a time."""
+    out = np.zeros(((len(patches) // cols) * side, cols * side))
+    for index, patch in enumerate(patches):
+        r0, c0 = (index // cols) * side, (index % cols) * side
+        out[r0 : r0 + side, c0 : c0 + side] = patch.reshape(side, side)
+    return out
 
 
 def stencil_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +143,7 @@ def operator_from_dense(dense: np.ndarray) -> DenoiserOperator:
         raise InvalidInputError("operator matrix must be square")
     if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
         raise InvalidInputError("operator matrix must be symmetric")
-    return DenoiserOperator(n=dense.shape[0], _matrix=sparse.csr_array(dense))
+    return DenoiserOperator(_matrix=sparse.csr_array(dense))
 
 
 def operator_with_spectrum(

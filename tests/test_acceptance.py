@@ -228,12 +228,7 @@ def test_criterion_7_mu_invariance():
     op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))
     outputs = []
     for mu in (0.1, 1.0, 10.0):
-        system = TaylorSystemOperator(
-            psi=op,
-            degree_K=hyper.degree_K,
-            coefficients=theta.tse_coeffs,
-            mu=mu,
-        )
+        system = TaylorSystemOperator(psi=op, coefficients=theta.tse_coeffs, mu=mu)
         x, _ = unrolled_cg(system, patch, CgConfig(depth_T=hyper.depth_T, mode="analytic"))
         outputs.append(x)
     ok = np.array_equal(outputs[0], outputs[1]) and np.array_equal(outputs[1], outputs[2])
@@ -269,7 +264,7 @@ def test_criterion_9_truncation_error_monotone_in_degree():
         target = exact @ v
         errs = []
         for degree in degrees:
-            system = TaylorSystemOperator(op, degree, default_coefficients(degree))
+            system = TaylorSystemOperator(op, default_coefficients(degree))
             out = system.apply_system(v)
             errs.append(np.linalg.norm(out - target) / np.linalg.norm(target))
         if not all(a >= b for a, b in zip(errs, errs[1:])):

@@ -18,7 +18,7 @@ TIGHT = 1e-300  # guard far below machine noise: pure solver behaviour
 
 
 def identity_system(n):
-    return TaylorSystemOperator(operator_from_dense(np.eye(n)), 5, default_coefficients(5))
+    return TaylorSystemOperator(operator_from_dense(np.eye(n)), default_coefficients(5))
 
 
 def dense_system(seed, n, lo=0.5, hi=5.0):

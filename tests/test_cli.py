@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -221,6 +222,24 @@ class TestTrain:
         if case == "directory":
             assert not out.exists()
 
+    @pytest.mark.parametrize("collision", ["out", "history"])
+    def test_checkpoint_that_is_an_output_fails_before_training(
+        self, tmp_path, monkeypatch, image_dir, capsys, collision
+    ):
+        out = tmp_path / "o"
+        ckpt = out if collision == "out" else out / "history.csv"
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("train_loop was reached")
+
+        monkeypatch.setattr(cli, "train_loop", unreachable)
+        argv = ["train", "--train_dir", str(image_dir), "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main([*argv, *TINY]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the checkpoint path {ckpt} is the output {ckpt}"
+        ]
+        assert not out.exists()
+
     def test_requires_train_dir(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1
 
@@ -287,7 +306,7 @@ class TestDenoise:
         denoised = load_image(out / (noisy.stem + "_denoised.pgm"))
         clean = load_image(src)
         recomputed = psnr(
-            GrayImage(width=32, height=32, pixels=clean.pixels), denoised
+            GrayImage(clean.pixels), denoised
         )
         assert reported == pytest.approx(recomputed, abs=1e-9)
 
@@ -433,6 +452,20 @@ class TestExitCodes:
             ["denoise", str(bad), "--checkpoint", str(ckpt), "--out", str(out), *TINY]
         ) == 2
         assert not out.exists()  # the image is read before the output directory is made
+
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="pillow reads PNG")
+    def test_png_without_pillow_is_an_io_error(self, tmp_path, capsys):
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        ckpt = tmp_path / "c.json"
+        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+        png = tmp_path / "x.png"
+        png.write_bytes(b"\x89PNG\r\n\x1a\n")
+        out = tmp_path / "o"
+        assert main(["denoise", str(png), "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {png}: PNG reading requires pillow"
+        ]
+        assert not out.exists()
 
     def test_numeric_error_is_three(self, tmp_path, image_dir):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
@@ -889,7 +922,7 @@ class TestSolveLanes:
         # four constant 2x2 patches, patch p valued p / 10; item 2 * p + maker,
         # as cmd_eval maps two systems per patch; the second maker gives two outputs
         pixels = np.repeat(np.arange(4) / 10, 2)[None, :].repeat(2, axis=0)
-        image = GrayImage(width=8, height=2, pixels=pixels)
+        image = GrayImage(pixels)
 
         def maker(offset):
             def build(patch):
@@ -1029,7 +1062,7 @@ class TestCompiledLanes:
         self, tmp_path, monkeypatch, theta, lanes
     ):
         save_checkpoint(tmp_path / "c.json", theta, PipelineConfig())
-        save_image(GrayImage(width=128, height=64, pixels=np.zeros((64, 128))), tmp_path / "z.pgm")
+        save_image(GrayImage(np.zeros((64, 128))), tmp_path / "z.pgm")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             denoise_in_lanes(monkeypatch, lanes, [

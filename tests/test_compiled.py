@@ -54,7 +54,7 @@ def trained():
 
 def system_with_spectrum(theta, lo, hi, seed=0):
     psi = operator_with_spectrum(np.random.default_rng(seed), 64, lo, hi)
-    return TaylorSystemOperator(psi=psi, degree_K=DEFAULT.degree_K, coefficients=theta.tse_coeffs)
+    return TaylorSystemOperator(psi=psi, coefficients=theta.tse_coeffs)
 
 
 def relative_error(out, reference):
@@ -94,7 +94,6 @@ class TestCompileFilter:
         lam = np.linspace(0.0, 1.0, 64)
         system = TaylorSystemOperator(
             psi=operator_from_dense(np.diag(lam)),
-            degree_K=DEFAULT.degree_K,
             coefficients=calibrated.tse_coeffs,
         )
         x, _ = unrolled_cg(system, np.ones(64), calibrated.cg_config())

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ class TestBuildFilterMatrix:
         # on a 2x2 grid only offsets with |dr|, |dc| <= 1 join two pixels
         assert [(dr, dc) for dr, dc, _, _ in window_blocks(2, 3)] == [(0, 1), (1, -1), (1, 0), (1, 1)]
         assert list(window_blocks(1, 3)) == []
+
+    def test_radius_far_beyond_the_patch_builds_quickly(self):
+        # offsets of the patch side or more have no block: a huge radius
+        # visits only the side's offsets, and its taper still uses the radius
+        field = extract_features(random_patch(4, 16), 16)
+        metric = MetricFactor.bilateral_default()
+        start = time.perf_counter()
+        filt = build_filter_matrix(field, metric, 10**6)
+        op = normalize(filt)
+        assert time.perf_counter() - start < 1.0
+        assert [(dr, dc) for dr, dc, _, _ in filt.blocks()] == [
+            (dr, dc) for dr, dc, _, _ in window_blocks(16, 15)
+        ]
+        dense = dense_filter_matrix(field, metric, 10**6)
+        assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
+        assert op.n == 256
 
     def test_invariants_hold(self):
         field = extract_features(random_patch(3, 6), 6)

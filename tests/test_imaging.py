@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import numpy as np
@@ -17,11 +18,12 @@ from graphdenoise import (
     save_image,
     synthesize_image,
 )
+from oracles import loop_partition, loop_reassemble
 
 
 def random_image(seed, width, height):
     pixels = np.random.default_rng(seed).random((height, width))
-    return GrayImage(width=width, height=height, pixels=pixels)
+    return GrayImage(pixels)
 
 
 class TestPgmRoundTrip:
@@ -40,7 +42,7 @@ class TestPgmRoundTrip:
         assert np.array_equal(load_image(path).pixels, img.pixels)
 
     def test_pure_white(self, tmp_path):
-        img = GrayImage(width=4, height=3, pixels=np.ones((3, 4)))
+        img = GrayImage(np.ones((3, 4)))
         path = tmp_path / "white.pgm"
         save_image(img, path)
         assert np.all(load_image(path).pixels == 1.0)
@@ -88,6 +90,13 @@ class TestPgmRoundTrip:
         with pytest.raises(ImageFormatError):
             load_image(tmp_path / "nope.pgm")
 
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="pillow reads PNG")
+    def test_png_without_pillow_names_pillow(self, tmp_path):
+        path = tmp_path / "x.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(ImageFormatError, match="pillow"):
+            load_image(path)
+
 
 class TestAddAwgn:
     def test_zero_sigma_is_identity(self):
@@ -97,7 +106,7 @@ class TestAddAwgn:
 
     def test_empirical_std_matches_sigma(self):
         # mid-gray content: clipping never activates at sigma = 10
-        img = GrayImage(width=512, height=512, pixels=np.full((512, 512), 0.5))
+        img = GrayImage(np.full((512, 512), 0.5))
         noisy = add_awgn(img, 10.0, seed=4)
         measured = float(np.std(noisy.pixels - img.pixels))
         assert measured == pytest.approx(10.0 / 255.0, rel=0.02)
@@ -109,7 +118,7 @@ class TestAddAwgn:
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_distinct_seeds_near_zero_mean_difference(self):
-        img = GrayImage(width=512, height=512, pixels=np.full((512, 512), 0.5))
+        img = GrayImage(np.full((512, 512), 0.5))
         a = add_awgn(img, 10.0, seed=10)
         b = add_awgn(img, 10.0, seed=11)
         assert abs(float(np.mean(a.pixels - b.pixels))) < 1e-3
@@ -129,7 +138,6 @@ class TestPartitionReassemble:
         img = random_image(5, 64, 64)
         grid = partition(img, 64)
         assert grid.patches.shape == (1, 64 * 64)
-        assert tuple(grid.origins[0]) == (0, 0)
 
     def test_crop_counts(self):
         img = random_image(6, 100, 70)
@@ -168,21 +176,41 @@ class TestPartitionReassemble:
         gw = (width // side) * side
         assert np.array_equal(back.pixels, img.pixels[:gh, :gw])
 
+    @given(st.integers(1, 200), st.integers(1, 200), st.integers(2, 64))
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    def test_reshapes_match_the_per_patch_loops(self, width, height, side):
+        img = random_image(width * 1000 + height, width, height)
+        if width < side or height < side:
+            with pytest.raises(InvalidInputError) as info:
+                partition(img, side)
+            assert str(info.value) == (
+                f"image {width}x{height} is smaller than one {side}x{side} patch"
+            )
+            return
+        grid = partition(img, side)
+        expected = loop_partition(img.pixels, side)
+        assert grid.patches.shape == expected.shape and grid.patches.tobytes() == expected.tobytes()
+        gh, gw = (height // side) * side, (width // side) * side
+        assert (grid.grid_height, grid.grid_width) == (gh, gw)
+        back = reassemble(grid).pixels
+        assert np.array_equal(back, loop_reassemble(expected, side, width // side))
+        assert back.tobytes() == img.pixels[:gh, :gw].tobytes()
+
 
 class TestPsnr:
     def test_identical_images_give_inf(self):
         img = random_image(12, 16, 16)
-        other = GrayImage(width=16, height=16, pixels=img.pixels.copy())
+        other = GrayImage(img.pixels.copy())
         assert psnr(img, other) == float("inf")
 
     def test_uniform_difference_closed_form(self):
-        base = GrayImage(width=10, height=10, pixels=np.full((10, 10), 0.4))
-        shifted = GrayImage(width=10, height=10, pixels=np.full((10, 10), 0.4 + 10.0 / 255.0))
+        base = GrayImage(np.full((10, 10), 0.4))
+        shifted = GrayImage(np.full((10, 10), 0.4 + 10.0 / 255.0))
         expected = 10.0 * math.log10(255.0**2 / 100.0)
         assert psnr(base, shifted) == pytest.approx(expected, abs=1e-9)
 
     def test_awgn_psnr_near_sigma_prediction(self):
-        img = GrayImage(width=512, height=512, pixels=np.full((512, 512), 0.5))
+        img = GrayImage(np.full((512, 512), 0.5))
         noisy = add_awgn(img, 10.0, seed=13)
         expected = 10.0 * math.log10(255.0**2 / 100.0)
         assert psnr(img, noisy) == pytest.approx(expected, abs=0.1)
@@ -225,8 +253,13 @@ class TestSynthesize:
 class TestGrayImage:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            GrayImage(width=2, height=2, pixels=np.array([[0.0, 0.5], [1.2, 0.1]]))
+            GrayImage(np.array([[0.0, 0.5], [1.2, 0.1]]))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            GrayImage(width=3, height=2, pixels=np.zeros((3, 3)))
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (2, 2, 1)])
+    def test_rejects_empty_or_non_2d_pixels(self, shape):
+        with pytest.raises(InvalidInputError, match="nonempty 2-D"):
+            GrayImage(np.zeros(shape))
+
+    def test_size_is_the_pixel_array_shape(self):
+        img = GrayImage(np.zeros((3, 5)))
+        assert (img.width, img.height) == (5, 3)

@@ -3,6 +3,7 @@ exports only names that the pipeline or the scripts use."""
 import ast
 import graphlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,37 @@ def test_relative_imports_form_no_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def _imports_by_function(tree):
+    """(top-level module, name of the innermost enclosing function or None)
+    for every absolute import in a module."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], function) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.split(".")[0], function))
+        stack += [(child, function) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    # pillow is optional: only the PNG reader imports it, when it is called
+    sample = "import PIL.Image\ndef _load_png():\n    from PIL import Image\n"
+    assert sorted(_imports_by_function(ast.parse(sample)), key=str) == [
+        ("PIL", "_load_png"),
+        ("PIL", None),
+    ]
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    offenders = []
+    for path in sorted((ROOT / "src" / "graphdenoise").glob("*.py")):
+        for module, function in _imports_by_function(ast.parse(path.read_text("utf-8"))):
+            if module in allowed or (module, function) == ("PIL", "_load_png"):
+                continue
+            offenders.append(f"{path.name}: {module} in {function or 'module scope'}")
+    assert offenders == []

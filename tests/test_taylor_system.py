@@ -22,13 +22,13 @@ def make_system(psi_dense, degree_K=10, mu=1.0, coeffs=None):
     op = operator_from_dense(psi_dense)
     if coeffs is None:
         coeffs = default_coefficients(degree_K)
-    return TaylorSystemOperator(psi=op, degree_K=degree_K, coefficients=coeffs, mu=mu)
+    return TaylorSystemOperator(psi=op, coefficients=coeffs, mu=mu)
 
 
 def patch_system(seed, side, degree_K=10, radius=2):
     field = extract_features(random_patch(seed, side), side)
     op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), radius))
-    return TaylorSystemOperator(op, degree_K, default_coefficients(degree_K))
+    return TaylorSystemOperator(op, default_coefficients(degree_K))
 
 
 class TestDefaultCoefficients:
@@ -60,7 +60,7 @@ class TestTruncatedInverse:
     def test_matches_dense_inverse_for_well_conditioned_psi(self):
         rng = np.random.default_rng(17)
         op = operator_with_spectrum(rng, 16, 0.3, 1.0)
-        system = TaylorSystemOperator(op, 30, default_coefficients(30))
+        system = TaylorSystemOperator(op, default_coefficients(30))
         v = rng.standard_normal(16)
         exact = np.linalg.solve(op.to_dense(), v)
         out = system.apply_system(v)
@@ -78,7 +78,7 @@ class TestTruncatedInverse:
             return original(v)
 
         op.apply = counting_apply
-        system = TaylorSystemOperator(op, 7, default_coefficients(7))
+        system = TaylorSystemOperator(op, default_coefficients(7))
         system.apply_system(np.ones(16))
         assert calls == 7
 
@@ -103,7 +103,7 @@ class TestApplySystem:
         op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
         v = np.random.default_rng(0).standard_normal(16)
         outs = [
-            TaylorSystemOperator(op, 10, default_coefficients(10), mu=mu).apply_system(v)
+            TaylorSystemOperator(op, default_coefficients(10), mu=mu).apply_system(v)
             for mu in (0.1, 1.0, 10.0)
         ]
         assert np.array_equal(outs[0], outs[1])
@@ -128,7 +128,7 @@ class TestApplyLaplacian:
         rng = np.random.default_rng(8)
         op = operator_with_spectrum(rng, 12, 0.2, 1.0)
         mu = 0.7
-        system = TaylorSystemOperator(op, 9, default_coefficients(9), mu=mu)
+        system = TaylorSystemOperator(op, default_coefficients(9), mu=mu)
         dense = dense_truncated_inverse_matrix(op.to_dense(), 9, default_coefficients(9))
         v = rng.standard_normal(12)
         exact = (dense @ v - v) / mu
@@ -148,7 +148,7 @@ class TestGlrValue:
         rng = np.random.default_rng(9)
         op = operator_with_spectrum(rng, 10, 0.3, 1.0)
         mu = 2.5
-        system = TaylorSystemOperator(op, 8, default_coefficients(8), mu=mu)
+        system = TaylorSystemOperator(op, default_coefficients(8), mu=mu)
         dense = dense_truncated_inverse_matrix(op.to_dense(), 8, default_coefficients(8))
         laplacian = (dense - np.eye(10)) / mu
         x = rng.standard_normal(10)
@@ -166,7 +166,7 @@ class TestProperties:
             exact = inv @ v
             errs = []
             for degree in (10, 15):
-                system = TaylorSystemOperator(op, degree, default_coefficients(degree))
+                system = TaylorSystemOperator(op, default_coefficients(degree))
                 out = system.apply_system(v)
                 errs.append(np.linalg.norm(out - exact) / np.linalg.norm(exact))
             assert errs[1] <= errs[0]
@@ -192,22 +192,26 @@ class TestProperties:
     def test_composition_with_smoother_approaches_identity(self):
         rng = np.random.default_rng(7)
         op = operator_with_spectrum(rng, 12, 0.3, 1.0)
-        system = TaylorSystemOperator(op, 30, default_coefficients(30))
+        system = TaylorSystemOperator(op, default_coefficients(30))
         v = rng.standard_normal(12)
         out = system.apply_system(op.apply(v))
         assert np.linalg.norm(out - v) / np.linalg.norm(v) < 1e-3
 
 
 class TestValidation:
-    def test_wrong_coefficient_count(self):
+    @pytest.mark.parametrize("coefficients", [np.ones(1), np.ones((2, 3)), np.float64(1.0)])
+    def test_coefficients_are_a_vector_of_degree_at_least_one(self, coefficients):
         op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
-            TaylorSystemOperator(psi=op, degree_K=5, coefficients=np.ones(5))
+            TaylorSystemOperator(psi=op, coefficients=coefficients)
+
+    def test_degree_is_read_from_the_coefficients(self):
+        assert patch_system(0, 3, degree_K=6).degree_K == 6
 
     def test_nonpositive_mu(self):
         op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
-            TaylorSystemOperator(psi=op, degree_K=2, coefficients=np.ones(3), mu=-1.0)
+            TaylorSystemOperator(psi=op, coefficients=np.ones(3), mu=-1.0)
 
     def test_initial_coefficients_are_alternating(self):
         system = patch_system(0, 3, degree_K=6)

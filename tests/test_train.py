@@ -118,6 +118,13 @@ class TestForward:
         with pytest.raises(InvalidInputError, match="theta has 4 CG steps, depth_T is 5"):
             forward(theta, noisy, 8, SMALL)
 
+    def test_rejects_theta_of_another_degree(self):
+        # the Taylor degree K is read from theta's coefficients alone
+        noisy, _ = noisy_clean_pair(1, 8)
+        theta = ParamVector.initial(replace(SMALL, degree_K=5))
+        with pytest.raises(InvalidInputError, match="theta has 6 Taylor coefficients, degree_K"):
+            build_system(theta, noisy, 8, SMALL)
+
     def test_matches_dense_solve_of_truncated_system(self):
         # analytic CG run to full depth against a dense direct solve
         side, degree = 4, 30
