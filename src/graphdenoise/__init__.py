@@ -20,9 +20,8 @@ from .errors import (
 from .graph_filter import (
     FEATURE_DIM,
     DenoiserOperator,
-    FeatureField,
-    MetricFactor,
     SparseFilterMatrix,
+    bilateral_factor,
     build_filter_matrix,
     central_gradients,
     estimate_spectrum,
@@ -72,12 +71,10 @@ __all__ = [
     "EdgeOuterSum",
     "EpochStats",
     "FEATURE_DIM",
-    "FeatureField",
     "GrayImage",
     "GraphDenoiseError",
     "ImageFormatError",
     "InvalidInputError",
-    "MetricFactor",
     "NumericDivergenceError",
     "ParamVector",
     "PatchGrid",
@@ -87,6 +84,7 @@ __all__ = [
     "TrainState",
     "adam_step",
     "add_awgn",
+    "bilateral_factor",
     "build_filter_matrix",
     "build_system",
     "calibrate_cg_params",

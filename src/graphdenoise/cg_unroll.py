@@ -9,9 +9,9 @@ Each depth step performs the classic CG update
 
 starting from the warm start x_0 = y, r_0 = y - A y, p_0 = r_0. In analytic
 mode alpha_k = r_k.r_k / p_k.v_{k+1} and beta_k = r_{k+1}.r_{k+1} / r_k.r_k
-are data-dependent; in learned mode they are fixed per-depth scalars shared
-across all inputs, which is what makes the unrolled solver a trainable
-feed-forward network.
+are data-dependent; in learned mode (CgConfig given learned_alpha and
+learned_beta) they are fixed per-depth scalars shared across all inputs,
+which is what makes the unrolled solver a trainable feed-forward network.
 """
 from __future__ import annotations
 
@@ -26,10 +26,13 @@ from .lanes import in_lanes
 
 @dataclass(eq=False)
 class CgConfig:
-    """Depth, scalar mode and breakdown guard for the unrolled solver."""
+    """Depth, learned scalars and breakdown guard for the unrolled solver.
+
+    The solver runs in learned mode when learned_alpha and learned_beta are
+    given (both or neither), else in analytic mode.
+    """
 
     depth_T: int = 15
-    mode: str = "analytic"  # "analytic" | "learned"
     learned_alpha: np.ndarray | None = None
     learned_beta: np.ndarray | None = None
     epsilon_guard: float = 1e-12
@@ -37,24 +40,24 @@ class CgConfig:
     def __post_init__(self):
         if self.depth_T < 0:
             raise InvalidInputError("depth_T must be >= 0")
-        if self.mode not in ("analytic", "learned"):
-            raise InvalidInputError(f"unknown CG mode {self.mode!r}")
         if self.epsilon_guard <= 0.0:
             raise InvalidInputError("epsilon_guard must be positive")
-        if self.mode == "learned":
+        if (self.learned_alpha is None) != (self.learned_beta is None):
+            raise InvalidInputError("learned_alpha and learned_beta must be given together")
+        if self.learned_alpha is not None:
             self.learned_alpha = np.asarray(self.learned_alpha, dtype=float)
             self.learned_beta = np.asarray(self.learned_beta, dtype=float)
             if self.learned_alpha.shape != (self.depth_T,):
                 raise InvalidInputError(f"learned_alpha must have length {self.depth_T}")
-            if self.learned_beta.shape != (max(self.depth_T - 1, 0),):
-                raise InvalidInputError(f"learned_beta must have length {self.depth_T - 1}")
+            beta_length = max(self.depth_T - 1, 0)
+            if self.learned_beta.shape != (beta_length,):
+                raise InvalidInputError(f"learned_beta must have length {beta_length}")
 
 
 @dataclass(eq=False)
 class CgTrace:
-    """Realized iterates and scalars of one unrolled solve."""
+    """Realized residual norms and scalars of one unrolled solve."""
 
-    iterates: list[np.ndarray]       # x_0 .. x_T
     residual_norms: list[float]      # ||r_0|| .. ||r_T||
     used_alphas: np.ndarray          # length T
     used_betas: np.ndarray           # length max(T - 1, 0)
@@ -72,8 +75,8 @@ def _as_matvec(system):
 
 # an overflow surfaces as a non-finite state, which is raised as an error
 @np.errstate(over="ignore", invalid="ignore")
-def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
-    """Run T unrolled CG steps on A x = y; returns (x, trace or None).
+def unrolled_cg(system, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTrace]:
+    """Run T unrolled CG steps on A x = y; returns (x, trace).
 
     Analytic mode guards against breakdown: once r_k.r_k or |p_k.v_{k+1}|
     is at most epsilon_guard * r_0.r_0, every remaining step is an identity
@@ -89,20 +92,20 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
         raise InvalidInputError(f"right-hand side must be a vector, got shape {y.shape}")
 
     T = cfg.depth_T
-    analytic = cfg.mode == "analytic"
+    analytic = cfg.learned_alpha is None
     x = y.copy()
     r = y - matvec(y)
     if r.shape != y.shape:
         raise InvalidInputError("system output shape does not match the input")
     p = r.copy()
+    rr_0 = float(r @ r)
     # relative breakdown threshold; an overflowed r_0.r_0 is not a breakdown,
     # the first step then raises on its non-finite state
-    guard = cfg.epsilon_guard * float(r @ r)
+    guard = cfg.epsilon_guard * rr_0
 
     alphas = np.zeros(T)
     betas = np.zeros(max(T - 1, 0))
-    iterates = [x.copy()] if want_trace else None
-    res_norms = [float(np.linalg.norm(r))] if want_trace else None
+    res_norms = [float(np.sqrt(rr_0))]
 
     for k in range(T):
         if analytic:
@@ -129,19 +132,13 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig, want_trace: bool = False):
             beta = rr_new / rr_old if analytic else float(cfg.learned_beta[k])
             betas[k] = beta
             p = r + beta * p
-        if want_trace:
-            iterates.append(x.copy())
-            res_norms.append(float(np.sqrt(rr_new)))
-    if want_trace:
-        # after a breakdown the remaining steps are identity pass-throughs
-        pad = T + 1 - len(iterates)
-        iterates += [x.copy() for _ in range(pad)]
-        res_norms += [res_norms[-1]] * pad
+        res_norms.append(float(np.sqrt(rr_new)))
+    # after a breakdown the remaining steps are identity pass-throughs
+    res_norms += [res_norms[-1]] * (T + 1 - len(res_norms))
 
     if not np.all(np.isfinite(x)):
         raise NumericDivergenceError(f"non-finite CG output after {T} iterations", iteration=T)
-    trace = CgTrace(iterates, res_norms, alphas, betas) if want_trace else None
-    return x, trace
+    return x, CgTrace(res_norms, alphas, betas)
 
 
 def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,11 +153,11 @@ def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndar
     system_batch = list(system_batch)
     if not system_batch:
         raise InvalidInputError("calibration batch must be nonempty")
-    cfg = CgConfig(depth_T=depth_T, mode="analytic")
+    cfg = CgConfig(depth_T=depth_T)
 
     def used_scalars(element):
         system, y = element()
-        _, trace = unrolled_cg(system, y, cfg, want_trace=True)
+        _, trace = unrolled_cg(system, y, cfg)
         return trace.used_alphas, trace.used_betas
 
     runs = in_lanes([partial(used_scalars, element) for element in system_batch])

@@ -249,7 +249,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
-    analytic = CgConfig(depth_T=hyper.depth_T, mode="analytic")
+    analytic = CgConfig(depth_T=hyper.depth_T)
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
@@ -283,11 +283,11 @@ def cmd_inspect(cfg: RunConfig) -> int:
         f"depth_T = {hyper.depth_T}",
         f"window_radius = {hyper.window_radius}",
     ]
-    metric = params.metric()
+    factor = params.metric()
     for i in range(FEATURE_DIM):
         for j in range(i + 1):
-            lines.append(f"metric_factor_{i}{j} = {_fmt(metric.entries[i, j])}")
-    for i, value in enumerate(np.linalg.eigvalsh(metric.metric())):
+            lines.append(f"metric_factor_{i}{j} = {_fmt(factor[i, j])}")
+    for i, value in enumerate(np.linalg.eigvalsh(factor.T @ factor)):
         lines.append(f"metric_eigenvalue_{i} = {_fmt(value)}")
     for k, value in enumerate(params.tse_coeffs):
         lines.append(f"tse_coeff_{k} = {_fmt(value)}")

@@ -55,91 +55,22 @@ DEFAULT_SIGMA_INTENSITY = 0.1
 DEFAULT_GRADIENT_SCALE = 1e-3
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureField:
-    """Per-pixel feature vectors for one square patch.
+def bilateral_factor() -> np.ndarray:
+    """C = diag(1/sigma_l, 1/sigma_l, 1/sigma_x, eps_g, eps_g) from the
+    DEFAULT_* constants.
 
-    Feature order is (x coordinate, y coordinate, intensity, horizontal
-    gradient, vertical gradient), with x running along columns and y along
-    rows of the row-major patch. Coordinates are raw pixel units; any
-    rescaling lives in the metric.
+    Up to the tiny eps_g this is the classic bilateral weight
+    exp(-|dl|^2/sigma_l^2) * exp(-|dx|^2/sigma_x^2).
     """
-
-    patch_side: int
-    features: np.ndarray  # (patch_side**2, FEATURE_DIM)
-
-    def __post_init__(self):
-        n = self.patch_side * self.patch_side
-        if self.patch_side < 1:
-            raise InvalidInputError("patch_side must be positive")
-        if self.features.shape != (n, FEATURE_DIM):
-            raise InvalidInputError(
-                f"features must have shape {(n, FEATURE_DIM)}, got {self.features.shape}"
-            )
-        intensity = self.features[:, 2]
-        if intensity.min() < 0.0 or intensity.max() > 1.0:
-            raise InvalidInputError("intensity features must lie in [0, 1]")
-        coords = self.features[:, :2]
-        if np.any(coords != np.rint(coords)) or coords.min() < 0 or coords.max() >= self.patch_side:
-            raise InvalidInputError("coordinate features must be integers in [0, patch_side)")
-
-
-@dataclass(frozen=True, eq=False)
-class MetricFactor:
-    """Factor C of the PSD metric M = C^T C used in the filter weights."""
-
-    entries: np.ndarray  # (FEATURE_DIM, FEATURE_DIM), lower-triangular by convention
-
-    def __post_init__(self):
-        if self.entries.shape != (FEATURE_DIM, FEATURE_DIM):
-            raise InvalidInputError(
-                f"metric factor must be {FEATURE_DIM}x{FEATURE_DIM}, got shape {self.entries.shape}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise InvalidInputError("metric factor entries must be finite")
-
-    def metric(self) -> np.ndarray:
-        """The induced metric M = C^T C (symmetric PSD by construction)."""
-        return self.entries.T @ self.entries
-
-    def lower_triangle(self) -> np.ndarray:
-        """Row-major lower-triangular entries (the free parameters)."""
-        return self.entries[np.tril_indices(FEATURE_DIM)].copy()
-
-    @classmethod
-    def from_lower_triangle(cls, values) -> "MetricFactor":
-        values = np.asarray(values, dtype=float)
-        idx = np.tril_indices(FEATURE_DIM)
-        if values.shape != idx[0].shape:
-            raise InvalidInputError(
-                f"expected {idx[0].size} lower-triangular entries, got {values.size}"
-            )
-        entries = np.zeros((FEATURE_DIM, FEATURE_DIM))
-        entries[idx] = values
-        return cls(entries=entries)
-
-    @classmethod
-    def diagonal(cls, values) -> "MetricFactor":
-        values = np.asarray(values, dtype=float)
-        return cls(entries=np.diag(values))
-
-    @classmethod
-    def bilateral_default(cls) -> "MetricFactor":
-        """C = diag(1/sigma_l, 1/sigma_l, 1/sigma_x, eps_g, eps_g) from the
-        DEFAULT_* constants.
-
-        Up to the tiny eps_g this is the classic bilateral weight
-        exp(-|dl|^2/sigma_l^2) * exp(-|dx|^2/sigma_x^2).
-        """
-        return cls.diagonal(
-            [
-                1.0 / DEFAULT_SIGMA_SPATIAL,
-                1.0 / DEFAULT_SIGMA_SPATIAL,
-                1.0 / DEFAULT_SIGMA_INTENSITY,
-                DEFAULT_GRADIENT_SCALE,
-                DEFAULT_GRADIENT_SCALE,
-            ]
-        )
+    return np.diag(
+        [
+            1.0 / DEFAULT_SIGMA_SPATIAL,
+            1.0 / DEFAULT_SIGMA_SPATIAL,
+            1.0 / DEFAULT_SIGMA_INTENSITY,
+            DEFAULT_GRADIENT_SCALE,
+            DEFAULT_GRADIENT_SCALE,
+        ]
+    )
 
 
 @dataclass(eq=False)
@@ -233,9 +164,12 @@ def central_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def extract_features(noisy_patch: np.ndarray, patch_side: int) -> FeatureField:
-    """Per-pixel 5-vectors (x, y, intensity, grad_x, grad_y) from a noisy patch.
+def extract_features(noisy_patch: np.ndarray, patch_side: int) -> np.ndarray:
+    """Per-pixel 5-vectors (x, y, intensity, grad_x, grad_y) from a noisy
+    patch, as a (patch_side, patch_side, FEATURE_DIM) array.
 
+    x runs along columns and y along rows of the row-major patch.
+    Coordinates are raw pixel units; any rescaling lives in the metric.
     Features are always computed from the noisy input: the filter is
     pseudo-linear, i.e. its weights are a function of the observation and
     are held fixed when the operator is applied or differentiated.
@@ -245,22 +179,11 @@ def extract_features(noisy_patch: np.ndarray, patch_side: int) -> FeatureField:
         raise InvalidInputError(
             f"patch length {patch.size} is not patch_side**2 = {patch_side * patch_side}"
         )
-    if patch.size and (patch.min() < 0.0 or patch.max() > 1.0):
+    if patch.min() < 0.0 or patch.max() > 1.0:
         raise InvalidInputError("patch intensities must lie in [0, 1]")
     img = patch.reshape(patch_side, patch_side)
-    gx, gy = central_gradients(img)
     grid_y, grid_x = np.indices((patch_side, patch_side))
-    features = np.stack(
-        [
-            grid_x.ravel().astype(float),
-            grid_y.ravel().astype(float),
-            patch,
-            gx.ravel(),
-            gy.ravel(),
-        ],
-        axis=1,
-    )
-    return FeatureField(patch_side=patch_side, features=features)
+    return np.stack([grid_x, grid_y, img, *central_gradients(img)], axis=-1)
 
 
 def window_blocks(side: int, radius: int):
@@ -288,10 +211,11 @@ def window_blocks(side: int, radius: int):
 
 
 def build_filter_matrix(
-    field_: FeatureField, metric: MetricFactor, window_radius: int
+    features: np.ndarray, factor: np.ndarray, window_radius: int
 ) -> SparseFilterMatrix:
     """Evaluate tapered filter weights for all grid pairs within the
-    Chebyshev window.
+    Chebyshev window, from a (side, side, FEATURE_DIM) feature array
+    (extract_features) and the FEATURE_DIM x FEATURE_DIM metric factor C.
 
     Each unordered pair is evaluated once, into the plane of its half-window
     offset, so B is exactly symmetric; its diagonal is exactly 1. Each
@@ -299,13 +223,22 @@ def build_filter_matrix(
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
-    side = field_.patch_side
-    feats = field_.features.reshape(side, side, FEATURE_DIM)
+    side = features.shape[0] if features.ndim == 3 else 0
+    if side < 1 or features.shape != (side, side, FEATURE_DIM):
+        raise InvalidInputError(
+            f"features must have shape (side, side, {FEATURE_DIM}), got {features.shape}"
+        )
+    if factor.shape != (FEATURE_DIM, FEATURE_DIM):
+        raise InvalidInputError(
+            f"metric factor must be {FEATURE_DIM}x{FEATURE_DIM}, got shape {factor.shape}"
+        )
+    if not np.all(np.isfinite(factor)):
+        raise InvalidInputError("metric factor entries must be finite")
     width = window_radius + 1
     planes = []
     for dr, dc, block_i, block_j in window_blocks(side, window_radius):
-        d = feats[block_i] - feats[block_j]
-        scaled = d.reshape(-1, FEATURE_DIM) @ metric.entries.T
+        d = features[block_i] - features[block_j]
+        scaled = d.reshape(-1, FEATURE_DIM) @ factor.T
         plane = np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2])
         # w(dr) w(dc) with w(d) = (width - |d|) / width, dr >= 0
         plane *= (width - dr) * (width - abs(dc)) / (width * width)

@@ -31,8 +31,7 @@ from .compiled import compile_filter
 from .errors import InvalidInputError, NumericDivergenceError
 from .graph_filter import (
     FEATURE_DIM,
-    FeatureField,
-    MetricFactor,
+    bilateral_factor,
     build_filter_matrix,
     extract_features,
     normalize,
@@ -78,10 +77,11 @@ class ParamVector:
     cg_beta: np.ndarray        # T-1
 
     def __post_init__(self):
-        self.metric_factor = np.asarray(self.metric_factor, dtype=float)
-        self.tse_coeffs = np.asarray(self.tse_coeffs, dtype=float)
-        self.cg_alpha = np.asarray(self.cg_alpha, dtype=float)
-        self.cg_beta = np.asarray(self.cg_beta, dtype=float)
+        for name in ("metric_factor", "tse_coeffs", "cg_alpha", "cg_beta"):
+            block = np.asarray(getattr(self, name), dtype=float)
+            if block.ndim != 1:
+                raise InvalidInputError(f"{name} must be a flat array, got shape {block.shape}")
+            setattr(self, name, block)
         if self.metric_factor.shape != (N_METRIC_PARAMS,):
             raise InvalidInputError(f"metric_factor must have length {N_METRIC_PARAMS}")
         if self.cg_beta.shape != (max(self.cg_alpha.size - 1, 0),):
@@ -120,22 +120,24 @@ class ParamVector:
         The CG scalars are placeholders (alpha = 1, beta = 0) until
         calibrate_cg_params seeds them from analytic runs.
         """
-        metric = MetricFactor.bilateral_default()
         return cls(
-            metric_factor=metric.lower_triangle(),
+            metric_factor=bilateral_factor()[_TRIL],
             tse_coeffs=default_coefficients(hyper.degree_K),
             cg_alpha=np.ones(hyper.depth_T),
             cg_beta=np.zeros(max(hyper.depth_T - 1, 0)),
         )
 
-    def metric(self) -> MetricFactor:
-        return MetricFactor.from_lower_triangle(self.metric_factor)
+    def metric(self) -> np.ndarray:
+        """The metric factor C: metric_factor on its lower triangle, zeros
+        above it."""
+        factor = np.zeros((FEATURE_DIM, FEATURE_DIM))
+        factor[_TRIL] = self.metric_factor
+        return factor
 
     def cg_config(self) -> CgConfig:
         """The learned-mode unrolled CG of these scalars."""
         return CgConfig(
             depth_T=self.cg_alpha.size,
-            mode="learned",
             learned_alpha=self.cg_alpha,
             learned_beta=self.cg_beta,
         )
@@ -143,19 +145,19 @@ class ParamVector:
 
 def build_system(
     theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> tuple[FeatureField, TaylorSystemOperator]:
-    """The patch system of theta: its features and the truncated-inverse
-    system, whose smoother Psi is `system.psi`. theta must have hyper's
-    degree_K + 1 coefficients and depth_T CG steps."""
+) -> tuple[np.ndarray, TaylorSystemOperator]:
+    """The patch system of theta: its feature array (extract_features) and
+    the truncated-inverse system, whose smoother Psi is `system.psi`. theta
+    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
     for count, what, name, value in (
         (theta.tse_coeffs.size, "Taylor coefficients", "degree_K + 1", hyper.degree_K + 1),
         (theta.cg_alpha.size, "CG steps", "depth_T", hyper.depth_T),
     ):
         if count != value:
             raise InvalidInputError(f"theta has {count} {what}, {name} is {value}")
-    field_ = extract_features(noisy, patch_side)
-    filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
-    return field_, TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
+    features = extract_features(noisy, patch_side)
+    filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
+    return features, TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
 
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:
@@ -269,7 +271,7 @@ def _grad_single(
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
     # B is rebuilt for its adjoint below rather than held through the solve
-    field_, system = build_system(theta, noisy, patch_side, hyper)
+    features, system = build_system(theta, noisy, patch_side, hyper)
     op = system.psi
     recorder = _RecordingSystem(system)
     x, _ = unrolled_cg(recorder, noisy, theta.cg_config())
@@ -334,7 +336,8 @@ def _grad_single(
     del psi_sums
 
     # --- reverse through Psi = S^{-1/2} B S^{-1/2} ---
-    filt = build_filter_matrix(field_, theta.metric(), hyper.window_radius)
+    factor = theta.metric()
+    filt = build_filter_matrix(features, factor, hyper.window_radius)
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
@@ -351,13 +354,12 @@ def _grad_single(
 
     # --- reverse through b_ij = w_ij exp(-||C d_ij||^2) into the factor C ---
     # db/dq = -b for q = ||C d_ij||^2, with the taper w_ij inside the stored b
-    feats = field_.features.reshape(patch_side, patch_side, FEATURE_DIM)
     scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
     for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
         gq = (-b * (pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
-        d = (feats[bi] - feats[bj]).reshape(-1, FEATURE_DIM)
+        d = (features[bi] - features[bj]).reshape(-1, FEATURE_DIM)
         scatter += d.T @ (d * gq)
-    gC = 2.0 * theta.metric().entries @ scatter
+    gC = 2.0 * factor @ scatter
     g_metric = gC[_TRIL]
 
     return pair_loss, ParamVector(g_metric, ga, g_alpha, g_beta)
@@ -590,7 +592,8 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
             cg_alpha=np.asarray(payload["cg_alpha"], dtype=float),
             cg_beta=np.asarray(payload["cg_beta"], dtype=float),
         )
-        params.metric()  # MetricFactor rejects non-finite entries
+        if not np.all(np.isfinite(params.metric_factor)):
+            raise ValueError("metric_factor entries must be finite")
     except KeyError as exc:
         raise InvalidInputError(f"checkpoint {path} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -17,9 +17,7 @@ from graphdenoise import (
     CgConfig,
     DenoiserOperator,
     EdgeOuterSum,
-    FeatureField,
     InvalidInputError,
-    MetricFactor,
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
@@ -74,7 +72,7 @@ def stencil_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> float:
+def filter_weight(f_i: np.ndarray, f_j: np.ndarray, factor: np.ndarray) -> float:
     """exp(-||C (f_i - f_j)||^2) for one pair; equals 1 iff C(f_i - f_j) = 0."""
     f_i = np.asarray(f_i, dtype=float)
     f_j = np.asarray(f_j, dtype=float)
@@ -82,8 +80,16 @@ def filter_weight(f_i: np.ndarray, f_j: np.ndarray, metric: MetricFactor) -> flo
         raise InvalidInputError(
             f"feature vectors must have length {FEATURE_DIM}, got {f_i.shape} and {f_j.shape}"
         )
-    scaled = metric.entries @ (f_i - f_j)
+    scaled = factor @ (f_i - f_j)
     return float(np.exp(-(scaled @ scaled)))
+
+
+def lower_factor(values) -> np.ndarray:
+    """The metric factor with the given row-major lower-triangular entries,
+    zeros above them."""
+    factor = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    factor[np.tril_indices(FEATURE_DIM)] = values
+    return factor
 
 
 def window_taper(dr: int, dc: int, radius: int) -> float:
@@ -92,18 +98,20 @@ def window_taper(dr: int, dc: int, radius: int) -> float:
     return (1.0 - abs(dr) / (radius + 1)) * (1.0 - abs(dc) / (radius + 1))
 
 
-def dense_filter_matrix(field: FeatureField, metric: MetricFactor, radius: int) -> np.ndarray:
-    """Dense weight matrix: every pair checked against the Chebyshev window
-    and its weight tapered by the pair's offset."""
-    side = field.patch_side
+def dense_filter_matrix(features: np.ndarray, factor: np.ndarray, radius: int) -> np.ndarray:
+    """Dense weight matrix of a (side, side, FEATURE_DIM) feature array:
+    every pair checked against the Chebyshev window and its weight tapered
+    by the pair's offset."""
+    side = features.shape[0]
     n = side * side
+    rows = features.reshape(n, FEATURE_DIM)
     dense = np.zeros((n, n))
     for i in range(n):
         ri, ci = divmod(i, side)
         for j in range(n):
             rj, cj = divmod(j, side)
             if max(abs(ri - rj), abs(ci - cj)) <= radius:
-                weight = filter_weight(field.features[i], field.features[j], metric)
+                weight = filter_weight(rows[i], rows[j], factor)
                 dense[i, j] = window_taper(ri - rj, ci - cj, radius) * weight
     return dense
 
@@ -225,6 +233,6 @@ def analytic_forward(
     """The patch system of theta (build_system) solved by depth_T steps of
     classic CG, whose alpha and beta follow the data, under epsilon_guard."""
     _, system = build_system(theta, patch, side, hyper)
-    cfg = CgConfig(depth_T=hyper.depth_T, mode="analytic", epsilon_guard=epsilon_guard)
+    cfg = CgConfig(depth_T=hyper.depth_T, epsilon_guard=epsilon_guard)
     x, _ = unrolled_cg(system, patch, cfg)
     return x

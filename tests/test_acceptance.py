@@ -10,7 +10,6 @@ import numpy as np
 
 from graphdenoise import (
     CgConfig,
-    MetricFactor,
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
@@ -36,6 +35,7 @@ from oracles import (
     dense_normalize,
     dense_truncated_inverse_matrix,
     grad_fd,
+    lower_factor,
     operator_with_spectrum,
     random_patch,
     random_spd,
@@ -77,8 +77,8 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(20):
         patch = random_patch(seed, side)
         x = analytic_forward(theta, patch, side, hyper, epsilon_guard=TIGHT_GUARD)
-        field = extract_features(patch, side)
-        dense_b = dense_filter_matrix(field, theta.metric(), hyper.window_radius)
+        features = extract_features(patch, side)
+        dense_b = dense_filter_matrix(features, theta.metric(), hyper.window_radius)
         psi_dense = dense_normalize(dense_b)
         system_dense = dense_truncated_inverse_matrix(psi_dense, degree, theta.tse_coeffs)
         x_star = np.linalg.solve(system_dense, patch)
@@ -124,7 +124,7 @@ def test_criterion_3_cg_finite_termination():
             rng = np.random.default_rng(10_000 * n + seed)
             a = random_spd(rng, n, 0.5, 5.0)
             y = rng.standard_normal(n)
-            cfg = CgConfig(depth_T=n, mode="analytic", epsilon_guard=TIGHT_GUARD)
+            cfg = CgConfig(depth_T=n, epsilon_guard=TIGHT_GUARD)
             x, _ = unrolled_cg(lambda v: a @ v, y, cfg)
             worst = max(worst, np.linalg.norm(a @ x - y) / np.linalg.norm(y))
     _report(
@@ -208,9 +208,9 @@ def test_criterion_6_non_expansiveness():
     worst = -np.inf
     for _ in range(100):
         patch = rng.random(16 * 16)
-        field = extract_features(patch, 16)
-        metric = MetricFactor.from_lower_triangle(rng.normal(0.0, 0.6, 15))
-        op = normalize(build_filter_matrix(field, metric, 3))
+        features = extract_features(patch, 16)
+        metric = lower_factor(rng.normal(0.0, 0.6, 15))
+        op = normalize(build_filter_matrix(features, metric, 3))
         worst = max(worst, float(np.linalg.eigvalsh(op.to_dense()).max()))
     _report(
         6,
@@ -224,12 +224,12 @@ def test_criterion_7_mu_invariance():
     patch = random_patch(77, 8)
     hyper = PipelineConfig(window_radius=2, degree_K=6, depth_T=8)
     theta = ParamVector.initial(hyper)
-    field = extract_features(patch, 8)
-    op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))
+    features = extract_features(patch, 8)
+    op = normalize(build_filter_matrix(features, theta.metric(), hyper.window_radius))
     outputs = []
     for mu in (0.1, 1.0, 10.0):
         system = TaylorSystemOperator(psi=op, coefficients=theta.tse_coeffs, mu=mu)
-        x, _ = unrolled_cg(system, patch, CgConfig(depth_T=hyper.depth_T, mode="analytic"))
+        x, _ = unrolled_cg(system, patch, CgConfig(depth_T=hyper.depth_T))
         outputs.append(x)
     ok = np.array_equal(outputs[0], outputs[1]) and np.array_equal(outputs[1], outputs[2])
     _report(7, "mu-invariance", ok, "outputs bitwise identical for mu in (0.1, 1, 10)")

@@ -616,6 +616,17 @@ class TestExitCodes:
             lambda payload: json.dumps(
                 {**payload, "metric_factor": [float("inf"), *payload["metric_factor"][1:]]}
             ),
+            lambda payload: json.dumps(
+                {**payload, "metric_factor": [*payload["metric_factor"][:3], float("nan")]
+                 + payload["metric_factor"][4:]}
+            ),
+            # a block of the right total length that is not flat
+            lambda payload: json.dumps(
+                {**payload, "tse_coeffs": [[v] for v in payload["tse_coeffs"]]}
+            ),
+            lambda payload: json.dumps(
+                {**payload, "cg_alpha": [payload["cg_alpha"][:2], payload["cg_alpha"][2:]]}
+            ),
         ],
         ids=[
             "not-an-object",
@@ -633,6 +644,9 @@ class TestExitCodes:
             "K-integral-float",
             "T-string",
             "metric-inf",
+            "metric-nan",
+            "tse-nested",
+            "alpha-nested",
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "denoise", "eval"])

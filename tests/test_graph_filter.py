@@ -10,8 +10,8 @@ from scipy import sparse
 from graphdenoise import (
     FEATURE_DIM,
     InvalidInputError,
-    MetricFactor,
     SparseFilterMatrix,
+    bilateral_factor,
     build_filter_matrix,
     central_gradients,
     estimate_spectrum,
@@ -24,6 +24,7 @@ from oracles import (
     dense_filter_matrix,
     dense_normalize,
     filter_weight,
+    lower_factor,
     operator_from_dense,
     random_patch,
     stencil_gradients,
@@ -42,17 +43,28 @@ def grid_filter(side, weights):
 
 class TestExtractFeatures:
     def test_constant_patch(self):
-        field = extract_features(np.full(4, 0.5), 2)
+        features = extract_features(np.full(4, 0.5), 2)
         expected = np.array(
             [
-                [0, 0, 0.5, 0, 0],
-                [1, 0, 0.5, 0, 0],
-                [0, 1, 0.5, 0, 0],
-                [1, 1, 0.5, 0, 0],
+                [[0, 0, 0.5, 0, 0], [1, 0, 0.5, 0, 0]],
+                [[0, 1, 0.5, 0, 0], [1, 1, 0.5, 0, 0]],
             ],
             dtype=float,
         )
-        assert np.array_equal(field.features, expected)
+        assert features.dtype == np.float64 and np.array_equal(features, expected)
+
+    @pytest.mark.parametrize("side", [1, 2, 5, 8])
+    def test_array_is_the_stacked_per_pixel_rows(self, side):
+        # one (side, side, FEATURE_DIM) array, bitwise the per-pixel rows
+        # (x, y, intensity, grad_x, grad_y) in row-major pixel order
+        patch = random_patch(side, side)
+        features = extract_features(patch, side)
+        gx, gy = central_gradients(patch.reshape(side, side))
+        grid_y, grid_x = np.indices((side, side))
+        columns = [grid_x.ravel().astype(float), grid_y.ravel().astype(float), patch]
+        rows = np.stack([*columns, gx.ravel(), gy.ravel()], axis=1)
+        assert features.shape == (side, side, FEATURE_DIM)
+        assert features.tobytes() == rows.reshape(side, side, FEATURE_DIM).tobytes()
 
     def test_ramp_central_difference(self):
         # 1x3 ramp: the center pixel sees (1.0 - 0.0) / 2
@@ -63,15 +75,15 @@ class TestExtractFeatures:
 
     def test_gradients_match_stencil_oracle(self):
         patch = random_patch(11, 8)
-        field = extract_features(patch, 8)
+        features = extract_features(patch, 8)
         gx, gy = stencil_gradients(patch.reshape(8, 8))
-        assert np.array_equal(field.features[:, 3], gx.ravel())
-        assert np.array_equal(field.features[:, 4], gy.ravel())
+        assert np.array_equal(features[..., 3], gx)
+        assert np.array_equal(features[..., 4], gy)
 
     def test_intensity_column_is_the_patch(self):
         patch = random_patch(3, 4)
-        field = extract_features(patch, 4)
-        assert np.array_equal(field.features[:, 2], patch)
+        features = extract_features(patch, 4)
+        assert np.array_equal(features[..., 2].ravel(), patch)
 
     def test_rejects_non_square_length(self):
         with pytest.raises(InvalidInputError):
@@ -88,12 +100,12 @@ class TestExtractFeatures:
 
 class TestFilterWeight:
     def test_identical_features_give_one(self):
-        metric = MetricFactor.bilateral_default()
+        metric = bilateral_factor()
         f = np.array([3.0, 4.0, 0.7, 0.1, -0.2])
         assert filter_weight(f, f, metric) == 1.0
 
     def test_unit_difference_identity_metric(self):
-        metric = MetricFactor(entries=np.eye(5))
+        metric = np.eye(5)
         f_i = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         f_j = np.zeros(5)
         assert filter_weight(f_i, f_j, metric) == pytest.approx(math.exp(-1.0), rel=1e-15)
@@ -102,7 +114,7 @@ class TestFilterWeight:
         # C = diag(1/sl, 1/sl, 1/sx, 0, 0) reproduces the product of the
         # spatial and range exponentials to machine precision.
         sl, sx = 2.0, 0.1
-        metric = MetricFactor.diagonal([1 / sl, 1 / sl, 1 / sx, 0.0, 0.0])
+        metric = np.diag([1 / sl, 1 / sl, 1 / sx, 0.0, 0.0])
         rng = np.random.default_rng(5)
         for _ in range(20):
             f_i = np.array([*rng.integers(0, 8, 2).astype(float), rng.random(), *rng.normal(0, 1, 2)])
@@ -113,13 +125,13 @@ class TestFilterWeight:
             assert filter_weight(f_i, f_j, metric) == pytest.approx(classic, rel=1e-13)
 
     def test_dimension_mismatch(self):
-        metric = MetricFactor.bilateral_default()
+        metric = bilateral_factor()
         with pytest.raises(InvalidInputError):
             filter_weight(np.zeros(4), np.zeros(5), metric)
 
     @given(st.lists(st.floats(-5, 5), min_size=5, max_size=5))
     def test_weight_in_unit_interval(self, diff):
-        metric = MetricFactor.bilateral_default()
+        metric = bilateral_factor()
         f_j = np.zeros(5)
         f_j[2] = 0.5
         f_i = f_j + np.array(diff) * np.array([1, 1, 0.05, 1, 1])
@@ -130,8 +142,8 @@ class TestFilterWeight:
     @given(st.floats(1.0, 8.0))
     @settings(max_examples=25)
     def test_scaling_metric_never_increases_weight(self, t):
-        base = MetricFactor(entries=np.tril(np.linspace(0.1, 1.0, 25).reshape(5, 5)))
-        scaled = MetricFactor(entries=t * base.entries)
+        base = np.tril(np.linspace(0.1, 1.0, 25).reshape(5, 5))
+        scaled = t * base
         f_i = np.array([1.0, 2.0, 0.3, 0.1, -0.4])
         f_j = np.array([0.0, 1.0, 0.8, -0.2, 0.3])
         assert filter_weight(f_i, f_j, scaled) <= filter_weight(f_i, f_j, base)
@@ -139,8 +151,8 @@ class TestFilterWeight:
 
 class TestBuildFilterMatrix:
     def test_neighbor_counts_radius_one(self):
-        field = extract_features(random_patch(0, 3), 3)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 1)
+        features = extract_features(random_patch(0, 3), 3)
+        filt = build_filter_matrix(features, bilateral_factor(), 1)
         dense = filt.to_dense()
         center = 4  # (1, 1) in a 3x3 patch
         corner = 0
@@ -148,25 +160,25 @@ class TestBuildFilterMatrix:
         assert np.count_nonzero(dense[corner]) == 4
 
     def test_zero_metric_gives_the_window_taper(self):
-        field = extract_features(random_patch(1, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor(entries=np.zeros((5, 5))), 2)
+        features = extract_features(random_patch(1, 4), 4)
+        filt = build_filter_matrix(features, np.zeros((5, 5)), 2)
         for (dr, dc, _, _), plane in zip(filt.blocks(), filt.planes):
             np.testing.assert_allclose(plane, window_taper(dr, dc, 2), rtol=1e-15)
 
     def test_matches_dense_oracle(self):
-        field = extract_features(random_patch(2, 5), 5)
-        metric = MetricFactor.bilateral_default()
-        filt = build_filter_matrix(field, metric, 2)
-        dense = dense_filter_matrix(field, metric, 2)
+        features = extract_features(random_patch(2, 5), 5)
+        metric = bilateral_factor()
+        filt = build_filter_matrix(features, metric, 2)
+        dense = dense_filter_matrix(features, metric, 2)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
 
     def test_enumeration_order_invariance(self):
         # the map (i, j) -> weight must not depend on construction order;
         # the oracle enumerates pairs in a completely different order
-        field = extract_features(random_patch(9, 4), 4)
-        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15))
-        filt = build_filter_matrix(field, metric, 3)
-        dense = dense_filter_matrix(field, metric, 3)
+        features = extract_features(random_patch(9, 4), 4)
+        metric = lower_factor(np.linspace(-0.5, 0.9, 15))
+        filt = build_filter_matrix(features, metric, 3)
+        dense = dense_filter_matrix(features, metric, 3)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
 
     @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
@@ -174,9 +186,9 @@ class TestBuildFilterMatrix:
     @pytest.mark.parametrize(
         "metric",
         [
-            MetricFactor.bilateral_default(),
-            MetricFactor.diagonal([0.0, 0.0, 100.0, 0.0, 0.0]),
-            MetricFactor.from_lower_triangle(np.random.default_rng(6).normal(0.0, 0.6, 15)),
+            bilateral_factor(),
+            np.diag([0.0, 0.0, 100.0, 0.0, 0.0]),
+            lower_factor(np.random.default_rng(6).normal(0.0, 0.6, 15)),
         ],
         ids=["bilateral", "underflow", "random"],
     )
@@ -185,10 +197,10 @@ class TestBuildFilterMatrix:
         # flat offset, on disjoint pixels. The underflow metric makes most
         # weights exactly 0, which Psi does not store. The loop's weights
         # are the tapered ones, checked against the tapered dense oracle.
-        field = extract_features(random_patch(5 * side + radius, side), side)
-        filt = build_filter_matrix(field, metric, radius)
+        features = extract_features(random_patch(5 * side + radius, side), side)
+        filt = build_filter_matrix(features, metric, radius)
         dense = filt.to_dense()
-        assert np.max(np.abs(dense - dense_filter_matrix(field, metric, radius))) < 1e-15
+        assert np.max(np.abs(dense - dense_filter_matrix(features, metric, radius))) < 1e-15
         op = normalize(filt)
         inv_sqrt = 1.0 / np.sqrt(op.row_sums)
         n = side * side
@@ -219,9 +231,9 @@ class TestBuildFilterMatrix:
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_row_sums_add_half_window_offsets_then_mirrors(self, side, radius):
-        field = extract_features(random_patch(side, side), side)
-        metric = MetricFactor.from_lower_triangle(np.linspace(-0.5, 0.9, 15))
-        filt = build_filter_matrix(field, metric, radius)
+        features = extract_features(random_patch(side, side), side)
+        metric = lower_factor(np.linspace(-0.5, 0.9, 15))
+        filt = build_filter_matrix(features, metric, radius)
         offsets = [(0, dc) for dc in range(1, radius + 1)]
         offsets += [(dr, dc) for dr in range(1, radius + 1) for dc in range(-radius, radius + 1)]
         offsets = [(dr, dc) for dr, dc in offsets if dr < side and abs(dc) < side]
@@ -249,22 +261,22 @@ class TestBuildFilterMatrix:
     def test_radius_far_beyond_the_patch_builds_quickly(self):
         # offsets of the patch side or more have no block: a huge radius
         # visits only the side's offsets, and its taper still uses the radius
-        field = extract_features(random_patch(4, 16), 16)
-        metric = MetricFactor.bilateral_default()
+        features = extract_features(random_patch(4, 16), 16)
+        metric = bilateral_factor()
         start = time.perf_counter()
-        filt = build_filter_matrix(field, metric, 10**6)
+        filt = build_filter_matrix(features, metric, 10**6)
         op = normalize(filt)
         assert time.perf_counter() - start < 1.0
         assert [(dr, dc) for dr, dc, _, _ in filt.blocks()] == [
             (dr, dc) for dr, dc, _, _ in window_blocks(16, 15)
         ]
-        dense = dense_filter_matrix(field, metric, 10**6)
+        dense = dense_filter_matrix(features, metric, 10**6)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
         assert op.n == 256
 
     def test_invariants_hold(self):
-        field = extract_features(random_patch(3, 6), 6)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 3)
+        features = extract_features(random_patch(3, 6), 6)
+        filt = build_filter_matrix(features, bilateral_factor(), 3)
         dense = filt.to_dense()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 1.0)
@@ -278,14 +290,30 @@ class TestBuildFilterMatrix:
             SparseFilterMatrix(side=2, window_radius=1, planes=planes)
 
     def test_rejects_radius_below_one(self):
-        field = extract_features(random_patch(0, 3), 3)
+        features = extract_features(random_patch(0, 3), 3)
         with pytest.raises(InvalidInputError):
-            build_filter_matrix(field, MetricFactor.bilateral_default(), 0)
+            build_filter_matrix(features, bilateral_factor(), 0)
 
     def test_rejects_metric_dimension_mismatch(self):
-        field = extract_features(random_patch(0, 3), 3)
-        with pytest.raises(InvalidInputError):
-            build_filter_matrix(field, MetricFactor.diagonal([1.0, 2.0]), 1)
+        features = extract_features(random_patch(0, 3), 3)
+        with pytest.raises(InvalidInputError, match="metric factor must be 5x5"):
+            build_filter_matrix(features, np.diag([1.0, 2.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_factor(self, bad):
+        features = extract_features(random_patch(0, 3), 3)
+        factor = np.eye(FEATURE_DIM)
+        factor[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_filter_matrix(features, factor, 1)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(9, FEATURE_DIM), (3, 4, FEATURE_DIM), (3, 3, 4), (0, 0, FEATURE_DIM), (1, 3, 3, FEATURE_DIM)],
+    )
+    def test_rejects_bad_feature_shape(self, shape):
+        with pytest.raises(InvalidInputError, match="features must have shape"):
+            build_filter_matrix(np.zeros(shape), bilateral_factor(), 1)
 
 
 class TestNormalize:
@@ -302,26 +330,26 @@ class TestNormalize:
         assert np.array_equal(op.row_sums, np.full(4, 1.5))
 
     def test_matches_dense_normalization_oracle(self):
-        field = extract_features(random_patch(4, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 2)
+        features = extract_features(random_patch(4, 4), 4)
+        filt = build_filter_matrix(features, bilateral_factor(), 2)
         op = normalize(filt)
         assert np.max(np.abs(op.to_dense() - dense_normalize(filt.to_dense()))) < 1e-14
 
     def test_spectral_radius_at_most_one(self):
-        field = extract_features(random_patch(6, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 2)
+        features = extract_features(random_patch(6, 4), 4)
+        filt = build_filter_matrix(features, bilateral_factor(), 2)
         eigs = np.linalg.eigvalsh(normalize(filt).to_dense())
         assert eigs.max() <= 1.0 + 1e-10
 
     def test_exact_symmetry(self):
-        field = extract_features(random_patch(7, 5), 5)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 3)
+        features = extract_features(random_patch(7, 5), 5)
+        filt = build_filter_matrix(features, bilateral_factor(), 3)
         dense = normalize(filt).to_dense()
         assert np.max(np.abs(dense - dense.T)) < 1e-12
 
     def test_row_sums_at_least_one(self):
-        field = extract_features(random_patch(8, 5), 5)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 3)
+        features = extract_features(random_patch(8, 5), 5)
+        filt = build_filter_matrix(features, bilateral_factor(), 3)
         assert np.all(normalize(filt).row_sums >= 1.0)
 
     def test_degenerate_row_sum_raises(self):
@@ -331,8 +359,8 @@ class TestNormalize:
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
     def test_nonexpansive_over_random_patches(self, seed):
-        field = extract_features(random_patch(seed, 4), 4)
-        filt = build_filter_matrix(field, MetricFactor.bilateral_default(), 2)
+        features = extract_features(random_patch(seed, 4), 4)
+        filt = build_filter_matrix(features, bilateral_factor(), 2)
         eigs = np.linalg.eigvalsh(normalize(filt).to_dense())
         assert eigs.max() <= 1.0 + 1e-8
 
@@ -344,9 +372,9 @@ class TestNormalize:
         # metric entries drawn as in acceptance criterion 6; the tapered
         # window makes B, and so Psi, positive definite for every metric
         rng = np.random.default_rng(seed)
-        field = extract_features(rng.random(side * side), side)
-        metric = MetricFactor.from_lower_triangle(rng.normal(0.0, 0.6, 15))
-        psi = normalize(build_filter_matrix(field, metric, radius))
+        features = extract_features(rng.random(side * side), side)
+        metric = lower_factor(rng.normal(0.0, 0.6, 15))
+        psi = normalize(build_filter_matrix(features, metric, radius))
         assert np.linalg.eigvalsh(psi.to_dense()).min() > -1e-12
 
 
@@ -357,13 +385,13 @@ class TestApplyPsi:
         assert np.array_equal(op.apply(v), v)
 
     def test_zero_vector(self):
-        field = extract_features(random_patch(5, 4), 4)
-        op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+        features = extract_features(random_patch(5, 4), 4)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), 2))
         assert np.array_equal(op.apply(np.zeros(16)), np.zeros(16))
 
     def test_matches_dense_matvec(self):
-        field = extract_features(random_patch(12, 4), 4)
-        op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+        features = extract_features(random_patch(12, 4), 4)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), 2))
         v = np.random.default_rng(1).standard_normal(16)
         dense_out = op.to_dense() @ v
         out = op.apply(v)
@@ -390,8 +418,8 @@ class TestEstimateSpectrum:
 
     def test_against_dense_eigensolve(self):
         side = 6  # 36-node graph; spec asks for ~32
-        field = extract_features(random_patch(21, side), side)
-        op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+        features = extract_features(random_patch(21, side), side)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), 2))
         eigs = np.linalg.eigvalsh(op.to_dense())
         lam_min, lam_max = estimate_spectrum(op, 500)
         assert lam_max == pytest.approx(eigs.max(), abs=1e-3)
@@ -418,28 +446,3 @@ class TestEstimateSpectrum:
             lam_min, _ = estimate_spectrum(op, 300)
         assert lam_min <= 0.0
         assert any("positive definite" in rec.message for rec in caplog.records)
-
-
-class TestMetricFactor:
-    def test_rejects_non_finite_entries(self):
-        entries = np.eye(FEATURE_DIM)
-        for bad in (np.inf, -np.inf, np.nan):
-            entries[2, 1] = bad
-            with pytest.raises(InvalidInputError, match="finite"):
-                MetricFactor(entries=entries)
-
-    def test_metric_is_psd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            metric = MetricFactor.from_lower_triangle(rng.standard_normal(15))
-            eigs = np.linalg.eigvalsh(metric.metric())
-            assert eigs.min() >= -1e-10
-
-    def test_lower_triangle_round_trip(self):
-        values = np.random.default_rng(4).standard_normal(15)
-        metric = MetricFactor.from_lower_triangle(values)
-        assert np.array_equal(metric.lower_triangle(), values)
-
-    def test_rejects_wrong_entry_count(self):
-        with pytest.raises(InvalidInputError):
-            MetricFactor.from_lower_triangle(np.zeros(14))

@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphdenoise
@@ -150,3 +151,16 @@ def test_runtime_dependencies_are_numpy_and_scipy():
                 continue
             offenders.append(f"{path.name}: {module} in {function or 'module scope'}")
     assert offenders == []
+
+
+def test_readme_library_example_runs():
+    # the README's "Library use" block, run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    features, reference, denoised = (namespace[k] for k in ("features", "reference", "denoised"))
+    assert features.shape == (64, 64, graphdenoise.FEATURE_DIM)
+    # "it matches `denoised` to a few 1e-9 relative"
+    assert np.linalg.norm(denoised - reference) / np.linalg.norm(reference) < 1e-8

@@ -3,8 +3,8 @@ import pytest
 
 from graphdenoise import (
     InvalidInputError,
-    MetricFactor,
     TaylorSystemOperator,
+    bilateral_factor,
     build_filter_matrix,
     default_coefficients,
     extract_features,
@@ -26,8 +26,8 @@ def make_system(psi_dense, degree_K=10, mu=1.0, coeffs=None):
 
 
 def patch_system(seed, side, degree_K=10, radius=2):
-    field = extract_features(random_patch(seed, side), side)
-    op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), radius))
+    features = extract_features(random_patch(seed, side), side)
+    op = normalize(build_filter_matrix(features, bilateral_factor(), radius))
     return TaylorSystemOperator(op, default_coefficients(degree_K))
 
 
@@ -68,8 +68,8 @@ class TestTruncatedInverse:
 
     def test_exactly_k_smoother_applies(self):
         calls = 0
-        field = extract_features(random_patch(3, 4), 4)
-        op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+        features = extract_features(random_patch(3, 4), 4)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), 2))
         original = op.apply
 
         def counting_apply(v):
@@ -99,8 +99,8 @@ class TestApplySystem:
         assert np.array_equal(system.apply_system(v), v)
 
     def test_output_bitwise_independent_of_mu(self):
-        field = extract_features(random_patch(2, 4), 4)
-        op = normalize(build_filter_matrix(field, MetricFactor.bilateral_default(), 2))
+        features = extract_features(random_patch(2, 4), 4)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), 2))
         v = np.random.default_rng(0).standard_normal(16)
         outs = [
             TaylorSystemOperator(op, default_coefficients(10), mu=mu).apply_system(v)

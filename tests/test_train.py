@@ -13,8 +13,8 @@ from graphdenoise import (
     CgConfig,
     DenoiserOperator,
     EdgeOuterSum,
+    FEATURE_DIM,
     InvalidInputError,
-    MetricFactor,
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
@@ -22,6 +22,7 @@ from graphdenoise import (
     TrainState,
     adam_step,
     add_awgn,
+    bilateral_factor,
     build_filter_matrix,
     build_system,
     calibrate_cg_params,
@@ -99,9 +100,33 @@ class TestParamVector:
     def test_initial_matches_documented_defaults(self):
         theta = ParamVector.initial(PipelineConfig())
         assert np.array_equal(theta.tse_coeffs, default_coefficients(10))
-        assert np.array_equal(
-            theta.metric_factor, MetricFactor.bilateral_default().lower_triangle()
-        )
+        assert np.array_equal(theta.metric(), bilateral_factor())
+
+    def test_metric_round_trips_the_lower_triangle(self):
+        # the 15 metric parameters are C's row-major lower triangle; the
+        # rest of C is zero, and M = C^T C is positive semi-definite
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            values = rng.standard_normal(15)
+            flat = np.concatenate([values, rng.standard_normal(5 + 5 + 4)])
+            factor = ParamVector.unpack(flat, 4, 5).metric()
+            assert np.array_equal(factor[np.tril_indices(FEATURE_DIM)], values)
+            assert np.array_equal(factor, np.tril(factor))
+            assert np.linalg.eigvalsh(factor.T @ factor).min() >= -1e-10
+
+    def test_rejects_wrong_metric_entry_count(self):
+        with pytest.raises(InvalidInputError, match="metric_factor must have length 15"):
+            ParamVector(np.zeros(14), np.ones(5), np.ones(5), np.zeros(4))
+
+    @pytest.mark.parametrize("block", ["metric_factor", "tse_coeffs", "cg_alpha", "cg_beta"])
+    def test_rejects_a_block_that_is_not_flat(self, block):
+        theta = ParamVector.initial(SMALL)
+        values = getattr(theta, block)
+        # as many entries as the block holds, in two rows or as a scalar
+        nested = values.reshape(2, -1) if values.size % 2 == 0 else values.reshape(1, -1)
+        for bad in (nested, values[:1].reshape(())):
+            with pytest.raises(InvalidInputError, match=f"{block} must be a flat array"):
+                replace(theta, **{block: bad})
 
 
 class TestForward:
@@ -132,8 +157,8 @@ class TestForward:
         theta = ParamVector.initial(hyper)
         patch = random_patch(23, side)
         x = analytic_forward(theta, patch, side, hyper, epsilon_guard=1e-300)
-        field = extract_features(patch, side)
-        op = normalize(build_filter_matrix(field, theta.metric(), hyper.window_radius))
+        features = extract_features(patch, side)
+        op = normalize(build_filter_matrix(features, theta.metric(), hyper.window_radius))
         system_dense = dense_truncated_inverse_matrix(op.to_dense(), degree, theta.tse_coeffs)
         x_star = np.linalg.solve(system_dense, patch)
         assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) < 1e-8
@@ -473,7 +498,7 @@ class TestTrainLoop:
         noisy, _ = noisy_clean_pair(40, 2)
         theta = calibrated_initial(hyper, [noisy], 2)
         _, system = build_system(theta, noisy, 2, hyper)
-        _, trace = unrolled_cg(system, noisy, CgConfig(depth_T=8), want_trace=True)
+        _, trace = unrolled_cg(system, noisy, CgConfig(depth_T=8))
         assert np.all(trace.used_alphas[:2] != 0.0)
         assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
         assert np.array_equal(theta.cg_alpha, trace.used_alphas)
@@ -621,6 +646,16 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         path.write_text(json.dumps({**payload, "format_version": 1}))
         with pytest.raises(InvalidInputError, match="^unsupported checkpoint version 1$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_metric_factor_rejected(self, tmp_path, bad):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, ParamVector.initial(SMALL), SMALL)
+        payload = json.loads(path.read_text())
+        payload["metric_factor"][4] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match="metric_factor entries must be finite"):
             load_checkpoint(path)
 
     def test_inconsistent_lengths_rejected(self, tmp_path):
