@@ -63,20 +63,10 @@ class CgTrace:
     used_betas: np.ndarray           # length max(T - 1, 0)
 
 
-def _as_matvec(system):
-    # Accepts a TaylorSystemOperator (or anything exposing apply_system) or
-    # a bare callable v -> A v, so generic SPD systems can be solved too.
-    if hasattr(system, "apply_system"):
-        return system.apply_system
-    if callable(system):
-        return system
-    raise InvalidInputError("system must expose apply_system or be callable")
-
-
 # an overflow surfaces as a non-finite state, which is raised as an error
 @np.errstate(over="ignore", invalid="ignore")
-def unrolled_cg(system, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTrace]:
-    """Run T unrolled CG steps on A x = y; returns (x, trace).
+def unrolled_cg(matvec, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTrace]:
+    """Run T unrolled CG steps on A x = y, A v = matvec(v); returns (x, trace).
 
     Analytic mode guards against breakdown: once r_k.r_k or |p_k.v_{k+1}|
     is at most epsilon_guard * r_0.r_0, every remaining step is an identity
@@ -86,7 +76,8 @@ def unrolled_cg(system, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTra
     unconditionally and raises NumericDivergenceError if the state stops
     being finite.
     """
-    matvec = _as_matvec(system)
+    if not callable(matvec):
+        raise InvalidInputError("matvec must be a callable v -> A v")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"right-hand side must be a vector, got shape {y.shape}")
@@ -145,7 +136,7 @@ def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndar
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
     system_batch is a sequence of no-argument callables that return a
-    (system, y) pair, so that each system is built in the lane that solves
+    (matvec, y) pair, so that each system is built in the lane that solves
     it. Every element is solved in analytic mode under the default
     breakdown guard, on the lanes (in_lanes), and the realized scalars (0
     after a breakdown) are averaged elementwise in batch order.
@@ -156,8 +147,8 @@ def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndar
     cfg = CgConfig(depth_T=depth_T)
 
     def used_scalars(element):
-        system, y = element()
-        _, trace = unrolled_cg(system, y, cfg)
+        matvec, y = element()
+        _, trace = unrolled_cg(matvec, y, cfg)
         return trace.used_alphas, trace.used_betas
 
     runs = in_lanes([partial(used_scalars, element) for element in system_batch])

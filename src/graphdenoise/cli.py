@@ -254,7 +254,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
         _, system = build_system(init_params, patch, side, hyper)
-        return lambda: [system.psi.apply(patch), unrolled_cg(system, patch, analytic)[0]]
+        return lambda: [system.psi.apply(patch), unrolled_cg(system.apply_system, patch, analytic)[0]]
 
     names = ("bilateral", "init", "trained")
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]

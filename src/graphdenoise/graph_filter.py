@@ -104,6 +104,17 @@ class SparseFilterMatrix:
     def blocks(self):
         return window_blocks(self.side, self.window_radius)
 
+    def row_sums(self) -> np.ndarray:
+        """The (side, side) row sums S of B: each starts at the unit
+        diagonal and adds its pixel's weights in plane order, first where
+        it is block_i, then where it is block_j."""
+        sums = np.ones((self.side, self.side))
+        for (_, _, block_i, _), plane in zip(self.blocks(), self.planes):
+            sums[block_i] += plane
+        for (_, _, _, block_j), plane in zip(self.blocks(), self.planes):
+            sums[block_j] += plane
+        return sums
+
     def to_dense(self) -> np.ndarray:
         dense = np.eye(self.n)
         idx = np.arange(self.n).reshape(self.side, self.side)
@@ -119,12 +130,10 @@ class DenoiserOperator:
 
     Psi is held as a scipy CSR matrix with sorted column indices, converted
     from its diagonals, so entries that are exactly 0 (weights whose exp
-    underflows) are not stored; row_sums are the row sums S of the filter
-    matrix it was normalized from.
+    underflows) are not stored.
     """
 
     _matrix: sparse.csr_array = field(repr=False)
-    row_sums: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -179,7 +188,8 @@ def extract_features(noisy_patch: np.ndarray, patch_side: int) -> np.ndarray:
         raise InvalidInputError(
             f"patch length {patch.size} is not patch_side**2 = {patch_side * patch_side}"
         )
-    if patch.min() < 0.0 or patch.max() > 1.0:
+    # NaN compares false, so the test is phrased to fail on it
+    if not (patch.min() >= 0.0 and patch.max() <= 1.0):
         raise InvalidInputError("patch intensities must lie in [0, 1]")
     img = patch.reshape(patch_side, patch_side)
     grid_y, grid_x = np.indices((patch_side, patch_side))
@@ -250,13 +260,7 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
     side = filt.side
     blocks = list(filt.blocks())
-    # each row sum starts at the unit diagonal and adds its pixel's weights
-    # in plane order, first where it is block_i, then where it is block_j
-    row_sums = np.ones((side, side))
-    for (_, _, block_i, _), plane in zip(blocks, filt.planes):
-        row_sums[block_i] += plane
-    for (_, _, _, block_j), plane in zip(blocks, filt.planes):
-        row_sums[block_j] += plane
+    row_sums = filt.row_sums()
     if np.any(row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(row_sums)
@@ -279,7 +283,7 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     # the conversion keeps each row in offset order, i.e. sorted by column,
     # and drops the exact zeros: the padding and any weight that underflows
     psi = sparse.dia_array((diagonals.reshape(len(offsets), n), offsets), shape=(n, n))
-    return DenoiserOperator(_matrix=psi.tocsr(), row_sums=row_sums.ravel())
+    return DenoiserOperator(_matrix=psi.tocsr())
 
 
 # A Lanczos step breaks down when its new direction is at most this times

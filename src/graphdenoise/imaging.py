@@ -27,7 +27,8 @@ class GrayImage:
     def __post_init__(self):
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise InvalidInputError(f"pixels must be a nonempty 2-D array, got {self.pixels.shape}")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
+        # NaN compares false, so the test is phrased to fail on it
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
             raise InvalidInputError("pixel values must lie in [0, 1]")
 
     @property
@@ -93,7 +94,10 @@ def _load_pnm(path) -> GrayImage:
     raster = data[offset : offset + count]
     if len(raster) != count:
         raise ImageFormatError(f"{path}: PNM raster is truncated")
-    arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / 255.0
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    if samples.max() > maxval:
+        raise ImageFormatError(f"{path}: PNM sample above maxval {maxval}")
+    arr = samples.astype(float) / float(maxval)
     if channels == 1:
         pixels = arr.reshape(height, width)
     else:
@@ -141,8 +145,8 @@ def add_awgn(image: GrayImage, sigma_8bit: float, seed: int) -> GrayImage:
     Deterministic per seed; the result is clamped back to [0, 1] so it
     remains a valid intensity image.
     """
-    if sigma_8bit < 0.0:
-        raise InvalidInputError("noise sigma must be >= 0")
+    if not 0.0 <= sigma_8bit < math.inf:
+        raise InvalidInputError("noise sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma_8bit / 255.0, size=image.pixels.shape)
     pixels = np.clip(image.pixels + noise, 0.0, 1.0)

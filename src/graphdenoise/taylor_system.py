@@ -72,28 +72,32 @@ class TaylorSystemOperator:
 
     def apply_truncated_inverse_with_cache(
         self, v: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """sum_k a_k (Psi - I)^k v, exactly K applies of Psi, and the
-        recurrence terms t_k.
+        recurrence terms t_k as one (K+1, n) array, newest first: row K - k
+        holds t_k, row K the input v.
 
-        t_0 = v, t_{k+1} = Psi t_k - t_k; the cache enables exact
+        t_0 = v, t_{k+1} = Psi t_k - t_k; the terms enable exact
         reverse-mode differentiation through the polynomial.
         """
         v = self._check(v)
-        t = v
-        cache = [v]
-        for k in range(1, self.degree_K + 1):
-            t = self.psi.apply(t) - t
-            cache.append(t)
-        return self.combine(cache), cache
+        K = self.degree_K
+        terms = np.empty((K + 1, v.size))
+        terms[K] = v
+        for row in range(K - 1, -1, -1):
+            t = terms[row + 1]
+            np.subtract(self.psi.apply(t), t, out=terms[row])
+        return self.combine(terms), terms
 
-    def combine(self, terms) -> np.ndarray:
-        """sum_k a_k t_k over the terms t_0..t_K of one apply, added in
-        order of k; rebuilds the apply's output bitwise."""
+    def combine(self, terms: np.ndarray) -> np.ndarray:
+        """sum_k a_k t_k over one apply's terms (newest first, as
+        apply_truncated_inverse_with_cache returns them), added in order of
+        k; rebuilds the apply's output bitwise."""
         c = self.coefficients
-        acc = c[0] * terms[0]
-        for k in range(1, self.degree_K + 1):
-            acc = acc + c[k] * terms[k]
+        K = self.degree_K
+        acc = c[0] * terms[K]
+        for k in range(1, K + 1):
+            acc = acc + c[k] * terms[K - k]
         return acc
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:

@@ -143,18 +143,24 @@ class ParamVector:
         )
 
 
-def build_system(
-    theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> tuple[np.ndarray, TaylorSystemOperator]:
-    """The patch system of theta: its feature array (extract_features) and
-    the truncated-inverse system, whose smoother Psi is `system.psi`. theta
-    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+def _check_sizes(theta: ParamVector, hyper: PipelineConfig) -> None:
+    """Reject a theta without hyper's degree_K + 1 coefficients and depth_T
+    CG steps."""
     for count, what, name, value in (
         (theta.tse_coeffs.size, "Taylor coefficients", "degree_K + 1", hyper.degree_K + 1),
         (theta.cg_alpha.size, "CG steps", "depth_T", hyper.depth_T),
     ):
         if count != value:
             raise InvalidInputError(f"theta has {count} {what}, {name} is {value}")
+
+
+def build_system(
+    theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
+) -> tuple[np.ndarray, TaylorSystemOperator]:
+    """The patch system of theta: its feature array (extract_features) and
+    the truncated-inverse system, whose smoother Psi is `system.psi`. theta
+    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+    _check_sizes(theta, hyper)
     features = extract_features(noisy, patch_side)
     filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
     return features, TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
@@ -167,42 +173,11 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
     theta = ParamVector.initial(hyper)
 
     def patch_system(noisy):
-        return build_system(theta, noisy, patch_side, hyper)[1], noisy
+        return build_system(theta, noisy, patch_side, hyper)[1].apply_system, noisy
 
     builds = [partial(patch_system, noisy) for noisy in noisy_patches]
     alpha, beta = calibrate_cg_params(builds, hyper.depth_T)
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
-
-
-class _RecordingSystem:
-    """Wraps a system so unrolled_cg leaves behind each apply's terms.
-
-    The solver calls apply_system once for the initial residual (input y)
-    and once per depth step (input p_k). For each depth step, in call
-    order, it keeps the polynomial terms t_0..t_K (newest_first): all the
-    backward pass needs, since the output is rebuilt from them
-    (TaylorSystemOperator.combine). The initial residual's apply is
-    reversed last, so its terms are recomputed then rather than held
-    through the whole reverse pass; its slot holds None until then.
-    """
-
-    def __init__(self, system: TaylorSystemOperator):
-        self.system = system
-        self.terms: list[np.ndarray | None] = []
-
-    def newest_first(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The apply's output and its terms as one (K+1, n) array, newest
-        first: row K - k holds t_k, row K the input v."""
-        out, cache = self.system.apply_truncated_inverse_with_cache(v)
-        return out, np.array(cache[::-1])
-
-    def apply_system(self, v: np.ndarray) -> np.ndarray:
-        if not self.terms:
-            self.terms.append(None)
-            return self.system.apply_system(v)
-        out, terms = self.newest_first(v)
-        self.terms.append(terms)
-        return out
 
 
 def forward(
@@ -214,7 +189,7 @@ def forward(
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
     _, system = build_system(theta, noisy, patch_side, hyper)
-    x, _ = unrolled_cg(system, noisy, theta.cg_config())
+    x, _ = unrolled_cg(system.apply_system, noisy, theta.cg_config())
     return x
 
 
@@ -273,8 +248,22 @@ def _grad_single(
     # B is rebuilt for its adjoint below rather than held through the solve
     features, system = build_system(theta, noisy, patch_side, hyper)
     op = system.psi
-    recorder = _RecordingSystem(system)
-    x, _ = unrolled_cg(recorder, noisy, theta.cg_config())
+    # held[j] is the terms of the solve's j-th system apply (newest first,
+    # apply_truncated_inverse_with_cache): all the reverse pass needs, since
+    # the output is rebuilt from them (combine). The initial residual's
+    # apply (j = 0) is reversed last, so its terms are recomputed then
+    # rather than held through the whole reverse pass.
+    held: list[np.ndarray | None] = []
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        if not held:
+            held.append(None)
+            return system.apply_system(v)
+        out, terms = system.apply_truncated_inverse_with_cache(v)
+        held.append(terms)
+        return out
+
+    x, _ = unrolled_cg(matvec, noisy, theta.cg_config())
 
     T = hyper.depth_T
     K = hyper.degree_K
@@ -294,7 +283,7 @@ def _grad_single(
         # Adjoint of one truncated-inverse apply. Accumulates dL/da_k and
         # the dL/dPsi terms; returns the adjoint of the apply's input.
         nonlocal ga
-        terms = recorder.terms[idx]  # row K - k holds t_k
+        terms = held[idx]  # row K - k holds t_k
         ga += np.array([g_out @ t for t in terms[::-1]])
         gt = c[K] * g_out
         for m, k in enumerate(range(K, 0, -1)):
@@ -303,7 +292,7 @@ def _grad_single(
             gt = op.apply(gt) - gt + c[k - 1] * g_out
         # t_K, in row 0, is spent: fold uses the row as scratch
         psi_sums.fold(terms)
-        recorder.terms[idx] = None
+        held[idx] = None
         return gt
 
     # --- reverse through the CG updates (alpha, beta are leaves) ---
@@ -314,8 +303,8 @@ def _grad_single(
     g_beta = np.zeros(max(T - 1, 0))
     for k in range(T - 1, -1, -1):
         alpha = float(theta.cg_alpha[k])
-        p_k = recorder.terms[k + 1][K]
-        v_k1 = system.combine(recorder.terms[k + 1][::-1])
+        p_k = held[k + 1][K]
+        v_k1 = system.combine(held[k + 1])
         if k < T - 1:
             # p_{k+1} = r_{k+1} + beta_k p_k; gp currently holds d/dp_{k+1}
             g_beta[k] = float(gp @ p_k)
@@ -330,7 +319,7 @@ def _grad_single(
         gp = gp + apply_vjp(k + 1, gv)
     # p_0 = r_0 and r_0 = y - A y (y is a constant input)
     gr = gr + gp
-    recorder.terms[0] = recorder.newest_first(noisy)[1]
+    held[0] = system.apply_truncated_inverse_with_cache(noisy)[1]
     apply_vjp(0, -gr)
     diag_bar, half_bar, mirror_bar = psi_sums.planes()
     del psi_sums
@@ -341,7 +330,7 @@ def _grad_single(
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
-    S = op.row_sums.reshape(patch_side, patch_side)
+    S = filt.row_sums()
     inv_sqrt = 1.0 / np.sqrt(S)
     pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
     weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]
@@ -521,8 +510,10 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
     """Versioned JSON checkpoint: parameters plus structural hyperparameters.
 
     Floats are serialized with repr-exact round-tripping, so identical
-    parameters always produce identical bytes.
+    parameters always produce identical bytes. params must have hyper's
+    sizes (build_system), so that load_checkpoint accepts the file.
     """
+    _check_sizes(params, hyper)
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "feature_dim": FEATURE_DIM,
@@ -594,10 +585,9 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
         )
         if not np.all(np.isfinite(params.metric_factor)):
             raise ValueError("metric_factor entries must be finite")
+        _check_sizes(params, hyper)
     except KeyError as exc:
         raise InvalidInputError(f"checkpoint {path} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"checkpoint {path} has an invalid value: {exc}") from exc
-    if params.tse_coeffs.size != hyper.degree_K + 1 or params.cg_alpha.size != hyper.depth_T:
-        raise InvalidInputError("checkpoint parameter lengths do not match its hyperparameters")
     return params, hyper

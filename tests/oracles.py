@@ -234,5 +234,5 @@ def analytic_forward(
     classic CG, whose alpha and beta follow the data, under epsilon_guard."""
     _, system = build_system(theta, patch, side, hyper)
     cfg = CgConfig(depth_T=hyper.depth_T, epsilon_guard=epsilon_guard)
-    x, _ = unrolled_cg(system, patch, cfg)
+    x, _ = unrolled_cg(system.apply_system, patch, cfg)
     return x

@@ -229,7 +229,7 @@ def test_criterion_7_mu_invariance():
     outputs = []
     for mu in (0.1, 1.0, 10.0):
         system = TaylorSystemOperator(psi=op, coefficients=theta.tse_coeffs, mu=mu)
-        x, _ = unrolled_cg(system, patch, CgConfig(depth_T=hyper.depth_T))
+        x, _ = unrolled_cg(system.apply_system, patch, CgConfig(depth_T=hyper.depth_T))
         outputs.append(x)
     ok = np.array_equal(outputs[0], outputs[1]) and np.array_equal(outputs[1], outputs[2])
     _report(7, "mu-invariance", ok, "outputs bitwise identical for mu in (0.1, 1, 10)")

@@ -42,7 +42,7 @@ class TestAnalyticMode:
         system = identity_system(6)
         y = np.random.default_rng(0).random(6)
         for depth in (0, 1, 5, 15):
-            x, trace = unrolled_cg(system, y, CgConfig(depth_T=depth))
+            x, trace = unrolled_cg(system.apply_system, y, CgConfig(depth_T=depth))
             assert np.array_equal(x, y)
             assert trace.residual_norms[0] == 0.0
 
@@ -81,7 +81,7 @@ class TestAnalyticMode:
     def test_guard_freezes_after_breakdown(self):
         system = identity_system(4)  # r_0 = 0 triggers the guard at once
         y = np.ones(4)
-        x, trace = unrolled_cg(system, y, CgConfig(depth_T=6))
+        x, trace = unrolled_cg(system.apply_system, y, CgConfig(depth_T=6))
         assert np.array_equal(x, y)
         assert np.all(trace.used_alphas == 0.0)
         assert np.all(trace.used_betas == 0.0)
@@ -151,7 +151,7 @@ class TestLearnedMode:
             learned_alpha=np.array([0.5, 0.25]),
             learned_beta=np.array([0.1]),
         )
-        x, trace = unrolled_cg(system, y, cfg)
+        x, trace = unrolled_cg(system.apply_system, y, cfg)
         assert np.array_equal(trace.used_alphas, np.array([0.5, 0.25]))
         assert np.array_equal(x, y)  # r_0 = 0, so the updates add nothing
 
@@ -227,7 +227,7 @@ class TestValidation:
     def test_rhs_length_mismatch(self):
         system = identity_system(4)
         with pytest.raises(InvalidInputError):
-            unrolled_cg(system, np.zeros(5), CgConfig(depth_T=2))
+            unrolled_cg(system.apply_system, np.zeros(5), CgConfig(depth_T=2))
 
     @pytest.mark.parametrize("given", ["learned_alpha", "learned_beta"])
     def test_learned_scalars_come_together(self, given):
@@ -254,3 +254,6 @@ class TestValidation:
     def test_system_must_be_callable_or_operator(self):
         with pytest.raises(InvalidInputError):
             unrolled_cg(object(), np.zeros(3), CgConfig(depth_T=1))
+        # a system object is not its matvec: pass system.apply_system
+        with pytest.raises(InvalidInputError, match="matvec must be a callable"):
+            unrolled_cg(identity_system(3), np.zeros(3), CgConfig(depth_T=1))

@@ -453,6 +453,20 @@ class TestExitCodes:
         ) == 2
         assert not out.exists()  # the image is read before the output directory is made
 
+    def test_sample_above_maxval_is_an_io_error(self, tmp_path, capsys):
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        ckpt = tmp_path / "c.json"
+        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+        bad = tmp_path / "over.pgm"
+        bad.write_bytes(b"P5\n8 8\n15\n" + bytes([200] * 64))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["denoise", str(bad), "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {bad}: PNM sample above maxval 15"
+        ]
+        assert not out.exists()
+
     @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="pillow reads PNG")
     def test_png_without_pillow_is_an_io_error(self, tmp_path, capsys):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)

@@ -96,7 +96,7 @@ class TestCompileFilter:
             psi=operator_from_dense(np.diag(lam)),
             coefficients=calibrated.tse_coeffs,
         )
-        x, _ = unrolled_cg(system, np.ones(64), calibrated.cg_config())
+        x, _ = unrolled_cg(system.apply_system, np.ones(64), calibrated.cg_config())
         np.testing.assert_allclose(network_response(calibrated, lam), x, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ class TestApply:
         system = system_with_spectrum(calibrated, 0.0, 1.0)
         y = np.random.default_rng(2).random(64)
         out = compile_filter(calibrated).apply(system.psi, y)
-        reference, _ = unrolled_cg(system, y, calibrated.cg_config())
+        reference, _ = unrolled_cg(system.apply_system, y, calibrated.cg_config())
         assert not np.array_equal(out, reference)
         assert relative_error(out, reference) <= 1e-8
 

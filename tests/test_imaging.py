@@ -62,6 +62,33 @@ class TestPgmRoundTrip:
         img = load_image(path)
         assert img.pixels[0, 0] == pytest.approx(0.299, abs=1e-12)
 
+    def test_pgm_scales_by_its_maxval(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n4 1\n15\n" + bytes([0, 5, 10, 15]))
+        assert np.array_equal(load_image(path).pixels, np.array([[0, 5, 10, 15]]) / 15.0)
+
+    def test_ppm_scales_by_its_maxval(self, tmp_path):
+        # a gray pixel at half of maxval 100 is luma 0.5
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n2 1\n100\n" + bytes([50, 50, 50, 100, 0, 0]))
+        img = load_image(path)
+        assert img.pixels[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert img.pixels[0, 1] == pytest.approx(0.299, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("img.pgm", b"P5\n2 1\n15\n" + bytes([15, 200])),
+            ("img.ppm", b"P6\n1 1\n100\n" + bytes([0, 101, 0])),
+        ],
+        ids=["pgm", "ppm"],
+    )
+    def test_sample_above_maxval_rejected(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match="sample above maxval"):
+            load_image(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
@@ -122,6 +149,11 @@ class TestAddAwgn:
         a = add_awgn(img, 10.0, seed=10)
         b = add_awgn(img, 10.0, seed=11)
         assert abs(float(np.mean(a.pixels - b.pixels))) < 1e-3
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="noise sigma must be finite"):
+            add_awgn(random_image(3, 8, 8), sigma, seed=0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -254,6 +286,11 @@ class TestGrayImage:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
             GrayImage(np.array([[0.0, 0.5], [1.2, 0.1]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_pixel(self, bad):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+            GrayImage(np.array([[0.0, 0.5], [bad, 0.1]]))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (2, 2, 1)])
     def test_rejects_empty_or_non_2d_pixels(self, shape):

@@ -82,6 +82,21 @@ class TestTruncatedInverse:
         system.apply_system(np.ones(16))
         assert calls == 7
 
+    @pytest.mark.parametrize("degree_K", [1, 4, 10])
+    def test_terms_are_newest_first_powers_of_the_shifted_smoother(self, degree_K):
+        system = patch_system(5, 5, degree_K=degree_K, radius=2)
+        shifted = system.psi.to_dense() - np.eye(25)
+        v = np.random.default_rng(degree_K).standard_normal(25)
+        out, terms = system.apply_truncated_inverse_with_cache(v)
+        assert terms.shape == (degree_K + 1, 25)
+        assert np.array_equal(terms[degree_K], v)
+        power = v
+        for k in range(degree_K + 1):
+            np.testing.assert_allclose(terms[degree_K - k], power, rtol=0, atol=1e-13)
+            power = shifted @ power
+        assert system.combine(terms).tobytes() == out.tobytes()
+        assert system.apply_system(v).tobytes() == out.tobytes()
+
     def test_length_mismatch(self):
         system = make_system(np.eye(4))
         with pytest.raises(InvalidInputError):

@@ -294,6 +294,29 @@ class TestReverseGradients:
         assert np.any(grad.cg_alpha != 0.0)
         assert np.any(grad.cg_beta != 0.0)
 
+    @pytest.mark.parametrize(
+        "hyper",
+        [PipelineConfig(window_radius=1, degree_K=2, depth_T=3), SMALL, PipelineConfig()],
+        ids=["K2-T3", "K4-T5", "defaults"],
+    )
+    def test_one_pair_makes_the_counted_work(self, monkeypatch, hyper):
+        # the solve makes T + 1 system applies and the reverse pass one more
+        # (the initial residual's, recomputed); each apply costs K Psi
+        # matvecs, and reversing one of the T + 1 costs K more
+        noisy, clean = noisy_clean_pair(13, 8)
+        theta = calibrated_initial(hyper, [noisy], 8)
+        applies, matvecs = [], []
+        monkeypatch.setattr(
+            TaylorSystemOperator,
+            "apply_truncated_inverse_with_cache",
+            counted(TaylorSystemOperator.apply_truncated_inverse_with_cache, applies),
+        )
+        monkeypatch.setattr(DenoiserOperator, "apply", counted(DenoiserOperator.apply, matvecs))
+        loss_and_grad(theta, [(noisy, clean)], 8, hyper)
+        K, T = hyper.degree_K, hyper.depth_T
+        assert len(applies) == T + 2
+        assert len(matvecs) == K * (2 * T + 3)
+
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_edge_outer_sum_equals_in_order_gather(self, side, radius):
@@ -485,7 +508,7 @@ class TestTrainLoop:
         systems = []
         for noisy, _ in pairs[:2]:
             _, system = build_system(theta0, noisy, 8, SMALL)
-            systems.append(lambda system=system, noisy=noisy: (system, noisy))
+            systems.append(lambda system=system, noisy=noisy: (system.apply_system, noisy))
         alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
         assert np.array_equal(state.params.cg_alpha, alpha)
         assert np.array_equal(state.params.cg_beta, beta)
@@ -498,7 +521,7 @@ class TestTrainLoop:
         noisy, _ = noisy_clean_pair(40, 2)
         theta = calibrated_initial(hyper, [noisy], 2)
         _, system = build_system(theta, noisy, 2, hyper)
-        _, trace = unrolled_cg(system, noisy, CgConfig(depth_T=8))
+        _, trace = unrolled_cg(system.apply_system, noisy, CgConfig(depth_T=8))
         assert np.all(trace.used_alphas[:2] != 0.0)
         assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
         assert np.array_equal(theta.cg_alpha, trace.used_alphas)
@@ -658,11 +681,26 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match="metric_factor entries must be finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "theta_hyper, message",
+        [
+            (replace(SMALL, depth_T=3), "theta has 3 CG steps, depth_T is 5"),
+            (replace(SMALL, degree_K=6), "theta has 7 Taylor coefficients, degree_K \\+ 1 is 5"),
+        ],
+        ids=["depth", "degree"],
+    )
+    def test_theta_of_other_sizes_is_not_written(self, tmp_path, theta_hyper, message):
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(InvalidInputError, match=message):
+            save_checkpoint(path, ParamVector.initial(theta_hyper), SMALL)
+        assert not path.exists()
+
     def test_inconsistent_lengths_rejected(self, tmp_path):
         theta = ParamVector.initial(SMALL)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, theta, SMALL)
         text = path.read_text().replace('"degree_K": 4', '"degree_K": 6')
         path.write_text(text)
-        with pytest.raises(InvalidInputError):
+        message = "has an invalid value: theta has 5 Taylor coefficients, degree_K \\+ 1 is 7$"
+        with pytest.raises(InvalidInputError, match=message):
             load_checkpoint(path)
