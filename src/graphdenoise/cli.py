@@ -12,6 +12,7 @@ import sys
 import threading
 from dataclasses import fields, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -97,24 +98,37 @@ def _build_and_solve(build, patch) -> list:
     return job()
 
 
-def _map_patches(image: GrayImage, patch_side: int, makers) -> list[GrayImage]:
-    """Denoise every patch of the grid; one image per output, clipped to [0, 1].
+def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[GrayImage]]:
+    """Denoise every patch of every image's grid; per image, one image per
+    output, clipped to [0, 1].
 
     Each maker turns a patch into a job, a no-argument callable that returns
     a list of output patches; a patch's outputs are its makers' outputs in
-    order. Items (patch, maker) run on the lanes (lanes.in_lanes) in raster
-    order. Each item builds its job under _BUILD_LOCK, the expensive and
+    order. Items (image, patch, maker) run on the lanes in one batch
+    (lanes.in_lanes), images in order and each image's patches in raster
+    order, so a lane that finishes a short job takes the next item of any
+    image. Each item builds its job under _BUILD_LOCK, the expensive and
     allocation-heavy part, and runs it outside the lock.
 
     Every job computes exactly what it would serially, so the output is
     bitwise independent of the lane count. When items fail, the error raised
     is the one the serial loop would raise: that of the first failing item.
     """
-    grid = partition(image, patch_side)
-    items = [partial(_build_and_solve, build, patch) for patch in grid.patches for build in makers]
-    outputs = [out for job_outputs in lanes.in_lanes(items) for out in job_outputs]
-    columns = np.clip(np.array(outputs), 0.0, 1.0).reshape(len(grid.patches), -1, patch_side**2)
-    return [reassemble(replace(grid, patches=columns[:, i])) for i in range(columns.shape[1])]
+    grids = [partition(image, patch_side) for image in images]
+    items = [
+        partial(_build_and_solve, build, patch)
+        for grid in grids
+        for patch in grid.patches
+        for build in makers
+    ]
+    results = iter(lanes.in_lanes(items))
+    mapped = []
+    for grid in grids:
+        jobs = islice(results, len(grid.patches) * len(makers))
+        outputs = [out for job_outputs in jobs for out in job_outputs]
+        columns = np.clip(np.array(outputs), 0.0, 1.0).reshape(len(grid.patches), -1, patch_side**2)
+        mapped.append([reassemble(replace(grid, patches=p)) for p in columns.swapaxes(0, 1)])
+    return mapped
 
 
 def _learned_maker(params: ParamVector, hyper: PipelineConfig, patch_side: int):
@@ -227,7 +241,7 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
             f"the image to {noisy.width}x{noisy.height}"
         )
     out = _out_dir(cfg)
-    [denoised] = _map_patches(noisy, cfg.patch_side, [learned])
+    [[denoised]] = _map_patches([noisy], cfg.patch_side, [learned])
     target = out / (Path(image_path).stem + "_denoised.pgm")
     save_image(denoised, target)
     print(f"wrote {target}")
@@ -256,18 +270,21 @@ def cmd_eval(cfg: RunConfig) -> int:
         _, system = build_system(init_params, patch, side, hyper)
         return lambda: [system.psi.apply(patch), unrolled_cg(system.apply_system, patch, analytic)[0]]
 
-    names = ("bilateral", "init", "trained")
+    # scores[s] holds the bilateral, init and trained PSNRs at sigma s, in
+    # image order; one batch maps an image at every sigma, so the lanes stay
+    # busy while memory holds one image's outputs
+    scores = [([], [], []) for _ in cfg.sigma_test]
+    for image_index, clean in enumerate(cleans):
+        noisy = [
+            add_awgn(clean, sigma, cfg.seed + 1000 * sigma_index + image_index)
+            for sigma_index, sigma in enumerate(cfg.sigma_test)
+        ]
+        for columns, denoised in zip(scores, _map_patches(noisy, side, [initial, trained])):
+            for column, image in zip(columns, denoised):
+                column.append(psnr(clean, image))
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
-    for sigma_index, sigma in enumerate(cfg.sigma_test):
-        scores = {name: [] for name in names}
-        for image_index, clean in enumerate(cleans):
-            noisy = add_awgn(clean, sigma, cfg.seed + 1000 * sigma_index + image_index)
-            for name, denoised in zip(names, _map_patches(noisy, side, [initial, trained])):
-                scores[name].append(psnr(clean, denoised))
-        lines.append(
-            f"{_fmt(sigma)},{_fmt(np.mean(scores['bilateral']))},"
-            f"{_fmt(np.mean(scores['init']))},{_fmt(np.mean(scores['trained']))}"
-        )
+    for sigma, columns in zip(cfg.sigma_test, scores):
+        lines.append(",".join(_fmt(value) for value in [sigma, *map(np.mean, columns)]))
     table = out / "eval.csv"
     write_text_durably(table, "\n".join(lines) + "\n")
     print(f"wrote {table}")

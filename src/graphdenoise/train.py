@@ -315,8 +315,12 @@ def _grad_single(
         g_alpha[k] = float(gx @ p_k) - float(gr @ v_k1)
         gv = -alpha * gr
         gp = gp + alpha * gx
-        # v_{k+1} = A p_k
-        gp = gp + apply_vjp(k + 1, gv)
+        # v_{k+1} = A p_k; at k = T - 1, gr and so gv are still zero, and
+        # the apply's adjoint adds nothing
+        if k < T - 1:
+            gp = gp + apply_vjp(k + 1, gv)
+        else:
+            held[k + 1] = None
     # p_0 = r_0 and r_0 = y - A y (y is a constant input)
     gr = gr + gp
     held[0] = system.apply_truncated_inverse_with_cache(noisy)[1]

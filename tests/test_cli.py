@@ -29,6 +29,7 @@ from graphdenoise import (
     reassemble,
     save_image,
     synthesize_image,
+    unrolled_cg,
 )
 from graphdenoise import cli
 from graphdenoise.cli import main
@@ -942,15 +943,22 @@ class TestSolveLanes:
             ((2,), (1,)),
             ((5,), (7,)),
             ((0,), (0,)),
+            ((9,), (8,)),
+            ((8,), (11,)),
+            ((), (11, 9)),
+            ((10,), (3,)),
         ],
     )
     def test_first_failing_item_in_raster_order_wins(
         self, monkeypatch, lanes, build_fails, job_fails
     ):
-        # four constant 2x2 patches, patch p valued p / 10; item 2 * p + maker,
-        # as cmd_eval maps two systems per patch; the second maker gives two outputs
-        pixels = np.repeat(np.arange(4) / 10, 2)[None, :].repeat(2, axis=0)
-        image = GrayImage(pixels)
+        # constant 2x2 patches, patch p valued p / 10: the first image holds
+        # patches 0 to 3 and the second 4 and 5; item 2 * p + maker, as
+        # cmd_eval maps two systems per patch, so items run in (image, patch,
+        # maker) order; the second maker gives two outputs
+        first = np.repeat(np.arange(4) / 10, 2)[None, :].repeat(2, axis=0)
+        second = np.repeat(np.arange(4, 6) / 10, 2)[None, :].repeat(2, axis=0)
+        images = [GrayImage(first), GrayImage(second)]
 
         def maker(offset):
             def build(patch):
@@ -971,14 +979,38 @@ class TestSolveLanes:
         with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
             monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
             if not (build_fails or job_fails):
-                images = cli._map_patches(image, 2, [maker(0), maker(1)])
-                expected = [pixels, pixels, pixels + 0.1]
-                assert [i.pixels.tolist() for i in images] == [e.tolist() for e in expected]
+                mapped = cli._map_patches(images, 2, [maker(0), maker(1)])
+                for outputs, pixels in zip(mapped, (first, second), strict=True):
+                    expected = [pixels, pixels, pixels + 0.1]
+                    assert [i.pixels.tolist() for i in outputs] == [e.tolist() for e in expected]
                 return
-            first = min([*build_fails, *job_fails])
-            message = f"build {first}" if first in build_fails else f"job {first}"
+            item = min([*build_fails, *job_fails])
+            message = f"build {item}" if item in build_fails else f"job {item}"
             with pytest.raises(NumericDivergenceError, match=f"^{message}$"):
-                cli._map_patches(image, 2, [maker(0), maker(1)])
+                cli._map_patches(images, 2, [maker(0), maker(1)])
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_eval_whose_job_fails_exits_three_without_a_table(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys, lanes
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="fail")
+        solves = []
+
+        def failing_cg(*args):
+            solves.append(None)
+            if len(solves) == 6:  # an analytic solve of the first image's batch
+                raise NumericDivergenceError("solve failed")
+            return unrolled_cg(*args)
+
+        monkeypatch.setattr(cli, "unrolled_cg", failing_cg)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        denoise_in_lanes(monkeypatch, lanes, [
+            "eval", "--test_dir", str(test_dir), "--sigma_test", "10,25",
+            "--checkpoint", str(ckpt), "--out", str(out), *TINY,
+        ], code=3)
+        assert capsys.readouterr().err.splitlines() == ["numeric error: solve failed"]
+        assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("command", ["denoise", "eval"])
     def test_one_patch_system_is_built_at_a_time(
@@ -1005,7 +1037,8 @@ class TestSolveLanes:
         if command == "denoise":
             inputs = ["denoise", str(sorted(image_dir.iterdir())[0])]  # four patches
         else:
-            inputs = ["eval", "--test_dir", str(test_dir), "--sigma_test", "10"]  # sixteen
+            # sixteen per sigma; one batch maps both sigmas of an image
+            inputs = ["eval", "--test_dir", str(test_dir), "--sigma_test", "10,25"]
         denoise_in_lanes(monkeypatch, 3, [
             *inputs, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY
         ])
@@ -1013,18 +1046,19 @@ class TestSolveLanes:
         assert len(threads) > 1  # the builds ran on more than one lane
 
 
-def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy):
-    """denoise's traced peak memory at 2 and 3 lanes exceeds the serial
-    peak by at most one patch system per extra lane."""
+def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv):
+    """The traced peak memory of the command argv at 2 and 3 lanes exceeds
+    the serial peak by at most one patch system per extra lane. theta is
+    saved as the checkpoint and noisy as images/n.pgm under tmp_path."""
     hyper = PipelineConfig()
     save_checkpoint(tmp_path / "c.json", theta, hyper)
-    save_image(noisy, tmp_path / "n.pgm")
+    (tmp_path / "images").mkdir()
+    save_image(noisy, tmp_path / "images" / "n.pgm")
     _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
     csr = system.psi._matrix
     psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del system, csr
-    argv = ["denoise", str(tmp_path / "n.pgm"), "--checkpoint", str(tmp_path / "c.json"),
-            "--out", str(tmp_path / "o")]
+    argv = [*argv, "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
 
     def peak(lanes):
         tracemalloc.start()
@@ -1043,12 +1077,12 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
         assert peak(lanes) <= serial + (lanes - 1) * (psi_bytes + margin)
 
 
-def denoise_in_lanes(monkeypatch, lanes, argv):
-    """cli.main(argv), which must succeed, on `lanes` lanes."""
+def denoise_in_lanes(monkeypatch, lanes, argv, code=0):
+    """cli.main(argv), which must exit with code, on `lanes` lanes."""
     monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
     with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
         monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
-        assert main(argv) == 0
+        assert main(argv) == code
 
 
 class TestCompiledLanes:
@@ -1080,10 +1114,40 @@ class TestCompiledLanes:
             outputs.append((out / "n_denoised.pgm").read_bytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_eval_table_does_not_depend_on_the_lane_count(
+        self, tmp_path, monkeypatch, noisy, theta
+    ):
+        ckpt = tmp_path / "c.json"
+        save_checkpoint(ckpt, theta, PipelineConfig())
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        save_image(noisy, test_dir / "a.pgm")  # four patches
+        save_image(synthesize_image(64, 64, seed=6), test_dir / "b.pgm")  # one
+        tables = []
+        for lanes in (1, 2, 3):
+            out = tmp_path / f"lanes{lanes}"
+            denoise_in_lanes(monkeypatch, lanes, [
+                "eval", "--test_dir", str(test_dir), "--sigma_test", "10,25", "--seed", "4",
+                "--checkpoint", str(ckpt), "--out", str(out),
+            ])
+            tables.append((out / "eval.csv").read_bytes())
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        assert tables[0] == serial_eval_csv(ckpt, test_dir, (10.0, 25.0), 4, 64).encode()
+
     def test_lanes_add_at_most_one_system_each_to_peak_memory(
         self, tmp_path, monkeypatch, noisy, theta
     ):
-        assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy)
+        assert_lanes_add_at_most_one_system_each(
+            tmp_path, monkeypatch, theta, noisy, ["denoise", str(tmp_path / "images" / "n.pgm")]
+        )
+
+    def test_eval_lanes_add_at_most_one_system_each_to_peak_memory(
+        self, tmp_path, monkeypatch, noisy, theta
+    ):
+        assert_lanes_add_at_most_one_system_each(
+            tmp_path, monkeypatch, theta, noisy,
+            ["eval", "--test_dir", str(tmp_path / "images"), "--sigma_test", "10,25"],
+        )
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_zero_image_denoises_to_zeros_without_warnings(

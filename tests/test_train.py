@@ -251,11 +251,17 @@ class TestReverseGradients:
         assert value == 0.0
         assert np.array_equal(grad.pack(), np.zeros(theta.size))
 
-    def test_matches_finite_differences(self):
+    # depth 1 reverses no CG step's apply (its adjoint is zero), depth 0
+    # only the initial residual's
+    @pytest.mark.parametrize(
+        "hyper", [SMALL, replace(SMALL, depth_T=1), replace(SMALL, depth_T=0)],
+        ids=["T5", "T1", "T0"],
+    )
+    def test_matches_finite_differences(self, hyper):
         pairs = [noisy_clean_pair(9, 8), noisy_clean_pair(10, 8)]
-        theta = perturbed_params(SMALL, 9, [p[0] for p in pairs], 8)
-        g_rev = loss_and_grad(theta, pairs, 8, SMALL)[1].pack()
-        g_fd = grad_fd(theta, pairs, 8, SMALL).pack()
+        theta = perturbed_params(hyper, 9, [p[0] for p in pairs], 8)
+        g_rev = loss_and_grad(theta, pairs, 8, hyper)[1].pack()
+        g_fd = grad_fd(theta, pairs, 8, hyper).pack()
         denom = np.maximum(np.maximum(np.abs(g_rev), np.abs(g_fd)), 1e-8)
         assert np.max(np.abs(g_rev - g_fd) / denom) < 1e-4
 
@@ -296,13 +302,20 @@ class TestReverseGradients:
 
     @pytest.mark.parametrize(
         "hyper",
-        [PipelineConfig(window_radius=1, degree_K=2, depth_T=3), SMALL, PipelineConfig()],
-        ids=["K2-T3", "K4-T5", "defaults"],
+        [
+            PipelineConfig(window_radius=1, degree_K=2, depth_T=3),
+            SMALL,
+            PipelineConfig(),
+            replace(SMALL, depth_T=1),
+            replace(SMALL, depth_T=0),
+        ],
+        ids=["K2-T3", "K4-T5", "defaults", "K4-T1", "K4-T0"],
     )
     def test_one_pair_makes_the_counted_work(self, monkeypatch, hyper):
         # the solve makes T + 1 system applies and the reverse pass one more
         # (the initial residual's, recomputed); each apply costs K Psi
-        # matvecs, and reversing one of the T + 1 costs K more
+        # matvecs, and reversing one costs K more. The last apply's adjoint
+        # is zero and is skipped, unless it is the initial residual's (T = 0)
         noisy, clean = noisy_clean_pair(13, 8)
         theta = calibrated_initial(hyper, [noisy], 8)
         applies, matvecs = [], []
@@ -315,7 +328,7 @@ class TestReverseGradients:
         loss_and_grad(theta, [(noisy, clean)], 8, hyper)
         K, T = hyper.degree_K, hyper.depth_T
         assert len(applies) == T + 2
-        assert len(matvecs) == K * (2 * T + 3)
+        assert len(matvecs) == K * (T + 2 + max(T, 1))
 
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
