@@ -7,8 +7,8 @@ a fixed-depth unrolled CG network whose small parameter set (metric factor,
 polynomial coefficients, per-depth step scalars) is trained end to end.
 """
 
-from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, unrolled_cg
-from .compiled import CompiledFilter, compile_filter, network_response
+from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, learned_cg_vjp, unrolled_cg
+from .compiled import CompiledFilter, compile_filter, compiled_filter_vjp, network_response
 from .errors import (
     CliUsageError,
     DegenerateMatrixError,
@@ -91,11 +91,13 @@ __all__ = [
     "calibrated_initial",
     "central_gradients",
     "compile_filter",
+    "compiled_filter_vjp",
     "default_coefficients",
     "estimate_spectrum",
     "evaluate_psnr",
     "extract_features",
     "forward",
+    "learned_cg_vjp",
     "load_checkpoint",
     "load_image",
     "loss_and_grad",

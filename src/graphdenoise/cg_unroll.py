@@ -132,6 +132,44 @@ def unrolled_cg(matvec, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTra
     return x, CgTrace(res_norms, alphas, betas)
 
 
+def learned_cg_vjp(apply_vjp, inputs, outputs, x_bar: np.ndarray, cfg: CgConfig):
+    """Reverse of a learned-mode unrolled_cg at the adjoint x_bar of its
+    output; returns the adjoints of cfg's learned_alpha and learned_beta.
+
+    inputs[j] and outputs[j] are the j-th system apply's input and output
+    in the solve: j = 0 is the initial residual's (y, A y), j = k + 1 step
+    k's (p_k, v_{k+1}). apply_vjp(j, g) is the system's vector-Jacobian
+    product of the j-th apply at the output adjoint g: it returns g pulled
+    back to the apply's input and accumulates the adjoints of the system's
+    own parameters. The last step's apply has a zero adjoint and is not
+    reversed, nor is its output read; the initial residual's apply is
+    reversed last, and its input adjoint (that of y) is dropped.
+    """
+    T = cfg.depth_T
+    gx = x_bar
+    gr = np.zeros_like(x_bar)
+    gp = np.zeros_like(x_bar)
+    g_alpha = np.zeros(T)
+    g_beta = np.zeros(max(T - 1, 0))
+    for k in range(T - 1, -1, -1):
+        alpha = float(cfg.learned_alpha[k])
+        p_k = inputs[k + 1]
+        if k < T - 1:
+            # p_{k+1} = r_{k+1} + beta_k p_k; gp holds d/dp_{k+1}
+            g_beta[k] = float(gp @ p_k)
+            gr = gr + gp
+            gp = float(cfg.learned_beta[k]) * gp
+            # r_{k+1} = r_k - alpha_k v_{k+1}, v_{k+1} = A p_k
+            g_alpha[k] = -float(gr @ outputs[k + 1])
+            gp = gp + apply_vjp(k + 1, -alpha * gr)
+        # x_{k+1} = x_k + alpha_k p_k
+        g_alpha[k] += float(gx @ p_k)
+        gp = gp + alpha * gx
+    # p_0 = r_0 and r_0 = y - A y
+    apply_vjp(0, -(gr + gp))
+    return g_alpha, g_beta
+
+
 def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 

@@ -7,12 +7,22 @@ The trainable parameter vector theta stacks, in this fixed order:
       CG alphas (T)                       |
       CG betas (T-1) ]
 
-The forward pass rebuilds the filter operator from theta every time (Psi
-depends on the metric), runs the truncated-inverse system through the
-learned-mode unrolled CG, and returns the depth-T iterate. Reverse-mode
-gradients are hand-derived through the whole composition: the CG updates
-(alpha/beta as leaves), the polynomial recurrence (cached t_k terms), the
-symmetric normalization and the exponential weights into C. Feature
+forward rebuilds the filter operator from theta (Psi depends on the
+metric), runs the truncated-inverse system through the learned-mode
+unrolled CG, and returns the depth-T iterate: the network as the paper
+unrolls it, kept as the reference the compiled filter stands in for.
+
+Training differentiates the network that validation, denoise and eval
+run: its compiled Chebyshev filter P (compiled.py), compiled once per
+loss_and_grad call at GRADIENT_TOLERANCE, a tighter tail than inference's
+FIT_TOLERANCE so that the gradient also matches the unrolled network's
+(acceptance criterion 4). Per pair the gradient runs the three-term
+recurrence of P(Psi) y, keeping its vectors, and reverses it by Clenshaw's
+recurrence run backward, folding each matvec's (adjoint, input) pair into
+the smoother-weight sums (EdgeOuterSum); from there it is hand-derived
+through the symmetric normalization and the exponential weights into C.
+The coefficient adjoints of the batch reach the Taylor and CG scalars by
+one reverse pass of the scalar network (compiled_filter_vjp). Feature
 extraction is deliberately treated as a constant of the noisy input
 (pseudo-linear convention), so no gradient flows into the features.
 """
@@ -27,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .cg_unroll import CgConfig, calibrate_cg_params, unrolled_cg
-from .compiled import compile_filter
+from .compiled import GRADIENT_TOLERANCE, CompiledFilter, compile_filter, compiled_filter_vjp
 from .errors import InvalidInputError, NumericDivergenceError
 from .graph_filter import (
     FEATURE_DIM,
@@ -197,8 +207,11 @@ class EdgeOuterSum:
     """Running sums of g_m[i] * t_m[j] over terms m, for every stored entry
     (i, j) of B on a side x side grid, fed up to `chunk` terms at a time.
 
-    A chunk's g terms go into rows 0..count-1 of g_terms; fold(t) adds them
-    with the t terms in rows 1..count of t. planes() returns the diagonal
+    The training gradient's terms are the Chebyshev vectors u_j = T_j(L) y
+    it applies Psi to (t) and the adjoints of those matvecs' outputs (g),
+    so the sums are dL/dPsi on B's pattern. A chunk's g terms go into rows
+    0..count-1 of g_terms; fold(t) adds them with the t terms in rows
+    1..count of t. planes() returns the diagonal
     (side x side), then per window_blocks block a half plane (i in block_i,
     j in block_j) and a mirror plane (i in block_j, j in block_i). However
     the terms are chunked, every sum is bitwise the in-order sum over m:
@@ -241,90 +254,66 @@ class EdgeOuterSum:
 
 
 def _grad_single(
-    theta: ParamVector, noisy: np.ndarray, clean: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> tuple[float, ParamVector]:
+    theta: ParamVector,
+    compiled: CompiledFilter,
+    noisy: np.ndarray,
+    clean: np.ndarray,
+    patch_side: int,
+    hyper: PipelineConfig,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One pair's loss |P(Psi) y - clean|^2 through the compiled filter P
+    and its adjoints of the metric factor's 15 entries and of P's
+    coefficients."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
-    # B is rebuilt for its adjoint below rather than held through the solve
+    # B is rebuilt for its adjoint below rather than held through the pass
     features, system = build_system(theta, noisy, patch_side, hyper)
-    op = system.psi
-    # held[j] is the terms of the solve's j-th system apply (newest first,
-    # apply_truncated_inverse_with_cache): all the reverse pass needs, since
-    # the output is rebuilt from them (combine). The initial residual's
-    # apply (j = 0) is reversed last, so its terms are recomputed then
-    # rather than held through the whole reverse pass.
-    held: list[np.ndarray | None] = []
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        if not held:
-            held.append(None)
-            return system.apply_system(v)
-        out, terms = system.apply_truncated_inverse_with_cache(v)
-        held.append(terms)
-        return out
-
-    x, _ = unrolled_cg(matvec, noisy, theta.cg_config())
-
-    T = hyper.depth_T
+    psi = system.psi
+    c = compiled.coefficients
+    degree = compiled.degree
     K = hyper.degree_K
-    n = op.n
-    c = system.coefficients
+    # u_k = T_k(L) y with L = 2 Psi - I, the vectors of the recurrence
+    # CompiledFilter.apply runs (by the same operations, so x is its output
+    # bitwise), u_k in row 1 + k % K of u_blocks[k // K]: the (K + 1)-row
+    # blocks EdgeOuterSum.fold takes, whose row 0 is its scratch
+    u_blocks = [np.empty((K + 1, noisy.size)) for _ in range(degree // K + 1)]
 
+    def u(k: int) -> np.ndarray:
+        return u_blocks[k // K][1 + k % K]
+
+    u(0)[:] = noisy
+    x = c[0] * noisy
+    for k in range(1, degree + 1):
+        out = u(k)
+        np.multiply(psi.apply(u(k - 1)), 2.0, out=out)
+        np.subtract(out, u(k - 1), out=out)
+        if k > 1:
+            out *= 2.0
+            out -= u(k - 2)
+        x += c[k] * out
     resid = x - clean
     pair_loss = float(resid @ resid)
+    if not np.isfinite(pair_loss):
+        raise NumericDivergenceError("non-finite training loss")
 
-    ga = np.zeros(K + 1)
-    # dL/dPsi_ij sums gt[i] * t_{k-1}[j] over every Psi matvec of the
-    # solve, in visit order; each apply's K terms are folded into the sums
-    # as soon as the apply is reversed
+    g = 2.0 * resid
+    c_bar = np.array([g @ u(k) for k in range(degree + 1)])
+    # dL/dPsi_ij sums w_bar_j[i] * u_j[j] over the matvecs w_j = Psi u_j,
+    # j = degree - 1 .. 0. Clenshaw run backward gives the adjoint of u_k,
+    # b_k = c_k g + 2 L b_{k+1} - b_{k+2}, and w_j enters u_{j+1} as
+    # 4 w_j (2 w_0 for j = 0). b_0, the adjoint of the constant y, is never
+    # formed: degree - 1 matvecs
     psi_sums = EdgeOuterSum(patch_side, hyper.window_radius, K)
-
-    def apply_vjp(idx: int, g_out: np.ndarray) -> np.ndarray:
-        # Adjoint of one truncated-inverse apply. Accumulates dL/da_k and
-        # the dL/dPsi terms; returns the adjoint of the apply's input.
-        nonlocal ga
-        terms = held[idx]  # row K - k holds t_k
-        ga += np.array([g_out @ t for t in terms[::-1]])
-        gt = c[K] * g_out
-        for m, k in enumerate(range(K, 0, -1)):
-            # forward: t_k = Psi t_{k-1} - t_{k-1}; t_{k-1} is row m + 1
-            psi_sums.g_terms[m] = gt
-            gt = op.apply(gt) - gt + c[k - 1] * g_out
-        # t_K, in row 0, is spent: fold uses the row as scratch
-        psi_sums.fold(terms)
-        held[idx] = None
-        return gt
-
-    # --- reverse through the CG updates (alpha, beta are leaves) ---
-    gx = 2.0 * resid
-    gr = np.zeros(n)
-    gp = np.zeros(n)
-    g_alpha = np.zeros(T)
-    g_beta = np.zeros(max(T - 1, 0))
-    for k in range(T - 1, -1, -1):
-        alpha = float(theta.cg_alpha[k])
-        p_k = held[k + 1][K]
-        v_k1 = system.combine(held[k + 1])
-        if k < T - 1:
-            # p_{k+1} = r_{k+1} + beta_k p_k; gp currently holds d/dp_{k+1}
-            g_beta[k] = float(gp @ p_k)
-            gr = gr + gp
-            gp = float(theta.cg_beta[k]) * gp
-        # r_{k+1} = r_k - alpha_k v_{k+1}
-        # x_{k+1} = x_k + alpha_k p_k
-        g_alpha[k] = float(gx @ p_k) - float(gr @ v_k1)
-        gv = -alpha * gr
-        gp = gp + alpha * gx
-        # v_{k+1} = A p_k; at k = T - 1, gr and so gv are still zero, and
-        # the apply's adjoint adds nothing
-        if k < T - 1:
-            gp = gp + apply_vjp(k + 1, gv)
-        else:
-            held[k + 1] = None
-    # p_0 = r_0 and r_0 = y - A y (y is a constant input)
-    gr = gr + gp
-    held[0] = system.apply_truncated_inverse_with_cache(noisy)[1]
-    apply_vjp(0, -gr)
+    b, b_next = c[degree] * g, 0.0
+    for j in range(degree - 1, -1, -1):
+        block, row = divmod(j, K)
+        np.multiply(b, 4.0 if j else 2.0, out=psi_sums.g_terms[row])
+        if row == 0:
+            psi_sums.fold(u_blocks[block][: min(K, degree - j) + 1])
+            u_blocks[block] = None
+        if j:
+            b, b_next = c[j] * g + 4.0 * psi.apply(b) - 2.0 * b - b_next, b
+    del u_blocks
     diag_bar, half_bar, mirror_bar = psi_sums.planes()
     del psi_sums
 
@@ -353,28 +342,41 @@ def _grad_single(
         d = (features[bi] - features[bj]).reshape(-1, FEATURE_DIM)
         scatter += d.T @ (d * gq)
     gC = 2.0 * factor @ scatter
-    g_metric = gC[_TRIL]
-
-    return pair_loss, ParamVector(g_metric, ga, g_alpha, g_beta)
+    return pair_loss, gC[_TRIL], c_bar
 
 
 def loss_and_grad(
     theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = PipelineConfig()
 ) -> tuple[float, ParamVector]:
-    """Batch loss and its exact reverse-mode gradient."""
+    """Batch loss of the compiled filter P of theta at GRADIENT_TOLERANCE
+    (compile_filter) and its exact reverse-mode gradient.
+
+    The pairs run on the lanes (in_lanes), each through P(Psi) and back:
+    2 d - 1 Psi matvecs at P's degree d >= 1. Their losses, metric adjoints
+    and coefficient adjoints are summed in batch order, so the result does
+    not depend on the lanes, and the coefficient adjoint reaches the
+    Taylor and CG scalars by one scalar reverse pass (compiled_filter_vjp).
+    Raises NumericDivergenceError when theta does not compile.
+    """
     batch = list(batch)
     if not batch:
         raise InvalidInputError("batch must be nonempty")
-    total_loss = 0.0
-    total = np.zeros(theta.size)
+    _check_sizes(theta, hyper)
+    compiled = compile_filter(theta, GRADIENT_TOLERANCE)
     pairs = in_lanes(
-        [partial(_grad_single, theta, noisy, clean, patch_side, hyper) for noisy, clean in batch]
+        [
+            partial(_grad_single, theta, compiled, noisy, clean, patch_side, hyper)
+            for noisy, clean in batch
+        ]
     )
-    # summed in batch order, so the result does not depend on the lanes
-    for pair_loss, g in pairs:
+    total_loss = 0.0
+    metric_bar = np.zeros(N_METRIC_PARAMS)
+    coefficient_bar = np.zeros(compiled.degree + 1)
+    for pair_loss, pair_metric_bar, pair_coefficient_bar in pairs:
         total_loss += pair_loss
-        total += g.pack()
-    return total_loss, ParamVector.unpack(total, hyper.degree_K, hyper.depth_T)
+        metric_bar += pair_metric_bar
+        coefficient_bar += pair_coefficient_bar
+    return total_loss, ParamVector(metric_bar, *compiled_filter_vjp(theta, coefficient_bar))
 
 
 @dataclass(eq=False)

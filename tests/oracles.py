@@ -7,7 +7,8 @@ meaningful. The package exports only what the pipeline and scripts use;
 the helpers that only tests need live here too: per-patch partition and
 reassembly loops, the batch loss and its finite-difference gradient, a
 dense-matrix smoother for synthetic spectra, the one-pass form of
-EdgeOuterSum, and the patch system solved by classic CG.
+EdgeOuterSum, the patch system solved by classic CG, and the gradient
+of the unrolled network by dense matrices.
 """
 import numpy as np
 from scipy import sparse
@@ -22,7 +23,9 @@ from graphdenoise import (
     ParamVector,
     PipelineConfig,
     build_system,
+    extract_features,
     forward,
+    learned_cg_vjp,
     unrolled_cg,
 )
 
@@ -236,3 +239,66 @@ def analytic_forward(
     cfg = CgConfig(depth_T=hyper.depth_T, epsilon_guard=epsilon_guard)
     x, _ = unrolled_cg(system.apply_system, patch, cfg)
     return x
+
+
+def unrolled_loss_and_grad(
+    theta: ParamVector, batch, patch_side: int, hyper: PipelineConfig = PipelineConfig()
+) -> tuple[float, ParamVector]:
+    """loss and its reverse-mode gradient through the unrolled network
+    (forward), by dense matrices: learned_cg_vjp over the truncated-inverse
+    system, whose apply_vjp reverses the Taylor recurrence into a dense
+    dL/dPsi, then the dense normalization and weight adjoints into C. The
+    reference of the compiled-filter gradient (loss_and_grad)."""
+    K = hyper.degree_K
+    a = theta.tse_coeffs
+    factor = theta.metric()
+    cfg = theta.cg_config()
+    total_loss = 0.0
+    total = np.zeros(theta.size)
+    for noisy, clean in batch:
+        noisy = np.asarray(noisy, dtype=float)
+        features = extract_features(noisy, patch_side)
+        dense_b = dense_filter_matrix(features, factor, hyper.window_radius)
+        s = 1.0 / np.sqrt(dense_b.sum(axis=1))
+        psi = s[:, None] * dense_b * s[None, :]
+
+        def powers(v):  # (Psi - I)^k v for k = 0..K
+            t = [v]
+            for _ in range(K):
+                t.append(psi @ t[-1] - t[-1])
+            return t
+
+        inputs, outputs = [], []
+
+        def matvec(v):
+            inputs.append(v)
+            outputs.append(sum(a_k * t_k for a_k, t_k in zip(a, powers(v))))
+            return outputs[-1]
+
+        x, _ = unrolled_cg(matvec, noisy, cfg)
+        resid = x - np.asarray(clean, dtype=float)
+        g_tse = np.zeros(K + 1)
+        psi_bar = np.zeros_like(psi)
+
+        def apply_vjp(j, g):
+            t = powers(inputs[j])
+            g_tse[:] += [g @ t_k for t_k in t]
+            gt = a[K] * g
+            for k in range(K, 0, -1):  # t_k = Psi t_{k-1} - t_{k-1}
+                psi_bar[:] += np.outer(gt, t[k - 1])
+                gt = psi @ gt - gt + a[k - 1] * g
+            return gt
+
+        g_alpha, g_beta = learned_cg_vjp(apply_vjp, inputs, outputs, 2.0 * resid, cfg)
+        # Psi_kl = s_k B_kl s_l with s = S^{-1/2} and S_k = sum_l B_kl
+        s_bar = np.sum(psi_bar * dense_b * s[None, :], axis=1)
+        s_bar += np.sum(psi_bar * dense_b * s[:, None], axis=0)
+        b_bar = s[:, None] * psi_bar * s[None, :] + (-0.5 * s**3 * s_bar)[:, None]
+        # B_kl = w_kl exp(-|C d_kl|^2): dB_kl/dC = -2 B_kl C d_kl d_kl^T
+        rows = features.reshape(-1, FEATURE_DIM)
+        diffs = rows[:, None, :] - rows[None, :, :]
+        scatter = np.einsum("ij,ijk,ijl->kl", b_bar * dense_b, diffs, diffs)
+        g_metric = (-2.0 * factor @ scatter)[np.tril_indices(FEATURE_DIM)]
+        total_loss += float(resid @ resid)
+        total += np.concatenate([g_metric, g_tse, g_alpha, g_beta])
+    return total_loss, ParamVector.unpack(total, K, hyper.depth_T)

@@ -20,7 +20,7 @@ from graphdenoise import (
     train_loop,
     unrolled_cg,
 )
-from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE
+from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE, GRADIENT_TOLERANCE
 from oracles import operator_from_dense, operator_with_spectrum
 
 DEFAULT = PipelineConfig()  # K = 10, T = 15: 160 matvecs unrolled
@@ -76,18 +76,26 @@ class TestCompileFilter:
                 assert not np.array_equal(out, reference)  # the compiled filter ran
                 assert relative_error(out, reference) <= 1e-8
 
+    @pytest.mark.parametrize("tail", [FIT_TOLERANCE, GRADIENT_TOLERANCE])
     @pytest.mark.parametrize("which", ["calibrated", "trained"])
     def test_keeps_the_shortest_prefix_whose_dropped_tail_is_within_tolerance(
-        self, request, which
+        self, request, which, tail
     ):
         theta = request.getfixturevalue(which)
         full = chebyshev.chebinterpolate(
             lambda x: network_response(theta, (1.0 + x) / 2.0),
             DEFAULT.degree_K * DEFAULT.depth_T,
         )
-        kept = compile_filter(theta).degree + 1
+        compiled = compile_filter(theta, tail)
+        kept = compiled.degree + 1
         assert kept < full.size
-        assert np.sum(np.abs(full[kept:])) <= FIT_TOLERANCE < np.sum(np.abs(full[kept - 1 :]))
+        assert np.sum(np.abs(full[kept:])) <= tail < np.sum(np.abs(full[kept - 1 :]))
+        assert compiled.fit_error <= FIT_TOLERANCE
+        # the gradient's tighter tail keeps a longer prefix of the same series
+        if tail < FIT_TOLERANCE:
+            shorter = compile_filter(theta).coefficients
+            assert shorter.size < kept
+            assert np.array_equal(compiled.coefficients[: shorter.size], shorter)
 
     def test_response_is_the_network_on_an_eigenvector(self, calibrated):
         # on a diagonal Psi every basis vector is an eigenvector

@@ -5,12 +5,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphdenoise.lanes
 from graphdenoise import (
     CgConfig,
+    CompiledFilter,
     DenoiserOperator,
     EdgeOuterSum,
     FEATURE_DIM,
@@ -34,6 +36,7 @@ from graphdenoise import (
     forward,
     load_checkpoint,
     loss_and_grad,
+    network_response,
     normalize,
     partition,
     save_checkpoint,
@@ -42,6 +45,9 @@ from graphdenoise import (
     unrolled_cg,
     window_blocks,
 )
+import graphdenoise.compiled
+import graphdenoise.train
+from graphdenoise.compiled import GRADIENT_TOLERANCE
 from graphdenoise.train import CHECKPOINT_VERSION
 from oracles import (
     analytic_forward,
@@ -51,6 +57,7 @@ from oracles import (
     grad_fd,
     loss,
     random_patch,
+    unrolled_loss_and_grad,
 )
 
 SMALL = PipelineConfig(window_radius=2, degree_K=4, depth_T=5)
@@ -244,15 +251,18 @@ class TestFiniteDifferences:
 
 class TestReverseGradients:
     def test_zero_residual_gives_exactly_zero_gradient(self):
+        # the training forward is the compiled filter at the gradient tail,
+        # bitwise
         noisy, _ = noisy_clean_pair(8, 8)
         theta = perturbed_params(SMALL, 8, [noisy], 8)
-        out = forward(theta, noisy, 8, SMALL)
+        psi = build_system(theta, noisy, 8, SMALL)[1].psi
+        out = compile_filter(theta, GRADIENT_TOLERANCE).apply(psi, noisy)
         value, grad = loss_and_grad(theta, [(noisy, out)], 8, SMALL)
         assert value == 0.0
         assert np.array_equal(grad.pack(), np.zeros(theta.size))
 
-    # depth 1 reverses no CG step's apply (its adjoint is zero), depth 0
-    # only the initial residual's
+    # the finite differences are of the unrolled network's loss; depth 1
+    # compiles to degree K, depth 0 to the identity
     @pytest.mark.parametrize(
         "hyper", [SMALL, replace(SMALL, depth_T=1), replace(SMALL, depth_T=0)],
         ids=["T5", "T1", "T0"],
@@ -312,23 +322,100 @@ class TestReverseGradients:
         ids=["K2-T3", "K4-T5", "defaults", "K4-T1", "K4-T0"],
     )
     def test_one_pair_makes_the_counted_work(self, monkeypatch, hyper):
-        # the solve makes T + 1 system applies and the reverse pass one more
-        # (the initial residual's, recomputed); each apply costs K Psi
-        # matvecs, and reversing one costs K more. The last apply's adjoint
-        # is zero and is skipped, unless it is the initial residual's (T = 0)
-        noisy, clean = noisy_clean_pair(13, 8)
-        theta = calibrated_initial(hyper, [noisy], 8)
-        applies, matvecs = [], []
+        # a pair runs the compiled filter's d matvecs and reverses them with
+        # d - 1 more (the adjoint of the input y is not formed), folds d
+        # terms and makes no truncated-inverse apply; the coefficient
+        # adjoints of the whole batch take one scalar reverse
+        pairs = [noisy_clean_pair(13, 8), noisy_clean_pair(14, 8)]
+        theta = calibrated_initial(hyper, [noisy for noisy, _ in pairs], 8)
+        degree = compile_filter(theta, GRADIENT_TOLERANCE).degree
+        assert degree <= hyper.degree_K * hyper.depth_T
+        applies, matvecs, reverses, folded = [], [], [], []
         monkeypatch.setattr(
             TaylorSystemOperator,
             "apply_truncated_inverse_with_cache",
             counted(TaylorSystemOperator.apply_truncated_inverse_with_cache, applies),
         )
         monkeypatch.setattr(DenoiserOperator, "apply", counted(DenoiserOperator.apply, matvecs))
-        loss_and_grad(theta, [(noisy, clean)], 8, hyper)
-        K, T = hyper.degree_K, hyper.depth_T
-        assert len(applies) == T + 2
-        assert len(matvecs) == K * (T + 2 + max(T, 1))
+        monkeypatch.setattr(
+            graphdenoise.compiled,
+            "learned_cg_vjp",
+            counted(graphdenoise.compiled.learned_cg_vjp, reverses),
+        )
+        real_fold = EdgeOuterSum.fold
+        monkeypatch.setattr(
+            EdgeOuterSum, "fold", lambda sums, t: folded.append(len(t) - 1) or real_fold(sums, t)
+        )
+        for count in (1, 2):
+            for calls in (applies, matvecs, reverses, folded):
+                calls.clear()
+            loss_and_grad(theta, pairs[:count], 8, hyper)
+            assert applies == []
+            assert len(matvecs) == count * max(2 * degree - 1, 0)
+            assert sum(folded) == count * degree
+            assert max(folded, default=0) <= hyper.degree_K
+            assert len(reverses) == 1
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["calibrated", "perturbed"])
+    def test_uncut_compiled_gradient_equals_the_unrolled_gradient(self, monkeypatch, perturbed):
+        # the filter compiled with no tail cut is the unrolled network up to
+        # rounding, so its exact gradient is the unrolled one's: what
+        # GRADIENT_TOLERANCE leaves out is truncation, not a bug
+        # (acceptance criterion 4's patches, 16 x 16 at the defaults)
+        hyper = PipelineConfig()
+        pairs = []
+        for index, seed in enumerate((800, 801)):
+            clean = synthesize_image(16, 16, seed=seed)
+            noisy = add_awgn(clean, 15.0, seed=8800 + index)
+            pairs.append((partition(noisy, 16).patches[0], partition(clean, 16).patches[0]))
+        patches = [noisy for noisy, _ in pairs]
+        if perturbed:
+            theta = perturbed_params(hyper, 7000, patches, 16)
+        else:
+            theta = calibrated_initial(hyper, patches, 16)
+        uncut = chebyshev.chebinterpolate(
+            lambda x: network_response(theta, (1.0 + x) / 2.0), hyper.degree_K * hyper.depth_T
+        )
+        monkeypatch.setattr(
+            graphdenoise.train, "compile_filter", lambda theta, tail: CompiledFilter(uncut, 0.0)
+        )
+        value, grad = loss_and_grad(theta, pairs, 16, hyper)
+        ref_value, ref_grad = unrolled_loss_and_grad(theta, pairs, 16, hyper)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        diff = np.max(np.abs(grad.pack() - ref_grad.pack()))
+        assert diff <= 1e-8 * np.max(np.abs(ref_grad.pack()))
+
+    @pytest.mark.parametrize(
+        "theta_of, message",
+        [
+            # alpha = 1, beta = 0: max |Q| is about 9e14, no filter fits
+            (None, "^the learned network does not compile: fit error .* exceeds 1e-08$"),
+            (
+                lambda theta: theta.cg_alpha.__setitem__(slice(None), 1e300),
+                "^non-finite CG state at iteration 0$",
+            ),
+            (
+                lambda theta: theta.cg_alpha.__setitem__(1, np.nan),
+                "^non-finite CG state at iteration 1$",
+            ),
+        ],
+        ids=["uncalibrated", "alpha-1e300", "alpha-nan"],
+    )
+    def test_a_theta_that_does_not_compile_fails_the_step(self, monkeypatch, theta_of, message):
+        hyper = PipelineConfig()
+        theta = ParamVector.initial(hyper)
+        if theta_of is not None:
+            theta_of(theta)
+        pairs = [noisy_clean_pair(15, 16)]
+        with pytest.raises(NumericDivergenceError, match=message):
+            loss_and_grad(theta, pairs, 16, hyper)
+        # train_loop lets it through, from its first step, before validation
+        validated = []
+        monkeypatch.setattr(graphdenoise.train, "calibrated_initial", lambda *args: theta)
+        monkeypatch.setattr(graphdenoise.train, "evaluate_psnr", counted(evaluate_psnr, validated))
+        with pytest.raises(NumericDivergenceError, match=message):
+            train_loop(pairs, 16, epochs=1, batch_size=1, seed=0, hyper=hyper)
+        assert validated == []
 
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -409,15 +496,14 @@ class TestTrainingLanes:
         ],
     )
     def test_first_failing_pair_in_batch_order_wins(self, monkeypatch, lanes, order, error):
-        # cg_alpha = 1e300 overflows every solve but that of a zero patch;
-        # a short patch fails its build at once, a diverging one after its solve
+        # a short patch fails its build at once; a pair with an infinite
+        # target has a non-finite loss, and fails after its forward
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
-        theta = ParamVector.initial(hyper)
-        theta.cg_alpha[:] = 1e300
         noisy, clean = noisy_clean_pair(30, 8)
+        theta = calibrated_initial(hyper, [noisy], 8)
         pairs = {
             "zero": (np.zeros(64), np.zeros(64)),
-            "diverge": (noisy, clean),
+            "diverge": (noisy, np.full(64, np.inf)),
             "short": (noisy[:60], clean[:60]),
         }
         with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
