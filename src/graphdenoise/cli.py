@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
 import argparse
 import logging
 import sys
-import threading
 from dataclasses import fields, replace
 from functools import partial
 from itertools import islice
@@ -86,16 +85,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-# one patch system is built at a time, whatever the lane count: concurrent
-# builds would add their transient arrays to the peak memory, which stays
-# at one system per lane
-_BUILD_LOCK = threading.Lock()
-
-
 def _build_and_solve(build, patch) -> list:
-    with _BUILD_LOCK:
-        job = build(patch)
-    return job()
+    return build(patch)()
 
 
 def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[GrayImage]]:
@@ -107,8 +98,10 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
     order. Items (image, patch, maker) run on the lanes in one batch
     (lanes.in_lanes), images in order and each image's patches in raster
     order, so a lane that finishes a short job takes the next item of any
-    image. Each item builds its job under _BUILD_LOCK, the expensive and
-    allocation-heavy part, and runs it outside the lock.
+    image. Each item builds its patch's job and runs it on its lane; a
+    build's temporary arrays are small beside the system it leaves (see
+    graph_filter.normalize), so concurrent builds keep the peak memory at
+    about one system per lane.
 
     Every job computes exactly what it would serially, so the output is
     bitwise independent of the lane count. When items fail, the error raised

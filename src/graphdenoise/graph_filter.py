@@ -26,9 +26,11 @@ symmetric, at the cost of rows no longer summing exactly to one.
 Every edge joins a pixel to one of the window's grid offsets, so B is
 stored as one weight plane per half-window offset (window_blocks), each
 unordered pair once, with the unit diagonal implied. normalize computes
-the row sums from the planes, writes Psi's values by diagonal (the planes
-laid out at flat offsets dr * side + dc) and converts them to CSR, the
-format of its matvec.
+the row sums from the planes and writes Psi's values straight into the
+data array of a CSR matrix, the format of its matvec. The CSR pattern of
+a grid (side, radius), its row pointers, column indices and the data
+positions of every plane's entries, is computed once and cached; the
+operators on that grid share its read-only index arrays.
 
 The metric is parameterized through its factor C so that M = C^T C is
 positive semi-definite for any real C, which keeps later optimization of
@@ -37,6 +39,7 @@ the metric unconstrained.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +131,10 @@ class SparseFilterMatrix:
 class DenoiserOperator:
     """Sparse symmetric normalized smoother Psi with matrix-free apply.
 
-    Psi is held as a scipy CSR matrix with sorted column indices, converted
-    from its diagonals, so entries that are exactly 0 (weights whose exp
-    underflows) are not stored.
+    Psi is held as a scipy CSR matrix with sorted column indices. Its
+    index arrays are its grid's cached, read-only pattern (_CsrLayout),
+    unless some entries are exactly 0 (weights whose exp underflows): those
+    are not stored, and the matrix has its own index arrays.
     """
 
     _matrix: sparse.csr_array = field(repr=False)
@@ -256,34 +260,102 @@ def build_filter_matrix(
     return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
 
 
+@dataclass(frozen=True, eq=False)
+class _CsrLayout:
+    """The CSR pattern of Psi on a side x side grid with every window pair
+    stored, and where normalize writes each value.
+
+    indptr and indices are read-only and shared by every operator on the
+    grid. A pixel's row lists its window's offsets sorted by column, i.e.
+    by (dr, dc). diagonal holds the (side, side) data positions of the
+    diagonal entries; halves[k] and mirrors[k] hold those of the k-th
+    window_blocks block's entries (i, j) and (j, i), i in block_i and j in
+    block_j, in the block's shape.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    halves: list[np.ndarray]
+    mirrors: list[np.ndarray]
+
+    @classmethod
+    def build(cls, side: int, reach: int) -> "_CsrLayout":
+        # the offsets of pixel (r, c) run over rows lo[r] .. lo[r] + count[r] - 1
+        # and columns lo[c] .. lo[c] + count[c] - 1, so its row has
+        # count[r] * count[c] entries, (dr, dc) at (dr - lo[r]) * count[c] + dc - lo[c]
+        k = np.arange(side)
+        lo = np.maximum(-reach, -k)
+        count = np.minimum(reach, side - 1 - k) - lo + 1
+        nnz = int(count.sum()) ** 2
+        index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(side * side + 1, index_dtype)
+        np.cumsum(np.multiply.outer(count, count), out=indptr[1:])
+        start = indptr[:-1].reshape(side, side)
+
+        def slots(block, dr, dc):
+            rows, cols = block
+            at = start[rows, cols] + (dr - lo[rows])[:, None] * count[cols] + (dc - lo[cols])
+            return at.astype(index_dtype)
+
+        pixel = np.arange(side * side, dtype=index_dtype).reshape(side, side)
+        indices = np.empty(nnz, index_dtype)
+        diagonal = slots((slice(None), slice(None)), 0, 0)
+        indices[diagonal] = pixel
+        halves, mirrors = [], []
+        for dr, dc, block_i, block_j in window_blocks(side, reach):
+            halves.append(slots(block_i, dr, dc))
+            mirrors.append(slots(block_j, -dr, -dc))
+            indices[halves[-1]] = pixel[block_j]
+            indices[mirrors[-1]] = pixel[block_i]
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return cls(indptr, indices, diagonal, halves, mirrors)
+
+
+_LAYOUTS: dict[tuple[int, int], _CsrLayout] = {}
+_LAYOUTS_LOCK = threading.Lock()
+
+
+def _csr_layout(side: int, radius: int) -> _CsrLayout:
+    """The cached _CsrLayout of the grid; every call with the same side and
+    window reach min(radius, side - 1) returns the same object."""
+    key = (side, min(radius, side - 1))
+    with _LAYOUTS_LOCK:
+        if key not in _LAYOUTS:
+            _LAYOUTS[key] = _CsrLayout.build(*key)
+        return _LAYOUTS[key]
+
+
 def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
-    side = filt.side
-    blocks = list(filt.blocks())
     row_sums = filt.row_sums()
     if np.any(row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(row_sums)
-    # Psi by diagonals: entry (i, i + o) sits at column i + o of diagonal o,
-    # so a block's half plane fills block_j of diagonal o = dr * side + dc
-    # and block_i of diagonal -o. side <= 2 * radius puts two blocks on one
-    # diagonal, at disjoint columns.
-    flat = [dr * side + dc for dr, dc, _, _ in blocks]
-    offsets = sorted({0, *flat, *(-o for o in flat)})
-    slot = {o: k for k, o in enumerate(offsets)}
-    diagonals = np.zeros((len(offsets), side, side))
-    diagonals[slot[0]] = inv_sqrt * inv_sqrt
-    for o, (_, _, block_i, block_j), plane in zip(flat, blocks, filt.planes):
+    layout = _csr_layout(filt.side, filt.window_radius)
+    data = np.empty(layout.indices.size)
+    # the cached positions have the index dtype, half the size of intp; an
+    # intp copy of a block's scatters faster than numpy's cast of the narrower
+    data[layout.diagonal.astype(np.intp)] = inv_sqrt * inv_sqrt
+    for (_, _, block_i, block_j), plane, half_slots, mirror_slots in zip(
+        filt.blocks(), filt.planes, layout.halves, layout.mirrors
+    ):
         # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves
         # Psi_ij and Psi_ji, and Psi is exactly symmetric.
         half = plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
-        diagonals[slot[o]][block_j] = half
-        diagonals[slot[-o]][block_i] = half
+        data[half_slots.astype(np.intp)] = half
+        data[mirror_slots.astype(np.intp)] = half
     n = filt.n
-    # the conversion keeps each row in offset order, i.e. sorted by column,
-    # and drops the exact zeros: the padding and any weight that underflows
-    psi = sparse.dia_array((diagonals.reshape(len(offsets), n), offsets), shape=(n, n))
-    return DenoiserOperator(_matrix=psi.tocsr())
+    if data.all():
+        return DenoiserOperator(
+            _matrix=sparse.csr_array((data, layout.indices, layout.indptr), shape=(n, n))
+        )
+    # a weight whose exp underflows is exactly 0 and not stored, which
+    # leaves this matrix a pattern of its own
+    psi = sparse.csr_array((data, layout.indices.copy(), layout.indptr.copy()), shape=(n, n))
+    psi.eliminate_zeros()
+    return DenoiserOperator(_matrix=psi)
 
 
 # A Lanczos step breaks down when its new direction is at most this times

@@ -6,10 +6,11 @@ CSR matvec, most of a solve, releases the GIL, so the lanes overlap. The
 program has this one pool: every pool thread adds a malloc arena, and a
 second pool added its memory to the peak. Every parallel job goes through
 in_lanes, the one scheduler: training's gradient pairs, calibration and
-validation, and the patch jobs of denoise and eval, which build one patch
-system at a time (cli._map_patches). denoise maps its image in one batch;
-eval maps each test image in one batch covering every sigma, so a long
-job of one sigma overlaps the jobs of the next.
+validation, and the patch jobs of denoise and eval, each of which builds
+and solves its patch's system on its lane (cli._map_patches). denoise
+maps its image in one batch; eval maps each test image in one batch
+covering every sigma, so a long job of one sigma overlaps the jobs of the
+next.
 """
 from __future__ import annotations
 

@@ -266,9 +266,11 @@ def _grad_single(
     coefficients."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
-    # B is rebuilt for its adjoint below rather than held through the pass
-    features, system = build_system(theta, noisy, patch_side, hyper)
-    psi = system.psi
+    # B's planes are kept through the pass for its adjoint below
+    features = extract_features(noisy, patch_side)
+    factor = theta.metric()
+    filt = build_filter_matrix(features, factor, hyper.window_radius)
+    psi = normalize(filt)
     c = compiled.coefficients
     degree = compiled.degree
     K = hyper.degree_K
@@ -318,8 +320,6 @@ def _grad_single(
     del psi_sums
 
     # --- reverse through Psi = S^{-1/2} B S^{-1/2} ---
-    factor = theta.metric()
-    filt = build_filter_matrix(features, factor, hyper.window_radius)
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())

@@ -1012,39 +1012,6 @@ class TestSolveLanes:
         assert capsys.readouterr().err.splitlines() == ["numeric error: solve failed"]
         assert not (out / "eval.csv").exists()
 
-    @pytest.mark.parametrize("command", ["denoise", "eval"])
-    def test_one_patch_system_is_built_at_a_time(
-        self, tmp_path, monkeypatch, image_dir, test_dir, command
-    ):
-        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="lock")
-        building, most, threads = [0], [0], set()
-        count = threading.Lock()
-
-        def counting_build(*args):
-            with count:
-                building[0] += 1
-                most[0] = max(most[0], building[0])
-                threads.add(threading.get_ident())
-            # long enough that unlocked builds on three lanes overlap
-            time.sleep(0.02)
-            try:
-                return build_system(*args)
-            finally:
-                with count:
-                    building[0] -= 1
-
-        monkeypatch.setattr(cli, "build_system", counting_build)
-        if command == "denoise":
-            inputs = ["denoise", str(sorted(image_dir.iterdir())[0])]  # four patches
-        else:
-            # sixteen per sigma; one batch maps both sigmas of an image
-            inputs = ["eval", "--test_dir", str(test_dir), "--sigma_test", "10,25"]
-        denoise_in_lanes(monkeypatch, 3, [
-            *inputs, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY
-        ])
-        assert most[0] == 1
-        assert len(threads) > 1  # the builds ran on more than one lane
-
 
 def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv):
     """The traced peak memory of the command argv at 2 and 3 lanes exceeds
@@ -1148,6 +1115,38 @@ class TestCompiledLanes:
             tmp_path, monkeypatch, theta, noisy,
             ["eval", "--test_dir", str(tmp_path / "images"), "--sigma_test", "10,25"],
         )
+
+    @pytest.mark.parametrize("command", ["denoise", "eval"])
+    def test_overlapping_builds_add_at_most_one_system_per_lane(
+        self, tmp_path, monkeypatch, noisy, theta, command
+    ):
+        # builds take no lock: forced to overlap, they still leave the peak
+        # within assert_lanes_add_at_most_one_system_each's bound
+        building, most = [0], {}
+        count = threading.Lock()
+
+        def sleeping_build(*args):
+            lanes = graphdenoise.lanes.LANES
+            with count:
+                building[0] += 1
+                most[lanes] = max(most.get(lanes, 0), building[0])
+            # long enough that the builds of every lane overlap
+            time.sleep(0.05)
+            try:
+                return build_system(*args)
+            finally:
+                with count:
+                    building[0] -= 1
+
+        monkeypatch.setattr(cli, "build_system", sleeping_build)
+        if command == "denoise":
+            argv = ["denoise", str(tmp_path / "images" / "n.pgm")]  # four patches
+        else:
+            # four per sigma and system; one batch maps both sigmas
+            argv = ["eval", "--test_dir", str(tmp_path / "images"), "--sigma_test", "10,25"]
+        assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv)
+        assert most[1] == 1
+        assert most[2] == 2 and most[3] >= 2
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_zero_image_denoises_to_zeros_without_warnings(

@@ -1,5 +1,8 @@
 import math
+import threading
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from graphdenoise import (
     normalize,
     window_blocks,
 )
+from graphdenoise import graph_filter
 from graphdenoise.errors import DegenerateMatrixError
 from oracles import (
     dense_filter_matrix,
@@ -361,6 +365,53 @@ class TestNormalize:
     def test_degenerate_row_sum_raises(self):
         with pytest.raises(DegenerateMatrixError):
             normalize(grid_filter(2, {(0, 1): -1.0}))
+
+    def test_operators_on_one_grid_share_read_only_index_arrays(self):
+        first, second = (
+            normalize(build_filter_matrix(extract_features(random_patch(seed, 8), 8), metric, 2))
+            for seed, metric in ((9, bilateral_factor()), (10, lower_factor(np.full(15, 0.3))))
+        )
+        assert not np.array_equal(first._matrix.data, second._matrix.data)
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(first._matrix, name), getattr(second._matrix, name))
+            for op in (first, second):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(op._matrix, name)[0] = 1
+
+    def test_first_normalize_on_a_new_grid_from_two_threads_matches_serial(self, monkeypatch):
+        # an empty cache makes the grid new: both threads want its layout at once
+        filters = [
+            build_filter_matrix(extract_features(random_patch(seed, 64), 64), bilateral_factor(), 3)
+            for seed in (11, 12)
+        ]
+        barrier = threading.Barrier(2)
+
+        def at_once(filt):
+            barrier.wait()
+            return normalize(filt)._matrix
+
+        monkeypatch.setattr(graph_filter, "_LAYOUTS", {})
+        with ThreadPoolExecutor(2) as pool:
+            concurrent = list(pool.map(at_once, filters))
+        assert np.shares_memory(concurrent[0].indices, concurrent[1].indices)
+        monkeypatch.setattr(graph_filter, "_LAYOUTS", {})
+        for filt, got in zip(filters, concurrent):
+            want = normalize(filt)._matrix
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_temporaries_are_small_beside_the_values(self):
+        # Psi's values at 64x64, radius 3, are 1.5 MB; the build's other
+        # arrays stay far below, so no large block is allocated and freed
+        filt = build_filter_matrix(extract_features(random_patch(13, 64), 64), bilateral_factor(), 3)
+        normalize(filt)  # the grid's layout is made once, before the count
+        tracemalloc.start()
+        try:
+            op = normalize(filt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - op._matrix.data.nbytes <= 0.5e6
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
