@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Print digests of everything a fixed-seed command-line run writes.
+"""Print digests of everything a fixed-seed command-line run writes, and
+of the training gradient and compiled filter at the default network.
 
 Runs corrupt -> train (2 epochs, --patch_side 16 --K 4 --T 5) ->
 denoise --truth -> eval -> inspect --test_dir through graphdenoise.cli.main
 in a temporary directory, on synthetic images. Prints one "sha256 path"
 line per output file (paths relative to the run directory, sorted), then
-the PSNR line that denoise prints. A change that must not move any output
-prints the same lines before and after it.
+the PSNR line that denoise prints. Then two "sha256 default/<name>" lines
+at PipelineConfig() on 64x64 patches: loss_and_grad's loss and gradient
+bytes on 3 calibrated pairs, and the compiled filter's output on one more
+patch. A change that must not move any output prints the same lines
+before and after it; the default lines use only long-standing public
+functions, so the script also runs on older checkouts.
 
 Example:
     PYTHONPATH=src python3 scripts/output_digests.py
@@ -18,7 +23,21 @@ import sys
 import tempfile
 from pathlib import Path
 
-from graphdenoise import save_image, synthesize_image
+import numpy as np
+
+from graphdenoise import (
+    PipelineConfig,
+    add_awgn,
+    build_filter_matrix,
+    calibrated_initial,
+    compile_filter,
+    extract_features,
+    loss_and_grad,
+    normalize,
+    partition,
+    save_image,
+    synthesize_image,
+)
 from graphdenoise.cli import main as cli_main
 
 NETWORK = ["--patch_side", "16", "--window_radius", "2", "--K", "4", "--T", "5"]
@@ -72,9 +91,29 @@ def digests(root: Path) -> list[str]:
     return lines + [line for line in printed.splitlines() if line.startswith("psnr = ")]
 
 
+def default_network_digests() -> list[str]:
+    """The gradient and compiled-filter lines at PipelineConfig()."""
+    hyper = PipelineConfig()
+    clean = synthesize_image(128, 128, seed=31)
+    noisy = add_awgn(clean, 15.0, seed=32)
+    pairs = list(zip(partition(noisy, 64).patches, partition(clean, 64).patches))
+    theta = calibrated_initial(hyper, [y for y, _ in pairs[:3]], 64)
+    loss, gradient = loss_and_grad(theta, pairs[:3], 64, hyper)
+    patch = pairs[3][0]
+    filt = build_filter_matrix(extract_features(patch, 64), theta.metric(), hyper.window_radius)
+    denoised = compile_filter(theta).apply(normalize(filt), patch)
+    return [
+        f"{hashlib.sha256(data).hexdigest()} default/{name}"
+        for name, data in (
+            ("loss_and_grad", np.float64(loss).tobytes() + gradient.pack().tobytes()),
+            ("compiled_filter", denoised.tobytes()),
+        )
+    ]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digests(Path(tmp) / "chain")))
+        print("\n".join(digests(Path(tmp) / "chain") + default_network_digests()))
     return 0
 
 

@@ -43,7 +43,7 @@ from .train import (  # noqa: F401
     write_text_durably,
 )
 
-IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
+IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,35 +85,25 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _build_and_solve(build, patch) -> list:
-    return build(patch)()
-
-
 def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[GrayImage]]:
     """Denoise every patch of every image's grid; per image, one image per
     output, clipped to [0, 1].
 
-    Each maker turns a patch into a job, a no-argument callable that returns
-    a list of output patches; a patch's outputs are its makers' outputs in
-    order. Items (image, patch, maker) run on the lanes in one batch
-    (lanes.in_lanes), images in order and each image's patches in raster
-    order, so a lane that finishes a short job takes the next item of any
-    image. Each item builds its patch's job and runs it on its lane; a
-    build's temporary arrays are small beside the system it leaves (see
-    graph_filter.normalize), so concurrent builds keep the peak memory at
-    about one system per lane.
+    Each maker maps a patch to a list of output patches, building the
+    patch's system and solving it; a patch's outputs are its makers' outputs
+    in order. Items (image, patch, maker), each one job that calls the maker
+    on the patch, run on the lanes in one batch (lanes.in_lanes), images in
+    order and each image's patches in raster order, so a lane that finishes
+    a short job takes the next item of any image. A build's temporary arrays
+    are small beside the system it leaves (see graph_filter.normalize), so
+    concurrent jobs keep the peak memory at about one system per lane.
 
     Every job computes exactly what it would serially, so the output is
     bitwise independent of the lane count. When items fail, the error raised
     is the one the serial loop would raise: that of the first failing item.
     """
     grids = [partition(image, patch_side) for image in images]
-    items = [
-        partial(_build_and_solve, build, patch)
-        for grid in grids
-        for patch in grid.patches
-        for build in makers
-    ]
+    items = [partial(maker, patch) for grid in grids for patch in grid.patches for maker in makers]
     results = iter(lanes.in_lanes(items))
     mapped = []
     for grid in grids:
@@ -125,17 +115,16 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
 
 
 def _learned_maker(params: ParamVector, hyper: PipelineConfig, patch_side: int):
-    """The maker of the learned network's jobs: the patch's system is built,
-    then its Psi filters the patch by the network's compiled filter. The
-    network is compiled here, so a checkpoint that does not compile fails
-    before any patch is read."""
+    """The learned network's maker: the patch's system is built, then its
+    Psi filters the patch by the network's compiled filter. The network is
+    compiled here, so a checkpoint that does not compile fails before any
+    patch is read."""
     compiled = compile_filter(params)
 
-    def build(patch):
-        _, system = build_system(params, patch, patch_side, hyper)
-        return lambda: [compiled.apply(system.psi, patch)]
+    def learned(patch):
+        return [compiled.apply(build_system(params, patch, patch_side, hyper).psi, patch)]
 
-    return build
+    return learned
 
 
 def _crop(image: GrayImage, patch_side: int) -> GrayImage:
@@ -233,9 +222,12 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
             f"the truth crops to {truth.width}x{truth.height}, "
             f"the image to {noisy.width}x{noisy.height}"
         )
-    out = _out_dir(cfg)
+    target = _out_path(cfg) / (Path(image_path).stem + "_denoised.pgm")
+    for name, path in (("image", image_path), ("truth", truth_path)):
+        if path and target.resolve() == Path(path).resolve():
+            raise CliUsageError(f"the output {target} is the {name} {path}")
+    _out_dir(cfg)
     [[denoised]] = _map_patches([noisy], cfg.patch_side, [learned])
-    target = out / (Path(image_path).stem + "_denoised.pgm")
     save_image(denoised, target)
     print(f"wrote {target}")
     if truth_path:
@@ -260,8 +252,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
-        _, system = build_system(init_params, patch, side, hyper)
-        return lambda: [system.psi.apply(patch), unrolled_cg(system.apply_system, patch, analytic)[0]]
+        system = build_system(init_params, patch, side, hyper)
+        return [system.psi.apply(patch), unrolled_cg(system.apply_system, patch, analytic)[0]]
 
     # scores[s] holds the bilateral, init and trained PSNRs at sigma s, in
     # image order; one batch maps an image at every sigma, so the lanes stay
@@ -323,8 +315,8 @@ def cmd_inspect(cfg: RunConfig) -> int:
         image = load_image(paths[0])
         grid = partition(image, cfg.patch_side)
         for index, patch in enumerate(grid.patches[:4]):
-            _, system = build_system(params, patch, cfg.patch_side, hyper)
-            lam_min, lam_max = estimate_spectrum(system.psi, iterations=200)
+            psi = build_system(params, patch, cfg.patch_side, hyper).psi
+            lam_min, lam_max = estimate_spectrum(psi, iterations=200)
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")
             lines.append(f"patch_{index}_pd = {'yes' if lam_min > 0 else 'no'}")

@@ -32,6 +32,7 @@ explode below 0, where no eigenvalue lies.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -106,19 +107,29 @@ class CompiledFilter:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
+    def terms(self, psi: DenoiserOperator, y: np.ndarray) -> Iterator[np.ndarray]:
+        """u_k = T_k(L) y for k = 0 .. degree, with L = 2 Psi - I, which
+        maps [0, 1] onto [-1, 1]: u_0 = y itself, then u_{k+1} = 2 L u_k -
+        u_{k-1} (u_1 = L y), one matvec of Psi per term, each a new array.
+        The one recurrence of the filter: apply sums its terms, and the
+        training gradient keeps them for its reverse pass."""
+        yield y
+        if self.degree:
+            previous, term = y, 2.0 * psi.apply(y) - y
+            yield term
+            for _ in range(self.degree - 1):
+                previous, term = term, 2.0 * (2.0 * psi.apply(term) - term) - previous
+                yield term
+
     def apply(self, psi: DenoiserOperator, y: np.ndarray) -> np.ndarray:
-        """P(Psi) y, by T_{k+1} = 2 L T_k - T_{k-1} with L = 2 Psi - I,
-        which maps [0, 1] onto [-1, 1]: one matvec of Psi per degree, none
-        at degree 0."""
+        """P(Psi) y = sum_k c_k u_k over terms(psi, y), added in order of
+        k: one matvec of Psi per degree, none at degree 0."""
         c = self.coefficients
         with np.errstate(over="ignore", invalid="ignore"):
-            out = c[0] * y
-            if self.degree:
-                previous, term = y, 2.0 * psi.apply(y) - y
-                out += c[1] * term
-                for c_k in c[2:]:
-                    previous, term = term, 2.0 * (2.0 * psi.apply(term) - term) - previous
-                    out += c_k * term
+            terms = self.terms(psi, y)
+            out = c[0] * next(terms)
+            for c_k, term in zip(c[1:], terms):
+                out += c_k * term
         if not np.all(np.isfinite(out)):
             raise NumericDivergenceError("non-finite output of the compiled filter")
         return out

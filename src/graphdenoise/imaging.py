@@ -2,8 +2,7 @@
 
 Grayscale images live on [0, 1] as float64. Binary PGM (P5) is the native
 format; P6 color inputs are reduced to luma with the BT.601 weights
-(0.299, 0.587, 0.114). PNG reading is optional and only available when
-pillow is importable.
+(0.299, 0.587, 0.114).
 """
 from __future__ import annotations
 
@@ -107,28 +106,14 @@ def _load_pnm(path) -> GrayImage:
     return GrayImage(pixels)
 
 
-def _load_png(path) -> GrayImage:
-    try:
-        from PIL import Image
-    except ImportError as exc:  # PNG support is feature-flagged on pillow
-        raise ImageFormatError(f"{path}: PNG reading requires pillow") from exc
-    with Image.open(path) as im:
-        arr = np.asarray(im.convert("RGB"), dtype=float) / 255.0
-    wr, wg, wb = LUMA_WEIGHTS
-    pixels = wr * arr[:, :, 0] + wg * arr[:, :, 1] + wb * arr[:, :, 2]
-    return GrayImage(pixels)
-
-
 def load_image(path) -> GrayImage:
-    """Read a PGM/PPM (or, with pillow, PNG) file as luma on [0, 1]."""
+    """Read a PGM/PPM file as luma on [0, 1]."""
     path = Path(path)
     if not path.exists():
         raise ImageFormatError(f"{path}: no such file")
     suffix = path.suffix.lower()
     if suffix in (".pgm", ".ppm", ".pnm"):
         return _load_pnm(path)
-    if suffix == ".png":
-        return _load_png(path)
     raise ImageFormatError(f"{path}: unsupported image format {suffix!r}")
 
 

@@ -19,8 +19,11 @@ system, it cancels:
 
 apply_system is therefore the truncated inverse itself, and every apply
 goes through apply_truncated_inverse_with_cache, which also returns the
-recurrence terms for the reverse pass. mu is kept only for the Laplacian /
-regularizer diagnostics.
+recurrence terms. No reverse pass reads them: training differentiates the
+compiled filter (compiled.py), and only tests/test_taylor_system.py reads
+the terms. The term cache goes with the unrolled network (ROADMAP.md) once
+the benchmark's tracer no longer wraps this method. mu is kept only for
+the Laplacian / regularizer diagnostics.
 """
 from __future__ import annotations
 
@@ -77,8 +80,8 @@ class TaylorSystemOperator:
         recurrence terms t_k as one (K+1, n) array, newest first: row K - k
         holds t_k, row K the input v.
 
-        t_0 = v, t_{k+1} = Psi t_k - t_k; the terms enable exact
-        reverse-mode differentiation through the polynomial.
+        t_0 = v, t_{k+1} = Psi t_k - t_k. Only tests read the terms: they
+        check the recurrence, and no reverse pass uses them.
         """
         v = self._check(v)
         K = self.degree_K

@@ -16,8 +16,8 @@ Training differentiates the network that validation, denoise and eval
 run: its compiled Chebyshev filter P (compiled.py), compiled once per
 loss_and_grad call at GRADIENT_TOLERANCE, a tighter tail than inference's
 FIT_TOLERANCE so that the gradient also matches the unrolled network's
-(acceptance criterion 4). Per pair the gradient runs the three-term
-recurrence of P(Psi) y, keeping its vectors, and reverses it by Clenshaw's
+(acceptance criterion 4). Per pair the gradient keeps the Chebyshev terms
+of P(Psi) y (CompiledFilter.terms) and reverses them by Clenshaw's
 recurrence run backward, folding each matvec's (adjoint, input) pair into
 the smoother-weight sums (EdgeOuterSum); from there it is hand-derived
 through the symmetric normalization and the exponential weights into C.
@@ -166,14 +166,14 @@ def _check_sizes(theta: ParamVector, hyper: PipelineConfig) -> None:
 
 def build_system(
     theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> tuple[np.ndarray, TaylorSystemOperator]:
-    """The patch system of theta: its feature array (extract_features) and
-    the truncated-inverse system, whose smoother Psi is `system.psi`. theta
-    must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+) -> TaylorSystemOperator:
+    """The truncated-inverse system of theta on the patch, whose smoother Psi
+    is `system.psi`, built from the patch's features (extract_features).
+    theta must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
     _check_sizes(theta, hyper)
     features = extract_features(noisy, patch_side)
     filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
-    return features, TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
+    return TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
 
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:
@@ -183,7 +183,7 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
     theta = ParamVector.initial(hyper)
 
     def patch_system(noisy):
-        return build_system(theta, noisy, patch_side, hyper)[1].apply_system, noisy
+        return build_system(theta, noisy, patch_side, hyper).apply_system, noisy
 
     builds = [partial(patch_system, noisy) for noisy in noisy_patches]
     alpha, beta = calibrate_cg_params(builds, hyper.depth_T)
@@ -198,7 +198,7 @@ def forward(
 ) -> np.ndarray:
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
-    _, system = build_system(theta, noisy, patch_side, hyper)
+    system = build_system(theta, noisy, patch_side, hyper)
     x, _ = unrolled_cg(system.apply_system, noisy, theta.cg_config())
     return x
 
@@ -274,25 +274,20 @@ def _grad_single(
     c = compiled.coefficients
     degree = compiled.degree
     K = hyper.degree_K
-    # u_k = T_k(L) y with L = 2 Psi - I, the vectors of the recurrence
-    # CompiledFilter.apply runs (by the same operations, so x is its output
-    # bitwise), u_k in row 1 + k % K of u_blocks[k // K]: the (K + 1)-row
-    # blocks EdgeOuterSum.fold takes, whose row 0 is its scratch
+    # the terms u_k = T_k(L) y of P(Psi) y (CompiledFilter.terms), summed as
+    # CompiledFilter.apply sums them, so x is its output bitwise; u_k is
+    # kept in row 1 + k % K of u_blocks[k // K]: the (K + 1)-row blocks
+    # EdgeOuterSum.fold takes, whose row 0 is its scratch
     u_blocks = [np.empty((K + 1, noisy.size)) for _ in range(degree // K + 1)]
 
     def u(k: int) -> np.ndarray:
         return u_blocks[k // K][1 + k % K]
 
-    u(0)[:] = noisy
     x = c[0] * noisy
-    for k in range(1, degree + 1):
-        out = u(k)
-        np.multiply(psi.apply(u(k - 1)), 2.0, out=out)
-        np.subtract(out, u(k - 1), out=out)
-        if k > 1:
-            out *= 2.0
-            out -= u(k - 2)
-        x += c[k] * out
+    for k, term in enumerate(compiled.terms(psi, noisy)):
+        u(k)[:] = term
+        if k:
+            x += c[k] * term
     resid = x - clean
     pair_loss = float(resid @ resid)
     if not np.isfinite(pair_loss):
@@ -423,8 +418,8 @@ def adam_step(state: TrainState, gradient) -> TrainState:
 
 def _patch_psnr(theta, compiled, noisy, clean, patch_side, hyper) -> float:
     noisy = np.asarray(noisy, dtype=float)
-    _, system = build_system(theta, noisy, patch_side, hyper)
-    out = np.clip(compiled.apply(system.psi, noisy), 0.0, 1.0)
+    psi = build_system(theta, noisy, patch_side, hyper).psi
+    out = np.clip(compiled.apply(psi, noisy), 0.0, 1.0)
     err = np.asarray(clean, dtype=float) - out
     mse = float(err @ err) / err.size
     if mse == 0.0:

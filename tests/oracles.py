@@ -6,9 +6,10 @@ matrix powers, direct solves, finite differences), so agreement is
 meaningful. The package exports only what the pipeline and scripts use;
 the helpers that only tests need live here too: per-patch partition and
 reassembly loops, the batch loss and its finite-difference gradient, a
-dense-matrix smoother for synthetic spectra, the one-pass form of
-EdgeOuterSum, the patch system solved by classic CG, and the gradient
-of the unrolled network by dense matrices.
+dense-matrix smoother for synthetic spectra, the compiled filter's
+Chebyshev terms by eigendecomposition, the one-pass form of EdgeOuterSum,
+the patch system solved by classic CG, and the gradient of the unrolled
+network by dense matrices.
 """
 import numpy as np
 from scipy import sparse
@@ -163,6 +164,16 @@ def operator_with_spectrum(
     return operator_from_dense(random_spd(rng, n, lo, hi))
 
 
+def dense_chebyshev_terms(psi_dense: np.ndarray, y: np.ndarray, degree: int) -> list[np.ndarray]:
+    """T_k(2 Psi - I) y for k = 0 .. degree, from the eigendecomposition of
+    the dense Psi: T_k(cos t) = cos(k t) at each eigenvalue 2 lam - 1 = cos t
+    of 2 Psi - I, with no recurrence."""
+    lam, vectors = np.linalg.eigh(psi_dense)
+    angles = np.arccos(np.clip(2.0 * lam - 1.0, -1.0, 1.0))
+    coordinates = vectors.T @ y
+    return [vectors @ (np.cos(k * angles) * coordinates) for k in range(degree + 1)]
+
+
 def random_patch(seed: int, side: int) -> np.ndarray:
     return np.random.default_rng(seed).random(side * side)
 
@@ -235,7 +246,7 @@ def analytic_forward(
 ) -> np.ndarray:
     """The patch system of theta (build_system) solved by depth_T steps of
     classic CG, whose alpha and beta follow the data, under epsilon_guard."""
-    _, system = build_system(theta, patch, side, hyper)
+    system = build_system(theta, patch, side, hyper)
     cfg = CgConfig(depth_T=hyper.depth_T, epsilon_guard=epsilon_guard)
     x, _ = unrolled_cg(system.apply_system, patch, cfg)
     return x

@@ -104,7 +104,7 @@ def test_criterion_2_initialization_baseline():
             y = partition(noisy, 64).patches[0]
             clean = partition(img, 64).patches[0]
             x = analytic_forward(theta, y, 64, hyper)
-            _, system = build_system(theta, y, 64, hyper)
+            system = build_system(theta, y, 64, hyper)
             bf = system.psi.apply(y)
             gap = abs(_patch_psnr(clean, x) - _patch_psnr(clean, bf))
             worst_gap = max(worst_gap, gap)

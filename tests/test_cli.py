@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import re
@@ -322,14 +321,21 @@ class TestDenoise:
         assert (img.width, img.height) == (32, 32)  # 32 is a multiple of 16
 
     @pytest.mark.parametrize(
-        "truth, code", [("missing.pgm", 2), ("wide.pgm", 1)], ids=["missing", "other-size"]
+        "truth, code, error",
+        [
+            ("missing.pgm", 2, "i/o error: {path}: no such file"),
+            ("wide.pgm", 1, "error: the truth crops to 48x32, the image to 32x32"),
+            ("x.png", 2, "i/o error: {path}: unsupported image format '.png'"),
+        ],
+        ids=["missing", "other-size", "png"],
     )
     def test_bad_truth_fails_before_anything_is_written(
-        self, tmp_path, image_dir, test_dir, capsys, truth, code
+        self, tmp_path, image_dir, test_dir, capsys, truth, code, error
     ):
         ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="truth")
         # crops to 48x32 at patch side 16, the 32x32 input to 32x32
         save_image(synthesize_image(48, 32, seed=1), tmp_path / "wide.pgm")
+        (tmp_path / "x.png").write_bytes(b"\x89PNG\r\n\x1a\n")
         src = sorted(image_dir.iterdir())[0]
         out = tmp_path / "out"
         capsys.readouterr()
@@ -337,8 +343,36 @@ class TestDenoise:
             "denoise", str(src), "--truth", str(tmp_path / truth),
             "--checkpoint", str(ckpt), "--out", str(out), *TINY,
         ]) == code
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert capsys.readouterr().err.splitlines() == [error.format(path=tmp_path / truth)]
         assert not out.exists()
+
+    @pytest.mark.parametrize("taken", ["truth", "image"])
+    def test_output_that_is_an_input_is_rejected(
+        self, tmp_path, image_dir, test_dir, capsys, taken
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="taken")
+        src = sorted(image_dir.iterdir())[0]
+        noisy = tmp_path / "n.pgm"
+        noisy.write_bytes(src.read_bytes())
+        out = tmp_path / "o"
+        out.mkdir()
+        target = out / "n_denoised.pgm"
+        if taken == "truth":
+            target.write_bytes(src.read_bytes())
+            argv, path = ["--truth", str(target)], target
+        else:
+            target.symlink_to(noisy)  # the output would be written through it
+            argv, path = [], noisy
+        before = {p: p.read_bytes() for p in (noisy, target)}
+        capsys.readouterr()
+        code = main([
+            "denoise", str(noisy), *argv, "--checkpoint", str(ckpt), "--out", str(out), *TINY,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the output {target} is the {taken} {path}"
+        ]
+        assert {p: p.read_bytes() for p in (noisy, target)} == before
 
 
 class TestEval:
@@ -468,20 +502,6 @@ class TestExitCodes:
         ]
         assert not out.exists()
 
-    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="pillow reads PNG")
-    def test_png_without_pillow_is_an_io_error(self, tmp_path, capsys):
-        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
-        ckpt = tmp_path / "c.json"
-        save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
-        png = tmp_path / "x.png"
-        png.write_bytes(b"\x89PNG\r\n\x1a\n")
-        out = tmp_path / "o"
-        assert main(["denoise", str(png), "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"i/o error: {png}: PNG reading requires pillow"
-        ]
-        assert not out.exists()
-
     def test_numeric_error_is_three(self, tmp_path, image_dir):
         hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
         theta = ParamVector.initial(hyper)
@@ -539,6 +559,8 @@ class TestExitCodes:
             (["train", "--train_dir", "{small}"], "image 8x8 is smaller than one 16x16 patch"),
             (["denoise", "{small}/s.pgm"], "image 8x8 is smaller than one 16x16 patch"),
             (["eval", "--test_dir", "{small}"], "image 8x8 is smaller than one 16x16 patch"),
+            (["train", "--train_dir", "{png}"], "no images found under {png}"),
+            (["eval", "--test_dir", "{png}"], "no images found under {png}"),
         ],
         ids=[
             "patch_side-1",
@@ -549,6 +571,8 @@ class TestExitCodes:
             "train-small-image",
             "denoise-small-image",
             "eval-small-image",
+            "train-png-only",
+            "eval-png-only",
         ],
     )
     def test_bad_setting_or_small_image_fails_before_the_output_directory(
@@ -558,7 +582,11 @@ class TestExitCodes:
         small = tmp_path / "small"
         small.mkdir()
         save_image(synthesize_image(8, 8, seed=3), small / "s.pgm")
-        argv = [arg.format(small=small) for arg in argv]
+        png = tmp_path / "png"  # PNG files are not images to the CLI
+        png.mkdir()
+        (png / "x.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        argv = [arg.format(small=small, png=png) for arg in argv]
+        message = message.format(png=png)
         out = tmp_path / "out"
         inputs = ["--train_dir", str(image_dir), "--test_dir", str(test_dir),
                   "--checkpoint", str(ckpt), "--out", str(out), *TINY]
@@ -793,7 +821,7 @@ def learned_solver(params, hyper, side):
     compiled = compile_filter(params)
 
     def solve(patch):
-        return compiled.apply(build_system(params, patch, side, hyper)[1].psi, patch)
+        return compiled.apply(build_system(params, patch, side, hyper).psi, patch)
 
     return solve
 
@@ -813,7 +841,7 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
             columns = np.clip(
                 [
                     [
-                        build_system(init, patch, side, hyper)[1].psi.apply(patch),
+                        build_system(init, patch, side, hyper).psi.apply(patch),
                         analytic_forward(init, patch, side, hyper),
                         solve(patch),
                     ]
@@ -934,24 +962,10 @@ class TestSolveLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize(
-        "build_fails, job_fails",
-        [
-            ((), ()),
-            ((), (1, 2)),
-            ((), (2, 3)),
-            ((4,), (3,)),
-            ((2,), (1,)),
-            ((5,), (7,)),
-            ((0,), (0,)),
-            ((9,), (8,)),
-            ((8,), (11,)),
-            ((), (11, 9)),
-            ((10,), (3,)),
-        ],
+        "fails",
+        [(), (1, 2), (2, 3), (4, 3), (2, 1), (5, 7), (0,), (9, 8), (8, 11), (11, 9), (10, 3)],
     )
-    def test_first_failing_item_in_raster_order_wins(
-        self, monkeypatch, lanes, build_fails, job_fails
-    ):
+    def test_first_failing_item_in_raster_order_wins(self, monkeypatch, lanes, fails):
         # constant 2x2 patches, patch p valued p / 10: the first image holds
         # patches 0 to 3 and the second 4 and 5; item 2 * p + maker, as
         # cmd_eval maps two systems per patch, so items run in (image, patch,
@@ -961,32 +975,24 @@ class TestSolveLanes:
         images = [GrayImage(first), GrayImage(second)]
 
         def maker(offset):
-            def build(patch):
+            def solve(patch):
                 item = 2 * round(10 * patch[0]) + offset
-                if item in build_fails:
-                    raise NumericDivergenceError(f"build {item}")
+                if item in fails:
+                    raise NumericDivergenceError(f"item {item}")
+                return [patch + 0.1 * k for k in range(offset + 1)]
 
-                def job():
-                    if item in job_fails:
-                        raise NumericDivergenceError(f"job {item}")
-                    return [patch + 0.1 * k for k in range(offset + 1)]
-
-                return job
-
-            return build
+            return solve
 
         monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
         with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
             monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
-            if not (build_fails or job_fails):
+            if not fails:
                 mapped = cli._map_patches(images, 2, [maker(0), maker(1)])
                 for outputs, pixels in zip(mapped, (first, second), strict=True):
                     expected = [pixels, pixels, pixels + 0.1]
                     assert [i.pixels.tolist() for i in outputs] == [e.tolist() for e in expected]
                 return
-            item = min([*build_fails, *job_fails])
-            message = f"build {item}" if item in build_fails else f"job {item}"
-            with pytest.raises(NumericDivergenceError, match=f"^{message}$"):
+            with pytest.raises(NumericDivergenceError, match=f"^item {min(fails)}$"):
                 cli._map_patches(images, 2, [maker(0), maker(1)])
 
     @pytest.mark.parametrize("lanes", [1, 2])
@@ -1021,7 +1027,7 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
     save_checkpoint(tmp_path / "c.json", theta, hyper)
     (tmp_path / "images").mkdir()
     save_image(noisy, tmp_path / "images" / "n.pgm")
-    _, system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
+    system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
     csr = system.psi._matrix
     psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     del system, csr

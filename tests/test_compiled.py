@@ -4,6 +4,7 @@ from numpy.polynomial import chebyshev
 
 from graphdenoise import compiled as compiled_module
 from graphdenoise import (
+    CompiledFilter,
     DenoiserOperator,
     NumericDivergenceError,
     ParamVector,
@@ -21,7 +22,7 @@ from graphdenoise import (
     unrolled_cg,
 )
 from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE, GRADIENT_TOLERANCE
-from oracles import operator_from_dense, operator_with_spectrum
+from oracles import dense_chebyshev_terms, operator_from_dense, operator_with_spectrum, random_spd
 
 DEFAULT = PipelineConfig()  # K = 10, T = 15: 160 matvecs unrolled
 
@@ -70,7 +71,7 @@ class TestCompileFilter:
         assert compiled.degree <= DEFAULT.degree_K * DEFAULT.depth_T
         for sigma in (15.0, 50.0):
             for patch in noisy_patches(31, sigma):
-                _, system = build_system(theta, patch, 64, DEFAULT)
+                system = build_system(theta, patch, 64, DEFAULT)
                 out = compiled.apply(system.psi, patch)
                 reference = forward(theta, patch, 64, DEFAULT)
                 assert not np.array_equal(out, reference)  # the compiled filter ran
@@ -122,7 +123,7 @@ class TestCompileFilter:
         compiled = compile_filter(theta)
         assert compiled.degree <= hyper.degree_K * hyper.depth_T
         for patch in noisy_patches(41):
-            _, system = build_system(theta, patch, 64, hyper)
+            system = build_system(theta, patch, 64, hyper)
             out = compiled.apply(system.psi, patch)
             assert relative_error(out, forward(theta, patch, 64, hyper)) <= 1e-8
 
@@ -155,7 +156,7 @@ class TestCompileFilter:
         compiled = compile_filter(theta)
         assert compiled.coefficients.tolist() == [1.0]
         patch = noisy_patches(51)[0]
-        _, system = build_system(theta, patch, 64, hyper)
+        system = build_system(theta, patch, 64, hyper)
         calls = []
         real_apply = DenoiserOperator.apply
         monkeypatch.setattr(
@@ -194,6 +195,29 @@ class TestCompileFilter:
         assert sizes == [degree + 1 + CHECK_DEGREE + 1]
 
 
+class TestTerms:
+    @pytest.mark.parametrize("degree", [0, 1, 2, "calibrated"])
+    def test_are_the_chebyshev_polynomials_of_2_psi_minus_i(self, request, degree):
+        if degree == "calibrated":
+            compiled = compile_filter(request.getfixturevalue("calibrated"))
+            assert compiled.degree > 2
+        else:
+            compiled = CompiledFilter(np.ones(degree + 1), 0.0)
+        rng = np.random.default_rng(4)
+        dense = random_spd(rng, 64, 0.0, 1.0)
+        psi = operator_from_dense(dense)
+        y = rng.standard_normal(64)
+        terms = list(compiled.terms(psi, y))
+        assert len(terms) == compiled.degree + 1 and terms[0] is y
+        for term, reference in zip(terms, dense_chebyshev_terms(dense, y, compiled.degree)):
+            assert np.linalg.norm(term - reference) <= 1e-12 * np.linalg.norm(y)
+        # apply adds c_k u_k over the same terms, in order of k
+        out = compiled.coefficients[0] * terms[0]
+        for c_k, term in zip(compiled.coefficients[1:], terms[1:]):
+            out += c_k * term
+        assert np.array_equal(compiled.apply(psi, y), out)
+
+
 class TestApply:
     def test_matches_the_unrolled_network_on_a_spectrum_filling_the_interval(self, calibrated):
         system = system_with_spectrum(calibrated, 0.0, 1.0)
@@ -205,6 +229,6 @@ class TestApply:
 
     def test_zero_patch_is_zero(self, calibrated):
         patch = np.zeros(64 * 64)
-        _, system = build_system(calibrated, patch, 64, DEFAULT)
+        system = build_system(calibrated, patch, 64, DEFAULT)
         out = compile_filter(calibrated).apply(system.psi, patch)
         assert np.array_equal(out, patch)

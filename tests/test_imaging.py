@@ -1,4 +1,3 @@
-import importlib.util
 import math
 
 import numpy as np
@@ -116,13 +115,6 @@ class TestPgmRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ImageFormatError):
             load_image(tmp_path / "nope.pgm")
-
-    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="pillow reads PNG")
-    def test_png_without_pillow_names_pillow(self, tmp_path):
-        path = tmp_path / "x.png"
-        path.write_bytes(b"\x89PNG\r\n\x1a\n")
-        with pytest.raises(ImageFormatError, match="pillow"):
-            load_image(path)
 
 
 class TestAddAwgn:

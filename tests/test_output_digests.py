@@ -1,5 +1,6 @@
-"""scripts/output_digests.py: the fixed-seed command-line chain whose output
-digests show a change leaves every output byte as it was."""
+"""scripts/output_digests.py: the fixed-seed command-line chain and the
+default-network gradient and filter whose digests show a change leaves
+every output byte as it was."""
 import os
 import subprocess
 import sys
@@ -27,11 +28,14 @@ def digest_lines() -> list[str]:
 def test_two_runs_print_the_same_lines():
     first = digest_lines()
     assert first == digest_lines()
-    *files, psnr_line = first
+    *files, psnr_line, gradient_line, filter_line = first
     names = [line.split(" ", 1)[1] for line in files]
     assert names == sorted(names)
     written = {"run/checkpoint.json", "run/history.csv", "denoised/img_0_denoised.pgm"}
     written |= {"eval/eval.csv", "inspect/inspect.txt", "noisy/manifest.csv"}
     assert written <= set(names)
-    assert all(len(line.split(" ", 1)[0]) == 64 for line in files)
     assert psnr_line.startswith("psnr = ")
+    assert gradient_line.endswith(" default/loss_and_grad")
+    assert filter_line.endswith(" default/compiled_filter")
+    digests = files + [gradient_line, filter_line]
+    assert all(len(line.split(" ", 1)[0]) == 64 for line in digests)

@@ -192,7 +192,7 @@ class TestForward:
         theta = ParamVector.initial(hyper)
         noisy, clean = noisy_clean_pair(2, 32, sigma=15.0)
         x = analytic_forward(theta, noisy, 32, hyper)
-        _, system = build_system(theta, noisy, 32, hyper)
+        system = build_system(theta, noisy, 32, hyper)
         bf = system.psi.apply(noisy)
 
         def patch_psnr(ref, out):
@@ -255,7 +255,7 @@ class TestReverseGradients:
         # bitwise
         noisy, _ = noisy_clean_pair(8, 8)
         theta = perturbed_params(SMALL, 8, [noisy], 8)
-        psi = build_system(theta, noisy, 8, SMALL)[1].psi
+        psi = build_system(theta, noisy, 8, SMALL).psi
         out = compile_filter(theta, GRADIENT_TOLERANCE).apply(psi, noisy)
         value, grad = loss_and_grad(theta, [(noisy, out)], 8, SMALL)
         assert value == 0.0
@@ -606,7 +606,7 @@ class TestTrainLoop:
         # CG scalars must equal a fresh calibration on the first batch
         systems = []
         for noisy, _ in pairs[:2]:
-            _, system = build_system(theta0, noisy, 8, SMALL)
+            system = build_system(theta0, noisy, 8, SMALL)
             systems.append(lambda system=system, noisy=noisy: (system.apply_system, noisy))
         alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
         assert np.array_equal(state.params.cg_alpha, alpha)
@@ -619,7 +619,7 @@ class TestTrainLoop:
         hyper = PipelineConfig(depth_T=8)
         noisy, _ = noisy_clean_pair(40, 2)
         theta = calibrated_initial(hyper, [noisy], 2)
-        _, system = build_system(theta, noisy, 2, hyper)
+        system = build_system(theta, noisy, 2, hyper)
         _, trace = unrolled_cg(system.apply_system, noisy, CgConfig(depth_T=8))
         assert np.all(trace.used_alphas[:2] != 0.0)
         assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
@@ -680,7 +680,7 @@ class TestCompiledValidation:
         compiled = compile_filter(theta)
 
         def denoise(noisy):
-            return compiled.apply(build_system(theta, noisy, 16, SMALL)[1].psi, noisy)
+            return compiled.apply(build_system(theta, noisy, 16, SMALL).psi, noisy)
 
         value = evaluate_psnr(theta, pairs, 16, SMALL)
         assert value == self.mean_psnr(denoise, pairs)
