@@ -6,11 +6,14 @@ Runs corrupt -> train (2 epochs, --patch_side 16 --K 4 --T 5) ->
 denoise --truth -> eval -> inspect --test_dir through graphdenoise.cli.main
 in a temporary directory, on synthetic images. Prints one "sha256 path"
 line per output file (paths relative to the run directory, sorted), then
-the PSNR line that denoise prints. Then two "sha256 default/<name>" lines
-at PipelineConfig() on 64x64 patches: loss_and_grad's loss and gradient
-bytes on 3 calibrated pairs, and the compiled filter's output on one more
-patch. A change that must not move any output prints the same lines
-before and after it; the default lines use only long-standing public
+the PSNR line that denoise prints. Then three "sha256 default/<name>"
+lines at PipelineConfig() on 64x64 patches: loss_and_grad's loss and
+gradient bytes on 3 calibrated pairs, the compiled filter's output on one
+more patch, and eval's analytic CG solve of that patch at the initial
+parameters. Last, "sha256 underflow/psi_apply": Psi of that patch under a
+metric that underflows its weights across edges to 0, applied to a fixed
+vector. A change that must not move any output prints the same lines
+before and after it; these last lines use only long-standing public
 functions, so the script also runs on older checkouts.
 
 Example:
@@ -26,9 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from graphdenoise import (
+    CgConfig,
+    ParamVector,
     PipelineConfig,
     add_awgn,
     build_filter_matrix,
+    build_system,
     calibrated_initial,
     compile_filter,
     extract_features,
@@ -37,6 +43,7 @@ from graphdenoise import (
     partition,
     save_image,
     synthesize_image,
+    unrolled_cg,
 )
 from graphdenoise.cli import main as cli_main
 
@@ -92,7 +99,8 @@ def digests(root: Path) -> list[str]:
 
 
 def default_network_digests() -> list[str]:
-    """The gradient and compiled-filter lines at PipelineConfig()."""
+    """The gradient, compiled-filter, analytic-CG and underflow-Psi lines
+    at PipelineConfig()."""
     hyper = PipelineConfig()
     clean = synthesize_image(128, 128, seed=31)
     noisy = add_awgn(clean, 15.0, seed=32)
@@ -102,11 +110,18 @@ def default_network_digests() -> list[str]:
     patch = pairs[3][0]
     filt = build_filter_matrix(extract_features(patch, 64), theta.metric(), hyper.window_radius)
     denoised = compile_filter(theta).apply(normalize(filt), patch)
+    system = build_system(ParamVector.initial(hyper), patch, 64, hyper)
+    solved, _ = unrolled_cg(system.apply_system, patch, CgConfig(depth_T=hyper.depth_T))
+    underflow = np.diag([0.0, 0.0, 100.0, 0.0, 0.0])
+    filt = build_filter_matrix(extract_features(patch, 64), underflow, hyper.window_radius)
+    smoothed = normalize(filt).apply(np.random.default_rng(33).standard_normal(patch.size))
     return [
-        f"{hashlib.sha256(data).hexdigest()} default/{name}"
+        f"{hashlib.sha256(data).hexdigest()} {name}"
         for name, data in (
-            ("loss_and_grad", np.float64(loss).tobytes() + gradient.pack().tobytes()),
-            ("compiled_filter", denoised.tobytes()),
+            ("default/loss_and_grad", np.float64(loss).tobytes() + gradient.pack().tobytes()),
+            ("default/compiled_filter", denoised.tobytes()),
+            ("default/analytic_cg", solved.tobytes()),
+            ("underflow/psi_apply", smoothed.tobytes()),
         )
     ]
 

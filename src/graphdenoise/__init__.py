@@ -40,7 +40,7 @@ from .imaging import (
     save_image,
     synthesize_image,
 )
-from .taylor_system import TaylorSystemOperator, default_coefficients
+from .taylor_system import TaylorSystemOperator, default_coefficients, truncated_inverse
 from .train import (
     EdgeOuterSum,
     EpochStats,
@@ -110,6 +110,7 @@ __all__ = [
     "save_image",
     "synthesize_image",
     "train_loop",
+    "truncated_inverse",
     "unrolled_cg",
     "window_blocks",
     "write_text_durably",

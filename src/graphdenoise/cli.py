@@ -29,7 +29,16 @@ from .errors import (
     NumericDivergenceError,
 )
 from .graph_filter import FEATURE_DIM, estimate_spectrum
-from .imaging import GrayImage, add_awgn, load_image, partition, psnr, reassemble, save_image
+from .imaging import (
+    IMAGE_SUFFIXES,
+    GrayImage,
+    add_awgn,
+    load_image,
+    partition,
+    psnr,
+    reassemble,
+    save_image,
+)
 # `forward` is not called here; the benchmark's tracer tests check that this
 # module binds it, so that patching `train.forward` reaches every namespace
 from .train import (  # noqa: F401
@@ -42,8 +51,6 @@ from .train import (  # noqa: F401
     train_loop,
     write_text_durably,
 )
-
-IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
 
 
 class _Parser(argparse.ArgumentParser):

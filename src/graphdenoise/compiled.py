@@ -3,11 +3,13 @@
 Learned CG applies the same scalars to every input, so the trained network
 is one fixed polynomial of the smoother, x = Q(Psi) y, of degree K * T,
 which costs K * (T + 1) matvecs unrolled. Its scalar response Q(lambda) is
-the unrolled CG itself run on scalars (network_response). compile_filter
-interpolates Q on [0, 1] at K * T + 1 Chebyshev points (at most 513), which
-is exact, and the compiled filter is applied by the three-term Chebyshev
-recurrence in Psi, one matvec per degree. It is the only path learned
-inference takes: denoise, eval and training's validation (evaluate_psnr).
+the unrolled CG itself run on scalars (network_response), on the system's
+own truncated_inverse (taylor_system) run with lambda in place of Psi.
+compile_filter interpolates Q on [0, 1] at K * T + 1 Chebyshev points (at
+most 513), which is exact, and the compiled filter is applied by the
+three-term Chebyshev recurrence in Psi, one matvec per degree. It is the
+only path learned inference takes: denoise, eval and training's validation
+(evaluate_psnr).
 
 The series is cut at one of two tails. Inference drops coefficients
 summing to at most FIT_TOLERANCE (1e-8). The training gradient
@@ -42,6 +44,7 @@ from numpy.polynomial import chebyshev
 from .cg_unroll import learned_cg_vjp, unrolled_cg
 from .errors import NumericDivergenceError
 from .graph_filter import DenoiserOperator
+from .taylor_system import truncated_inverse
 
 if TYPE_CHECKING:  # train imports this module, so the import runs one way
     from .train import ParamVector
@@ -60,30 +63,19 @@ GRADIENT_TOLERANCE = 1e-10
 CHECK_DEGREE = 1024
 
 
-def _truncated_inverse(coefficients: np.ndarray, lam: np.ndarray):
-    """p(lam) = sum_k a_k (lam - 1)^k and its powers (lam - 1)^k, each
-    by the system apply's own recurrence t_{k+1} = lam t_k - t_k."""
-    # a non-finite p is caught by unrolled_cg
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = [np.ones_like(lam)]
-        p = coefficients[0] * terms[0]
-        for c in coefficients[1:]:
-            terms.append(lam * terms[-1] - terms[-1])
-            p = p + c * terms[-1]
-    return p, terms
-
-
 def network_response(theta: ParamVector, lam) -> np.ndarray:
     """Q(lam): the learned network's gain on an eigenvector of Psi with
     eigenvalue lam, for each entry of lam.
 
     unrolled_cg runs in learned mode on the right-hand side 1 with the
-    system v -> p(lam) v, where p is the truncated-inverse polynomial
-    evaluated by the system apply's own recurrence. Raises
+    system v -> p(lam) v, where p is the system apply's own
+    truncated_inverse, run with lam in place of Psi. Raises
     NumericDivergenceError where the CG state stops being finite.
     """
     lam = np.asarray(lam, dtype=float)
-    p, _ = _truncated_inverse(theta.tse_coeffs, lam)
+    # a non-finite p is caught by unrolled_cg
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, _ = truncated_inverse(theta.tse_coeffs, lambda t: lam * t, np.ones_like(lam))
     x, _ = unrolled_cg(lambda v: p * v, np.ones_like(lam), theta.cg_config())
     return x
 
@@ -190,7 +182,9 @@ def compiled_filter_vjp(
     scaled = coefficient_bar * (2.0 / nodes.size)
     scaled[0] /= 2.0
     q_bar = chebyshev.chebvander(nodes, coefficient_bar.size - 1) @ scaled
-    p, powers = _truncated_inverse(theta.tse_coeffs, (1.0 + nodes) / 2.0)
+    lam = (1.0 + nodes) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, powers = truncated_inverse(theta.tse_coeffs, lambda t: lam * t, np.ones_like(lam))
     inputs, outputs = [], []
 
     def matvec(v):

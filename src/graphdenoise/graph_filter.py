@@ -25,12 +25,13 @@ symmetric, at the cost of rows no longer summing exactly to one.
 
 Every edge joins a pixel to one of the window's grid offsets, so B is
 stored as one weight plane per half-window offset (window_blocks), each
-unordered pair once, with the unit diagonal implied. normalize computes
-the row sums from the planes and writes Psi's values straight into the
-data array of a CSR matrix, the format of its matvec. The CSR pattern of
-a grid (side, radius), its row pointers, column indices and the data
-positions of every plane's entries, is computed once and cached; the
-operators on that grid share its read-only index arrays.
+unordered pair once, with the unit diagonal implied; its row sums are
+computed once, with the planes. normalize writes Psi's values straight
+into the data array of a CSR matrix, the format of its matvec. The CSR
+pattern of a grid (side, radius), its row pointers, column indices and the
+data positions of every plane's entries, is computed once and cached;
+every operator on that grid shares its read-only index arrays, and a
+weight whose exp underflows is stored as an explicit 0.
 
 The metric is parameterized through its factor C so that M = C^T C is
 positive semi-definite for any real C, which keeps later optimization of
@@ -84,16 +85,26 @@ class SparseFilterMatrix:
     window_radius): entry (r, c) joins pixel (r, c) of block_i to the same
     position of block_j. The mirror B_ji = B_ij and the unit diagonal are
     implied, so each unordered pair is stored once.
+
+    row_sums, computed once here for normalize and the gradient, holds B's
+    (side, side) row sums S: each starts at the unit diagonal and adds its
+    pixel's weights in plane order, first where it is block_i, then block_j.
     """
 
     side: int
     window_radius: int
     planes: list[np.ndarray]
+    row_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shapes = [(ri.stop - ri.start, ci.stop - ci.start) for _, _, (ri, ci), _ in self.blocks()]
         if [np.shape(plane) for plane in self.planes] != shapes:
             raise InvalidInputError(f"weight planes must have the window block shapes {shapes}")
+        self.row_sums = np.ones((self.side, self.side))
+        for (_, _, block_i, _), plane in zip(self.blocks(), self.planes):
+            self.row_sums[block_i] += plane
+        for (_, _, _, block_j), plane in zip(self.blocks(), self.planes):
+            self.row_sums[block_j] += plane
 
     @property
     def n(self) -> int:
@@ -106,17 +117,6 @@ class SparseFilterMatrix:
 
     def blocks(self):
         return window_blocks(self.side, self.window_radius)
-
-    def row_sums(self) -> np.ndarray:
-        """The (side, side) row sums S of B: each starts at the unit
-        diagonal and adds its pixel's weights in plane order, first where
-        it is block_i, then where it is block_j."""
-        sums = np.ones((self.side, self.side))
-        for (_, _, block_i, _), plane in zip(self.blocks(), self.planes):
-            sums[block_i] += plane
-        for (_, _, _, block_j), plane in zip(self.blocks(), self.planes):
-            sums[block_j] += plane
-        return sums
 
     def to_dense(self) -> np.ndarray:
         dense = np.eye(self.n)
@@ -133,8 +133,8 @@ class DenoiserOperator:
 
     Psi is held as a scipy CSR matrix with sorted column indices. Its
     index arrays are its grid's cached, read-only pattern (_CsrLayout),
-    unless some entries are exactly 0 (weights whose exp underflows): those
-    are not stored, and the matrix has its own index arrays.
+    with every window pair stored: a weight whose exp underflows is an
+    explicit 0.
     """
 
     _matrix: sparse.csr_array = field(repr=False)
@@ -329,10 +329,9 @@ def _csr_layout(side: int, radius: int) -> _CsrLayout:
 
 def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
-    row_sums = filt.row_sums()
-    if np.any(row_sums <= 0.0):
+    if np.any(filt.row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
-    inv_sqrt = 1.0 / np.sqrt(row_sums)
+    inv_sqrt = 1.0 / np.sqrt(filt.row_sums)
     layout = _csr_layout(filt.side, filt.window_radius)
     data = np.empty(layout.indices.size)
     # the cached positions have the index dtype, half the size of intp; an
@@ -347,15 +346,9 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
         data[half_slots.astype(np.intp)] = half
         data[mirror_slots.astype(np.intp)] = half
     n = filt.n
-    if data.all():
-        return DenoiserOperator(
-            _matrix=sparse.csr_array((data, layout.indices, layout.indptr), shape=(n, n))
-        )
-    # a weight whose exp underflows is exactly 0 and not stored, which
-    # leaves this matrix a pattern of its own
-    psi = sparse.csr_array((data, layout.indices.copy(), layout.indptr.copy()), shape=(n, n))
-    psi.eliminate_zeros()
-    return DenoiserOperator(_matrix=psi)
+    return DenoiserOperator(
+        _matrix=sparse.csr_array((data, layout.indices, layout.indptr), shape=(n, n))
+    )
 
 
 # A Lanczos step breaks down when its new direction is at most this times
@@ -364,13 +357,11 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
 LANCZOS_BREAKDOWN = 1e-12
 
 
-def estimate_spectrum(
-    op: DenoiserOperator, iterations: int, seed: int = 0
-) -> tuple[float, float]:
+def estimate_spectrum(op: DenoiserOperator, iterations: int) -> tuple[float, float]:
     """Lanczos estimates of the extremal eigenvalues of Psi.
 
     The estimates are the extreme Ritz values after up to `iterations`
-    Lanczos steps from a seeded random start, which has a component along
+    Lanczos steps from a random start of seed 0, which has a component along
     every eigenvector. They lie inside the spectrum and converge to its
     ends, but carry no exactness guarantee. There is no reorthogonalization
     (two basis vectors are held at a time); lost orthogonality shows as
@@ -380,7 +371,7 @@ def estimate_spectrum(
     """
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
-    v = np.random.default_rng(seed).standard_normal(op.n)
+    v = np.random.default_rng(0).standard_normal(op.n)
     # scaled by its largest entry before it is normalized: these roundings
     # fix the last bits of the estimates, which inspect prints
     v /= np.max(np.abs(v))

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ImageFormatError, InvalidInputError
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# the file suffixes load_image reads, in any case
+IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +114,7 @@ def load_image(path) -> GrayImage:
     if not path.exists():
         raise ImageFormatError(f"{path}: no such file")
     suffix = path.suffix.lower()
-    if suffix in (".pgm", ".ppm", ".pnm"):
+    if suffix in IMAGE_SUFFIXES:
         return _load_pnm(path)
     raise ImageFormatError(f"{path}: unsupported image format {suffix!r}")
 

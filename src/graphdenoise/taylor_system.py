@@ -17,16 +17,17 @@ system, it cancels:
 
     (I + mu*L) v = v + (Psi^{-1}_K v - v) = Psi^{-1}_K v.
 
-apply_system is therefore the truncated inverse itself, and every apply
-goes through apply_truncated_inverse_with_cache, which also returns the
-recurrence terms. No reverse pass reads them: training differentiates the
-compiled filter (compiled.py), and only tests/test_taylor_system.py reads
-the terms. The term cache goes with the unrolled network (ROADMAP.md) once
-the benchmark's tracer no longer wraps this method. mu is kept only for
-the Laplacian / regularizer diagnostics.
+apply_system is therefore the truncated inverse itself. truncated_inverse
+is the one recurrence of the polynomial: the system applies it with Psi,
+and the compiled network (compiled.py) with an eigenvalue, to get Q(lambda).
+It also returns the terms, which only tests read; the system's apply keeps
+the name apply_truncated_inverse_with_cache because the benchmark's tracer
+wraps that method. mu is kept only for the Laplacian / regularizer
+diagnostics.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,24 @@ def default_coefficients(degree_K: int) -> np.ndarray:
     if degree_K < 1:
         raise InvalidInputError("degree_K must be >= 1")
     return (-1.0) ** np.arange(degree_K + 1)
+
+
+def truncated_inverse(
+    coefficients: np.ndarray, apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k a_k (A - I)^k v for the map apply: v -> A v, and its terms.
+
+    t_0 = v, t_{k+1} = apply(t_k) - t_k, and the sum adds a_k t_k in order
+    of k, so it makes len(coefficients) - 1 applies. The terms come back as
+    one (K+1, *v.shape) array, row k = t_k.
+    """
+    terms = np.empty((coefficients.size, *v.shape))
+    terms[0] = v
+    out = coefficients[0] * terms[0]
+    for k in range(1, coefficients.size):
+        np.subtract(apply(terms[k - 1]), terms[k - 1], out=terms[k])
+        out = out + coefficients[k] * terms[k]
+    return out, terms
 
 
 @dataclass(eq=False)
@@ -76,32 +95,9 @@ class TaylorSystemOperator:
     def apply_truncated_inverse_with_cache(
         self, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """sum_k a_k (Psi - I)^k v, exactly K applies of Psi, and the
-        recurrence terms t_k as one (K+1, n) array, newest first: row K - k
-        holds t_k, row K the input v.
-
-        t_0 = v, t_{k+1} = Psi t_k - t_k. Only tests read the terms: they
-        check the recurrence, and no reverse pass uses them.
-        """
-        v = self._check(v)
-        K = self.degree_K
-        terms = np.empty((K + 1, v.size))
-        terms[K] = v
-        for row in range(K - 1, -1, -1):
-            t = terms[row + 1]
-            np.subtract(self.psi.apply(t), t, out=terms[row])
-        return self.combine(terms), terms
-
-    def combine(self, terms: np.ndarray) -> np.ndarray:
-        """sum_k a_k t_k over one apply's terms (newest first, as
-        apply_truncated_inverse_with_cache returns them), added in order of
-        k; rebuilds the apply's output bitwise."""
-        c = self.coefficients
-        K = self.degree_K
-        acc = c[0] * terms[K]
-        for k in range(1, K + 1):
-            acc = acc + c[k] * terms[K - k]
-        return acc
+        """truncated_inverse of the coefficients in Psi: the apply's output,
+        exactly K applies of Psi, and its terms (K+1, n), row k = t_k."""
+        return truncated_inverse(self.coefficients, self.psi.apply, self._check(v))
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         """(I + mu*L) v. The shared-mu cancellation makes this the truncated

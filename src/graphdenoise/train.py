@@ -318,7 +318,7 @@ def _grad_single(
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
-    S = filt.row_sums()
+    S = filt.row_sums
     inv_sqrt = 1.0 / np.sqrt(S)
     pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
     weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]

@@ -19,6 +19,7 @@ from graphdenoise import (
     partition,
     synthesize_image,
     train_loop,
+    truncated_inverse,
     unrolled_cg,
 )
 from graphdenoise.compiled import CHECK_DEGREE, FIT_TOLERANCE, GRADIENT_TOLERANCE
@@ -107,6 +108,20 @@ class TestCompileFilter:
         )
         x, _ = unrolled_cg(system.apply_system, np.ones(64), calibrated.cg_config())
         np.testing.assert_allclose(network_response(calibrated, lam), x, rtol=1e-12)
+
+    def test_response_runs_the_system_apply_recurrence(self, calibrated):
+        # network_response's p(lam) is the system's truncated_inverse with
+        # lam in place of Psi, term by term
+        lam = np.linspace(0.0, 1.0, 64)
+        system = TaylorSystemOperator(
+            psi=operator_from_dense(np.diag(lam)),
+            coefficients=calibrated.tse_coeffs,
+        )
+        ones = np.ones(64)
+        out, terms = system.apply_truncated_inverse_with_cache(ones)
+        p, powers = truncated_inverse(calibrated.tse_coeffs, lambda t: lam * t, ones)
+        assert out.tobytes() == p.tobytes()
+        assert terms.tobytes() == powers.tobytes()
 
     @pytest.mark.parametrize(
         "hyper",

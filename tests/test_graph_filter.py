@@ -204,14 +204,15 @@ class TestBuildFilterMatrix:
     def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, metric):
         # scipy sorts each row by column; side <= 2r puts two offsets at one
         # flat offset, on disjoint pixels. The underflow metric makes most
-        # weights exactly 0, which Psi does not store. The loop's weights
-        # are the tapered ones, checked against the tapered dense oracle.
+        # weights exactly 0, which Psi stores as explicit zeros, and whose
+        # matvec is bitwise the pruned one. The loop's weights are the
+        # tapered ones, checked against the tapered dense oracle.
         features = extract_features(random_patch(5 * side + radius, side), side)
         filt = build_filter_matrix(features, metric, radius)
         dense = filt.to_dense()
         assert np.max(np.abs(dense - dense_filter_matrix(features, metric, radius))) < 1e-15
         op = normalize(filt)
-        inv_sqrt = 1.0 / np.sqrt(filt.row_sums().ravel())
+        inv_sqrt = 1.0 / np.sqrt(filt.row_sums.ravel())
         n = side * side
         rows, cols, values = [], [], []
         for i in range(n):
@@ -223,14 +224,18 @@ class TestBuildFilterMatrix:
                     cols.append(j)
                     values.append(value)
         with_zeros = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+        pruned = with_zeros.copy()
+        pruned.eliminate_zeros()
         rng = np.random.default_rng(side + radius)
         for v in rng.standard_normal((3, n)):
-            assert op.apply(v).tobytes() == (with_zeros @ v).tobytes()
-        expected = with_zeros.copy()
-        expected.eliminate_zeros()
+            assert op.apply(v).tobytes() == (pruned @ v).tobytes()
         # scipy picks int64 indices here; Psi stores them as int32
         expected = sparse.csr_array(
-            (expected.data, expected.indices.astype(np.int32), expected.indptr.astype(np.int32)),
+            (
+                with_zeros.data,
+                with_zeros.indices.astype(np.int32),
+                with_zeros.indptr.astype(np.int32),
+            ),
             shape=(n, n),
         )
         for name in ("data", "indices", "indptr"):
@@ -260,7 +265,7 @@ class TestBuildFilterMatrix:
             expected[i] += dense[i, j]
         for i, j in pairs:
             expected[j] += dense[i, j]
-        assert np.array_equal(filt.row_sums().ravel(), expected)
+        assert np.array_equal(filt.row_sums.ravel(), expected)
 
     def test_window_blocks_skip_empty_blocks(self):
         # on a 2x2 grid only offsets with |dr|, |dc| <= 1 join two pixels
@@ -337,7 +342,7 @@ class TestNormalize:
         op = normalize(filt)
         pair = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
         assert np.allclose(op.to_dense(), np.kron(np.eye(2), pair), atol=1e-15)
-        assert np.array_equal(filt.row_sums(), np.full((2, 2), 1.5))
+        assert np.array_equal(filt.row_sums, np.full((2, 2), 1.5))
 
     def test_matches_dense_normalization_oracle(self):
         features = extract_features(random_patch(4, 4), 4)
@@ -360,21 +365,28 @@ class TestNormalize:
     def test_row_sums_at_least_one(self):
         features = extract_features(random_patch(8, 5), 5)
         filt = build_filter_matrix(features, bilateral_factor(), 3)
-        assert np.all(filt.row_sums() >= 1.0)
+        assert np.all(filt.row_sums >= 1.0)
 
     def test_degenerate_row_sum_raises(self):
         with pytest.raises(DegenerateMatrixError):
             normalize(grid_filter(2, {(0, 1): -1.0}))
 
     def test_operators_on_one_grid_share_read_only_index_arrays(self):
-        first, second = (
+        # the underflow metric makes most weights exactly 0, stored as such
+        first, second, underflow = (
             normalize(build_filter_matrix(extract_features(random_patch(seed, 8), 8), metric, 2))
-            for seed, metric in ((9, bilateral_factor()), (10, lower_factor(np.full(15, 0.3))))
+            for seed, metric in (
+                (9, bilateral_factor()),
+                (10, lower_factor(np.full(15, 0.3))),
+                (11, np.diag([0.0, 0.0, 100.0, 0.0, 0.0])),
+            )
         )
         assert not np.array_equal(first._matrix.data, second._matrix.data)
+        assert np.count_nonzero(underflow._matrix.data == 0.0) > 0
         for name in ("indices", "indptr"):
-            assert np.shares_memory(getattr(first._matrix, name), getattr(second._matrix, name))
-            for op in (first, second):
+            for op in (second, underflow):
+                assert np.shares_memory(getattr(first._matrix, name), getattr(op._matrix, name))
+            for op in (first, second, underflow):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(op._matrix, name)[0] = 1
 

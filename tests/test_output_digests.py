@@ -28,7 +28,7 @@ def digest_lines() -> list[str]:
 def test_two_runs_print_the_same_lines():
     first = digest_lines()
     assert first == digest_lines()
-    *files, psnr_line, gradient_line, filter_line = first
+    *files, psnr_line, gradient_line, filter_line, cg_line, psi_line = first
     names = [line.split(" ", 1)[1] for line in files]
     assert names == sorted(names)
     written = {"run/checkpoint.json", "run/history.csv", "denoised/img_0_denoised.pgm"}
@@ -37,5 +37,7 @@ def test_two_runs_print_the_same_lines():
     assert psnr_line.startswith("psnr = ")
     assert gradient_line.endswith(" default/loss_and_grad")
     assert filter_line.endswith(" default/compiled_filter")
-    digests = files + [gradient_line, filter_line]
+    assert cg_line.endswith(" default/analytic_cg")
+    assert psi_line.endswith(" underflow/psi_apply")
+    digests = files + [gradient_line, filter_line, cg_line, psi_line]
     assert all(len(line.split(" ", 1)[0]) == 64 for line in digests)
