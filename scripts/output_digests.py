@@ -3,8 +3,9 @@
 of the training gradient and compiled filter at the default network.
 
 Runs corrupt -> train (2 epochs, --patch_side 16 --K 4 --T 5) ->
-denoise --truth -> eval -> inspect --test_dir through graphdenoise.cli.main
-in a temporary directory, on synthetic images. Prints one "sha256 path"
+denoise --truth -> eval -> inspect --test_dir (these three at --patch_side
+16; they read the network's shape from the checkpoint) through
+graphdenoise.cli.main in a temporary directory, on synthetic images. Prints one "sha256 path"
 line per output file (paths relative to the run directory, sorted), then
 the PSNR line that denoise prints. Then three "sha256 default/<name>"
 lines at PipelineConfig() on 64x64 patches: loss_and_grad's loss and
@@ -47,7 +48,8 @@ from graphdenoise import (
 )
 from graphdenoise.cli import main as cli_main
 
-NETWORK = ["--patch_side", "16", "--window_radius", "2", "--K", "4", "--T", "5"]
+PATCH = ["--patch_side", "16"]
+NETWORK = [*PATCH, "--window_radius", "2", "--K", "4", "--T", "5"]
 
 
 def run(argv: list[str]) -> str:
@@ -79,15 +81,15 @@ def digests(root: Path) -> list[str]:
     )
     printed = run(
         ["denoise", str(root / "noisy" / "img_0.pgm"), "--truth", str(root / "test" / "img_0.pgm")]
-        + ["--checkpoint", checkpoint, "--out", str(root / "denoised"), *NETWORK]
+        + ["--checkpoint", checkpoint, "--out", str(root / "denoised"), *PATCH]
     )
     run(
         ["eval", "--test_dir", test, "--sigma_test", "10,30", "--seed", "7"]
-        + ["--checkpoint", checkpoint, "--out", str(root / "eval"), *NETWORK]
+        + ["--checkpoint", checkpoint, "--out", str(root / "eval"), *PATCH]
     )
     run(
         ["inspect", "--test_dir", test, "--checkpoint", checkpoint]
-        + ["--out", str(root / "inspect"), *NETWORK]
+        + ["--out", str(root / "inspect"), *PATCH]
     )
     inputs = {root / "train", root / "test"}
     lines = [

@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -192,9 +192,11 @@ def cmd_train(cfg: RunConfig) -> int:
     if checkpoint_path.is_dir():
         raise CliUsageError(f"the checkpoint path is a directory: {checkpoint_path}")
     history_path = out / "history.csv"
-    for taken in (out, history_path):
-        if checkpoint_path.resolve() == taken.resolve():
-            raise CliUsageError(f"the checkpoint path {checkpoint_path} is the output {taken}")
+    resolved = checkpoint_path.resolve()
+    for role, taken_paths in (("output", [out, history_path]), ("input", train_paths + val_paths)):
+        for taken in taken_paths:
+            if resolved == taken.resolve():
+                raise CliUsageError(f"the checkpoint path {checkpoint_path} is the {role} {taken}")
     # both are made before training, so a bad path fails before the epochs run
     _out_dir(cfg)
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
@@ -334,14 +336,19 @@ def cmd_inspect(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    for f in fields(RunConfig):
-        parser.add_argument(f"--{f.name}", default=None, help=f"override {f.name}")
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    return {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+# The RunConfig fields each command reads, and so its only flags: a flag
+# the command would ignore is an unrecognized argument. A config file may
+# hold every field, and each command reads its own.
+READS = {
+    "corrupt": ("sigma", "seed", "out"),
+    "train": (
+        "patch_side", "window_radius", "K", "T", "sigma_train", "epochs", "batch_size",
+        "learning_rate", "seed", "train_dir", "test_dir", "checkpoint", "out",
+    ),
+    "denoise": ("patch_side", "checkpoint", "out"),
+    "eval": ("patch_side", "sigma_test", "seed", "test_dir", "checkpoint", "out"),
+    "inspect": ("patch_side", "test_dir", "checkpoint", "out"),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -351,7 +358,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        _add_config_flags(p)
+        p.add_argument("--config", default=None, help="flat key = value config file")
+        for field in READS[name]:
+            p.add_argument(f"--{field}", default=None, help=f"override {field}")
         return p
 
     command("corrupt", "write noisy copies of a directory of images").add_argument("input_dir")
@@ -368,7 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    cfg = build_config(args.config, _collect_overrides(args))
+    cfg = build_config(args.config, {field: getattr(args, field) for field in READS[args.command]})
     if args.command == "corrupt":
         return cmd_corrupt(cfg, args.input_dir)
     if args.command == "train":
@@ -377,9 +386,7 @@ def run(argv=None) -> int:
         return cmd_denoise(cfg, args.image, args.truth)
     if args.command == "eval":
         return cmd_eval(cfg)
-    if args.command == "inspect":
-        return cmd_inspect(cfg)
-    raise CliUsageError(f"unknown command {args.command!r}")
+    return cmd_inspect(cfg)  # argparse admits no other command
 
 
 def main(argv=None) -> int:

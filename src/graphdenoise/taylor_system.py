@@ -78,26 +78,12 @@ class TaylorSystemOperator:
         if self.mu <= 0.0:
             raise InvalidInputError("mu must be positive")
 
-    @property
-    def degree_K(self) -> int:
-        return self.coefficients.size - 1
-
-    @property
-    def n(self) -> int:
-        return self.psi.n
-
-    def _check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise InvalidInputError(f"expected a vector of length {self.n}, got shape {v.shape}")
-        return v
-
     def apply_truncated_inverse_with_cache(
         self, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """truncated_inverse of the coefficients in Psi: the apply's output,
         exactly K applies of Psi, and its terms (K+1, n), row k = t_k."""
-        return truncated_inverse(self.coefficients, self.psi.apply, self._check(v))
+        return truncated_inverse(self.coefficients, self.psi.apply, np.asarray(v, dtype=float))
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         """(I + mu*L) v. The shared-mu cancellation makes this the truncated
@@ -106,7 +92,7 @@ class TaylorSystemOperator:
 
     def apply_laplacian(self, v: np.ndarray) -> np.ndarray:
         """mu^{-1} (Psi^{-1}_K - I) v; diagnostic path only."""
-        return (self.apply_system(v) - self._check(v)) / self.mu
+        return (self.apply_system(v) - np.asarray(v, dtype=float)) / self.mu
 
     def glr_value(self, x: np.ndarray) -> float:
         """Smoothness diagnostic x^T L x.
@@ -114,6 +100,6 @@ class TaylorSystemOperator:
         Truncation can make this slightly negative; callers log the value
         rather than asserting positivity.
         """
-        x = self._check(x)
+        x = np.asarray(x, dtype=float)
         return float(x @ self.apply_laplacian(x))
 

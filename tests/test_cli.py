@@ -8,7 +8,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from graphdenoise import (
 )
 from graphdenoise import cli
 from graphdenoise.cli import main
-from graphdenoise.config import build_config, parse_config_file
+from graphdenoise.config import RunConfig, build_config, parse_config_file
 from graphdenoise.errors import CliUsageError, NumericDivergenceError
 from graphdenoise.train import (
     ParamVector,
@@ -43,12 +43,10 @@ from graphdenoise.train import (
 )
 from oracles import analytic_forward
 
-TINY = [
-    "--patch_side", "16",
-    "--window_radius", "2",
-    "--K", "4",
-    "--T", "4",
-]
+# every command but corrupt reads the patch side; only train reads the
+# network's shape, which the others take from the checkpoint
+TINY = ["--patch_side", "16"]
+TINY_TRAIN = [*TINY, "--window_radius", "2", "--K", "4", "--T", "4"]
 
 
 @pytest.fixture
@@ -81,7 +79,7 @@ def train_tiny(tmp_path, image_dir, test_dir, epochs, seed=0, name="run"):
             "--batch_size", "3",
             "--sigma_train", "15",
             "--seed", str(seed),
-            *TINY,
+            *TINY_TRAIN,
         ]
     )
     assert code == 0
@@ -173,7 +171,7 @@ class TestTrain:
         monkeypatch.setattr(os, "replace", failing_replace)
         code = main([
             "train", "--train_dir", str(image_dir), "--out", str(ckpt.parent),
-            "--epochs", "1", "--sigma_train", "25", *TINY,
+            "--epochs", "1", "--sigma_train", "25", *TINY_TRAIN,
         ])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["i/o error: replace failed"]
@@ -192,7 +190,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "train_loop", train_loop_after_the_directory)
         code = main([
             "train", "--train_dir", str(image_dir), "--out", str(tmp_path / "o"),
-            "--checkpoint", str(ckpt), "--epochs", "1", *TINY,
+            "--checkpoint", str(ckpt), "--epochs", "1", *TINY_TRAIN,
         ])
         assert code == 0
         load_checkpoint(ckpt)
@@ -216,29 +214,36 @@ class TestTrain:
         monkeypatch.setattr(cli, "train_loop", unreachable)
         out = tmp_path / "o"
         argv = ["train", "--train_dir", str(image_dir), "--out", str(out), "--checkpoint", str(ckpt)]
-        assert main([*argv, *TINY]) == code
+        assert main([*argv, *TINY_TRAIN]) == code
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(err)
         if case == "directory":
             assert not out.exists()
 
-    @pytest.mark.parametrize("collision", ["out", "history"])
-    def test_checkpoint_that_is_an_output_fails_before_training(
-        self, tmp_path, monkeypatch, image_dir, capsys, collision
+    @pytest.mark.parametrize("collision", ["out", "history", "train-image", "test-image"])
+    def test_checkpoint_that_is_an_input_or_output_fails_before_training(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys, collision
     ):
         out = tmp_path / "o"
-        ckpt = out if collision == "out" else out / "history.csv"
+        ckpt, role = {
+            "out": (out, "output"),
+            "history": (out / "history.csv", "output"),
+            "train-image": (image_dir / "img0.pgm", "input"),
+            "test-image": (test_dir / "test1.pgm", "input"),
+        }[collision]
+        before = {path: path.read_bytes() for path in [*image_dir.iterdir(), *test_dir.iterdir()]}
 
         def unreachable(*args, **kwargs):
             pytest.fail("train_loop was reached")
 
         monkeypatch.setattr(cli, "train_loop", unreachable)
-        argv = ["train", "--train_dir", str(image_dir), "--out", str(out), "--checkpoint", str(ckpt)]
-        assert main([*argv, *TINY]) == 1
+        argv = ["train", "--train_dir", str(image_dir), "--test_dir", str(test_dir)]
+        assert main([*argv, "--out", str(out), "--checkpoint", str(ckpt), *TINY_TRAIN]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: the checkpoint path {ckpt} is the output {ckpt}"
+            f"error: the checkpoint path {ckpt} is the {role} {ckpt}"
         ]
         assert not out.exists()
+        assert {path: path.read_bytes() for path in before} == before
 
     def test_requires_train_dir(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1
@@ -386,7 +391,6 @@ class TestEval:
                 "--test_dir", str(test_dir),
                 "--out", str(out),
                 "--sigma_test", "10,15",
-                "--sigma_train", "15",
                 "--seed", "2",
                 *TINY,
             ]
@@ -588,11 +592,15 @@ class TestExitCodes:
         argv = [arg.format(small=small, png=png) for arg in argv]
         message = message.format(png=png)
         out = tmp_path / "out"
-        inputs = ["--train_dir", str(image_dir), "--test_dir", str(test_dir),
-                  "--checkpoint", str(ckpt), "--out", str(out), *TINY]
+        inputs = {
+            "train": ["--train_dir", str(image_dir), "--test_dir", str(test_dir), *TINY_TRAIN],
+            "denoise": TINY,
+            "eval": ["--test_dir", str(test_dir), *TINY],
+        }[argv[0]]
         capsys.readouterr()
         # a flag given twice takes its last value, so argv's come last
-        assert main([argv[0], *inputs, *argv[1:]]) == 1
+        argv = [argv[0], *inputs, "--checkpoint", str(ckpt), "--out", str(out), *argv[1:]]
+        assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
@@ -605,11 +613,11 @@ class TestExitCodes:
         save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
         argv = {
             "corrupt": ["corrupt", str(image_dir)],
-            "train": ["train", "--train_dir", str(image_dir)],
-            "eval": ["eval", "--test_dir", str(test_dir), "--checkpoint", str(ckpt)],
+            "train": ["train", "--train_dir", str(image_dir), *TINY_TRAIN],
+            "eval": ["eval", "--test_dir", str(test_dir), "--checkpoint", str(ckpt), *TINY],
         }[command]
         out = tmp_path / "neg"
-        assert main([*argv, "--out", str(out), "--seed", "-3", *TINY]) == 1
+        assert main([*argv, "--out", str(out), "--seed", "-3"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -3"]
         assert not out.exists()  # rejected before any work
 
@@ -626,14 +634,14 @@ class TestExitCodes:
         save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
         missing = str(tmp_path / "missing")
         argv = {
-            "train": ["train", "--train_dir", str(image_dir)],
-            "eval": ["eval", "--checkpoint", str(ckpt), "--test_dir", str(test_dir)],
+            "train": ["train", "--train_dir", str(image_dir), *TINY_TRAIN],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--test_dir", str(test_dir), *TINY],
             "corrupt": ["corrupt"],
         }[command]
         # a flag given twice takes its last value
         argv += [flag, missing] if flag else [missing]
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out), *TINY]) == 1
+        assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: not a directory: {missing}"]
         assert not out.exists()
 
@@ -716,14 +724,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["train", "--sigma", "nan"], "sigma must be finite, got nan"),
+            (["corrupt", "--sigma", "nan"], "sigma must be finite, got nan"),
             (["train", "--sigma_train", "nan"], "sigma_train must be finite, got nan"),
             (["train", "--learning_rate", "nan"], "learning_rate must be finite, got nan"),
             (["train", "--learning_rate", "-1"], "learning_rate must be > 0, got -1.0"),
             (["train", "--learning_rate", "0"], "learning_rate must be > 0, got 0.0"),
             (["eval", "--sigma_test", "10,nan"], "sigma_test must be finite, got (10.0, nan)"),
             (["eval", "--sigma_test", ","], "sigma_test must list at least one sigma"),
-            (["train", "--sigma", "-5"], "sigma must be >= 0, got -5.0"),
+            (["corrupt", "--sigma", "-5"], "sigma must be >= 0, got -5.0"),
             (["train", "--sigma_train", "-1"], "sigma_train must be >= 0, got -1.0"),
             (["eval", "--sigma_test", "10,-5"], "sigma_test must be >= 0, got (10.0, -5.0)"),
         ],
@@ -744,9 +752,13 @@ class TestExitCodes:
         self, tmp_path, image_dir, test_dir, capsys, argv, message
     ):
         out = tmp_path / "bad"
-        inputs = ["--train_dir", str(image_dir), "--test_dir", str(test_dir)]
-        code = main([*argv, *inputs, "--checkpoint", str(tmp_path / "c.json"), "--out", str(out)])
-        assert code == 1
+        ckpt = ["--checkpoint", str(tmp_path / "c.json")]
+        inputs = {
+            "corrupt": [str(image_dir)],
+            "train": ["--train_dir", str(image_dir), "--test_dir", str(test_dir), *ckpt],
+            "eval": ["--test_dir", str(test_dir), *ckpt],
+        }[argv[0]]
+        assert main([*argv, *inputs, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()  # rejected before any work
 
@@ -794,6 +806,102 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert main(["train", "--train_dir", str(image_dir), "--out", str(out), f"--{key}", value]) == 1
         assert not out.exists()
+
+
+@pytest.fixture
+def every_field(tmp_path, image_dir, test_dir):
+    """A value for every RunConfig field with which each command of
+    cli.READS runs, in that order: train fits a tiny network for one epoch
+    and the commands after it read its checkpoint."""
+    return {
+        "patch_side": "16", "window_radius": "2", "K": "4", "T": "4",
+        "sigma": "15", "sigma_train": "15", "sigma_test": "10,25",
+        "epochs": "1", "batch_size": "3", "learning_rate": "0.001", "seed": "1",
+        "train_dir": str(image_dir), "test_dir": str(test_dir),
+        "checkpoint": str(tmp_path / "c.json"), "out": str(tmp_path / "out"),
+    }
+
+
+def positionals(command, image_dir):
+    return {"corrupt": [str(image_dir)], "denoise": [str(image_dir / "img0.pgm")]}.get(command, [])
+
+
+class TestFlags:
+    """Each command takes --config and a flag for each RunConfig field it
+    reads (cli.READS), and no other."""
+
+    @pytest.mark.parametrize("command", list(cli.READS))
+    def test_help_lists_config_and_exactly_the_fields_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
+        truth = {"truth"} if command == "denoise" else set()
+        assert flags == {"help", "config", *cli.READS[command], *truth}
+
+    def test_each_command_reads_exactly_its_fields(self, monkeypatch, image_dir, every_field):
+        class ReadRecorder:
+            """The config, with the names of the fields read from it."""
+
+            def __init__(self, cfg):
+                self.cfg, self.read = cfg, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.cfg, name)
+
+        recorders = []
+
+        def recording_build_config(*args):
+            recorders.append(ReadRecorder(build_config(*args)))
+            return recorders[-1]
+
+        monkeypatch.setattr(cli, "build_config", recording_build_config)
+        for command, reads in cli.READS.items():
+            flags = [arg for field in reads for arg in (f"--{field}", every_field[field])]
+            assert main([command, *positionals(command, image_dir), *flags]) == 0
+            assert recorders[-1].read == set(reads), command
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--sigma", "25"),
+            ("corrupt", "--sigma_train", "10"),
+            ("denoise", "--K", "4"),
+            ("eval", "--epochs", "3"),
+            ("inspect", "--seed", "1"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+        self, tmp_path, image_dir, test_dir, capsys, command, flag, value
+    ):
+        inputs = {
+            "train": ["--train_dir", str(image_dir)],
+            "eval": ["--test_dir", str(test_dir), "--checkpoint", str(tmp_path / "c.json")],
+            "denoise": ["--checkpoint", str(tmp_path / "c.json")],
+            "inspect": ["--checkpoint", str(tmp_path / "c.json")],
+        }.get(command, [])
+        out = tmp_path / "out"
+        argv = [command, *positionals(command, image_dir), *inputs, "--out", str(out)]
+        assert main([*argv, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: unrecognized arguments: {flag} {value}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_with_every_field_runs_every_command(
+        self, tmp_path, image_dir, every_field
+    ):
+        assert set(every_field) == {f.name for f in fields(RunConfig)}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in every_field.items()))
+        for command in cli.READS:
+            argv = [command, *positionals(command, image_dir), "--config", str(config)]
+            assert main(argv) == 0, command
+        out = Path(every_field["out"])
+        written = {"img0.pgm", "manifest.csv", "history.csv", "img0_denoised.pgm"}
+        assert written | {"eval.csv", "inspect.txt"} <= {path.name for path in out.iterdir()}
+        assert Path(every_field["checkpoint"]).is_file()
 
 
 SRC = Path(graphdenoise.__file__).resolve().parents[1]
@@ -930,7 +1038,7 @@ class TestSolveLanes:
                 [
                     "-m", "graphdenoise", "train", "--train_dir", str(image_dir),
                     "--test_dir", str(test_dir), "--out", str(out), "--epochs", "2",
-                    "--batch_size", "3", "--sigma_train", "15", "--seed", "5", *TINY,
+                    "--batch_size", "3", "--sigma_train", "15", "--seed", "5", *TINY_TRAIN,
                 ],
                 cpu,
             )

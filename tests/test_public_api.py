@@ -3,6 +3,7 @@ exports only names that the pipeline or the scripts use."""
 import ast
 import graphlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import graphdenoise
+from graphdenoise import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -163,3 +165,16 @@ def test_readme_library_example_runs():
     assert isinstance(namespace["system"], graphdenoise.TaylorSystemOperator)
     # "it matches `denoised` to a few 1e-9 relative"
     assert np.linalg.norm(denoised - reference) / np.linalg.norm(reference) < 1e-8
+
+
+def test_readme_cli_examples_parse():
+    # every `graphdenoise ...` command of the README's CLI block, one per
+    # command, with its `\` continuations joined
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("graphdenoise ")]
+    assert [argv[0] for argv in examples] == list(cli.READS)
+    parser = cli.make_parser()
+    for argv in examples:
+        parser.parse_args(argv)

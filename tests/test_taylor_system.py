@@ -224,9 +224,6 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             TaylorSystemOperator(psi=op, coefficients=coefficients)
 
-    def test_degree_is_read_from_the_coefficients(self):
-        assert patch_system(0, 3, degree_K=6).degree_K == 6
-
     def test_nonpositive_mu(self):
         op = operator_from_dense(np.eye(3))
         with pytest.raises(InvalidInputError):
