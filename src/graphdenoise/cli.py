@@ -5,6 +5,10 @@ all randomness flows through seeds derived from the configured seed, and
 floats are written with repr-exact formatting.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
+
+No command overwrites what it reads or writes: a command exits 1 before
+`--out` is made when a path it writes is an existing directory (`--out`
+aside), a file it reads or another of its writes (_check_paths).
 """
 import argparse
 import logging
@@ -80,16 +84,20 @@ def _list_images(directory: str) -> list[Path]:
     return paths
 
 
-def _out_path(cfg: RunConfig) -> Path:
-    if not cfg.out:
-        raise CliUsageError("--out is required for this command")
-    return Path(cfg.out)
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = _out_path(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _check_paths(reads, out: Path, writes) -> None:
+    """Exit 1 if a command would overwrite what it reads or writes: reads
+    and writes are (what, path) pairs (a read with no path is skipped), a
+    file written may not be an existing directory, and no write, `out`
+    first, may resolve to a file read or to an earlier write."""
+    for what, path in writes:
+        if path.is_dir():
+            raise CliUsageError(f"{path} (the {what}) is a directory")
+    taken = {Path(path).resolve(): f"{path} (the {what})" for what, path in reads if path}
+    for what, path in [("output directory", out), *writes]:
+        resolved, named = path.resolve(), f"{path} (the {what})"
+        if resolved in taken:
+            raise CliUsageError(f"{named} would overwrite {taken[resolved]}")
+        taken[resolved] = named
 
 
 def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[GrayImage]]:
@@ -140,28 +148,21 @@ def _crop(image: GrayImage, patch_side: int) -> GrayImage:
     return reassemble(partition(image, patch_side))
 
 
-def cmd_corrupt(cfg: RunConfig, input_dir: str) -> int:
+def cmd_corrupt(cfg: RunConfig, input_dir: str, config: str | None) -> int:
     paths = _list_images(input_dir)
-    out = _out_path(cfg)
+    out = Path(cfg.out)
     targets = [out / (path.stem + ".pgm") for path in paths]
-    # every noisy copy gets its own file, and none replaces an input
-    inputs = {path.resolve() for path in paths}
-    writers = {}
-    for path, target in zip(paths, targets):
-        resolved = target.resolve()
-        if resolved in inputs:
-            raise CliUsageError(f"the noisy copy of {path.name} would replace the input {target}")
-        if resolved in writers:
-            raise CliUsageError(f"{writers[resolved]} and {path.name} would both write {target}")
-        writers[resolved] = path.name
-    _out_dir(cfg)
+    manifest = out / "manifest.csv"
+    copies = [(f"noisy copy of {path.name}", target) for path, target in zip(paths, targets)]
+    reads = [("config", config), *(("input", path) for path in paths)]
+    _check_paths(reads, out, [*copies, ("manifest", manifest)])
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, (path, target) in enumerate(zip(paths, targets)):
         file_seed = cfg.seed + index
         noisy = add_awgn(load_image(path), cfg.sigma, file_seed)
         save_image(noisy, target)
         rows.append(f"{target.name},{file_seed},{_fmt(cfg.sigma)}")
-    manifest = out / "manifest.csv"
     write_text_durably(manifest, "file,seed,sigma\n" + "\n".join(rows) + "\n")
     print(f"wrote {len(rows)} noisy images and {manifest}")
     return 0
@@ -178,27 +179,21 @@ def _load_pairs(paths, sigma: float, patch_side: int, seed_base: int):
     return pairs
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    if not cfg.train_dir:
-        raise CliUsageError("--train_dir is required for train")
+def cmd_train(cfg: RunConfig, config: str | None) -> int:
     train_paths = _list_images(cfg.train_dir)
     # without a test_dir, train_loop validates on the training pairs
     val_paths = _list_images(cfg.test_dir) if cfg.test_dir else []
     hyper = _pipeline_config(cfg)
     train_pairs = _load_pairs(train_paths, cfg.sigma_train, cfg.patch_side, cfg.seed)
     val_pairs = _load_pairs(val_paths, cfg.sigma_train, cfg.patch_side, cfg.seed + 10_000)
-    out = _out_path(cfg)
+    out = Path(cfg.out)
     checkpoint_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "checkpoint.json"
-    if checkpoint_path.is_dir():
-        raise CliUsageError(f"the checkpoint path is a directory: {checkpoint_path}")
     history_path = out / "history.csv"
-    resolved = checkpoint_path.resolve()
-    for role, taken_paths in (("output", [out, history_path]), ("input", train_paths + val_paths)):
-        for taken in taken_paths:
-            if resolved == taken.resolve():
-                raise CliUsageError(f"the checkpoint path {checkpoint_path} is the {role} {taken}")
+    reads = [("config", config), *(("training image", path) for path in train_paths)]
+    reads += [("test image", path) for path in val_paths]
+    _check_paths(reads, out, [("checkpoint", checkpoint_path), ("history", history_path)])
     # both are made before training, so a bad path fails before the epochs run
-    _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     state, history = train_loop(
         train_pairs,
@@ -218,9 +213,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
-    if not cfg.checkpoint:
-        raise CliUsageError("--checkpoint is required for denoise")
+def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None, config: str | None) -> int:
     params, hyper = load_checkpoint(cfg.checkpoint)
     learned = _learned_maker(params, hyper, cfg.patch_side)
     noisy = _crop(load_image(image_path), cfg.patch_side)
@@ -231,11 +224,11 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
             f"the truth crops to {truth.width}x{truth.height}, "
             f"the image to {noisy.width}x{noisy.height}"
         )
-    target = _out_path(cfg) / (Path(image_path).stem + "_denoised.pgm")
-    for name, path in (("image", image_path), ("truth", truth_path)):
-        if path and target.resolve() == Path(path).resolve():
-            raise CliUsageError(f"the output {target} is the {name} {path}")
-    _out_dir(cfg)
+    out = Path(cfg.out)
+    target = out / (Path(image_path).stem + "_denoised.pgm")
+    reads = [("config", config), ("checkpoint", cfg.checkpoint)]
+    _check_paths([*reads, ("image", image_path), ("truth", truth_path)], out, [("output", target)])
+    out.mkdir(parents=True, exist_ok=True)
     [[denoised]] = _map_patches([noisy], cfg.patch_side, [learned])
     save_image(denoised, target)
     print(f"wrote {target}")
@@ -245,16 +238,17 @@ def cmd_denoise(cfg: RunConfig, image_path: str, truth_path: str | None) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise CliUsageError("--checkpoint is required for eval")
-    if not cfg.test_dir:
-        raise CliUsageError("--test_dir is required for eval")
+def cmd_eval(cfg: RunConfig, config: str | None) -> int:
     trained_params, hyper = load_checkpoint(cfg.checkpoint)
     side = cfg.patch_side
     trained = _learned_maker(trained_params, hyper, side)
-    cleans = [_crop(load_image(path), side) for path in _list_images(cfg.test_dir)]
-    out = _out_dir(cfg)
+    paths = _list_images(cfg.test_dir)
+    cleans = [_crop(load_image(path), side) for path in paths]
+    out = Path(cfg.out)
+    table = out / "eval.csv"
+    reads = [("config", config), ("checkpoint", cfg.checkpoint)]
+    _check_paths([*reads, *(("test image", path) for path in paths)], out, [("table", table)])
+    out.mkdir(parents=True, exist_ok=True)
     init_params = ParamVector.initial(hyper)
     # the initialization baseline solves the initial system by classic CG
     analytic = CgConfig(depth_T=hyper.depth_T)
@@ -279,16 +273,20 @@ def cmd_eval(cfg: RunConfig) -> int:
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma, columns in zip(cfg.sigma_test, scores):
         lines.append(",".join(_fmt(value) for value in [sigma, *map(np.mean, columns)]))
-    table = out / "eval.csv"
     write_text_durably(table, "\n".join(lines) + "\n")
     print(f"wrote {table}")
     return 0
 
 
-def cmd_inspect(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise CliUsageError("--checkpoint is required for inspect")
+def cmd_inspect(cfg: RunConfig, config: str | None) -> int:
     params, hyper = load_checkpoint(cfg.checkpoint)
+    # the report reads the first test image only
+    images = _list_images(cfg.test_dir)[:1] if cfg.test_dir else []
+    out = Path(cfg.out)
+    if cfg.out:
+        reads = [("config", config), ("checkpoint", cfg.checkpoint)]
+        reads += [("test image", path) for path in images]
+        _check_paths(reads, out, [("report", out / "inspect.txt")])
     lines = [
         f"degree_K = {hyper.degree_K}",
         f"depth_T = {hyper.depth_T}",
@@ -319,9 +317,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
     except NumericDivergenceError:
         max_gain = float("nan")
     lines.append(f"compiled_max_abs_q = {_fmt(max_gain)}")
-    if cfg.test_dir:
-        paths = _list_images(cfg.test_dir)
-        image = load_image(paths[0])
+    for image in map(load_image, images):
         grid = partition(image, cfg.patch_side)
         for index, patch in enumerate(grid.patches[:4]):
             psi = build_system(params, patch, cfg.patch_side, hyper).psi
@@ -332,7 +328,8 @@ def cmd_inspect(cfg: RunConfig) -> int:
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if cfg.out:
-        write_text_durably(_out_dir(cfg) / "inspect.txt", report)
+        out.mkdir(parents=True, exist_ok=True)
+        write_text_durably(out / "inspect.txt", report)
     return 0
 
 
@@ -349,6 +346,9 @@ READS = {
     "eval": ("patch_side", "sigma_test", "seed", "test_dir", "checkpoint", "out"),
     "inspect": ("patch_side", "test_dir", "checkpoint", "out"),
 }
+# The fields of READS that each command cannot run without.
+REQUIRES = {"corrupt": ("out",), "train": ("train_dir", "out"), "denoise": ("checkpoint", "out"),
+            "eval": ("checkpoint", "test_dir", "out"), "inspect": ("checkpoint",)}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -378,15 +378,18 @@ def run(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     cfg = build_config(args.config, {field: getattr(args, field) for field in READS[args.command]})
+    for field in REQUIRES[args.command]:
+        if not getattr(cfg, field):
+            raise CliUsageError(f"--{field} is required for {args.command}")
     if args.command == "corrupt":
-        return cmd_corrupt(cfg, args.input_dir)
+        return cmd_corrupt(cfg, args.input_dir, args.config)
     if args.command == "train":
-        return cmd_train(cfg)
+        return cmd_train(cfg, args.config)
     if args.command == "denoise":
-        return cmd_denoise(cfg, args.image, args.truth)
+        return cmd_denoise(cfg, args.image, args.truth, args.config)
     if args.command == "eval":
-        return cmd_eval(cfg)
-    return cmd_inspect(cfg)  # argparse admits no other command
+        return cmd_eval(cfg, args.config)
+    return cmd_inspect(cfg, args.config)  # argparse admits no other command
 
 
 def main(argv=None) -> int:

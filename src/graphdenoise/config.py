@@ -75,7 +75,10 @@ _FIELD_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
 def parse_config_file(path) -> dict:
     """Parse one `key = value` per line; blank lines and #-comments allowed."""
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliUsageError(f"{path}: not a UTF-8 config file") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

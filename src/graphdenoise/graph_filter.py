@@ -163,17 +163,8 @@ def central_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise InvalidInputError(f"expected a 2D array, got shape {img.shape}")
-    h, w = img.shape
-    gx = np.zeros((h, w))
-    gy = np.zeros((h, w))
-    if w >= 2:
-        gx[:, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])
-        gx[:, 0] = img[:, 1] - img[:, 0]
-        gx[:, -1] = img[:, -1] - img[:, -2]
-    if h >= 2:
-        gy[1:-1, :] = 0.5 * (img[2:, :] - img[:-2, :])
-        gy[0, :] = img[1, :] - img[0, :]
-        gy[-1, :] = img[-1, :] - img[-2, :]
+    gx = np.gradient(img, axis=1) if img.shape[1] >= 2 else np.zeros_like(img)
+    gy = np.gradient(img, axis=0) if img.shape[0] >= 2 else np.zeros_like(img)
     return gx, gy
 
 

@@ -123,7 +123,8 @@ class TestCorrupt:
         out = tmp_path / "noisy"
         assert main(["corrupt", str(image_dir), "--out", str(out), "--sigma", "10"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: img0.pgm and img0.pnm would both write {out / 'img0.pgm'}"
+            f"error: {out / 'img0.pgm'} (the noisy copy of img0.pnm) would overwrite "
+            f"{out / 'img0.pgm'} (the noisy copy of img0.pgm)"
         ]
         assert not out.exists()
 
@@ -133,7 +134,8 @@ class TestCorrupt:
         before = {path.name: path.read_bytes() for path in image_dir.iterdir()}
         assert main(["corrupt", str(image_dir), "--out", str(out), "--sigma", "10"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: the noisy copy of img0.pgm would replace the input {out / 'img0.pgm'}"
+            f"error: {out / 'img0.pgm'} (the noisy copy of img0.pgm) would overwrite "
+            f"{image_dir / 'img0.pgm'} (the input)"
         ]
         assert {path.name: path.read_bytes() for path in image_dir.iterdir()} == before
 
@@ -202,7 +204,7 @@ class TestTrain:
         if case == "directory":
             ckpt = tmp_path / "ck"
             ckpt.mkdir()
-            code, err = 1, f"error: the checkpoint path is a directory: {ckpt}"
+            code, err = 1, f"error: {ckpt} (the checkpoint) is a directory"
         else:
             (tmp_path / "file").write_text("")
             ckpt = tmp_path / "file" / "ck.json"
@@ -226,11 +228,14 @@ class TestTrain:
     ):
         out = tmp_path / "o"
         ckpt, role = {
-            "out": (out, "output"),
-            "history": (out / "history.csv", "output"),
-            "train-image": (image_dir / "img0.pgm", "input"),
-            "test-image": (test_dir / "test1.pgm", "input"),
+            "out": (out, "output directory"),
+            "history": (out / "history.csv", "history"),
+            "train-image": (image_dir / "img0.pgm", "training image"),
+            "test-image": (test_dir / "test1.pgm", "test image"),
         }[collision]
+        error = f"{ckpt} (the checkpoint) would overwrite {ckpt} (the {role})"
+        if collision == "history":  # the history is written after the checkpoint
+            error = f"{ckpt} (the history) would overwrite {ckpt} (the checkpoint)"
         before = {path: path.read_bytes() for path in [*image_dir.iterdir(), *test_dir.iterdir()]}
 
         def unreachable(*args, **kwargs):
@@ -240,7 +245,7 @@ class TestTrain:
         argv = ["train", "--train_dir", str(image_dir), "--test_dir", str(test_dir)]
         assert main([*argv, "--out", str(out), "--checkpoint", str(ckpt), *TINY_TRAIN]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: the checkpoint path {ckpt} is the {role} {ckpt}"
+            f"error: {error}"
         ]
         assert not out.exists()
         assert {path: path.read_bytes() for path in before} == before
@@ -375,7 +380,7 @@ class TestDenoise:
         ])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: the output {target} is the {taken} {path}"
+            f"error: {target} (the output) would overwrite {path} (the {taken})"
         ]
         assert {p: p.read_bytes() for p in (noisy, target)} == before
 
@@ -473,6 +478,145 @@ class TestInspect:
         # Psi is positive definite: no per-patch guard or path to report
         assert re.search(r"^compiled_max_abs_q = \S+$", out, re.M)
         assert "patch_0_pd = yes" in out and "_path" not in out and "guard" not in out
+
+
+# (command, what collides): one row for each way a command could overwrite
+# a file it reads or writes
+COLLISIONS = [
+    ("corrupt", "two-inputs-one-copy"),
+    ("corrupt", "out-is-the-input-dir"),
+    ("corrupt", "out-is-the-input-dir-via-dotdot"),
+    ("train", "checkpoint-is-a-directory"),
+    ("train", "checkpoint-is-out"),
+    ("train", "checkpoint-is-the-history"),
+    ("train", "checkpoint-is-a-training-image"),
+    ("train", "checkpoint-is-a-test-image"),
+    ("train", "checkpoint-is-the-config"),
+    ("denoise", "output-is-the-truth"),
+    ("denoise", "output-is-the-image"),
+    ("denoise", "output-is-the-checkpoint"),
+    ("denoise", "out-is-the-image"),
+    ("eval", "table-is-the-checkpoint"),
+    ("eval", "table-is-the-config"),
+    ("inspect", "report-is-the-checkpoint"),
+]
+
+
+def collision(case, tmp_path, image_dir, test_dir):
+    """The argv, --out and error line of one COLLISIONS row, with the files
+    it needs. A checkpoint named like a file the command writes sits in d."""
+    hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+    d, out, img0 = tmp_path / "d", tmp_path / "o", image_dir / "img0.pgm"
+    d.mkdir()
+    ckpt = {
+        "output-is-the-checkpoint": d / "img0_denoised.pgm",
+        "table-is-the-checkpoint": d / "eval.csv",
+        "report-is-the-checkpoint": d / "inspect.txt",
+    }.get(case, tmp_path / "c.json")
+    save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+    train = ["train", "--train_dir", str(image_dir), "--test_dir", str(test_dir), *TINY_TRAIN]
+    denoise = ["denoise", str(img0), "--checkpoint", str(ckpt), *TINY]
+    evaluate = ["eval", "--test_dir", str(test_dir), "--checkpoint", str(ckpt), *TINY]
+    if case == "two-inputs-one-copy":
+        (image_dir / "img0.pnm").write_bytes(img0.read_bytes())
+        copy = f"{out / 'img0.pgm'} (the noisy copy of"
+        error = f"{copy} img0.pnm) would overwrite {copy} img0.pgm)"
+        return ["corrupt", str(image_dir)], out, error
+    if case.startswith("out-is-the-input-dir"):
+        out = image_dir if case.endswith("dir") else tmp_path / "other" / ".." / image_dir.name
+        error = f"{out / 'img0.pgm'} (the noisy copy of img0.pgm) would overwrite {img0} (the input)"
+        return ["corrupt", str(image_dir)], out, error
+    if case == "checkpoint-is-a-directory":
+        return [*train, "--checkpoint", str(d)], out, f"{d} (the checkpoint) is a directory"
+    if case == "checkpoint-is-the-history":
+        history = out / "history.csv"
+        error = f"{history} (the history) would overwrite {history} (the checkpoint)"
+        return [*train, "--checkpoint", str(history)], out, error
+    if case == "checkpoint-is-the-config":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"checkpoint = {config}\n")
+        error = f"{config} (the checkpoint) would overwrite {config} (the config)"
+        return [*train, "--config", str(config)], out, error
+    if case.startswith("checkpoint-is-"):
+        path, what = {
+            "checkpoint-is-out": (out, "output directory"),
+            "checkpoint-is-a-training-image": (img0, "training image"),
+            "checkpoint-is-a-test-image": (test_dir / "test1.pgm", "test image"),
+        }[case]
+        error = f"{path} (the checkpoint) would overwrite {path} (the {what})"
+        return [*train, "--checkpoint", str(path)], out, error
+    target = d / "img0_denoised.pgm"
+    if case == "output-is-the-truth":
+        target.write_bytes(img0.read_bytes())
+        error = f"{target} (the output) would overwrite {target} (the truth)"
+        return [*denoise, "--truth", str(target)], d, error
+    if case == "output-is-the-image":
+        noisy = tmp_path / "img0.pgm"
+        noisy.write_bytes(img0.read_bytes())
+        (d / "img0_denoised.pgm").symlink_to(noisy)  # the output would be written through it
+        argv = ["denoise", str(noisy), "--checkpoint", str(ckpt), *TINY]
+        return argv, d, f"{target} (the output) would overwrite {noisy} (the image)"
+    if case == "output-is-the-checkpoint":
+        return denoise, d, f"{ckpt} (the output) would overwrite {ckpt} (the checkpoint)"
+    if case == "out-is-the-image":
+        return denoise, img0, f"{img0} (the output directory) would overwrite {img0} (the image)"
+    if case == "table-is-the-checkpoint":
+        return evaluate, d, f"{ckpt} (the table) would overwrite {ckpt} (the checkpoint)"
+    if case == "table-is-the-config":
+        config = d / "eval.csv"
+        config.write_text(f"out = {d}\n")
+        error = f"{config} (the table) would overwrite {config} (the config)"
+        return [*evaluate, "--config", str(config)], None, error
+    assert case == "report-is-the-checkpoint"
+    argv = ["inspect", "--checkpoint", str(ckpt), *TINY]
+    return argv, d, f"{ckpt} (the report) would overwrite {ckpt} (the checkpoint)"
+
+
+class TestPathCollisions:
+    """No command overwrites a file it reads or writes: each collision is
+    exit 1 with one line, before any work and before --out is made."""
+
+    @pytest.mark.parametrize("command, case", COLLISIONS, ids=[case for _, case in COLLISIONS])
+    def test_collision_is_one_line_before_any_work(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys, command, case
+    ):
+        argv, out, error = collision(case, tmp_path, image_dir, test_dir)
+        assert argv[0] == command
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("work started")
+
+        for work in ("train_loop", "_map_patches", "save_image", "write_text_durably"):
+            monkeypatch.setattr(cli, work, unreachable)
+        files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        outs = {path: path.exists() for path in tmp_path.rglob("*")}
+        capsys.readouterr()
+        assert main([*argv, *(["--out", str(out)] if out else [])]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert {path: path.read_bytes() for path in files} == files
+        assert {path: path.exists() for path in tmp_path.rglob("*")} == outs
+
+    def test_every_command_has_requirements_and_a_collision_row(self):
+        assert set(cli.REQUIRES) == set(cli.READS)
+        assert {command for command, _ in COLLISIONS} == set(cli.READS)
+        for command, required in cli.REQUIRES.items():
+            assert set(required) <= set(cli.READS[command]), command
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(command, field) for command, required in cli.REQUIRES.items() for field in required],
+    )
+    def test_missing_required_field_is_one_line(
+        self, tmp_path, image_dir, every_field, capsys, command, field
+    ):
+        given = [f for f in cli.READS[command] if f != field]
+        argv = [command, *positionals(command, image_dir)]
+        argv += [arg for f in given for arg in (f"--{f}", every_field[f])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --{field} is required for {command}"
+        ]
+        assert not Path(every_field["out"]).exists()
 
 
 class TestExitCodes:
@@ -788,6 +932,16 @@ class TestConfigFile:
         cfg_file.write_text("patch_side 32\n")
         with pytest.raises(CliUsageError):
             parse_config_file(cfg_file)
+
+    def test_config_that_is_not_utf8_is_one_line_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "im0.pgm"
+        config.write_bytes(b"P5\n2 1\n255\n\xff\x80")  # a binary image, not a config
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: not a UTF-8 config file"
+        ]
+        assert not out.exists()
 
     def test_bad_value_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
