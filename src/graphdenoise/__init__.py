@@ -39,6 +39,7 @@ from .imaging import (
     reassemble,
     save_image,
     synthesize_image,
+    write_durably,
 )
 from .taylor_system import TaylorSystemOperator, default_coefficients, truncated_inverse
 from .train import (
@@ -56,7 +57,6 @@ from .train import (
     loss_and_grad,
     save_checkpoint,
     train_loop,
-    write_text_durably,
 )
 
 __version__ = "0.1.0"
@@ -113,5 +113,5 @@ __all__ = [
     "truncated_inverse",
     "unrolled_cg",
     "window_blocks",
-    "write_text_durably",
+    "write_durably",
 ]

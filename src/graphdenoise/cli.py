@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
 
 No command overwrites what it reads or writes: a command exits 1 before
 `--out` is made when a path it writes is an existing directory (`--out`
-aside), a file it reads or another of its writes (_check_paths).
+aside), a file it reads or another of its writes (_check_paths). Every file
+is renamed into place (imaging.write_durably): a hard link keeps its bytes.
 """
 import argparse
 import logging
@@ -42,6 +43,7 @@ from .imaging import (
     psnr,
     reassemble,
     save_image,
+    write_durably,
 )
 # `forward` is not called here; the benchmark's tracer tests check that this
 # module binds it, so that patching `train.forward` reaches every namespace
@@ -53,7 +55,6 @@ from .train import (  # noqa: F401
     load_checkpoint,
     save_checkpoint,
     train_loop,
-    write_text_durably,
 )
 
 
@@ -157,14 +158,14 @@ def cmd_corrupt(cfg: RunConfig, input_dir: str, config: str | None) -> int:
     reads = [("config", config), *(("input", path) for path in paths)]
     _check_paths(reads, out, [*copies, ("manifest", manifest)])
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows = ["file,seed,sigma"]
     for index, (path, target) in enumerate(zip(paths, targets)):
         file_seed = cfg.seed + index
         noisy = add_awgn(load_image(path), cfg.sigma, file_seed)
         save_image(noisy, target)
         rows.append(f"{target.name},{file_seed},{_fmt(cfg.sigma)}")
-    write_text_durably(manifest, "file,seed,sigma\n" + "\n".join(rows) + "\n")
-    print(f"wrote {len(rows)} noisy images and {manifest}")
+    write_durably(manifest, ("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+    print(f"wrote {len(paths)} noisy images and {manifest}")
     return 0
 
 
@@ -208,7 +209,7 @@ def cmd_train(cfg: RunConfig, config: str | None) -> int:
     save_checkpoint(checkpoint_path, state.params, hyper)
     lines = ["epoch,train_loss,val_psnr"]
     lines += [f"{h.epoch},{_fmt(h.train_loss)},{_fmt(h.val_psnr)}" for h in history]
-    write_text_durably(history_path, "\n".join(lines) + "\n")
+    write_durably(history_path, ("\n".join(lines) + "\n").encode("ascii"))
     print(f"wrote {checkpoint_path} and {history_path}")
     return 0
 
@@ -273,7 +274,7 @@ def cmd_eval(cfg: RunConfig, config: str | None) -> int:
     lines = ["sigma,psnr_bilateral,psnr_init,psnr_trained"]
     for sigma, columns in zip(cfg.sigma_test, scores):
         lines.append(",".join(_fmt(value) for value in [sigma, *map(np.mean, columns)]))
-    write_text_durably(table, "\n".join(lines) + "\n")
+    write_durably(table, ("\n".join(lines) + "\n").encode("ascii"))
     print(f"wrote {table}")
     return 0
 
@@ -329,7 +330,7 @@ def cmd_inspect(cfg: RunConfig, config: str | None) -> int:
     print(report, end="")
     if cfg.out:
         out.mkdir(parents=True, exist_ok=True)
-        write_text_durably(out / "inspect.txt", report)
+        write_durably(out / "inspect.txt", report.encode("ascii"))
     return 0
 
 

@@ -2,11 +2,12 @@
 
 Grayscale images live on [0, 1] as float64. Binary PGM (P5) is the native
 format; P6 color inputs are reduced to luma with the BT.601 weights
-(0.299, 0.587, 0.114).
+(0.299, 0.587, 0.114). write_durably writes every file the program makes.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,7 +124,25 @@ def save_image(image: GrayImage, path) -> None:
     """Write binary PGM (P5, maxval 255), quantizing by round(v * 255)."""
     raster = np.rint(image.pixels * 255.0).clip(0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raster.tobytes())
+    write_durably(path, header + raster.tobytes())
+
+
+def write_durably(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, synced and renamed over
+    path: a reader sees the old file or the new one, and a hard link to the
+    old file keeps its bytes. On failure path is left as it was."""
+    path = Path(path)
+    # opened as path itself would be, so it gets the same (umask) permissions
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def add_awgn(image: GrayImage, sigma_8bit: float, seed: int) -> GrayImage:

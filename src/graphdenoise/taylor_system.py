@@ -20,10 +20,10 @@ system, it cancels:
 apply_system is therefore the truncated inverse itself. truncated_inverse
 is the one recurrence of the polynomial: the system applies it with Psi,
 and the compiled network (compiled.py) with an eigenvalue, to get Q(lambda).
-It also returns the terms, which only tests read; the system's apply keeps
-the name apply_truncated_inverse_with_cache because the benchmark's tracer
-wraps that method. mu is kept only for the Laplacian / regularizer
-diagnostics.
+It also returns the terms, which compiled_filter_vjp reads as the powers
+(lambda - 1)^k; the system's apply keeps the name
+apply_truncated_inverse_with_cache because the benchmark's tracer wraps
+that method. mu is kept only for the Laplacian / regularizer diagnostics.
 """
 from __future__ import annotations
 

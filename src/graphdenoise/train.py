@@ -29,7 +29,6 @@ extraction is deliberately treated as a constant of the noisy input
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -47,6 +46,7 @@ from .graph_filter import (
     normalize,
     window_blocks,
 )
+from .imaging import write_durably
 from .lanes import in_lanes
 from .taylor_system import TaylorSystemOperator, default_coefficients
 
@@ -526,26 +526,7 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
         "cg_alpha": [float(v) for v in params.cg_alpha],
         "cg_beta": [float(v) for v in params.cg_beta],
     }
-    write_text_durably(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_text_durably(path, text: str) -> None:
-    """Write ASCII text to path through a temporary file in the same
-    directory, synced and then renamed over path: a reader sees the old file
-    or the new one, never a part. On failure the temporary file is removed
-    and path is left as it was."""
-    path = Path(path)
-    # opened as path itself would be, so it gets the same (umask) permissions
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_durably(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
 def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:

@@ -139,6 +139,35 @@ class TestCorrupt:
         ]
         assert {path.name: path.read_bytes() for path in image_dir.iterdir()} == before
 
+    def test_hard_linked_output_keeps_the_input(self, tmp_path, image_dir):
+        src = tmp_path / "cin"
+        src.mkdir()
+        for name, image in (("a", "img0"), ("b", "img1")):
+            (src / f"{name}.pgm").write_bytes((image_dir / f"{image}.pgm").read_bytes())
+        argv = ["corrupt", str(src), "--sigma", "10", "--seed", "3"]
+        clean = tmp_path / "clean"
+        assert main([*argv, "--out", str(clean)]) == 0
+        out = tmp_path / "cout"
+        out.mkdir()
+        os.link(src / "b.pgm", out / "a.pgm")  # a's noisy copy would be written into b
+        before = (src / "b.pgm").read_bytes()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (src / "b.pgm").read_bytes() == before
+        for name in ("a.pgm", "b.pgm", "manifest.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["café.pgm", os.fsdecode(b"\xff.pgm")], ids=["utf8", "not-utf8"])
+    def test_manifest_holds_each_name_as_its_bytes(self, tmp_path, image_dir, capsys, name):
+        src = tmp_path / "cin"
+        src.mkdir()
+        (src / name).write_bytes((image_dir / "img0.pgm").read_bytes())
+        out = tmp_path / "cout"
+        assert main(["corrupt", str(src), "--out", str(out), "--sigma", "10", "--seed", "5"]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = b"file,seed,sigma\n" + os.fsencode(name) + b",5,10.0\n"
+        assert (out / "manifest.csv").read_bytes() == manifest
+        assert load_image(out / name).width == 32
+
 
 class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path, image_dir, test_dir):
@@ -384,6 +413,40 @@ class TestDenoise:
         ]
         assert {p: p.read_bytes() for p in (noisy, target)} == before
 
+    def test_hard_linked_output_keeps_the_image(self, tmp_path, image_dir, test_dir):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="link")
+        noisy = tmp_path / "n.pgm"
+        save_image(add_awgn(load_image(image_dir / "img0.pgm"), 15, seed=2), noisy)
+        out = tmp_path / "o"
+        out.mkdir()
+        target = out / "n_denoised.pgm"
+        os.link(noisy, target)  # _check_paths resolves paths, so a hard link passes it
+        before = noisy.read_bytes()
+        assert main(["denoise", str(noisy), "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 0
+        assert noisy.read_bytes() == before != target.read_bytes()
+
+    @pytest.mark.parametrize("failing", ["replace", "fsync"])
+    def test_failed_write_keeps_the_previous_output(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys, failing
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="dur")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "img0_denoised.pgm").write_bytes(b"old")
+
+        def fail(*args):
+            raise OSError(f"{failing} failed")
+
+        monkeypatch.setattr(os, failing, fail)
+        capsys.readouterr()
+        src = image_dir / "img0.pgm"
+        assert main(["denoise", str(src), "--checkpoint", str(ckpt), "--out", str(out), *TINY]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"i/o error: {failing} failed"]
+        # the old output is kept, and no .img0_denoised.pgm.<pid>.tmp is left
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {
+            "img0_denoised.pgm": b"old"
+        }
+
 
 class TestEval:
     def test_table_shape_and_baseline_property(self, tmp_path, image_dir, test_dir):
@@ -586,7 +649,7 @@ class TestPathCollisions:
         def unreachable(*args, **kwargs):
             pytest.fail("work started")
 
-        for work in ("train_loop", "_map_patches", "save_image", "write_text_durably"):
+        for work in ("train_loop", "_map_patches", "save_image", "write_durably"):
             monkeypatch.setattr(cli, work, unreachable)
         files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         outs = {path: path.exists() for path in tmp_path.rglob("*")}

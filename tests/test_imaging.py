@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +46,29 @@ class TestPgmRoundTrip:
         path = tmp_path / "white.pgm"
         save_image(img, path)
         assert np.all(load_image(path).pixels == 1.0)
+
+    @pytest.mark.parametrize("failing", ["replace", "fsync"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "img.pgm"
+        save_image(synthesize_image(8, 6, seed=1), path)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError(f"{failing} failed")
+
+        monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError, match=f"{failing} failed"):
+            save_image(synthesize_image(8, 6, seed=2), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no .img.pgm.<pid>.tmp is left
+
+    def test_hard_link_to_the_old_file_keeps_its_bytes(self, tmp_path):
+        path, link = tmp_path / "img.pgm", tmp_path / "link.pgm"
+        save_image(synthesize_image(8, 6, seed=1), path)
+        os.link(path, link)
+        before = link.read_bytes()
+        save_image(synthesize_image(8, 6, seed=2), path)
+        assert link.read_bytes() == before != path.read_bytes()
 
     def test_header_comments_and_whitespace(self, tmp_path):
         raster = bytes(range(6))
