@@ -33,9 +33,9 @@ from graphdenoise import (
     CgConfig,
     ParamVector,
     PipelineConfig,
+    TaylorSystemOperator,
     add_awgn,
     build_filter_matrix,
-    build_system,
     calibrated_initial,
     compile_filter,
     extract_features,
@@ -112,7 +112,9 @@ def default_network_digests() -> list[str]:
     patch = pairs[3][0]
     filt = build_filter_matrix(extract_features(patch, 64), theta.metric(), hyper.window_radius)
     denoised = compile_filter(theta).apply(normalize(filt), patch)
-    system = build_system(ParamVector.initial(hyper), patch, 64, hyper)
+    initial = ParamVector.initial(hyper)
+    filt = build_filter_matrix(extract_features(patch, 64), initial.metric(), hyper.window_radius)
+    system = TaylorSystemOperator(psi=normalize(filt), coefficients=initial.tse_coeffs)
     solved, _ = unrolled_cg(system.apply_system, patch, CgConfig(depth_T=hyper.depth_T))
     underflow = np.diag([0.0, 0.0, 100.0, 0.0, 0.0])
     filt = build_filter_matrix(extract_features(patch, 64), underflow, hyper.window_radius)

@@ -49,7 +49,8 @@ from .train import (
     PipelineConfig,
     TrainState,
     adam_step,
-    build_system,
+    analytic_solve,
+    build_psi,
     calibrated_initial,
     evaluate_psnr,
     forward,
@@ -84,9 +85,10 @@ __all__ = [
     "TrainState",
     "adam_step",
     "add_awgn",
+    "analytic_solve",
     "bilateral_factor",
     "build_filter_matrix",
-    "build_system",
+    "build_psi",
     "calibrate_cg_params",
     "calibrated_initial",
     "central_gradients",

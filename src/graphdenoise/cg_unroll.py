@@ -16,7 +16,6 @@ which is what makes the unrolled solver a trainable feed-forward network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -63,7 +62,8 @@ class CgTrace:
     used_betas: np.ndarray           # length max(T - 1, 0)
 
 
-# an overflow surfaces as a non-finite state, which is raised as an error
+# cfg stays the third positional argument: the benchmark's tracer reads it
+# there. An overflow surfaces as a non-finite state, raised as an error.
 @np.errstate(over="ignore", invalid="ignore")
 def unrolled_cg(matvec, y: np.ndarray, cfg: CgConfig) -> tuple[np.ndarray, CgTrace]:
     """Run T unrolled CG steps on A x = y, A v = matvec(v); returns (x, trace).
@@ -170,24 +170,22 @@ def learned_cg_vjp(apply_vjp, inputs, outputs, x_bar: np.ndarray, cfg: CgConfig)
     return g_alpha, g_beta
 
 
-def calibrate_cg_params(system_batch, depth_T: int) -> tuple[np.ndarray, np.ndarray]:
+# Calibration needs no solver of its own; it stays in this module, under
+# this name, because the benchmark's tracer times `cg_unroll.calibrate_cg_params`.
+def calibrate_cg_params(solves) -> tuple[np.ndarray, np.ndarray]:
     """Seed learned-mode scalars: per-depth means of analytic alpha/beta.
 
-    system_batch is a sequence of no-argument callables that return a
-    (matvec, y) pair, so that each system is built in the lane that solves
-    it. Every element is solved in analytic mode under the default
-    breakdown guard, on the lanes (in_lanes), and the realized scalars (0
-    after a breakdown) are averaged elementwise in batch order.
+    solves is a sequence of no-argument callables, each running one
+    analytic-mode solve and returning its CgTrace (train.analytic_solve),
+    so that each system is built and solved in the lane that runs it. The
+    solves run on the lanes (in_lanes), and their used scalars (0 after a
+    breakdown) are averaged elementwise in batch order.
     """
-    system_batch = list(system_batch)
-    if not system_batch:
+    solves = list(solves)
+    if not solves:
         raise InvalidInputError("calibration batch must be nonempty")
-    cfg = CgConfig(depth_T=depth_T)
-
-    def used_scalars(element):
-        matvec, y = element()
-        _, trace = unrolled_cg(matvec, y, cfg)
-        return trace.used_alphas, trace.used_betas
-
-    runs = in_lanes([partial(used_scalars, element) for element in system_batch])
-    return np.mean([a for a, _ in runs], axis=0), np.mean([b for _, b in runs], axis=0)
+    traces = in_lanes(solves)
+    return (
+        np.mean([t.used_alphas for t in traces], axis=0),
+        np.mean([t.used_betas for t in traces], axis=0),
+    )

@@ -12,6 +12,8 @@ aside), a file it reads or another of its writes (_check_paths). Every file
 is renamed into place (imaging.write_durably): a hard link keeps its bytes.
 """
 import argparse
+import csv
+import io
 import logging
 import sys
 from dataclasses import replace
@@ -22,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import lanes
-from .cg_unroll import CgConfig, unrolled_cg
 from .compiled import compile_filter, network_response
 from .config import RunConfig, build_config
 from .errors import (
@@ -50,7 +51,8 @@ from .imaging import (
 from .train import (  # noqa: F401
     ParamVector,
     PipelineConfig,
-    build_system,
+    analytic_solve,
+    build_psi,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -106,12 +108,13 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
     output, clipped to [0, 1].
 
     Each maker maps a patch to a list of output patches, building the
-    patch's system and solving it; a patch's outputs are its makers' outputs
-    in order. Items (image, patch, maker), each one job that calls the maker
+    patch's Psi and filtering or solving with it (train.build_psi,
+    train.analytic_solve); a patch's outputs are its makers' outputs in
+    order. Items (image, patch, maker), each one job that calls the maker
     on the patch, run on the lanes in one batch (lanes.in_lanes), images in
     order and each image's patches in raster order, so a lane that finishes
     a short job takes the next item of any image. A build's temporary arrays
-    are small beside the system it leaves (see graph_filter.normalize), so
+    are small beside the Psi it leaves (see graph_filter.normalize), so
     concurrent jobs keep the peak memory at about one system per lane.
 
     Every job computes exactly what it would serially, so the output is
@@ -131,16 +134,29 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
 
 
 def _learned_maker(params: ParamVector, hyper: PipelineConfig, patch_side: int):
-    """The learned network's maker: the patch's system is built, then its
-    Psi filters the patch by the network's compiled filter. The network is
-    compiled here, so a checkpoint that does not compile fails before any
+    """The learned network's maker: the patch's Psi is built (build_psi),
+    then the network's compiled filter of it filters the patch. The network
+    is compiled here, so a checkpoint that does not compile fails before any
     patch is read."""
     compiled = compile_filter(params)
 
     def learned(patch):
-        return [compiled.apply(build_system(params, patch, patch_side, hyper).psi, patch)]
+        return [compiled.apply(build_psi(params, patch, patch_side, hyper), patch)]
 
     return learned
+
+
+def _csv_lines(rows) -> str:
+    """rows as CSV lines, each ending in LF. A field holding a comma, a
+    quote, CR or LF is quoted: the writer ends its lines in CRLF, since with
+    LF alone it leaves a lone CR unquoted and a reader splits the row there,
+    and each line's CRLF then becomes LF."""
+    lines = []
+    for row in rows:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def _crop(image: GrayImage, patch_side: int) -> GrayImage:
@@ -158,13 +174,13 @@ def cmd_corrupt(cfg: RunConfig, input_dir: str, config: str | None) -> int:
     reads = [("config", config), *(("input", path) for path in paths)]
     _check_paths(reads, out, [*copies, ("manifest", manifest)])
     out.mkdir(parents=True, exist_ok=True)
-    rows = ["file,seed,sigma"]
+    rows = [("file", "seed", "sigma")]
     for index, (path, target) in enumerate(zip(paths, targets)):
         file_seed = cfg.seed + index
         noisy = add_awgn(load_image(path), cfg.sigma, file_seed)
         save_image(noisy, target)
-        rows.append(f"{target.name},{file_seed},{_fmt(cfg.sigma)}")
-    write_durably(manifest, ("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        rows.append((target.name, file_seed, _fmt(cfg.sigma)))
+    write_durably(manifest, _csv_lines(rows).encode("utf-8", "surrogateescape"))
     print(f"wrote {len(paths)} noisy images and {manifest}")
     return 0
 
@@ -251,13 +267,11 @@ def cmd_eval(cfg: RunConfig, config: str | None) -> int:
     _check_paths([*reads, *(("test image", path) for path in paths)], out, [("table", table)])
     out.mkdir(parents=True, exist_ok=True)
     init_params = ParamVector.initial(hyper)
-    # the initialization baseline solves the initial system by classic CG
-    analytic = CgConfig(depth_T=hyper.depth_T)
 
     def initial(patch):
         # the bilateral smoother is the initial system's Psi: one build serves both
-        system = build_system(init_params, patch, side, hyper)
-        return [system.psi.apply(patch), unrolled_cg(system.apply_system, patch, analytic)[0]]
+        psi, solved, _ = analytic_solve(init_params, patch, side, hyper)
+        return [psi.apply(patch), solved]
 
     # scores[s] holds the bilateral, init and trained PSNRs at sigma s, in
     # image order; one batch maps an image at every sigma, so the lanes stay
@@ -321,7 +335,7 @@ def cmd_inspect(cfg: RunConfig, config: str | None) -> int:
     for image in map(load_image, images):
         grid = partition(image, cfg.patch_side)
         for index, patch in enumerate(grid.patches[:4]):
-            psi = build_system(params, patch, cfg.patch_side, hyper).psi
+            psi = build_psi(params, patch, cfg.patch_side, hyper)
             lam_min, lam_max = estimate_spectrum(psi, iterations=200)
             lines.append(f"patch_{index}_lambda_min = {_fmt(lam_min)}")
             lines.append(f"patch_{index}_lambda_max = {_fmt(lam_max)}")

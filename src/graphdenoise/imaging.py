@@ -6,6 +6,7 @@ format; P6 color inputs are reduced to luma with the BT.601 weights
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from .errors import ImageFormatError, InvalidInputError
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # the file suffixes load_image reads, in any case
 IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm")
+# the longest file name, in bytes, that Linux and most file systems take
+NAME_MAX = 255
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +135,12 @@ def write_durably(path, data: bytes) -> None:
     path: a reader sees the old file or the new one, and a hard link to the
     old file keeps its bytes. On failure path is left as it was."""
     path = Path(path)
-    # opened as path itself would be, so it gets the same (umask) permissions
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # opened as path itself would be, so it gets the same (umask) permissions.
+    # It is named .<name>.<pid>.tmp, with <name> cut to fit NAME_MAX bytes, so
+    # that every name that fits can be written
+    tail = f".{os.getpid()}.tmp".encode()
+    head = os.fsencode(path.name)[: NAME_MAX - 1 - len(tail)]
+    tmp = path.with_name(os.fsdecode(b"." + head + tail))
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
@@ -141,7 +148,9 @@ def write_durably(path, data: bytes) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        # a failed cleanup must not hide the error that made it
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -5,12 +5,12 @@ threads, so with the calling thread up to LANES jobs run at once. scipy's
 CSR matvec, most of a solve, releases the GIL, so the lanes overlap. The
 program has this one pool: every pool thread adds a malloc arena, and a
 second pool added its memory to the peak. Every parallel job goes through
-in_lanes, the one scheduler: training's gradient pairs, calibration and
-validation, and the patch jobs of denoise and eval, each one call of a
-maker that builds its patch's system and solves it on the lane
-(cli._map_patches). denoise maps its image in one batch; eval maps each
-test image in one batch covering every sigma, so a long job of one sigma
-overlaps the jobs of the next.
+in_lanes, the one scheduler: training's gradient pairs, calibration's
+analytic solves and validation, and the patch jobs of denoise and eval,
+each one call of a maker that builds its patch's Psi and filters or solves
+with it on the lane (cli._map_patches, train.analytic_solve). denoise maps
+its image in one batch; eval maps each test image in one batch covering
+every sigma, so a long job of one sigma overlaps the jobs of the next.
 """
 from __future__ import annotations
 

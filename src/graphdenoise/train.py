@@ -7,10 +7,12 @@ The trainable parameter vector theta stacks, in this fixed order:
       CG alphas (T)                       |
       CG betas (T-1) ]
 
-forward rebuilds the filter operator from theta (Psi depends on the
-metric), runs the truncated-inverse system through the learned-mode
-unrolled CG, and returns the depth-T iterate: the network as the paper
-unrolls it, kept as the reference the compiled filter stands in for.
+Each patch computation is one function here; the CLI maps them onto the
+lanes. build_psi builds a patch's smoother Psi from theta's metric.
+analytic_solve runs classic CG on the truncated-inverse system of Psi: the
+initialization baseline of calibration and of eval's init column. forward
+runs that system through the learned-mode unrolled CG: the network as the
+paper unrolls it, kept as the reference the compiled filter stands in for.
 
 Training differentiates the network that validation, denoise and eval
 run: its compiled Chebyshev filter P (compiled.py), compiled once per
@@ -35,11 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cg_unroll import CgConfig, calibrate_cg_params, unrolled_cg
+from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, unrolled_cg
 from .compiled import GRADIENT_TOLERANCE, CompiledFilter, compile_filter, compiled_filter_vjp
 from .errors import InvalidInputError, NumericDivergenceError
 from .graph_filter import (
     FEATURE_DIM,
+    DenoiserOperator,
     bilateral_factor,
     build_filter_matrix,
     extract_features,
@@ -164,32 +167,46 @@ def _check_sizes(theta: ParamVector, hyper: PipelineConfig) -> None:
             raise InvalidInputError(f"theta has {count} {what}, {name} is {value}")
 
 
-def build_system(
+def build_psi(
     theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
-) -> TaylorSystemOperator:
-    """The truncated-inverse system of theta on the patch, whose smoother Psi
-    is `system.psi`, built from the patch's features (extract_features).
-    theta must have hyper's degree_K + 1 coefficients and depth_T CG steps."""
+) -> DenoiserOperator:
+    """The smoother Psi of theta's metric on the patch, built from the
+    patch's features (extract_features). theta must have hyper's
+    degree_K + 1 coefficients and depth_T CG steps."""
     _check_sizes(theta, hyper)
     features = extract_features(noisy, patch_side)
-    filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
-    return TaylorSystemOperator(psi=normalize(filt), coefficients=theta.tse_coeffs)
+    return normalize(build_filter_matrix(features, theta.metric(), hyper.window_radius))
+
+
+def analytic_solve(
+    theta: ParamVector, noisy: np.ndarray, patch_side: int, hyper: PipelineConfig
+) -> tuple[DenoiserOperator, np.ndarray, CgTrace]:
+    """The patch's Psi (build_psi), and the solve and trace of depth_T
+    classic CG steps, at the default breakdown guard, on theta's
+    truncated-inverse system of it: calibrated_initial averages the traces'
+    scalars, and eval's init column is the solve."""
+    psi = build_psi(theta, noisy, patch_side, hyper)
+    system = TaylorSystemOperator(psi=psi, coefficients=theta.tse_coeffs)
+    x, trace = unrolled_cg(system.apply_system, noisy, CgConfig(depth_T=hyper.depth_T))
+    return psi, x, trace
 
 
 def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) -> ParamVector:
-    """ParamVector.initial with the CG scalars calibrated by analytic runs
-    on the given noisy patches (calibrate_cg_params); each patch's system
-    is built in the lane that solves it."""
+    """ParamVector.initial with the CG scalars calibrated on the given noisy
+    patches: the per-depth means of their analytic solves' scalars
+    (analytic_solve, calibrate_cg_params), each solved on the lane that
+    runs it."""
     theta = ParamVector.initial(hyper)
 
-    def patch_system(noisy):
-        return build_system(theta, noisy, patch_side, hyper).apply_system, noisy
+    def trace(noisy):
+        return analytic_solve(theta, noisy, patch_side, hyper)[2]
 
-    builds = [partial(patch_system, noisy) for noisy in noisy_patches]
-    alpha, beta = calibrate_cg_params(builds, hyper.depth_T)
+    alpha, beta = calibrate_cg_params([partial(trace, noisy) for noisy in noisy_patches])
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
 
 
+# Nothing in the package calls forward; it stays, and stays in this module,
+# because the benchmark's tracer times `train.forward` and its tests call it.
 def forward(
     theta: ParamVector,
     noisy_patch: np.ndarray,
@@ -198,7 +215,7 @@ def forward(
 ) -> np.ndarray:
     """Denoise one patch: features -> weights -> normalize -> unrolled CG."""
     noisy = np.asarray(noisy_patch, dtype=float)
-    system = build_system(theta, noisy, patch_side, hyper)
+    system = TaylorSystemOperator(build_psi(theta, noisy, patch_side, hyper), theta.tse_coeffs)
     x, _ = unrolled_cg(system.apply_system, noisy, theta.cg_config())
     return x
 
@@ -418,7 +435,7 @@ def adam_step(state: TrainState, gradient) -> TrainState:
 
 def _patch_psnr(theta, compiled, noisy, clean, patch_side, hyper) -> float:
     noisy = np.asarray(noisy, dtype=float)
-    psi = build_system(theta, noisy, patch_side, hyper).psi
+    psi = build_psi(theta, noisy, patch_side, hyper)
     out = np.clip(compiled.apply(psi, noisy), 0.0, 1.0)
     err = np.asarray(clean, dtype=float) - out
     mse = float(err @ err) / err.size
@@ -512,7 +529,7 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
 
     Floats are serialized with repr-exact round-tripping, so identical
     parameters always produce identical bytes. params must have hyper's
-    sizes (build_system), so that load_checkpoint accepts the file.
+    sizes (build_psi), so that load_checkpoint accepts the file.
     """
     _check_sizes(params, hyper)
     payload = {

@@ -23,7 +23,8 @@ from graphdenoise import (
     NumericDivergenceError,
     ParamVector,
     PipelineConfig,
-    build_system,
+    TaylorSystemOperator,
+    build_psi,
     extract_features,
     forward,
     learned_cg_vjp,
@@ -244,9 +245,10 @@ def analytic_forward(
     hyper: PipelineConfig,
     epsilon_guard: float = CgConfig.epsilon_guard,
 ) -> np.ndarray:
-    """The patch system of theta (build_system) solved by depth_T steps of
-    classic CG, whose alpha and beta follow the data, under epsilon_guard."""
-    system = build_system(theta, patch, side, hyper)
+    """theta's truncated-inverse system of the patch's Psi (build_psi)
+    solved by depth_T steps of classic CG, whose alpha and beta follow the
+    data, under epsilon_guard."""
+    system = TaylorSystemOperator(build_psi(theta, patch, side, hyper), theta.tse_coeffs)
     cfg = CgConfig(depth_T=hyper.depth_T, epsilon_guard=epsilon_guard)
     x, _ = unrolled_cg(system.apply_system, patch, cfg)
     return x

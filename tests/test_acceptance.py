@@ -16,7 +16,7 @@ from graphdenoise import (
     TaylorSystemOperator,
     add_awgn,
     build_filter_matrix,
-    build_system,
+    build_psi,
     calibrated_initial,
     compile_filter,
     default_coefficients,
@@ -104,8 +104,7 @@ def test_criterion_2_initialization_baseline():
             y = partition(noisy, 64).patches[0]
             clean = partition(img, 64).patches[0]
             x = analytic_forward(theta, y, 64, hyper)
-            system = build_system(theta, y, 64, hyper)
-            bf = system.psi.apply(y)
+            bf = build_psi(theta, y, 64, hyper).apply(y)
             gap = abs(_patch_psnr(clean, x) - _patch_psnr(clean, bf))
             worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - start

@@ -192,35 +192,36 @@ class TestTrace:
             assert np.array_equal(trace.used_alphas, deep.used_alphas[:k])
 
 
+def analytic_trace(a, y, depth):
+    """A calibration solve: the trace of depth analytic steps on a x = y."""
+    return lambda: unrolled_cg(lambda v: a @ v, y, CgConfig(depth_T=depth))[1]
+
+
 class TestCalibration:
     def test_single_element_batch_copies_analytic_scalars(self):
         a, y = dense_system(11, 8)
-        system = lambda v: a @ v
-        alpha, beta = calibrate_cg_params([lambda: (system, y)], 8)
-        _, trace = unrolled_cg(system, y, CgConfig(depth_T=8))
+        alpha, beta = calibrate_cg_params([analytic_trace(a, y, 8)])
+        trace = analytic_trace(a, y, 8)()
         assert np.array_equal(alpha, trace.used_alphas)
         assert np.array_equal(beta, trace.used_betas)
 
     def test_identical_systems_average_to_single_run(self):
         a, y = dense_system(12, 6)
-        system = lambda v: a @ v
-        alpha1, beta1 = calibrate_cg_params([lambda: (system, y)], 6)
-        alpha3, beta3 = calibrate_cg_params([lambda: (system, y)] * 3, 6)
+        alpha1, beta1 = calibrate_cg_params([analytic_trace(a, y, 6)])
+        alpha3, beta3 = calibrate_cg_params([analytic_trace(a, y, 6)] * 3)
         assert np.allclose(alpha1, alpha3, atol=1e-15)
         assert np.allclose(beta1, beta3, atol=1e-15)
 
     def test_mean_of_two_distinct_systems(self):
-        a1, y1 = dense_system(13, 5)
-        a2, y2 = dense_system(14, 5)
-        batch = [(lambda v: a1 @ v, y1), (lambda v: a2 @ v, y2)]
-        alpha, beta = calibrate_cg_params([lambda pair=pair: pair for pair in batch], 5)
-        traces = [unrolled_cg(s, y, CgConfig(depth_T=5))[1] for s, y in batch]
+        solves = [analytic_trace(*dense_system(seed, 5), 5) for seed in (13, 14)]
+        alpha, beta = calibrate_cg_params(solves)
+        traces = [solve() for solve in solves]
         assert np.array_equal(alpha, np.mean([t.used_alphas for t in traces], axis=0))
         assert np.array_equal(beta, np.mean([t.used_betas for t in traces], axis=0))
 
     def test_empty_batch_raises(self):
         with pytest.raises(InvalidInputError):
-            calibrate_cg_params([], 5)
+            calibrate_cg_params([])
 
 
 class TestValidation:

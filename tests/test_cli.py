@@ -1,8 +1,10 @@
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -13,13 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphdenoise
 from graphdenoise import (
     DenoiserOperator,
     GrayImage,
     add_awgn,
-    build_system,
+    build_psi,
     calibrated_initial,
     compile_filter,
     load_image,
@@ -84,6 +88,21 @@ def train_tiny(tmp_path, image_dir, test_dir, epochs, seed=0, name="run"):
     )
     assert code == 0
     return out / "checkpoint.json", out / "history.csv"
+
+
+PIXEL_PGM = b"P5 1 1 255\n\x80"  # one mid-grey pixel
+# what corrupt's property test builds file names from: commas, quotes, CR,
+# LF, spaces, multibyte characters and bytes that are not UTF-8
+NAME_PIECES = [b",", b'"', b"\r", b"\n", b" ", "é".encode(), "漢".encode(), b"\xff", b"\x80"]
+
+
+@st.composite
+def pgm_name(draw):
+    """A .pgm file name of 5 to 255 bytes, as bytes: a pattern of
+    NAME_PIECES repeated and cut to length, maybe inside a character."""
+    pattern = b"".join(draw(st.lists(st.sampled_from(NAME_PIECES), min_size=1, max_size=8)))
+    size = draw(st.integers(1, 255 - len(b".pgm")))
+    return (pattern * size)[:size] + b".pgm"
 
 
 class TestCorrupt:
@@ -167,6 +186,37 @@ class TestCorrupt:
         manifest = b"file,seed,sigma\n" + os.fsencode(name) + b",5,10.0\n"
         assert (out / "manifest.csv").read_bytes() == manifest
         assert load_image(out / name).width == 32
+
+    @pytest.mark.parametrize(
+        "name", ["a,b.pgm", 'say "hi".pgm', "c\nd.pgm", "e\rf.pgm"],
+        ids=["comma", "quote", "newline", "carriage-return"],
+    )
+    def test_manifest_row_holds_a_name_that_needs_quoting(self, tmp_path, image_dir, name):
+        src = tmp_path / "cin"
+        src.mkdir()
+        (src / name).write_bytes((image_dir / "img0.pgm").read_bytes())
+        out = tmp_path / "cout"
+        assert main(["corrupt", str(src), "--out", str(out), "--sigma", "10", "--seed", "5"]) == 0
+        with open(out / "manifest.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["file", "seed", "sigma"], [name, "5", "10.0"]]
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(names=st.lists(pgm_name(), min_size=1, max_size=3, unique=True))
+    def test_every_file_name_gets_one_manifest_row(self, names):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp, "in"), Path(tmp, "out")
+            src.mkdir()
+            for name in names:
+                (src / os.fsdecode(name)).write_bytes(PIXEL_PGM)
+            assert main(["corrupt", str(src), "--out", str(out), "--sigma", "10"]) == 0
+            with open(out / "manifest.csv", newline="", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["file", "seed", "sigma"]
+            assert sorted(os.fsencode(row[0]) for row in rows) == sorted(names)
+            # every noisy copy is in place, and no temporary file is left
+            assert {os.fsencode(p.name) for p in out.iterdir()} == {*names, b"manifest.csv"}
+            assert [p.name for p in src.iterdir() if p.name.endswith(".tmp")] == []
 
 
 class TestTrain:
@@ -1146,7 +1196,7 @@ def learned_solver(params, hyper, side):
     compiled = compile_filter(params)
 
     def solve(patch):
-        return compiled.apply(build_system(params, patch, side, hyper).psi, patch)
+        return compiled.apply(build_psi(params, patch, side, hyper), patch)
 
     return solve
 
@@ -1166,7 +1216,7 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
             columns = np.clip(
                 [
                     [
-                        build_system(init, patch, side, hyper).psi.apply(patch),
+                        build_psi(init, patch, side, hyper).apply(patch),
                         analytic_forward(init, patch, side, hyper),
                         solve(patch),
                     ]
@@ -1333,7 +1383,8 @@ class TestSolveLanes:
                 raise NumericDivergenceError("solve failed")
             return unrolled_cg(*args)
 
-        monkeypatch.setattr(cli, "unrolled_cg", failing_cg)
+        # eval's init maker solves in train.analytic_solve
+        monkeypatch.setattr(graphdenoise.train, "unrolled_cg", failing_cg)
         out = tmp_path / "o"
         capsys.readouterr()
         denoise_in_lanes(monkeypatch, lanes, [
@@ -1352,10 +1403,9 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
     save_checkpoint(tmp_path / "c.json", theta, hyper)
     (tmp_path / "images").mkdir()
     save_image(noisy, tmp_path / "images" / "n.pgm")
-    system = build_system(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)
-    csr = system.psi._matrix
+    csr = build_psi(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)._matrix
     psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-    del system, csr
+    del csr
     argv = [*argv, "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
 
     def peak(lanes):
@@ -1464,12 +1514,14 @@ class TestCompiledLanes:
             # long enough that the builds of every lane overlap
             time.sleep(0.05)
             try:
-                return build_system(*args)
+                return build_psi(*args)
             finally:
                 with count:
                     building[0] -= 1
 
-        monkeypatch.setattr(cli, "build_system", sleeping_build)
+        # the trained maker builds in cli, eval's init maker in train.analytic_solve
+        monkeypatch.setattr(cli, "build_psi", sleeping_build)
+        monkeypatch.setattr(graphdenoise.train, "build_psi", sleeping_build)
         if command == "denoise":
             argv = ["denoise", str(tmp_path / "images" / "n.pgm")]  # four patches
         else:

@@ -11,7 +11,7 @@ from graphdenoise import (
     PipelineConfig,
     TaylorSystemOperator,
     add_awgn,
-    build_system,
+    build_psi,
     calibrated_initial,
     compile_filter,
     forward,
@@ -72,8 +72,7 @@ class TestCompileFilter:
         assert compiled.degree <= DEFAULT.degree_K * DEFAULT.depth_T
         for sigma in (15.0, 50.0):
             for patch in noisy_patches(31, sigma):
-                system = build_system(theta, patch, 64, DEFAULT)
-                out = compiled.apply(system.psi, patch)
+                out = compiled.apply(build_psi(theta, patch, 64, DEFAULT), patch)
                 reference = forward(theta, patch, 64, DEFAULT)
                 assert not np.array_equal(out, reference)  # the compiled filter ran
                 assert relative_error(out, reference) <= 1e-8
@@ -138,8 +137,7 @@ class TestCompileFilter:
         compiled = compile_filter(theta)
         assert compiled.degree <= hyper.degree_K * hyper.depth_T
         for patch in noisy_patches(41):
-            system = build_system(theta, patch, 64, hyper)
-            out = compiled.apply(system.psi, patch)
+            out = compiled.apply(build_psi(theta, patch, 64, hyper), patch)
             assert relative_error(out, forward(theta, patch, 64, hyper)) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -171,13 +169,13 @@ class TestCompileFilter:
         compiled = compile_filter(theta)
         assert compiled.coefficients.tolist() == [1.0]
         patch = noisy_patches(51)[0]
-        system = build_system(theta, patch, 64, hyper)
+        psi = build_psi(theta, patch, 64, hyper)
         calls = []
         real_apply = DenoiserOperator.apply
         monkeypatch.setattr(
             DenoiserOperator, "apply", lambda psi, v: calls.append(1) or real_apply(psi, v)
         )
-        assert np.array_equal(compiled.apply(system.psi, patch), patch)
+        assert np.array_equal(compiled.apply(psi, patch), patch)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -244,6 +242,5 @@ class TestApply:
 
     def test_zero_patch_is_zero(self, calibrated):
         patch = np.zeros(64 * 64)
-        system = build_system(calibrated, patch, 64, DEFAULT)
-        out = compile_filter(calibrated).apply(system.psi, patch)
+        out = compile_filter(calibrated).apply(build_psi(calibrated, patch, 64, DEFAULT), patch)
         assert np.array_equal(out, patch)

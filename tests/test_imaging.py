@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graphdenoise import (
     reassemble,
     save_image,
     synthesize_image,
+    write_durably,
 )
 from oracles import loop_partition, loop_reassemble
 
@@ -61,6 +63,31 @@ class TestPgmRoundTrip:
             save_image(synthesize_image(8, 6, seed=2), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]  # no .img.pgm.<pid>.tmp is left
+
+    @pytest.mark.parametrize("char", ["a", "é", "漢"], ids=["ascii", "two-byte", "three-byte"])
+    def test_names_of_255_bytes_are_written(self, tmp_path, char):
+        # .<name>.<pid>.tmp would be longer than a file name may be; the
+        # temporary's name is cut to fit, in bytes
+        stem = char * ((255 - len(".pgm")) // len(char.encode()))
+        name = stem + "x" * (255 - len(".pgm") - len(stem.encode())) + ".pgm"
+        assert len(os.fsencode(name)) == 255
+        second = synthesize_image(4, 3, seed=2)  # on the 8-bit grid
+        save_image(synthesize_image(4, 3, seed=1), tmp_path / name)
+        save_image(second, tmp_path / name)  # replaces the first
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+        assert np.array_equal(load_image(tmp_path / name).pixels, second.pixels)
+
+    def test_failed_cleanup_keeps_the_original_error(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("replace failed")
+
+        def fail_unlink(*args, **kwargs):
+            raise OSError("unlink failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        monkeypatch.setattr(Path, "unlink", fail_unlink)
+        with pytest.raises(OSError, match="^replace failed$"):
+            write_durably(tmp_path / "out.txt", b"data")
 
     def test_hard_link_to_the_old_file_keeps_its_bytes(self, tmp_path):
         path, link = tmp_path / "img.pgm", tmp_path / "link.pgm"

@@ -56,6 +56,18 @@ def test_every_exported_name_is_used_by_the_package_or_scripts():
     assert unused == []
 
 
+def test_cli_imports_no_solver_module():
+    # cli maps train's patch functions onto the lanes; the solvers stay behind them
+    names = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "graphdenoise" / "cli.py").read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert "train" in names
+    assert [name for name in names if {"cg_unroll", "taylor_system"} & set(name.split("."))] == []
+
+
 def test_no_unused_imports():
     # the package's __init__.py imports are its re-exports, and an import
     # whose first line is marked `# noqa: F401` is kept on purpose

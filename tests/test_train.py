@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import graphdenoise.lanes
 from graphdenoise import (
-    CgConfig,
     CompiledFilter,
     DenoiserOperator,
     EdgeOuterSum,
@@ -24,9 +23,10 @@ from graphdenoise import (
     TrainState,
     adam_step,
     add_awgn,
+    analytic_solve,
     bilateral_factor,
     build_filter_matrix,
-    build_system,
+    build_psi,
     calibrate_cg_params,
     calibrated_initial,
     compile_filter,
@@ -42,7 +42,6 @@ from graphdenoise import (
     save_checkpoint,
     synthesize_image,
     train_loop,
-    unrolled_cg,
     window_blocks,
 )
 import graphdenoise.compiled
@@ -155,7 +154,7 @@ class TestForward:
         noisy, _ = noisy_clean_pair(1, 8)
         theta = ParamVector.initial(replace(SMALL, degree_K=5))
         with pytest.raises(InvalidInputError, match="theta has 6 Taylor coefficients, degree_K"):
-            build_system(theta, noisy, 8, SMALL)
+            build_psi(theta, noisy, 8, SMALL)
 
     def test_matches_dense_solve_of_truncated_system(self):
         # analytic CG run to full depth against a dense direct solve
@@ -192,8 +191,7 @@ class TestForward:
         theta = ParamVector.initial(hyper)
         noisy, clean = noisy_clean_pair(2, 32, sigma=15.0)
         x = analytic_forward(theta, noisy, 32, hyper)
-        system = build_system(theta, noisy, 32, hyper)
-        bf = system.psi.apply(noisy)
+        bf = build_psi(theta, noisy, 32, hyper).apply(noisy)
 
         def patch_psnr(ref, out):
             err = ref - np.clip(out, 0, 1)
@@ -255,7 +253,7 @@ class TestReverseGradients:
         # bitwise
         noisy, _ = noisy_clean_pair(8, 8)
         theta = perturbed_params(SMALL, 8, [noisy], 8)
-        psi = build_system(theta, noisy, 8, SMALL).psi
+        psi = build_psi(theta, noisy, 8, SMALL)
         out = compile_filter(theta, GRADIENT_TOLERANCE).apply(psi, noisy)
         value, grad = loss_and_grad(theta, [(noisy, out)], 8, SMALL)
         assert value == 0.0
@@ -604,11 +602,10 @@ class TestTrainLoop:
         assert np.array_equal(state.params.metric_factor, theta0.metric_factor)
         assert np.array_equal(state.params.tse_coeffs, theta0.tse_coeffs)
         # CG scalars must equal a fresh calibration on the first batch
-        systems = []
-        for noisy, _ in pairs[:2]:
-            system = build_system(theta0, noisy, 8, SMALL)
-            systems.append(lambda system=system, noisy=noisy: (system.apply_system, noisy))
-        alpha, beta = calibrate_cg_params(systems, SMALL.depth_T)
+        solves = [
+            lambda noisy=noisy: analytic_solve(theta0, noisy, 8, SMALL)[2] for noisy, _ in pairs[:2]
+        ]
+        alpha, beta = calibrate_cg_params(solves)
         assert np.array_equal(state.params.cg_alpha, alpha)
         assert np.array_equal(state.params.cg_beta, beta)
         direct = calibrated_initial(SMALL, [noisy for noisy, _ in pairs[:2]], 8)
@@ -619,8 +616,7 @@ class TestTrainLoop:
         hyper = PipelineConfig(depth_T=8)
         noisy, _ = noisy_clean_pair(40, 2)
         theta = calibrated_initial(hyper, [noisy], 2)
-        system = build_system(theta, noisy, 2, hyper)
-        _, trace = unrolled_cg(system.apply_system, noisy, CgConfig(depth_T=8))
+        _, _, trace = analytic_solve(theta, noisy, 2, hyper)
         assert np.all(trace.used_alphas[:2] != 0.0)
         assert np.all(trace.used_alphas[2:] == 0.0) and np.all(trace.used_betas[2:] == 0.0)
         assert np.array_equal(theta.cg_alpha, trace.used_alphas)
@@ -680,7 +676,7 @@ class TestCompiledValidation:
         compiled = compile_filter(theta)
 
         def denoise(noisy):
-            return compiled.apply(build_system(theta, noisy, 16, SMALL).psi, noisy)
+            return compiled.apply(build_psi(theta, noisy, 16, SMALL), noisy)
 
         value = evaluate_psnr(theta, pairs, 16, SMALL)
         assert value == self.mean_psnr(denoise, pairs)
