@@ -14,8 +14,7 @@ more patch, and eval's analytic CG solve of that patch at the initial
 parameters. Last, "sha256 underflow/psi_apply": Psi of that patch under a
 metric that underflows its weights across edges to 0, applied to a fixed
 vector. A change that must not move any output prints the same lines
-before and after it; these last lines use only long-standing public
-functions, so the script also runs on older checkouts.
+before and after it (tests/data/output_digests.txt holds them).
 
 Example:
     PYTHONPATH=src python3 scripts/output_digests.py
@@ -25,26 +24,23 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from graphdenoise import (
-    CgConfig,
     ParamVector,
     PipelineConfig,
-    TaylorSystemOperator,
     add_awgn,
-    build_filter_matrix,
+    analytic_solve,
+    build_psi,
     calibrated_initial,
     compile_filter,
-    extract_features,
     loss_and_grad,
-    normalize,
     partition,
     save_image,
     synthesize_image,
-    unrolled_cg,
 )
 from graphdenoise.cli import main as cli_main
 
@@ -110,15 +106,12 @@ def default_network_digests() -> list[str]:
     theta = calibrated_initial(hyper, [y for y, _ in pairs[:3]], 64)
     loss, gradient = loss_and_grad(theta, pairs[:3], 64, hyper)
     patch = pairs[3][0]
-    filt = build_filter_matrix(extract_features(patch, 64), theta.metric(), hyper.window_radius)
-    denoised = compile_filter(theta).apply(normalize(filt), patch)
+    denoised = compile_filter(theta).apply(build_psi(theta, patch, 64, hyper), patch)
     initial = ParamVector.initial(hyper)
-    filt = build_filter_matrix(extract_features(patch, 64), initial.metric(), hyper.window_radius)
-    system = TaylorSystemOperator(psi=normalize(filt), coefficients=initial.tse_coeffs)
-    solved, _ = unrolled_cg(system.apply_system, patch, CgConfig(depth_T=hyper.depth_T))
-    underflow = np.diag([0.0, 0.0, 100.0, 0.0, 0.0])
-    filt = build_filter_matrix(extract_features(patch, 64), underflow, hyper.window_radius)
-    smoothed = normalize(filt).apply(np.random.default_rng(33).standard_normal(patch.size))
+    _, solved, _ = analytic_solve(initial, patch, 64, hyper)
+    underflow = np.diag([0.0, 0.0, 100.0, 0.0, 0.0])[np.tril_indices(5)]
+    psi = build_psi(replace(initial, metric_factor=underflow), patch, 64, hyper)
+    smoothed = psi.apply(np.random.default_rng(33).standard_normal(patch.size))
     return [
         f"{hashlib.sha256(data).hexdigest()} {name}"
         for name, data in (

@@ -5,6 +5,8 @@ features, normalizes it symmetrically, realizes the regularized linear
 system as a truncated Taylor polynomial of the smoother, and solves it with
 a fixed-depth unrolled CG network whose small parameter set (metric factor,
 polynomial coefficients, per-depth step scalars) is trained end to end.
+The network runs, and is trained, as its compiled form: one Chebyshev
+filter of the smoother that matches the unrolled network on its spectrum.
 """
 
 from .cg_unroll import CgConfig, CgTrace, calibrate_cg_params, learned_cg_vjp, unrolled_cg

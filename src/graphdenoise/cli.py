@@ -311,7 +311,12 @@ def cmd_inspect(cfg: RunConfig, config: str | None) -> int:
     for i in range(FEATURE_DIM):
         for j in range(i + 1):
             lines.append(f"metric_factor_{i}{j} = {_fmt(factor[i, j])}")
-    for i, value in enumerate(np.linalg.eigvalsh(factor.T @ factor)):
+    # C^T C overflows for entries past about 1e154, and has then no
+    # spectrum to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = factor.T @ factor
+    finite = np.all(np.isfinite(gram))
+    for i, value in enumerate(np.linalg.eigvalsh(gram) if finite else [np.nan] * FEATURE_DIM):
         lines.append(f"metric_eigenvalue_{i} = {_fmt(value)}")
     for k, value in enumerate(params.tse_coeffs):
         lines.append(f"tse_coeff_{k} = {_fmt(value)}")

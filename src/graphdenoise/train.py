@@ -227,14 +227,17 @@ class EdgeOuterSum:
     The training gradient's terms are the Chebyshev vectors u_j = T_j(L) y
     it applies Psi to (t) and the adjoints of those matvecs' outputs (g),
     so the sums are dL/dPsi on B's pattern. A chunk's g terms go into rows
-    0..count-1 of g_terms; fold(t) adds them with the t terms in rows
-    1..count of t. planes() returns the diagonal
-    (side x side), then per window_blocks block a half plane (i in block_i,
-    j in block_j) and a mirror plane (i in block_j, j in block_i). However
-    the terms are chunked, every sum is bitwise the in-order sum over m:
-    each block is one einsum over strided grid views with m as the outer
-    loop, and row 0 of both operands is reserved, with t = 1 and g holding
-    the block's running sum, so the reduction carries on from that sum.
+    0..count-1 of g_terms; fold(t_terms) adds them with its count t terms.
+    planes() returns the diagonal (side x side), then per window_blocks
+    block a half plane (i in block_i, j in block_j) and a mirror plane
+    (i in block_j, j in block_i). However the terms are chunked, every sum
+    is bitwise the in-order sum over m: each block is one einsum over
+    strided grid views with m as the outer loop, run on a g stack and a t
+    stack of chunk + 1 rows each whose row 0 is reserved, with t = 1 and g
+    holding the block's running sum, so the reduction carries on from that
+    sum. The gradient folds its terms in chunks of degree_K, highest chunk
+    first, each chunk in ascending order: the chunk size thus sets the
+    order of the sums over m, and with it the gradient's bits.
     """
 
     def __init__(self, side: int, radius: int, chunk: int):
@@ -243,22 +246,22 @@ class EdgeOuterSum:
         self._blocks = [(bi, bj) for _, _, bi, bj in window_blocks(side, radius)]
         self._g = np.empty((chunk + 1, n))
         self.g_terms = self._g[1:]
+        self._t = np.ones((chunk + 1, n))  # row 0 stays 1
         grid = self._g[0].reshape(side, side)
         self._diagonal = np.zeros(n)
         self._half = [np.zeros(grid[bi].shape) for bi, _ in self._blocks]
         self._mirror = [np.zeros(grid[bj].shape) for _, bj in self._blocks]
 
-    def fold(self, t: np.ndarray) -> None:
-        """Add the first len(t) - 1 g terms, paired with t[1:]; t is a
-        (count + 1, n) array whose row 0 is scratch (set to 1 here)."""
-        count = len(t) - 1
+    def fold(self, t_terms) -> None:
+        """Add the first len(t_terms) g terms, each paired with its t term."""
+        count = len(t_terms)
         # a loop: on a 1-pixel grid the term axis is contiguous, and einsum
         # sums a contiguous axis with several partial accumulators
-        for g_m, t_m in zip(self.g_terms[:count], t[1:]):
+        for g_m, t_m, row in zip(self.g_terms, t_terms, self._t[1:]):
             self._diagonal += g_m * t_m
-        t[0] = 1.0
+            row[:] = t_m
         g_grid = self._g[: count + 1].reshape(-1, self.side, self.side)
-        t_grid = t.reshape(-1, self.side, self.side)
+        t_grid = self._t[: count + 1].reshape(-1, self.side, self.side)
         running = g_grid[0]
         for b, ((ri, ci), (rj, cj)) in enumerate(self._blocks):
             running[ri, ci] = self._half[b]
@@ -280,7 +283,9 @@ def _grad_single(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One pair's loss |P(Psi) y - clean|^2 through the compiled filter P
     and its adjoints of the metric factor's 15 entries and of P's
-    coefficients."""
+    coefficients. The matvecs' (adjoint, input) pairs are folded into
+    EdgeOuterSum in chunks of degree_K, highest chunk first: that order is
+    part of the gradient's bits."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
     # B's planes are kept through the pass for its adjoint below
@@ -292,42 +297,34 @@ def _grad_single(
     degree = compiled.degree
     K = hyper.degree_K
     # the terms u_k = T_k(L) y of P(Psi) y (CompiledFilter.terms), summed as
-    # CompiledFilter.apply sums them, so x is its output bitwise; u_k is
-    # kept in row 1 + k % K of u_blocks[k // K]: the (K + 1)-row blocks
-    # EdgeOuterSum.fold takes, whose row 0 is its scratch
-    u_blocks = [np.empty((K + 1, noisy.size)) for _ in range(degree // K + 1)]
-
-    def u(k: int) -> np.ndarray:
-        return u_blocks[k // K][1 + k % K]
-
-    x = c[0] * noisy
-    for k, term in enumerate(compiled.terms(psi, noisy)):
-        u(k)[:] = term
-        if k:
-            x += c[k] * term
+    # CompiledFilter.apply sums them, so x is its output bitwise
+    u = list(compiled.terms(psi, noisy))
+    x = c[0] * u[0]
+    for c_k, u_k in zip(c[1:], u[1:]):
+        x += c_k * u_k
     resid = x - clean
     pair_loss = float(resid @ resid)
     if not np.isfinite(pair_loss):
         raise NumericDivergenceError("non-finite training loss")
 
     g = 2.0 * resid
-    c_bar = np.array([g @ u(k) for k in range(degree + 1)])
+    c_bar = np.array([g @ u_k for u_k in u])
     # dL/dPsi_ij sums w_bar_j[i] * u_j[j] over the matvecs w_j = Psi u_j,
     # j = degree - 1 .. 0. Clenshaw run backward gives the adjoint of u_k,
     # b_k = c_k g + 2 L b_{k+1} - b_{k+2}, and w_j enters u_{j+1} as
     # 4 w_j (2 w_0 for j = 0). b_0, the adjoint of the constant y, is never
-    # formed: degree - 1 matvecs
+    # formed: degree - 1 matvecs. u_degree enters no matvec, and each
+    # chunk's terms are freed once folded
+    del u[degree]
     psi_sums = EdgeOuterSum(patch_side, hyper.window_radius, K)
     b, b_next = c[degree] * g, 0.0
     for j in range(degree - 1, -1, -1):
-        block, row = divmod(j, K)
-        np.multiply(b, 4.0 if j else 2.0, out=psi_sums.g_terms[row])
-        if row == 0:
-            psi_sums.fold(u_blocks[block][: min(K, degree - j) + 1])
-            u_blocks[block] = None
+        np.multiply(b, 4.0 if j else 2.0, out=psi_sums.g_terms[j % K])
+        if j % K == 0:
+            psi_sums.fold(u[j:])
+            del u[j:]
         if j:
             b, b_next = c[j] * g + 4.0 * psi.apply(b) - 2.0 * b - b_next, b
-    del u_blocks
     diag_bar, half_bar, mirror_bar = psi_sums.planes()
     del psi_sums
 
@@ -549,7 +546,8 @@ def save_checkpoint(path, params: ParamVector, hyper: PipelineConfig) -> None:
 def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
     """Inverse of save_checkpoint. Any malformed payload raises
     InvalidInputError, among them a structural integer that is not a JSON
-    integer (3.7, true or "3" would load another network). Unknown keys
+    integer (3.7, true or "3" would load another network) and a parameter
+    entry that is not a JSON number or does not fit a float. Unknown keys
     are ignored, and so is the "expansion_s": 1.0 that files written while
     the Taylor expansion point was a setting carry; any other value
     describes another network and is rejected."""
@@ -576,17 +574,19 @@ def load_checkpoint(path) -> tuple[ParamVector, PipelineConfig]:
             if type(value) is not int:
                 raise TypeError(f"{key} must be a JSON integer, got {value!r}")
         hyper = PipelineConfig(**structure)
-        params = ParamVector(
-            metric_factor=np.asarray(payload["metric_factor"], dtype=float),
-            tse_coeffs=np.asarray(payload["tse_coeffs"], dtype=float),
-            cg_alpha=np.asarray(payload["cg_alpha"], dtype=float),
-            cg_beta=np.asarray(payload["cg_beta"], dtype=float),
-        )
+        blocks = {}
+        for key in ("metric_factor", "tse_coeffs", "cg_alpha", "cg_beta"):
+            block = payload[key]
+            # numpy would read "1" and true as 1.0
+            if type(block) is not list or any(type(v) not in (int, float) for v in block):
+                raise TypeError(f"{key} must be a list of JSON numbers")
+            blocks[key] = np.asarray(block, dtype=float)  # OverflowError past 1.8e308
+        params = ParamVector(**blocks)
         if not np.all(np.isfinite(params.metric_factor)):
             raise ValueError("metric_factor entries must be finite")
         _check_sizes(params, hyper)
     except KeyError as exc:
         raise InvalidInputError(f"checkpoint {path} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"checkpoint {path} has an invalid value: {exc}") from exc
     return params, hyper

@@ -232,9 +232,7 @@ def edge_outer_sum(g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: 
     """EdgeOuterSum.planes() after one fold of all the terms at once."""
     sums = EdgeOuterSum(side, radius, len(g_stack))
     sums.g_terms[:] = g_stack
-    t = np.empty((len(t_stack) + 1, side * side))
-    t[1:] = t_stack
-    sums.fold(t)
+    sums.fold(t_stack)
     return sums.planes()
 
 

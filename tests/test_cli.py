@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -564,6 +566,17 @@ class TestEval:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+# what the checkpoint property test puts in place of a field or an entry,
+# besides dropping it
+CHECKPOINT_VALUES = ["1", True, None, {"a": 1}, [1.0], 10**400, 1e300, -1e300]
+DROPPED = object()
+
+
+def json_type(value) -> str:
+    """The JSON type a decoded value was written as."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
 class TestInspect:
     def test_untrained_coefficients_printed_exactly(self, tmp_path, image_dir, test_dir, capsys):
         ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="ins")
@@ -591,6 +604,34 @@ class TestInspect:
         # Psi is positive definite: no per-patch guard or path to report
         assert re.search(r"^compiled_max_abs_q = \S+$", out, re.M)
         assert "patch_0_pd = yes" in out and "_path" not in out and "guard" not in out
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_changed_checkpoint_value_exits_cleanly(self, data):
+        hyper = PipelineConfig(window_radius=2, degree_K=4, depth_T=4)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp, "ckpt.json")
+            save_checkpoint(ckpt, ParamVector.initial(hyper), hyper)
+            payload = json.loads(ckpt.read_text())
+            key = data.draw(st.sampled_from(sorted(payload)), label="key")
+            container, slot = payload, key
+            if isinstance(payload[key], list) and data.draw(st.booleans(), label="entry"):
+                container, slot = payload[key], data.draw(st.integers(0, len(payload[key]) - 1))
+            was = container[slot]
+            new = data.draw(st.sampled_from([*CHECKPOINT_VALUES, DROPPED]), label="new")
+            if new is DROPPED:
+                del container[slot]
+            else:
+                container[slot] = new
+            ckpt.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["inspect", "--checkpoint", str(ckpt)])
+        assert code in (0, 1, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1
+        if new is DROPPED or json_type(new) != json_type(was):
+            assert code == 1
 
 
 # (command, what collides): one row for each way a command could overwrite
@@ -935,6 +976,12 @@ class TestExitCodes:
             lambda payload: json.dumps(
                 {**payload, "cg_alpha": [payload["cg_alpha"][:2], payload["cg_alpha"][2:]]}
             ),
+            # an entry past the float range, and entries numpy would read as 1.0
+            lambda payload: json.dumps(
+                {**payload, "tse_coeffs": [10**400, *payload["tse_coeffs"][1:]]}
+            ),
+            lambda payload: json.dumps({**payload, "cg_alpha": ["1", *payload["cg_alpha"][1:]]}),
+            lambda payload: json.dumps({**payload, "cg_beta": [True, *payload["cg_beta"][1:]]}),
         ],
         ids=[
             "not-an-object",
@@ -955,6 +1002,9 @@ class TestExitCodes:
             "metric-nan",
             "tse-nested",
             "alpha-nested",
+            "tse-huge-int",
+            "alpha-string",
+            "beta-bool",
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "denoise", "eval"])
