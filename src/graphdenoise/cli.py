@@ -114,8 +114,8 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
     on the patch, run on the lanes in one batch (lanes.in_lanes), images in
     order and each image's patches in raster order, so a lane that finishes
     a short job takes the next item of any image. A build's temporary arrays
-    are small beside the Psi it leaves (see graph_filter.normalize), so
-    concurrent jobs keep the peak memory at about one system per lane.
+    are small beside the Psi it leaves (see graph_filter.normalize), so each
+    lane's process holds about one system at a time.
 
     Every job computes exactly what it would serially, so the output is
     bitwise independent of the lane count. When items fail, the error raised
@@ -133,17 +133,23 @@ def _map_patches(images: list[GrayImage], patch_side: int, makers) -> list[list[
     return mapped
 
 
+def _learned(params, compiled, hyper, patch_side, patch) -> list[np.ndarray]:
+    return [compiled.apply(build_psi(params, patch, patch_side, hyper), patch)]
+
+
 def _learned_maker(params: ParamVector, hyper: PipelineConfig, patch_side: int):
     """The learned network's maker: the patch's Psi is built (build_psi),
     then the network's compiled filter of it filters the patch. The network
     is compiled here, so a checkpoint that does not compile fails before any
     patch is read."""
-    compiled = compile_filter(params)
+    return partial(_learned, params, compile_filter(params), hyper, patch_side)
 
-    def learned(patch):
-        return [compiled.apply(build_psi(params, patch, patch_side, hyper), patch)]
 
-    return learned
+def _initial(params, hyper, patch_side, patch) -> list[np.ndarray]:
+    """eval's bilateral and init outputs: the bilateral smoother is the
+    initial system's Psi, so one build serves both."""
+    psi, solved, _ = analytic_solve(params, patch, patch_side, hyper)
+    return [psi.apply(patch), solved]
 
 
 def _csv_lines(rows) -> str:
@@ -266,13 +272,7 @@ def cmd_eval(cfg: RunConfig, config: str | None) -> int:
     reads = [("config", config), ("checkpoint", cfg.checkpoint)]
     _check_paths([*reads, *(("test image", path) for path in paths)], out, [("table", table)])
     out.mkdir(parents=True, exist_ok=True)
-    init_params = ParamVector.initial(hyper)
-
-    def initial(patch):
-        # the bilateral smoother is the initial system's Psi: one build serves both
-        psi, solved, _ = analytic_solve(init_params, patch, side, hyper)
-        return [psi.apply(patch), solved]
-
+    initial = partial(_initial, ParamVector.initial(hyper), hyper, side)
     # scores[s] holds the bilateral, init and trained PSNRs at sigma s, in
     # image order; one batch maps an image at every sigma, so the lanes stay
     # busy while memory holds one image's outputs

@@ -1,62 +1,187 @@
-"""Solve lanes: the calling thread plus one shared thread pool.
+"""Solve lanes: the calling thread plus one worker process per extra core.
 
-LANES is the number of cores this process may run on. POOL holds LANES - 1
-threads, so with the calling thread up to LANES jobs run at once. scipy's
-CSR matvec, most of a solve, releases the GIL, so the lanes overlap. The
-program has this one pool: every pool thread adds a malloc arena, and a
-second pool added its memory to the peak. Every parallel job goes through
-in_lanes, the one scheduler: training's gradient pairs, calibration's
-analytic solves and validation, and the patch jobs of denoise and eval,
-each one call of a maker that builds its patch's Psi and filters or solves
-with it on the lane (cli._map_patches, train.analytic_solve). denoise maps
-its image in one batch; eval maps each test image in one batch covering
-every sigma, so a long job of one sigma overlaps the jobs of the next.
+LANES is the number of cores this process may run on, so up to LANES jobs
+run at once: one in the calling thread, the others each in a worker
+process. A patch job is mostly numpy calls on 4096-element vectors, each
+of which releases and re-takes the GIL, so threads sharing one
+interpreter get little from a second core; processes share nothing.
+Every parallel job goes through in_lanes, the one scheduler: training's
+gradient pairs, calibration's analytic solves and validation, and the
+patch jobs of denoise and eval, each one call of a maker that builds its
+patch's Psi and filters or solves with it on the lane
+(cli._map_patches, train.analytic_solve). denoise maps its image in one
+batch; eval maps each test image in one batch covering every sigma, so a
+long job of one sigma overlaps the jobs of the next.
+
+A worker is forked at the first batch that needs it, so it inherits the
+imported numpy and scipy, and is kept for the life of the process: a
+train op runs several batches, and a fork per batch costs more than its
+batch gains. It is forked by the calling thread while no proxy thread
+exists. Jobs and their results are pickled, so a job is a module-level
+function, bound to its arguments with functools.partial. A worker exits
+when its pipe closes, at shutdown (registered with atexit) or when the
+parent dies; one that dies mid-job fails that job with ChildProcessError
+(exit 2 from the CLI), and the next batch forks a fresh one.
 """
 from __future__ import annotations
 
+import atexit
 import os
+import pickle
+import threading
+import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import Pipe
 
 # (sched_getaffinity is Linux-only; elsewhere every core counts.)
 LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-POOL = ThreadPoolExecutor(LANES - 1, thread_name_prefix="lane") if LANES > 1 else None
+
+# Held by the batch that uses the workers. A batch that cannot take it (a
+# job calling in_lanes, or a second thread) runs serially in its own lane;
+# a worker is forked holding it, so the same holds for its jobs.
+_BATCH = threading.Lock()
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an error a job raised in a worker; set as
+    that error's __cause__."""
+
+
+class Worker:
+    """One forked worker process and the parent's end of its pipe."""
+
+    def __init__(self):
+        self.conn, child = Pipe()
+        self.status = None  # the wait status, once the worker has been reaped
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker: it never returns from here
+            code = 1
+            try:
+                self.conn.close()
+                for worker in WORKERS:
+                    worker.conn.close()
+                _serve(child)
+                code = 0
+            finally:
+                os._exit(code)
+        child.close()
+
+    def run(self, job):
+        """job() run in the worker: its result, or the error it raised."""
+        try:
+            self.conn.send(job)  # pickled whole before anything is sent
+            ok, value, worker_traceback = self.conn.recv()
+        except (EOFError, OSError):
+            raise ChildProcessError(
+                f"lane worker {self.pid} ended mid-job ({self.reap()})"
+            ) from None
+        if ok:
+            return value
+        raise value from WorkerTraceback(worker_traceback)
+
+    def alive(self) -> bool:
+        """Whether the worker still runs; one that has ended is reaped."""
+        if self.status is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.status = status
+                self.conn.close()
+        return self.status is None
+
+    def reap(self) -> str:
+        """Close the pipe and wait for the worker to end; how it ended."""
+        self.conn.close()
+        if self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        code = os.waitstatus_to_exitcode(self.status)
+        return f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+
+
+def _serve(conn) -> None:
+    """Run the jobs that come down conn until it closes, sending back each
+    result or error. An error that does not survive pickling comes back as
+    a RuntimeError naming its type and message."""
+    while True:
+        try:
+            job = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps((True, pickle.loads(job)(), None))
+        except Exception as exc:
+            worker_traceback = "".join(traceback.format_exception(exc))
+            try:
+                reply = pickle.dumps((False, exc, worker_traceback))
+                pickle.loads(reply)
+            except Exception:
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                reply = pickle.dumps((False, error, worker_traceback))
+        conn.send_bytes(reply)
+
+
+WORKERS: list[Worker] = []
+
+
+def workers(count: int) -> list[Worker]:
+    """The first count live workers, forked as needed."""
+    WORKERS[:] = [worker for worker in WORKERS if worker.alive()]
+    while len(WORKERS) < count:
+        WORKERS.append(Worker())
+    return WORKERS[:count]
+
+
+@atexit.register
+def shutdown() -> None:
+    """Close every worker's pipe and reap it; the next batch forks afresh."""
+    while WORKERS:
+        WORKERS.pop().reap()
 
 
 def in_lanes(jobs) -> list:
     """Run no-argument callables on the lanes; their results, in job order.
 
     Each lane takes the next job in order until none is left, so at most
-    LANES jobs are running at a time. A job computes what it would serially,
-    so the results do not depend on LANES. When jobs fail, the error raised
-    is the one a serial loop would raise, that of the first failing job.
-    Lanes start no job after a failure; every earlier job has started by
-    then, since jobs are taken in order.
+    LANES jobs are running at a time; a worker's lane is a thread in this
+    process that sends it the job and waits for the outcome. A job computes
+    what it would serially, so the results do not depend on LANES. When
+    jobs fail, the error raised is the one a serial loop would raise, that
+    of the first failing job. Lanes start no job after a failure; every
+    earlier job has started by then, since jobs are taken in order.
     """
     queue = deque(enumerate(jobs))
     results = [None] * len(queue)
     errors = {}
 
-    def lane():
+    def lane(run):
         while not errors:
             try:
                 index, job = queue.popleft()
             except IndexError:
                 return
             try:
-                results[index] = job()
+                results[index] = run(job)
             except Exception as exc:
                 errors[index] = exc
 
-    futures = [POOL.submit(lane) for _ in range(min(LANES, len(results)) - 1)]
-    try:
-        lane()
-    finally:
-        # a helper that has not started has nothing left to do; cancelling
-        # it also lets a job that itself calls in_lanes finish on a busy pool
-        for future in futures:
-            if not future.cancel():
-                future.result()
+    def call(job):
+        return job()
+
+    extra = min(LANES, len(results)) - 1
+    if extra > 0 and _BATCH.acquire(blocking=False):
+        try:
+            proxies = [threading.Thread(target=lane, args=(w.run,)) for w in workers(extra)]
+            for proxy in proxies:
+                proxy.start()
+            try:
+                lane(call)
+            finally:
+                queue.clear()  # an interrupted caller starts no further job
+                for proxy in proxies:
+                    proxy.join()
+        finally:
+            _BATCH.release()
+    else:
+        lane(call)
     if errors:
         raise errors[min(errors)]
     return results

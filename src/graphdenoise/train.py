@@ -197,12 +197,13 @@ def calibrated_initial(hyper: PipelineConfig, noisy_patches, patch_side: int) ->
     (analytic_solve, calibrate_cg_params), each solved on the lane that
     runs it."""
     theta = ParamVector.initial(hyper)
-
-    def trace(noisy):
-        return analytic_solve(theta, noisy, patch_side, hyper)[2]
-
-    alpha, beta = calibrate_cg_params([partial(trace, noisy) for noisy in noisy_patches])
+    solves = [partial(_analytic_trace, theta, noisy, patch_side, hyper) for noisy in noisy_patches]
+    alpha, beta = calibrate_cg_params(solves)
     return replace(theta, cg_alpha=alpha, cg_beta=beta)
+
+
+def _analytic_trace(theta, noisy, patch_side, hyper) -> CgTrace:
+    return analytic_solve(theta, noisy, patch_side, hyper)[2]
 
 
 # Nothing in the package calls forward; it stays, and stays in this module,

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,9 +194,13 @@ class TestTrace:
             assert np.array_equal(trace.used_alphas, deep.used_alphas[:k])
 
 
+def dense_trace(a, y, depth):
+    return unrolled_cg(lambda v: a @ v, y, CgConfig(depth_T=depth))[1]
+
+
 def analytic_trace(a, y, depth):
     """A calibration solve: the trace of depth analytic steps on a x = y."""
-    return lambda: unrolled_cg(lambda v: a @ v, y, CgConfig(depth_T=depth))[1]
+    return partial(dense_trace, a, y, depth)
 
 
 class TestCalibration:

@@ -3,16 +3,15 @@ import csv
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ from graphdenoise.train import (
     save_checkpoint,
     train_loop,
 )
+from lane_peaks import lanes_peak
 from oracles import analytic_forward
 
 # every command but corrupt reads the patch side; only train reads the
@@ -1281,6 +1281,15 @@ def serial_eval_csv(ckpt, test_dir, sigmas, seed, side):
     return "\n".join(lines) + "\n"
 
 
+def failing_maker(fails, offset, patch):
+    """A maker of offset + 1 outputs that fails on items in fails: item
+    2 * p + offset for a constant patch valued p / 10."""
+    item = 2 * round(10 * patch[0]) + offset
+    if item in fails:
+        raise NumericDivergenceError(f"item {item}")
+    return [patch + 0.1 * k for k in range(offset + 1)]
+
+
 class TestSolveLanes:
     @pytest.mark.skipif(len(CPUS) < 2, reason="needs two available CPUs")
     def test_outputs_do_not_depend_on_the_lane_count(self, tmp_path, image_dir, test_dir):
@@ -1364,6 +1373,89 @@ class TestSolveLanes:
             assert checkpoint == (tmp_path / "reference.json").read_bytes()
             assert (out / "history.csv").read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.skipif(len(CPUS) < 2, reason="needs two available CPUs")
+    def test_no_process_outlives_the_command(self, tmp_path, image_dir, test_dir):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="alone")
+        script = (
+            "import sys, graphdenoise.cli, graphdenoise.lanes as lanes\n"
+            "code = graphdenoise.cli.main(sys.argv[1:])\n"
+            "print(*(worker.pid for worker in lanes.WORKERS))\n"
+            "sys.exit(code)\n"
+        )
+        argv = [
+            "denoise", str(sorted(image_dir.iterdir())[0]),  # four patches
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY,
+        ]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.Popen(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        stdout, _ = done.communicate(timeout=300)
+        assert done.returncode == 0
+        # the workers it forked: one per extra lane its batch of four jobs used
+        assert len(stdout.splitlines()[-1].split()) == min(len(CPUS), 4) - 1
+
+        def session(stat):
+            # the fields after the command name, which is in parentheses
+            return int(stat.rsplit(")", 1)[1].split()[3])
+
+        left = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                if session(stat.read_text()) == done.pid:
+                    left.append(stat.parent.name)
+            except OSError:  # the process ended while the loop ran
+                pass
+        assert left == []
+
+    def test_worker_that_dies_fails_the_command_with_one_line(
+        self, tmp_path, monkeypatch, image_dir, test_dir, capsys
+    ):
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="dies")
+
+        def dying_build(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            time.sleep(0.01)  # the worker's lane takes a job meanwhile
+            return build_psi(*args)
+
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "build_psi", dying_build)
+        graphdenoise.lanes.shutdown()  # training forked a worker without the patch
+        capsys.readouterr()
+        denoise_in_lanes(monkeypatch, 2, [
+            "denoise", str(sorted(image_dir.iterdir())[0]),
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY,
+        ], code=2)
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"i/o error: lane worker \d+ ended mid-job \(exit code 7\)", line)
+        assert not (tmp_path / "o" / "img0_denoised.pgm").exists()
+
+    def test_every_job_the_package_runs_on_the_lanes_pickles(
+        self, tmp_path, monkeypatch, image_dir, test_dir
+    ):
+        # one lane pickles no job, so a job that cannot be sent to a worker
+        # would otherwise fail only where two CPUs are available
+        real, kinds = graphdenoise.lanes.in_lanes, set()
+
+        def pickling(jobs):
+            jobs = [pickle.loads(pickle.dumps(job)) for job in jobs]
+            kinds.update(job.func.__name__ for job in jobs)
+            return real(jobs)
+
+        for module in (graphdenoise.lanes, graphdenoise.train, graphdenoise.cg_unroll):
+            monkeypatch.setattr(module, "in_lanes", pickling)
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)
+        ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=1, name="pickled")
+        out = str(tmp_path / "o")
+        assert main(["denoise", str(sorted(image_dir.iterdir())[0]),
+                     "--checkpoint", str(ckpt), "--out", out, *TINY]) == 0
+        assert main(["eval", "--test_dir", str(test_dir), "--sigma_test", "10",
+                     "--checkpoint", str(ckpt), "--out", out, *TINY]) == 0
+        # calibration, gradient pairs and validation; denoise and eval's makers
+        assert kinds == {"_analytic_trace", "_grad_single", "_patch_psnr", "_learned", "_initial"}
+
     @pytest.mark.parametrize("command", ["denoise", "eval"])
     def test_diverging_network_fails_to_compile_with_one_line_numeric_error(
         self, tmp_path, image_dir, test_dir, command
@@ -1399,42 +1491,36 @@ class TestSolveLanes:
         second = np.repeat(np.arange(4, 6) / 10, 2)[None, :].repeat(2, axis=0)
         images = [GrayImage(first), GrayImage(second)]
 
-        def maker(offset):
-            def solve(patch):
-                item = 2 * round(10 * patch[0]) + offset
-                if item in fails:
-                    raise NumericDivergenceError(f"item {item}")
-                return [patch + 0.1 * k for k in range(offset + 1)]
-
-            return solve
-
+        makers = [partial(failing_maker, fails, 0), partial(failing_maker, fails, 1)]
         monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
-        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-            monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
-            if not fails:
-                mapped = cli._map_patches(images, 2, [maker(0), maker(1)])
-                for outputs, pixels in zip(mapped, (first, second), strict=True):
-                    expected = [pixels, pixels, pixels + 0.1]
-                    assert [i.pixels.tolist() for i in outputs] == [e.tolist() for e in expected]
-                return
-            with pytest.raises(NumericDivergenceError, match=f"^item {min(fails)}$"):
-                cli._map_patches(images, 2, [maker(0), maker(1)])
+        if not fails:
+            mapped = cli._map_patches(images, 2, makers)
+            for outputs, pixels in zip(mapped, (first, second), strict=True):
+                expected = [pixels, pixels, pixels + 0.1]
+                assert [i.pixels.tolist() for i in outputs] == [e.tolist() for e in expected]
+            return
+        with pytest.raises(NumericDivergenceError, match=f"^item {min(fails)}$"):
+            cli._map_patches(images, 2, makers)
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_eval_whose_job_fails_exits_three_without_a_table(
         self, tmp_path, monkeypatch, image_dir, test_dir, capsys, lanes
     ):
         ckpt, _ = train_tiny(tmp_path, image_dir, test_dir, epochs=0, name="fail")
-        solves = []
+        # the sixth analytic solve of the first image's batch: its second
+        # patch at sigma 25, noised as eval noises it
+        clean = load_image(sorted(test_dir.iterdir())[0])
+        failing = partition(add_awgn(clean, 25.0, 1000), 16).patches[1]
 
-        def failing_cg(*args):
-            solves.append(None)
-            if len(solves) == 6:  # an analytic solve of the first image's batch
+        def failing_cg(matvec, y, cfg):
+            # in whichever lane solves it
+            if np.array_equal(y, failing):
                 raise NumericDivergenceError("solve failed")
-            return unrolled_cg(*args)
+            return unrolled_cg(matvec, y, cfg)
 
         # eval's init maker solves in train.analytic_solve
         monkeypatch.setattr(graphdenoise.train, "unrolled_cg", failing_cg)
+        graphdenoise.lanes.shutdown()  # training forked a worker without the patch
         out = tmp_path / "o"
         capsys.readouterr()
         denoise_in_lanes(monkeypatch, lanes, [
@@ -1446,9 +1532,10 @@ class TestSolveLanes:
 
 
 def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv):
-    """The traced peak memory of the command argv at 2 and 3 lanes exceeds
-    the serial peak by at most one patch system per extra lane. theta is
-    saved as the checkpoint and noisy as images/n.pgm under tmp_path."""
+    """The traced peak memory of the command argv at 2 and 3 lanes, summed
+    over the lanes' processes (lanes_peak), exceeds the serial peak by at
+    most one patch system per extra lane. theta is saved as the checkpoint
+    and noisy as images/n.pgm under tmp_path."""
     hyper = PipelineConfig()
     save_checkpoint(tmp_path / "c.json", theta, hyper)
     (tmp_path / "images").mkdir()
@@ -1459,12 +1546,7 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
     argv = [*argv, "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
 
     def peak(lanes):
-        tracemalloc.start()
-        try:
-            denoise_in_lanes(monkeypatch, lanes, argv)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return lanes_peak(monkeypatch, lanes, lambda: denoise_in_lanes(monkeypatch, lanes, argv))
 
     peak(1)  # warm-up: lazy imports and caches
     serial = peak(1)
@@ -1478,9 +1560,7 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
 def denoise_in_lanes(monkeypatch, lanes, argv, code=0):
     """cli.main(argv), which must exit with code, on `lanes` lanes."""
     monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
-    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-        monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
-        assert main(argv) == code
+    assert main(argv) == code
 
 
 class TestCompiledLanes:
@@ -1552,22 +1632,20 @@ class TestCompiledLanes:
         self, tmp_path, monkeypatch, noisy, theta, command
     ):
         # builds take no lock: forced to overlap, they still leave the peak
-        # within assert_lanes_add_at_most_one_system_each's bound
-        building, most = [0], {}
-        count = threading.Lock()
+        # within assert_lanes_add_at_most_one_system_each's bound. Each build
+        # logs its lane count and span to a file every process appends to;
+        # a worker is forked with the lane count of its run
+        log = tmp_path / "builds"
 
         def sleeping_build(*args):
-            lanes = graphdenoise.lanes.LANES
-            with count:
-                building[0] += 1
-                most[lanes] = max(most.get(lanes, 0), building[0])
+            start = time.monotonic()
             # long enough that the builds of every lane overlap
             time.sleep(0.05)
             try:
                 return build_psi(*args)
             finally:
-                with count:
-                    building[0] -= 1
+                with open(log, "a") as f:
+                    f.write(f"{graphdenoise.lanes.LANES} {start} {time.monotonic()}\n")
 
         # the trained maker builds in cli, eval's init maker in train.analytic_solve
         monkeypatch.setattr(cli, "build_psi", sleeping_build)
@@ -1578,6 +1656,15 @@ class TestCompiledLanes:
             # four per sigma and system; one batch maps both sigmas
             argv = ["eval", "--test_dir", str(tmp_path / "images"), "--sigma_test", "10,25"]
         assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv)
+        spans = {}
+        for line in log.read_text().splitlines():
+            lanes, start, end = line.split()
+            spans.setdefault(int(lanes), []).append((float(start), float(end)))
+        # the most builds running at once, per lane count
+        most = {
+            lanes: max(sum(s <= start < e for s, e in group) for start, _ in group)
+            for lanes, group in spans.items()
+        }
         assert most[1] == 1
         assert most[2] == 2 and most[3] >= 2
 

@@ -93,9 +93,11 @@ def test_no_unused_imports():
 
 def test_only_lanes_touches_the_pool():
     # every parallel job of the package and the scripts goes through
-    # lanes.in_lanes, the one scheduler
+    # lanes.in_lanes, the one scheduler: no other module starts a thread
+    # or a process
     sources = [*(ROOT / "src" / "graphdenoise").glob("*.py"), *ROOT.glob("scripts/*.py")]
-    users = [p.name for p in sources if re.search(r"\bPOOL\b", p.read_text(encoding="utf-8"))]
+    pattern = r"\b(fork|Thread|ThreadPoolExecutor|ProcessPoolExecutor|Process|Pool)\b"
+    users = [p.name for p in sources if re.search(pattern, p.read_text(encoding="utf-8"))]
     assert users == ["lanes.py"]
 
 

@@ -1,7 +1,6 @@
 import json
-import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,6 +47,7 @@ import graphdenoise.compiled
 import graphdenoise.train
 from graphdenoise.compiled import GRADIENT_TOLERANCE
 from graphdenoise.train import CHECKPOINT_VERSION
+from lane_peaks import lanes_peak
 from oracles import (
     analytic_forward,
     central_difference,
@@ -329,6 +329,7 @@ class TestReverseGradients:
         degree = compile_filter(theta, GRADIENT_TOLERANCE).degree
         assert degree <= hyper.degree_K * hyper.depth_T
         applies, matvecs, reverses, folded = [], [], [], []
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)  # the counters count in this process
         monkeypatch.setattr(
             TaylorSystemOperator,
             "apply_truncated_inverse_with_cache",
@@ -465,6 +466,11 @@ class TestReverseGradients:
                 assert np.array_equal(got, want)
 
 
+def analytic_trace(theta, noisy, patch_side, hyper):
+    """A calibration solve: the trace of analytic_solve."""
+    return analytic_solve(theta, noisy, patch_side, hyper)[2]
+
+
 def counted(method, calls):
     """method, recording each call in calls."""
 
@@ -473,11 +479,6 @@ def counted(method, calls):
         return method(*args, **kwargs)
 
     return wrapper
-
-
-def set_lanes(monkeypatch, pool, lanes):
-    monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
-    monkeypatch.setattr(graphdenoise.lanes, "POOL", pool)
 
 
 class TestTrainingLanes:
@@ -502,10 +503,9 @@ class TestTrainingLanes:
             "diverge": (noisy, np.full(64, np.inf)),
             "short": (noisy[:60], clean[:60]),
         }
-        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-            set_lanes(monkeypatch, pool, lanes)
-            with pytest.raises(error):
-                loss_and_grad(theta, [pairs[name] for name in order], 8, hyper)
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
+        with pytest.raises(error):
+            loss_and_grad(theta, [pairs[name] for name in order], 8, hyper)
 
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_gradient_does_not_depend_on_the_lane_count(self, monkeypatch, lanes):
@@ -515,11 +515,10 @@ class TestTrainingLanes:
             loss_value, grad = loss_and_grad(theta, pairs, 8, SMALL)
             return loss_value, grad.pack().tobytes(), evaluate_psnr(theta, pairs, 8, SMALL)
 
-        with ThreadPoolExecutor(lanes - 1) as pool:
-            set_lanes(monkeypatch, pool, 1)
-            serial = run()
-            set_lanes(monkeypatch, pool, lanes)
-            assert run() == serial
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)
+        serial = run()
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", lanes)
+        assert run() == serial
 
     def test_two_lanes_fit_in_the_old_serial_peak(self, monkeypatch):
         hyper = PipelineConfig()
@@ -527,14 +526,8 @@ class TestTrainingLanes:
         theta = calibrated_initial(hyper, [noisy for noisy, _ in pairs], 64)
 
         def peak(lanes):
-            with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-                set_lanes(monkeypatch, pool, lanes)
-                tracemalloc.start()
-                try:
-                    loss_and_grad(theta, pairs, 64, hyper)
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+            # summed over the lanes' processes (lanes_peak)
+            return lanes_peak(monkeypatch, lanes, lambda: loss_and_grad(theta, pairs, 64, hyper))
 
         peak(1)  # warm-up: lazy imports and caches
         serial = peak(1)
@@ -600,9 +593,7 @@ class TestTrainLoop:
         assert np.array_equal(state.params.metric_factor, theta0.metric_factor)
         assert np.array_equal(state.params.tse_coeffs, theta0.tse_coeffs)
         # CG scalars must equal a fresh calibration on the first batch
-        solves = [
-            lambda noisy=noisy: analytic_solve(theta0, noisy, 8, SMALL)[2] for noisy, _ in pairs[:2]
-        ]
+        solves = [partial(analytic_trace, theta0, noisy, 8, SMALL) for noisy, _ in pairs[:2]]
         alpha, beta = calibrate_cg_params(solves)
         assert np.array_equal(state.params.cg_alpha, alpha)
         assert np.array_equal(state.params.cg_beta, beta)
@@ -683,6 +674,7 @@ class TestCompiledValidation:
 
     def test_makes_no_system_apply(self, monkeypatch, pairs, theta):
         applies, matvecs = [], []
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)  # the counters count in this process
         monkeypatch.setattr(
             TaylorSystemOperator,
             "apply_truncated_inverse_with_cache",
