@@ -16,16 +16,30 @@ long job of one sigma overlaps the jobs of the next.
 A worker is forked at the first batch that needs it, so it inherits the
 imported numpy and scipy, and is kept for the life of the process: a
 train op runs several batches, and a fork per batch costs more than its
-batch gains. It is forked by the calling thread while no proxy thread
-exists. Jobs and their results are pickled, so a job is a module-level
-function, bound to its arguments with functools.partial. A worker exits
-when its pipe closes, at shutdown (registered with atexit) or when the
-parent dies; one that dies mid-job fails that job with ChildProcessError
-(exit 2 from the CLI), and the next batch forks a fresh one.
+batch gains. Jobs and their results are pickled, so a job is a
+module-level function, bound to its arguments with functools.partial. A
+worker exits when its pipe closes, at shutdown (registered with atexit)
+or when the parent dies; one that dies mid-job fails that job with
+ChildProcessError (exit 2 from the CLI), and the next batch forks a fresh
+one.
+
+A worker is forked only while the calling thread is the process's one
+Python thread, before any proxy thread starts, so no other thread can
+hold a lock the worker inherits; numpy's OpenBLAS stops its own threads
+for the fork. A batch run beside other threads uses the workers already
+forked, or none. The fork is also arranged to copy little memory: the
+batch's first job runs before it, so what a job builds once per process
+(a grid's CSR layout, graph_filter._csr_layout) is built once and shared,
+and every object then alive is frozen out of the parent's cyclic
+collector (gc.freeze) until shutdown, since a full collection writes to
+every object it visits and so would copy each of their pages into the
+worker. A reference cycle among those objects is not reclaimed while
+they are frozen.
 """
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import pickle
 import threading
@@ -53,6 +67,7 @@ class Worker:
     def __init__(self):
         self.conn, child = Pipe()
         self.status = None  # the wait status, once the worker has been reaped
+        gc.freeze()
         self.pid = os.fork()
         if self.pid == 0:  # the worker: it never returns from here
             code = 1
@@ -123,9 +138,10 @@ WORKERS: list[Worker] = []
 
 
 def workers(count: int) -> list[Worker]:
-    """The first count live workers, forked as needed."""
+    """Up to count live workers: the first count, forked as needed while
+    the calling thread is the only Python thread."""
     WORKERS[:] = [worker for worker in WORKERS if worker.alive()]
-    while len(WORKERS) < count:
+    while len(WORKERS) < count and threading.active_count() == 1:
         WORKERS.append(Worker())
     return WORKERS[:count]
 
@@ -135,6 +151,7 @@ def shutdown() -> None:
     """Close every worker's pipe and reap it; the next batch forks afresh."""
     while WORKERS:
         WORKERS.pop().reap()
+    gc.unfreeze()
 
 
 def in_lanes(jobs) -> list:
@@ -152,16 +169,23 @@ def in_lanes(jobs) -> list:
     results = [None] * len(queue)
     errors = {}
 
+    def step(run) -> bool:
+        """Run the next job; False once none is left or one has failed."""
+        if errors:
+            return False
+        try:
+            index, job = queue.popleft()
+        except IndexError:  # another lane took the last one
+            return False
+        try:
+            results[index] = run(job)
+        except Exception as exc:
+            errors[index] = exc
+        return True
+
     def lane(run):
-        while not errors:
-            try:
-                index, job = queue.popleft()
-            except IndexError:
-                return
-            try:
-                results[index] = run(job)
-            except Exception as exc:
-                errors[index] = exc
+        while step(run):
+            pass
 
     def call(job):
         return job()
@@ -169,7 +193,10 @@ def in_lanes(jobs) -> list:
     extra = min(LANES, len(results)) - 1
     if extra > 0 and _BATCH.acquire(blocking=False):
         try:
-            proxies = [threading.Thread(target=lane, args=(w.run,)) for w in workers(extra)]
+            if len(WORKERS) < extra:
+                step(call)  # before the fork: see the module docstring
+            live = workers(extra) if queue and not errors else []
+            proxies = [threading.Thread(target=lane, args=(w.run,)) for w in live]
             for proxy in proxies:
                 proxy.start()
             try:

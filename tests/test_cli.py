@@ -1387,8 +1387,10 @@ class TestSolveLanes:
             "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"), *TINY,
         ]
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        # Python 3.12+ warns at a fork beside other threads
+        warns = ["-W", "error::DeprecationWarning:graphdenoise.lanes"]
         done = subprocess.Popen(
-            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, *warns, "-c", script, *argv], env={**os.environ, "PYTHONPATH": path},
             stdout=subprocess.PIPE, text=True, start_new_session=True,
         )
         stdout, _ = done.communicate(timeout=300)

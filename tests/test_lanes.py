@@ -1,3 +1,4 @@
+import gc
 import os
 import pickle
 import sys
@@ -5,6 +6,7 @@ import threading
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 import graphdenoise.lanes
@@ -51,6 +53,15 @@ def same(k):
     return k
 
 
+CACHE = {}
+
+
+def cached_pid(key):
+    """The pid of the process that first made CACHE's entry for key."""
+    time.sleep(0.005)
+    return CACHE.setdefault(key, os.getpid())
+
+
 def pid_after(seconds):
     time.sleep(seconds)
     return os.getpid()
@@ -89,6 +100,8 @@ def six_lanes(monkeypatch):
     # the lanes between any two bytecodes of in_lanes
     interval = sys.getswitchinterval()
     monkeypatch.setattr(graphdenoise.lanes, "LANES", 6)
+    # forked here, in the test's only thread; run_bounded's cannot fork
+    assert len(workers(5)) == 5
     sys.setswitchinterval(1e-6)
     try:
         yield
@@ -119,6 +132,7 @@ def test_each_extra_lane_is_a_worker_process(six_lanes):
 def test_a_job_may_call_in_lanes_itself(monkeypatch):
     # the inner call runs serially in its caller's lane, in either process
     monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
+    workers(1)
     inner = [partial(same, k) for k in range(4)]
     outer = [partial(in_lanes, inner) for _ in range(3)]
     assert run_bounded(lambda: in_lanes(outer), timeout=20.0) == [[0, 1, 2, 3]] * 3
@@ -126,12 +140,13 @@ def test_a_job_may_call_in_lanes_itself(monkeypatch):
 
 def test_a_worker_that_dies_mid_job_fails_it_and_the_next_batch_forks_afresh(monkeypatch):
     monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
+    workers(1)
     with pytest.raises(ChildProcessError, match=r"^lane worker (\d+) ended mid-job \(exit code 7\)$"):
         run_bounded(lambda: in_lanes([partial(exit_in_worker, 7)] * 20))
     [dead] = graphdenoise.lanes.WORKERS
     with pytest.raises(ChildProcessError):
         os.waitpid(dead.pid, os.WNOHANG)  # reaped, not a zombie
-    pids = set(run_bounded(lambda: in_lanes([partial(pid_after, 0.05)] * 6)))
+    pids = set(in_lanes([partial(pid_after, 0.05)] * 6))  # forks: the only thread
     [fresh] = graphdenoise.lanes.WORKERS
     assert pids == {PARENT, fresh.pid} and fresh.pid != dead.pid
 
@@ -155,8 +170,46 @@ def test_an_error_that_does_not_pickle_comes_back_by_type_and_message(monkeypatc
 def test_shutdown_reaps_every_worker(monkeypatch):
     monkeypatch.setattr(graphdenoise.lanes, "LANES", 3)
     pids = [worker.pid for worker in workers(2)]
+    assert gc.get_freeze_count() > 0  # the parent's objects, while workers share them
     graphdenoise.lanes.shutdown()
     assert graphdenoise.lanes.WORKERS == []
+    assert gc.get_freeze_count() == 0
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_batch_beside_another_thread_forks_no_worker(monkeypatch):
+    # a fork could copy a lock the other thread holds; the batch runs serially
+    monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
+    assert set(run_bounded(lambda: in_lanes([partial(pid_after, 0.01)] * 6))) == {PARENT}
+    assert graphdenoise.lanes.WORKERS == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_the_fork_leaves_the_parent_one_os_thread(monkeypatch):
+    # Python 3.12+ warns when the parent has other threads right after a
+    # fork; numpy's OpenBLAS stops its pool for the fork
+    np.ones((300, 300)) @ np.ones((300, 300))  # wakes the BLAS threads, if any
+    threads, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            threads.append(len(os.listdir("/proc/self/task")))
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
+    assert len(set(in_lanes([partial(pid_after, 0.05)] * 6))) == 2
+    assert threads == [1]
+
+
+def test_the_batch_first_job_runs_before_the_fork(monkeypatch):
+    # what a job builds once per process is built in the parent and shared
+    monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
+    monkeypatch.setattr(sys.modules[__name__], "CACHE", {})
+    jobs = [partial(cached_pid, "layout")] + [partial(pid_after, 0.02)] * 4 + [partial(cached_pid, "layout")] * 8
+    results = in_lanes(jobs)
+    assert len(set(results[1:5])) == 2  # both lanes ran jobs
+    assert set(results[5:]) == {PARENT}
