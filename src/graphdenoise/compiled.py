@@ -107,10 +107,18 @@ class CompiledFilter:
         training gradient keeps them for its reverse pass."""
         yield y
         if self.degree:
-            previous, term = y, 2.0 * psi.apply(y) - y
+            previous, term = y, psi.apply(y)
+            term *= 2.0
+            term -= y
             yield term
             for _ in range(self.degree - 1):
-                previous, term = term, 2.0 * (2.0 * psi.apply(term) - term) - previous
+                # 2 (2 Psi u_k - u_k) - u_{k-1}, in place on the matvec's output
+                w = psi.apply(term)
+                w *= 2.0
+                w -= term
+                w *= 2.0
+                w -= previous
+                previous, term = term, w
                 yield term
 
     def apply(self, psi: DenoiserOperator, y: np.ndarray) -> np.ndarray:

@@ -26,12 +26,14 @@ symmetric, at the cost of rows no longer summing exactly to one.
 Every edge joins a pixel to one of the window's grid offsets, so B is
 stored as one weight plane per half-window offset (window_blocks), each
 unordered pair once, with the unit diagonal implied; its row sums are
-computed once, with the planes. normalize writes Psi's values straight
-into the data array of a CSR matrix, the format of its matvec. The CSR
-pattern of a grid (side, radius), its row pointers, column indices and the
-data positions of every plane's entries, is computed once and cached;
-every operator on that grid shares its read-only index arrays, and a
-weight whose exp underflows is stored as an explicit 0.
+computed once, with the planes. Psi is stored by its diagonals, the
+format of its matvec: one per flat offset dr * side + dc of the window, in
+ascending order. normalize writes each plane's values straight into 2-D
+views of its offset's two diagonals, and every other entry is 0, a weight
+whose exp underflows among them. scipy's compiled DIA kernel adds the
+diagonals in that order, which is the column order of a sorted CSR row, so
+the matvec is bitwise the CSR one. The kernel is loaded without importing
+scipy.sparse (_load_dia_matvec).
 
 The metric is parameterized through its factor C so that M = C^T C is
 positive semi-definite for any real C, which keeps later optimization of
@@ -39,12 +41,15 @@ the metric unconstrained.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
-import threading
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateMatrixError, InvalidInputError
 
@@ -127,30 +132,92 @@ class SparseFilterMatrix:
         return dense
 
 
+def _load_dia_matvec():
+    """scipy's compiled DIA matvec kernel, dia_matvec(n_row, n_col, n_diags,
+    L, offsets, data, x, y), which adds A x into y.
+
+    It is private scipy API, in the extension scipy.sparse._sparsetools.
+    That is loaded from its file alone when no import has loaded it yet, so
+    that scipy.sparse/__init__ (about 20 MB and 0.1 s of imports) never
+    runs; if that fails, it is imported through scipy.sparse.
+    """
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        try:
+            scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            sparse_dir = os.path.join(scipy_dir, "sparse")
+            spec = importlib.machinery.PathFinder.find_spec(name, [sparse_dir])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except Exception:
+            from scipy.sparse import _sparsetools as module
+    return module.dia_matvec
+
+
+_dia_matvec = _load_dia_matvec()
+
+
 @dataclass(eq=False)
 class DenoiserOperator:
     """Sparse symmetric normalized smoother Psi with matrix-free apply.
 
-    Psi is held as a scipy CSR matrix with sorted column indices. Its
-    index arrays are its grid's cached, read-only pattern (_CsrLayout),
-    with every window pair stored: a weight whose exp underflows is an
-    explicit 0.
+    Psi is held by diagonals, as in scipy's DIA format: data[k, j] =
+    Psi_{j - offsets[k], j}, with offsets strictly ascending and data zero
+    wherever that row is outside the matrix or the pair outside the
+    window; a weight whose exp underflows is a 0 like those. apply runs
+    scipy's compiled DIA kernel (_load_dia_matvec), which adds the
+    diagonals into a zeroed output one after another, so each output
+    entry sums its row in ascending column order: the order of a CSR row
+    with sorted indices, whose matvec this one therefore equals bitwise
+    for finite inputs.
     """
 
-    _matrix: sparse.csr_array = field(repr=False)
+    data: np.ndarray = field(repr=False)  # (len(offsets), n)
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        # the kernel trusts both arrays, and the order of offsets is the
+        # order of every output's sum
+        if (
+            self.data.ndim != 2
+            or self.offsets.shape != (self.data.shape[0],)
+            or np.any(np.diff(self.offsets) <= 0)
+        ):
+            raise InvalidInputError(
+                "Psi needs one row of data per offset, offsets strictly ascending"
+            )
 
     @property
     def n(self) -> int:
-        return self._matrix.shape[0]
+        return self.data.shape[1]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        n = self.n
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise InvalidInputError(f"expected a vector of length {self.n}, got shape {v.shape}")
-        return self._matrix @ v
+        if v.shape != (n,):
+            raise InvalidInputError(f"expected a vector of length {n}, got shape {v.shape}")
+        out = np.zeros(n)
+        _dia_matvec(n, n, self.offsets.size, n, self.offsets, self.data, v, out)
+        return out
 
     def to_dense(self) -> np.ndarray:
-        return self._matrix.toarray()
+        n = self.n
+        dense = np.zeros((n, n))
+        for offset, values in zip(self.offsets.tolist(), self.data):
+            cols = np.arange(max(offset, 0), n + min(offset, 0))
+            dense[cols - offset, cols] = values[cols]
+        return dense
+
+    @functools.cached_property
+    def _matrix(self):
+        """Psi as a scipy CSR array, made on first use and kept. Only the
+        benchmark's tracer reads it (for the bytes a matvec touches); it
+        goes when the program counts those bytes itself (ROADMAP item 1a)."""
+        from scipy import sparse
+
+        n = self.n
+        return sparse.dia_array((self.data, self.offsets), shape=(n, n)).tocsr()
 
 
 def central_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,95 +318,28 @@ def build_filter_matrix(
     return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
 
 
-@dataclass(frozen=True, eq=False)
-class _CsrLayout:
-    """The CSR pattern of Psi on a side x side grid with every window pair
-    stored, and where normalize writes each value.
-
-    indptr and indices are read-only and shared by every operator on the
-    grid. A pixel's row lists its window's offsets sorted by column, i.e.
-    by (dr, dc). diagonal holds the (side, side) data positions of the
-    diagonal entries; halves[k] and mirrors[k] hold those of the k-th
-    window_blocks block's entries (i, j) and (j, i), i in block_i and j in
-    block_j, in the block's shape.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    diagonal: np.ndarray
-    halves: list[np.ndarray]
-    mirrors: list[np.ndarray]
-
-    @classmethod
-    def build(cls, side: int, reach: int) -> "_CsrLayout":
-        # the offsets of pixel (r, c) run over rows lo[r] .. lo[r] + count[r] - 1
-        # and columns lo[c] .. lo[c] + count[c] - 1, so its row has
-        # count[r] * count[c] entries, (dr, dc) at (dr - lo[r]) * count[c] + dc - lo[c]
-        k = np.arange(side)
-        lo = np.maximum(-reach, -k)
-        count = np.minimum(reach, side - 1 - k) - lo + 1
-        nnz = int(count.sum()) ** 2
-        index_dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(side * side + 1, index_dtype)
-        np.cumsum(np.multiply.outer(count, count), out=indptr[1:])
-        start = indptr[:-1].reshape(side, side)
-
-        def slots(block, dr, dc):
-            rows, cols = block
-            at = start[rows, cols] + (dr - lo[rows])[:, None] * count[cols] + (dc - lo[cols])
-            return at.astype(index_dtype)
-
-        pixel = np.arange(side * side, dtype=index_dtype).reshape(side, side)
-        indices = np.empty(nnz, index_dtype)
-        diagonal = slots((slice(None), slice(None)), 0, 0)
-        indices[diagonal] = pixel
-        halves, mirrors = [], []
-        for dr, dc, block_i, block_j in window_blocks(side, reach):
-            halves.append(slots(block_i, dr, dc))
-            mirrors.append(slots(block_j, -dr, -dc))
-            indices[halves[-1]] = pixel[block_j]
-            indices[mirrors[-1]] = pixel[block_i]
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        return cls(indptr, indices, diagonal, halves, mirrors)
-
-
-_LAYOUTS: dict[tuple[int, int], _CsrLayout] = {}
-_LAYOUTS_LOCK = threading.Lock()
-
-
-def _csr_layout(side: int, radius: int) -> _CsrLayout:
-    """The cached _CsrLayout of the grid; every call with the same side and
-    window reach min(radius, side - 1) returns the same object."""
-    key = (side, min(radius, side - 1))
-    with _LAYOUTS_LOCK:
-        if key not in _LAYOUTS:
-            _LAYOUTS[key] = _CsrLayout.build(*key)
-        return _LAYOUTS[key]
-
-
 def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
     if np.any(filt.row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(filt.row_sums)
-    layout = _csr_layout(filt.side, filt.window_radius)
-    data = np.empty(layout.indices.size)
-    # the cached positions have the index dtype, half the size of intp; an
-    # intp copy of a block's scatters faster than numpy's cast of the narrower
-    data[layout.diagonal.astype(np.intp)] = inv_sqrt * inv_sqrt
-    for (_, _, block_i, block_j), plane, half_slots, mirror_slots in zip(
-        filt.blocks(), filt.planes, layout.halves, layout.mirrors
-    ):
+    side = filt.side
+    flat = [dr * side + dc for dr, dc, _, _ in filt.blocks()]
+    # Psi's diagonals j - i, ascending; on a grid with side <= 2r two window
+    # offsets can share one, but no pixel is inside the grid for both
+    offsets = np.array(sorted({0, *flat, *(-f for f in flat)}), dtype=np.int32)
+    # data[k, j] = Psi_{j - offsets[k], j}; diagonal[offset] is its row as a
+    # (side, side) view, zero wherever pixel j - offset is not in j's window
+    data = np.zeros((offsets.size, side * side))
+    diagonal = dict(zip(offsets.tolist(), data.reshape(offsets.size, side, side)))
+    np.multiply(inv_sqrt, inv_sqrt, out=diagonal[0])
+    for f, (_, _, block_i, block_j), plane in zip(flat, filt.blocks(), filt.planes):
         # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves
-        # Psi_ij and Psi_ji, and Psi is exactly symmetric.
+        # Psi_ij, at column j, and Psi_ji, at column i: Psi is exactly symmetric
         half = plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
-        data[half_slots.astype(np.intp)] = half
-        data[mirror_slots.astype(np.intp)] = half
-    n = filt.n
-    return DenoiserOperator(
-        _matrix=sparse.csr_array((data, layout.indices, layout.indptr), shape=(n, n))
-    )
+        diagonal[f][block_j] = half
+        diagonal[-f][block_i] = half
+    return DenoiserOperator(data=data, offsets=offsets)
 
 
 # A Lanczos step breaks down when its new direction is at most this times

@@ -27,14 +27,14 @@ A worker is forked only while the calling thread is the process's one
 Python thread, before any proxy thread starts, so no other thread can
 hold a lock the worker inherits; numpy's OpenBLAS stops its own threads
 for the fork. A batch run beside other threads uses the workers already
-forked, or none. The fork is also arranged to copy little memory: the
-batch's first job runs before it, so what a job builds once per process
-(a grid's CSR layout, graph_filter._csr_layout) is built once and shared,
-and every object then alive is frozen out of the parent's cyclic
-collector (gc.freeze) until shutdown, since a full collection writes to
-every object it visits and so would copy each of their pages into the
-worker. A reference cycle among those objects is not reclaimed while
-they are frozen.
+forked, or none. The fork is also arranged to copy little memory: every
+object alive at the fork is frozen out of the parent's cyclic collector
+(gc.freeze) until shutdown, since a full collection writes to every
+object it visits and so would copy each of their pages into the worker.
+A reference cycle among those objects is not reclaimed while they are
+frozen. A job builds nothing that it keeps for later jobs (a patch's Psi
+is its own), so the worker shares nothing more if a job runs before the
+fork.
 """
 from __future__ import annotations
 
@@ -122,7 +122,8 @@ def _serve(conn) -> None:
         except EOFError:
             return
         try:
-            reply = pickle.dumps((True, pickle.loads(job)(), None))
+            job = pickle.loads(job)  # its bytes are freed before it runs
+            reply = pickle.dumps((True, job(), None))
         except Exception as exc:
             worker_traceback = "".join(traceback.format_exception(exc))
             try:
@@ -132,6 +133,7 @@ def _serve(conn) -> None:
                 error = RuntimeError(f"{type(exc).__name__}: {exc}")
                 reply = pickle.dumps((False, error, worker_traceback))
         conn.send_bytes(reply)
+        del job, reply  # not held while the next job runs
 
 
 WORKERS: list[Worker] = []
@@ -169,23 +171,17 @@ def in_lanes(jobs) -> list:
     results = [None] * len(queue)
     errors = {}
 
-    def step(run) -> bool:
-        """Run the next job; False once none is left or one has failed."""
-        if errors:
-            return False
-        try:
-            index, job = queue.popleft()
-        except IndexError:  # another lane took the last one
-            return False
-        try:
-            results[index] = run(job)
-        except Exception as exc:
-            errors[index] = exc
-        return True
-
     def lane(run):
-        while step(run):
-            pass
+        """Run the next job until none is left or one has failed."""
+        while not errors:
+            try:
+                index, job = queue.popleft()
+            except IndexError:  # another lane took the last one
+                return
+            try:
+                results[index] = run(job)
+            except Exception as exc:
+                errors[index] = exc
 
     def call(job):
         return job()
@@ -193,10 +189,7 @@ def in_lanes(jobs) -> list:
     extra = min(LANES, len(results)) - 1
     if extra > 0 and _BATCH.acquire(blocking=False):
         try:
-            if len(WORKERS) < extra:
-                step(call)  # before the fork: see the module docstring
-            live = workers(extra) if queue and not errors else []
-            proxies = [threading.Thread(target=lane, args=(w.run,)) for w in live]
+            proxies = [threading.Thread(target=lane, args=(w.run,)) for w in workers(extra)]
             for proxy in proxies:
                 proxy.start()
             try:

@@ -174,8 +174,11 @@ def build_psi(
     patch's features (extract_features). theta must have hyper's
     degree_K + 1 coefficients and depth_T CG steps."""
     _check_sizes(theta, hyper)
+    # the features are freed before normalize, where a lane's memory peaks
     features = extract_features(noisy, patch_side)
-    return normalize(build_filter_matrix(features, theta.metric(), hyper.window_radius))
+    filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
+    del features
+    return normalize(filt)
 
 
 def analytic_solve(

@@ -12,7 +12,6 @@ the patch system solved by classic CG, and the gradient of the unrolled
 network by dense matrices.
 """
 import numpy as np
-from scipy import sparse
 
 from graphdenoise import (
     FEATURE_DIM,
@@ -156,7 +155,14 @@ def operator_from_dense(dense: np.ndarray) -> DenoiserOperator:
         raise InvalidInputError("operator matrix must be square")
     if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
         raise InvalidInputError("operator matrix must be symmetric")
-    return DenoiserOperator(_matrix=sparse.csr_array(dense))
+    n = dense.shape[0]
+    # DIA storage: data[k, j] = dense[j - offsets[k], j], one row per
+    # nonzero diagonal, ascending
+    offsets = np.array([k for k in range(1 - n, n) if np.any(np.diagonal(dense, k))], np.int32)
+    data = np.zeros((offsets.size, n))
+    for row, k in zip(data, offsets.tolist()):
+        row[max(k, 0) : n + min(k, 0)] = np.diagonal(dense, k)
+    return DenoiserOperator(data=data, offsets=offsets)
 
 
 def operator_with_spectrum(

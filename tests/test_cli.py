@@ -24,10 +24,13 @@ from graphdenoise import (
     DenoiserOperator,
     GrayImage,
     add_awgn,
+    build_filter_matrix,
     build_psi,
     calibrated_initial,
     compile_filter,
+    extract_features,
     load_image,
+    normalize,
     partition,
     psnr,
     reassemble,
@@ -1536,15 +1539,18 @@ class TestSolveLanes:
 def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv):
     """The traced peak memory of the command argv at 2 and 3 lanes, summed
     over the lanes' processes (lanes_peak), exceeds the serial peak by at
-    most one patch system per extra lane. theta is saved as the checkpoint
-    and noisy as images/n.pgm under tmp_path."""
+    most one patch system per extra lane: the Psi it stores, and the weight
+    planes of B that its build holds beside it. theta is saved as the
+    checkpoint and noisy as images/n.pgm under tmp_path."""
     hyper = PipelineConfig()
     save_checkpoint(tmp_path / "c.json", theta, hyper)
     (tmp_path / "images").mkdir()
     save_image(noisy, tmp_path / "images" / "n.pgm")
-    csr = build_psi(theta, noisy.pixels[:64, :64].ravel(), 64, hyper)._matrix
-    psi_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-    del csr
+    features = extract_features(noisy.pixels[:64, :64].ravel(), 64)
+    filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
+    psi = normalize(filt)
+    system_bytes = psi.data.nbytes + psi.offsets.nbytes + sum(p.nbytes for p in filt.planes)
+    del features, filt, psi
     argv = [*argv, "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
 
     def peak(lanes):
@@ -1552,11 +1558,12 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
 
     peak(1)  # warm-up: lazy imports and caches
     serial = peak(1)
-    # margin per extra lane: its solve's vectors (K + 1 cached Taylor terms
-    # and the CG state, about 0.5 MB at 64x64), doubled
-    margin = 2**20
+    # margin per extra lane: the larger of its build's other temporaries
+    # and its solve's vectors (K + 1 cached Taylor terms and the CG state),
+    # each about 0.5 MB at 64x64
+    margin = 2**19
     for lanes in (2, 3):
-        assert peak(lanes) <= serial + (lanes - 1) * (psi_bytes + margin)
+        assert peak(lanes) <= serial + (lanes - 1) * (system_bytes + margin)
 
 
 def denoise_in_lanes(monkeypatch, lanes, argv, code=0):

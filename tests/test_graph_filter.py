@@ -1,8 +1,8 @@
+import importlib.util
 import math
-import threading
+import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from scipy import sparse
 
 from graphdenoise import (
     FEATURE_DIM,
+    DenoiserOperator,
     InvalidInputError,
     SparseFilterMatrix,
     bilateral_factor,
@@ -201,12 +202,12 @@ class TestBuildFilterMatrix:
         ],
         ids=["bilateral", "underflow", "random"],
     )
-    def test_psi_csr_layout_equals_scipy_from_pixel_loop(self, side, radius, metric):
-        # scipy sorts each row by column; side <= 2r puts two offsets at one
-        # flat offset, on disjoint pixels. The underflow metric makes most
-        # weights exactly 0, which Psi stores as explicit zeros, and whose
-        # matvec is bitwise the pruned one. The loop's weights are the
-        # tapered ones, checked against the tapered dense oracle.
+    def test_psi_diagonals_equal_the_pixel_loop(self, side, radius, metric):
+        # side <= 2r puts two window offsets at one flat offset, on disjoint
+        # pixels. The underflow metric makes most weights exactly 0, which
+        # the diagonals hold as zeros, and whose matvec is bitwise the
+        # pruned one. The loop's weights are the tapered ones, checked
+        # against the tapered dense oracle.
         features = extract_features(random_patch(5 * side + radius, side), side)
         filt = build_filter_matrix(features, metric, radius)
         dense = filt.to_dense()
@@ -214,33 +215,52 @@ class TestBuildFilterMatrix:
         op = normalize(filt)
         inv_sqrt = 1.0 / np.sqrt(filt.row_sums.ravel())
         n = side * side
+        diagonals = {}  # offset j - i -> the (n,) row of data, by column j
         rows, cols, values = [], [], []
         for i in range(n):
             for j in range(n):
                 (ri, ci), (rj, cj) = divmod(i, side), divmod(j, side)
                 if max(abs(ri - rj), abs(ci - cj)) <= radius:
                     value = dense[i, j] * (inv_sqrt[i] * inv_sqrt[j])
+                    diagonals.setdefault(j - i, np.zeros(n))[j] = value
                     rows.append(i)
                     cols.append(j)
                     values.append(value)
-        with_zeros = sparse.csr_array((values, (rows, cols)), shape=(n, n))
-        pruned = with_zeros.copy()
+        pruned = sparse.csr_array((values, (rows, cols)), shape=(n, n))
         pruned.eliminate_zeros()
         rng = np.random.default_rng(side + radius)
         for v in rng.standard_normal((3, n)):
             assert op.apply(v).tobytes() == (pruned @ v).tobytes()
-        # scipy picks int64 indices here; Psi stores them as int32
-        expected = sparse.csr_array(
-            (
-                with_zeros.data,
-                with_zeros.indices.astype(np.int32),
-                with_zeros.indptr.astype(np.int32),
-            ),
-            shape=(n, n),
-        )
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(op._matrix, name), getattr(expected, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert op.offsets.dtype == np.int32 and op.offsets.tolist() == sorted(diagonals)
+        assert op.data.dtype == np.float64
+        assert np.array_equal(op.data, np.array([diagonals[k] for k in sorted(diagonals)]))
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "metric",
+        [bilateral_factor(), np.diag([0.0, 0.0, 100.0, 0.0, 0.0])],
+        ids=["bilateral", "underflow"],
+    )
+    def test_apply_is_bitwise_scipy_dia_and_csr(self, side, radius, metric):
+        # the compiled kernel, called directly, against scipy's own DIA and
+        # CSR matvecs of the same Psi; side <= 2r shares diagonals between
+        # window offsets, and the underflow metric's weights are 0
+        features = extract_features(random_patch(7 * side + radius, side), side)
+        op = normalize(build_filter_matrix(features, metric, radius))
+        n = side * side
+        dia = sparse.dia_array((op.data, op.offsets), shape=(n, n))
+        for v in np.random.default_rng(side * radius).standard_normal((3, n)):
+            out = op.apply(v)
+            assert out.tobytes() == (dia @ v).tobytes() == (dia.tocsr() @ v).tobytes()
+
+    @pytest.mark.parametrize("side, radius", [(1, 1), (3, 2), (8, 3)])
+    def test_csr_form_equals_to_dense(self, side, radius):
+        features = extract_features(random_patch(side, side), side)
+        op = normalize(build_filter_matrix(features, bilateral_factor(), radius))
+        assert isinstance(op._matrix, sparse.csr_array)
+        assert np.array_equal(op._matrix.toarray(), op.to_dense())
+        assert op._matrix is op._matrix
 
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -371,59 +391,17 @@ class TestNormalize:
         with pytest.raises(DegenerateMatrixError):
             normalize(grid_filter(2, {(0, 1): -1.0}))
 
-    def test_operators_on_one_grid_share_read_only_index_arrays(self):
-        # the underflow metric makes most weights exactly 0, stored as such
-        first, second, underflow = (
-            normalize(build_filter_matrix(extract_features(random_patch(seed, 8), 8), metric, 2))
-            for seed, metric in (
-                (9, bilateral_factor()),
-                (10, lower_factor(np.full(15, 0.3))),
-                (11, np.diag([0.0, 0.0, 100.0, 0.0, 0.0])),
-            )
-        )
-        assert not np.array_equal(first._matrix.data, second._matrix.data)
-        assert np.count_nonzero(underflow._matrix.data == 0.0) > 0
-        for name in ("indices", "indptr"):
-            for op in (second, underflow):
-                assert np.shares_memory(getattr(first._matrix, name), getattr(op._matrix, name))
-            for op in (first, second, underflow):
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(op._matrix, name)[0] = 1
-
-    def test_first_normalize_on_a_new_grid_from_two_threads_matches_serial(self, monkeypatch):
-        # an empty cache makes the grid new: both threads want its layout at once
-        filters = [
-            build_filter_matrix(extract_features(random_patch(seed, 64), 64), bilateral_factor(), 3)
-            for seed in (11, 12)
-        ]
-        barrier = threading.Barrier(2)
-
-        def at_once(filt):
-            barrier.wait()
-            return normalize(filt)._matrix
-
-        monkeypatch.setattr(graph_filter, "_LAYOUTS", {})
-        with ThreadPoolExecutor(2) as pool:
-            concurrent = list(pool.map(at_once, filters))
-        assert np.shares_memory(concurrent[0].indices, concurrent[1].indices)
-        monkeypatch.setattr(graph_filter, "_LAYOUTS", {})
-        for filt, got in zip(filters, concurrent):
-            want = normalize(filt)._matrix
-            for name in ("data", "indices", "indptr"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
     def test_temporaries_are_small_beside_the_values(self):
-        # Psi's values at 64x64, radius 3, are 1.5 MB; the build's other
+        # Psi's values at 64x64, radius 3, are 1.6 MB; the build's other
         # arrays stay far below, so no large block is allocated and freed
         filt = build_filter_matrix(extract_features(random_patch(13, 64), 64), bilateral_factor(), 3)
-        normalize(filt)  # the grid's layout is made once, before the count
         tracemalloc.start()
         try:
             op = normalize(filt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - op._matrix.data.nbytes <= 0.5e6
+        assert peak - op.data.nbytes <= 0.5e6
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
@@ -470,6 +448,35 @@ class TestApplyPsi:
         op = operator_from_dense(np.eye(4))
         with pytest.raises(InvalidInputError):
             op.apply(np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "data, offsets",
+        [
+            (np.ones((2, 4)), np.array([1, 0], np.int32)),
+            (np.ones((2, 4)), np.array([0, 0], np.int32)),
+            (np.ones((2, 4)), np.array([0], np.int32)),
+            (np.ones(4), np.array([0], np.int32)),
+        ],
+        ids=["descending", "repeated", "fewer-offsets", "flat-data"],
+    )
+    def test_rejects_diagonals_the_kernel_would_misread(self, data, offsets):
+        with pytest.raises(InvalidInputError, match="offsets strictly ascending"):
+            DenoiserOperator(data=data, offsets=offsets)
+
+    def test_kernel_loads_from_its_file_or_through_scipy_sparse(self, monkeypatch):
+        # a loaded extension is reused; without one it is loaded from its
+        # file, and when that fails, through scipy.sparse
+        name = "scipy.sparse._sparsetools"
+        assert graph_filter._load_dia_matvec() is sys.modules[name].dia_matvec
+        monkeypatch.delitem(sys.modules, name)
+        kernels = [graph_filter._load_dia_matvec()]
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda *args: None)
+        kernels.append(graph_filter._load_dia_matvec())
+        for kernel in kernels:
+            out = np.zeros(3)
+            kernel(3, 3, 2, 3, np.array([-1, 1], np.int32), np.ones((2, 3)), np.arange(3.0), out)
+            assert out.tolist() == [1.0, 2.0, 1.0]
 
 
 class TestEstimateSpectrum:

@@ -53,15 +53,6 @@ def same(k):
     return k
 
 
-CACHE = {}
-
-
-def cached_pid(key):
-    """The pid of the process that first made CACHE's entry for key."""
-    time.sleep(0.005)
-    return CACHE.setdefault(key, os.getpid())
-
-
 def pid_after(seconds):
     time.sleep(seconds)
     return os.getpid()
@@ -203,13 +194,3 @@ def test_the_fork_leaves_the_parent_one_os_thread(monkeypatch):
     monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
     assert len(set(in_lanes([partial(pid_after, 0.05)] * 6))) == 2
     assert threads == [1]
-
-
-def test_the_batch_first_job_runs_before_the_fork(monkeypatch):
-    # what a job builds once per process is built in the parent and shared
-    monkeypatch.setattr(graphdenoise.lanes, "LANES", 2)
-    monkeypatch.setattr(sys.modules[__name__], "CACHE", {})
-    jobs = [partial(cached_pid, "layout")] + [partial(pid_after, 0.02)] * 4 + [partial(cached_pid, "layout")] * 8
-    results = in_lanes(jobs)
-    assert len(set(results[1:5])) == 2  # both lanes ran jobs
-    assert set(results[5:]) == {PARENT}

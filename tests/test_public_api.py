@@ -2,8 +2,10 @@
 exports only names that the pipeline or the scripts use."""
 import ast
 import graphlib
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -165,6 +167,23 @@ def test_runtime_dependencies_are_numpy_and_scipy():
             if module not in allowed:
                 offenders.append(f"{path.name}: {module} in {function or 'module scope'}")
     assert offenders == []
+
+
+def test_the_cli_imports_no_scipy_sparse():
+    # Psi's matvec kernel is loaded from its extension file alone
+    # (graph_filter._load_dia_matvec); scipy.sparse's own imports would add
+    # about 20 MB to every process
+    code = "import sys, graphdenoise.cli; print(*sorted(m for m in sys.modules if 'scipy' in m))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["scipy.sparse._sparsetools"]
 
 
 def test_readme_library_example_runs():
