@@ -16,8 +16,11 @@ metric that underflows its weights across edges to 0, applied to a fixed
 vector. A change that must not move any output prints the same lines
 before and after it (tests/data/output_digests.txt holds them).
 
+It imports graphdenoise from the src/ of its own checkout, whatever
+PYTHONPATH says.
+
 Example:
-    PYTHONPATH=src python3 scripts/output_digests.py
+    python3 scripts/output_digests.py
 """
 import contextlib
 import hashlib
@@ -29,7 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from graphdenoise import (
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import graphdenoise  # noqa: E402
+
+if SRC not in Path(graphdenoise.__file__).resolve().parents:
+    raise ImportError(f"graphdenoise was imported from {graphdenoise.__file__}, not {SRC}")
+
+from graphdenoise import (  # noqa: E402
     ParamVector,
     PipelineConfig,
     add_awgn,
@@ -42,7 +53,7 @@ from graphdenoise import (
     save_image,
     synthesize_image,
 )
-from graphdenoise.cli import main as cli_main
+from graphdenoise.cli import main as cli_main  # noqa: E402
 
 PATCH = ["--patch_side", "16"]
 NETWORK = [*PATCH, "--window_radius", "2", "--K", "4", "--T", "5"]

@@ -371,32 +371,46 @@ REQUIRES = {"corrupt": ("out",), "train": ("train_dir", "out"), "denoise": ("che
             "eval": ("checkpoint", "test_dir", "out"), "inspect": ("checkpoint",)}
 
 
-def make_parser() -> argparse.ArgumentParser:
+HELP = {
+    "corrupt": "write noisy copies of a directory of images",
+    "train": "train a denoiser; writes checkpoint + history",
+    "denoise": "denoise one image with a checkpoint",
+    "eval": "PSNR-vs-sigma table for bilateral / init / trained",
+    "inspect": "report learned parameters and diagnostics",
+}
+
+
+def make_parser(invoked: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each registered with its help text.
+    Flags and arguments go on the subparser of the command `invoked` alone,
+    or on every subparser when it is None: adding them is most of the cost
+    of a parse, and a run parses one command."""
     # no abbreviated flags: `--learn` must not be read as `--learning_rate`
     parser = _Parser(prog="graphdenoise", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, help_text in HELP.items():
+        if invoked not in (None, name):
+            # listed in the help and among the choices, but never parsed
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="flat key = value config file")
         for field in READS[name]:
             p.add_argument(f"--{field}", default=None, help=f"override {field}")
-        return p
-
-    command("corrupt", "write noisy copies of a directory of images").add_argument("input_dir")
-    command("train", "train a denoiser; writes checkpoint + history")
-    p_denoise = command("denoise", "denoise one image with a checkpoint")
-    p_denoise.add_argument("image")
-    p_denoise.add_argument("--truth", default=None, help="clean reference for PSNR reporting")
-    command("eval", "PSNR-vs-sigma table for bilateral / init / trained")
-    command("inspect", "report learned parameters and diagnostics")
-
+        if name == "corrupt":
+            p.add_argument("input_dir")
+        if name == "denoise":
+            p.add_argument("image")
+            p.add_argument("--truth", default=None, help="clean reference for PSNR reporting")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # item not starting with "-" is the command argparse reads
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = make_parser(invoked).parse_args(argv)
     cfg = build_config(args.config, {field: getattr(args, field) for field in READS[args.command]})
     for field in REQUIRES[args.command]:
         if not getattr(cfg, field):

@@ -123,13 +123,16 @@ class CompiledFilter:
 
     def apply(self, psi: DenoiserOperator, y: np.ndarray) -> np.ndarray:
         """P(Psi) y = sum_k c_k u_k over terms(psi, y), added in order of
-        k: one matvec of Psi per degree, none at degree 0."""
+        k: one matvec of Psi per degree, none at degree 0. Each c_k u_k is
+        formed in one reused scratch vector; y is not modified."""
         c = self.coefficients
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.terms(psi, y)
             out = c[0] * next(terms)
+            scaled = np.empty_like(out)
             for c_k, term in zip(c[1:], terms):
-                out += c_k * term
+                np.multiply(term, c_k, out=scaled)
+                out += scaled
         if not np.all(np.isfinite(out)):
             raise NumericDivergenceError("non-finite output of the compiled filter")
         return out

@@ -23,16 +23,18 @@ S^{-1} B. (An untapered box window is not positive semi-definite, and
 neither is B under it.) The symmetric normalization keeps the operator
 symmetric, at the cost of rows no longer summing exactly to one.
 
-Every edge joins a pixel to one of the window's grid offsets, so B is
-stored as one weight plane per half-window offset (window_blocks), each
-unordered pair once, with the unit diagonal implied; its row sums are
-computed once, with the planes. Psi is stored by its diagonals, the
-format of its matvec: one per flat offset dr * side + dc of the window, in
-ascending order. normalize writes each plane's values straight into 2-D
-views of its offset's two diagonals, and every other entry is 0, a weight
-whose exp underflows among them. scipy's compiled DIA kernel adds the
-diagonals in that order, which is the column order of a sorted CSR row, so
-the matvec is bitwise the CSR one. The kernel is loaded without importing
+Every edge joins a pixel to one of the window's grid offsets, and B and
+Psi share one layout: diagonals indexed by the flat offset dr * side + dc,
+the format of Psi's matvec. B keeps its positive diagonals only (upper),
+each unordered pair once, with the unit diagonal implied; each half-window
+offset's weight plane (window_blocks) is a 2-D view of its row, and every
+other entry is 0, a weight whose exp underflows among them. B's row sums
+are shifted passes over whole rows, computed once. normalize writes each
+of Psi's diagonals once from contiguous slices: the diagonal, then for
+each positive offset f its row, and the mirror -f as the same values
+shifted by f. scipy's compiled DIA kernel adds Psi's diagonals in
+ascending order, which is the column order of a sorted CSR row, so the
+matvec is bitwise the CSR one. The kernel is loaded without importing
 scipy.sparse (_load_dia_matvec).
 
 The metric is parameterized through its factor C so that M = C^T C is
@@ -84,36 +86,58 @@ def bilateral_factor() -> np.ndarray:
 
 @dataclass(eq=False)
 class SparseFilterMatrix:
-    """Symmetric positive filter weights on a Chebyshev-window grid graph.
+    """Symmetric positive filter weights on a Chebyshev-window grid graph,
+    held in Psi's diagonal layout.
 
-    planes[k] holds the weights of the k-th block of window_blocks(side,
-    window_radius): entry (r, c) joins pixel (r, c) of block_i to the same
-    position of block_j. The mirror B_ji = B_ij and the unit diagonal are
+    upper has one row per positive diagonal of Psi (upper_offsets, flat
+    offsets f = dr * side + dc in ascending order), of n entries each: row
+    f holds B_{j - f, j} at column j, and 0 wherever pixel j - f is not in
+    j's window. On a grid with side <= 2r two window offsets share a row, on
+    disjoint pixels. The mirror B_ji = B_ij and the unit diagonal are
     implied, so each unordered pair is stored once.
 
     row_sums, computed once here for normalize and the gradient, holds B's
     (side, side) row sums S: each starts at the unit diagonal and adds its
-    pixel's weights in plane order, first where it is block_i, then block_j.
+    pixel's weights in plane order (window_blocks), first where it is
+    block_i, then block_j. Shifted passes over whole rows, in ascending f,
+    add the same values in that order: the dc of the offsets that join one
+    pixel to others span less than side, so their flat offsets ascend in
+    plane order, and every other entry a pass adds is an exact 0.
     """
 
     side: int
     window_radius: int
-    planes: list[np.ndarray]
+    upper: np.ndarray = field(repr=False)  # (len(offsets), n)
+    offsets: tuple[int, ...] = field(init=False)
     row_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = [(ri.stop - ri.start, ci.stop - ci.start) for _, _, (ri, ci), _ in self.blocks()]
-        if [np.shape(plane) for plane in self.planes] != shapes:
-            raise InvalidInputError(f"weight planes must have the window block shapes {shapes}")
-        self.row_sums = np.ones((self.side, self.side))
-        for (_, _, block_i, _), plane in zip(self.blocks(), self.planes):
-            self.row_sums[block_i] += plane
-        for (_, _, _, block_j), plane in zip(self.blocks(), self.planes):
-            self.row_sums[block_j] += plane
+        self.offsets = upper_offsets(self.side, self.window_radius)
+        n = self.n
+        if self.upper.dtype != np.float64 or self.upper.shape != (len(self.offsets), n):
+            raise InvalidInputError(
+                f"upper must be float64 of shape ({len(self.offsets)}, {n}): "
+                "one row per positive diagonal of the window"
+            )
+        sums = np.ones(n)
+        for f, row in zip(self.offsets, self.upper):
+            sums[: n - f] += row[f:]
+        for row in self.upper:
+            sums += row
+        self.row_sums = sums.reshape(self.side, self.side)
 
     @property
     def n(self) -> int:
         return self.side * self.side
+
+    @property
+    def planes(self) -> list[np.ndarray]:
+        """One weight plane per block of window_blocks: a 2-D view of its
+        row of upper, whose entry (r, c) joins pixel (r, c) of block_i to
+        the same position of block_j."""
+        side = self.side
+        grids = dict(zip(self.offsets, self.upper.reshape(-1, side, side)))
+        return [grids[dr * side + dc][block_j] for dr, dc, _, block_j in self.blocks()]
 
     @property
     def nnz(self) -> int:
@@ -282,6 +306,13 @@ def window_blocks(side: int, radius: int):
                 )
 
 
+@functools.lru_cache(maxsize=64)
+def upper_offsets(side: int, radius: int) -> tuple[int, ...]:
+    """Psi's positive diagonals: the distinct flat offsets dr * side + dc of
+    window_blocks, ascending. Each is at least 1, since |dc| < side."""
+    return tuple(sorted({dr * side + dc for dr, dc, _, _ in window_blocks(side, radius)}))
+
+
 def build_filter_matrix(
     features: np.ndarray, factor: np.ndarray, window_radius: int
 ) -> SparseFilterMatrix:
@@ -291,7 +322,8 @@ def build_filter_matrix(
 
     Each unordered pair is evaluated once, into the plane of its half-window
     offset, so B is exactly symmetric; its diagonal is exactly 1. Each
-    plane is scaled by its offset's taper w(dr) w(dc).
+    plane is scaled by its offset's taper w(dr) w(dc) and copied into its
+    row of upper.
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
@@ -307,38 +339,43 @@ def build_filter_matrix(
     if not np.all(np.isfinite(factor)):
         raise InvalidInputError("metric factor entries must be finite")
     width = window_radius + 1
-    planes = []
+    offsets = upper_offsets(side, window_radius)
+    upper = np.zeros((len(offsets), side * side))
+    grids = dict(zip(offsets, upper.reshape(-1, side, side)))
     for dr, dc, block_i, block_j in window_blocks(side, window_radius):
         d = features[block_i] - features[block_j]
         scaled = d.reshape(-1, FEATURE_DIM) @ factor.T
         plane = np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2])
         # w(dr) w(dc) with w(d) = (width - |d|) / width, dr >= 0
         plane *= (width - dr) * (width - abs(dc)) / (width * width)
-        planes.append(plane)
-    return SparseFilterMatrix(side=side, window_radius=window_radius, planes=planes)
+        # copied, not computed in place: numpy does not promise that exp
+        # into a strided view rounds as its contiguous loop does
+        grids[dr * side + dc][block_j] = plane
+    return SparseFilterMatrix(side=side, window_radius=window_radius, upper=upper)
 
 
 def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
-    """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B."""
+    """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B. filt is not
+    modified: the training gradient reads B after this."""
     if np.any(filt.row_sums <= 0.0):
         raise DegenerateMatrixError("filter matrix has a non-positive row sum")
-    inv_sqrt = 1.0 / np.sqrt(filt.row_sums)
-    side = filt.side
-    flat = [dr * side + dc for dr, dc, _, _ in filt.blocks()]
-    # Psi's diagonals j - i, ascending; on a grid with side <= 2r two window
-    # offsets can share one, but no pixel is inside the grid for both
-    offsets = np.array(sorted({0, *flat, *(-f for f in flat)}), dtype=np.int32)
-    # data[k, j] = Psi_{j - offsets[k], j}; diagonal[offset] is its row as a
-    # (side, side) view, zero wherever pixel j - offset is not in j's window
-    data = np.zeros((offsets.size, side * side))
-    diagonal = dict(zip(offsets.tolist(), data.reshape(offsets.size, side, side)))
-    np.multiply(inv_sqrt, inv_sqrt, out=diagonal[0])
-    for f, (_, _, block_i, block_j), plane in zip(flat, filt.blocks(), filt.planes):
-        # (inv_sqrt[i] * inv_sqrt[j]) is commutative, so one value serves
-        # Psi_ij, at column j, and Psi_ji, at column i: Psi is exactly symmetric
-        half = plane * (inv_sqrt[block_i] * inv_sqrt[block_j])
-        diagonal[f][block_j] = half
-        diagonal[-f][block_i] = half
+    inv_sqrt = 1.0 / np.sqrt(filt.row_sums.ravel())
+    n, half = inv_sqrt.size, len(filt.offsets)
+    # Psi's diagonals: the mirrors -f descending, the diagonal, then f; each
+    # entry of data is written once
+    offsets = np.array([*(-f for f in reversed(filt.offsets)), 0, *filt.offsets], dtype=np.int32)
+    data = np.empty((offsets.size, n))
+    np.multiply(inv_sqrt, inv_sqrt, out=data[half])
+    for k, (f, row) in enumerate(zip(filt.offsets, filt.upper)):
+        # Psi_{j-f, j} = (inv_sqrt[j - f] * inv_sqrt[j]) * B_{j-f, j} at column
+        # j of +f; the same value is Psi_{j, j-f}, at column j - f of -f, so
+        # Psi is exactly symmetric
+        plus, minus = data[half + 1 + k], data[half - 1 - k]
+        plus[:f] = 0.0
+        np.multiply(inv_sqrt[: n - f], inv_sqrt[f:], out=plus[f:])
+        plus[f:] *= row[f:]
+        minus[: n - f] = plus[f:]
+        minus[n - f :] = 0.0
     return DenoiserOperator(data=data, offsets=offsets)
 
 

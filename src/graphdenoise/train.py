@@ -292,7 +292,7 @@ def _grad_single(
     part of the gradient's bits."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
-    # B's planes are kept through the pass for its adjoint below
+    # B is kept through the pass for its adjoint below
     features = extract_features(noisy, patch_side)
     factor = theta.metric()
     filt = build_filter_matrix(features, factor, hyper.window_radius)
@@ -336,12 +336,13 @@ def _grad_single(
     # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
     # sum of the two directions'; the unit diagonal enters S_i twice
     blocks = list(filt.blocks())
+    planes = filt.planes
     S = filt.row_sums
     inv_sqrt = 1.0 / np.sqrt(S)
     pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
     weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]
     gS = 2.0 * diag_bar * (inv_sqrt * inv_sqrt)
-    for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
+    for (_, _, bi, bj), b, pair, bar in zip(blocks, planes, pairs, weight_bars):
         tmp = bar * (b * pair)
         gS[bi] += tmp
         gS[bj] += tmp
@@ -350,7 +351,7 @@ def _grad_single(
     # --- reverse through b_ij = w_ij exp(-||C d_ij||^2) into the factor C ---
     # db/dq = -b for q = ||C d_ij||^2, with the taper w_ij inside the stored b
     scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
-    for (_, _, bi, bj), b, pair, bar in zip(blocks, filt.planes, pairs, weight_bars):
+    for (_, _, bi, bj), b, pair, bar in zip(blocks, planes, pairs, weight_bars):
         gq = (-b * (pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
         d = (features[bi] - features[bj]).reshape(-1, FEATURE_DIM)
         scatter += d.T @ (d * gq)

@@ -1159,6 +1159,36 @@ class TestFlags:
         truth = {"truth"} if command == "denoise" else set()
         assert flags == {"help", "config", *cli.READS[command], *truth}
 
+    def test_top_level_help_lists_every_command_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        for name, help_text in cli.HELP.items():
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE), name
+        assert list(cli.HELP) == list(cli.READS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["polish"],
+            ["denoise"],
+            ["train", "denoise"],
+            ["eval", "--K", "3"],
+            ["-x", "denoise", "n.pgm"],
+            ["--", "corrupt"],
+            ["inspect", "--checkpoint"],
+        ],
+    )
+    def test_usage_errors_are_those_of_the_parser_with_every_flag(self, capsys, argv):
+        # run adds flags to the invoked command's subparser alone; what
+        # argparse reports must not depend on that
+        with pytest.raises(cli.CliUsageError) as full:
+            cli.make_parser().parse_args(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {full.value}"]
+
     def test_each_command_reads_exactly_its_fields(self, monkeypatch, image_dir, every_field):
         class ReadRecorder:
             """The config, with the names of the fields read from it."""
@@ -1539,8 +1569,8 @@ class TestSolveLanes:
 def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy, argv):
     """The traced peak memory of the command argv at 2 and 3 lanes, summed
     over the lanes' processes (lanes_peak), exceeds the serial peak by at
-    most one patch system per extra lane: the Psi it stores, and the weight
-    planes of B that its build holds beside it. theta is saved as the
+    most one patch system per extra lane: the Psi it stores, and B's
+    diagonals (upper) that its build holds beside it. theta is saved as the
     checkpoint and noisy as images/n.pgm under tmp_path."""
     hyper = PipelineConfig()
     save_checkpoint(tmp_path / "c.json", theta, hyper)
@@ -1549,7 +1579,7 @@ def assert_lanes_add_at_most_one_system_each(tmp_path, monkeypatch, theta, noisy
     features = extract_features(noisy.pixels[:64, :64].ravel(), 64)
     filt = build_filter_matrix(features, theta.metric(), hyper.window_radius)
     psi = normalize(filt)
-    system_bytes = psi.data.nbytes + psi.offsets.nbytes + sum(p.nbytes for p in filt.planes)
+    system_bytes = psi.data.nbytes + psi.offsets.nbytes + filt.upper.nbytes
     del features, filt, psi
     argv = [*argv, "--checkpoint", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
 

@@ -224,11 +224,6 @@ class TestTerms:
         assert len(terms) == compiled.degree + 1 and terms[0] is y
         for term, reference in zip(terms, dense_chebyshev_terms(dense, y, compiled.degree)):
             assert np.linalg.norm(term - reference) <= 1e-12 * np.linalg.norm(y)
-        # apply adds c_k u_k over the same terms, in order of k
-        out = compiled.coefficients[0] * terms[0]
-        for c_k, term in zip(compiled.coefficients[1:], terms[1:]):
-            out += c_k * term
-        assert np.array_equal(compiled.apply(psi, y), out)
 
 
 class TestApply:
@@ -239,6 +234,26 @@ class TestApply:
         reference, _ = unrolled_cg(system.apply_system, y, calibrated.cg_config())
         assert not np.array_equal(out, reference)
         assert relative_error(out, reference) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, "calibrated"])
+    def test_is_bitwise_the_in_order_sum_of_its_terms_and_leaves_y(self, request, degree):
+        # apply adds c_k u_k over the same terms, each product a fresh
+        # array, in order of k
+        theta = request.getfixturevalue("calibrated")
+        if degree == "calibrated":
+            compiled = compile_filter(theta)
+            assert compiled.degree > 2
+        else:
+            compiled = CompiledFilter(np.random.default_rng(degree).normal(size=degree + 1), 0.0)
+        y = noisy_patches(41)[0]
+        before = y.copy()
+        psi = build_psi(theta, y, 64, DEFAULT)
+        terms = list(compiled.terms(psi, y))
+        expected = compiled.coefficients[0] * terms[0]
+        for c_k, term in zip(compiled.coefficients[1:], terms[1:]):
+            expected = expected + c_k * term
+        assert compiled.apply(psi, y).tobytes() == expected.tobytes()
+        assert y.tobytes() == before.tobytes()
 
     def test_zero_patch_is_zero(self, calibrated):
         patch = np.zeros(64 * 64)

@@ -39,11 +39,12 @@ from oracles import (
 
 def grid_filter(side, weights):
     """A radius-1 filter matrix with constant planes: weights[(dr, dc)], else 0."""
-    planes = [
-        np.full((ri.stop - ri.start, ci.stop - ci.start), weights.get((dr, dc), 0.0))
-        for dr, dc, (ri, ci), _ in window_blocks(side, 1)
-    ]
-    return SparseFilterMatrix(side=side, window_radius=1, planes=planes)
+    offsets = graph_filter.upper_offsets(side, 1)
+    upper = np.zeros((len(offsets), side * side))
+    for dr, dc, _, block_j in window_blocks(side, 1):
+        row = upper[offsets.index(dr * side + dc)].reshape(side, side)
+        row[block_j] = weights.get((dr, dc), 0.0)
+    return SparseFilterMatrix(side=side, window_radius=1, upper=upper)
 
 
 class TestExtractFeatures:
@@ -216,6 +217,7 @@ class TestBuildFilterMatrix:
         inv_sqrt = 1.0 / np.sqrt(filt.row_sums.ravel())
         n = side * side
         diagonals = {}  # offset j - i -> the (n,) row of data, by column j
+        b_diagonals = {}  # the same for B, offsets j - i > 0
         rows, cols, values = [], [], []
         for i in range(n):
             for j in range(n):
@@ -223,6 +225,8 @@ class TestBuildFilterMatrix:
                 if max(abs(ri - rj), abs(ci - cj)) <= radius:
                     value = dense[i, j] * (inv_sqrt[i] * inv_sqrt[j])
                     diagonals.setdefault(j - i, np.zeros(n))[j] = value
+                    if j > i:
+                        b_diagonals.setdefault(j - i, np.zeros(n))[j] = dense[i, j]
                     rows.append(i)
                     cols.append(j)
                     values.append(value)
@@ -234,6 +238,10 @@ class TestBuildFilterMatrix:
         assert op.offsets.dtype == np.int32 and op.offsets.tolist() == sorted(diagonals)
         assert op.data.dtype == np.float64
         assert np.array_equal(op.data, np.array([diagonals[k] for k in sorted(diagonals)]))
+        assert filt.offsets == tuple(sorted(b_diagonals))
+        expected_upper = np.array([b_diagonals[k] for k in sorted(b_diagonals)]).reshape(-1, n)
+        assert filt.upper.shape == expected_upper.shape
+        assert np.array_equal(filt.upper, expected_upper)
 
     @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -317,11 +325,14 @@ class TestBuildFilterMatrix:
         assert all(np.all((plane > 0.0) & (plane <= 1.0)) for plane in filt.planes)
         assert filt.nnz == np.count_nonzero(dense)
 
-    def test_planes_must_match_window_blocks(self):
-        # the (0, 1) block of a 2x2 grid is 2 rows by 1 column
-        planes = [np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 1))]
-        with pytest.raises(InvalidInputError):
-            SparseFilterMatrix(side=2, window_radius=1, planes=planes)
+    def test_upper_must_have_one_float_row_per_positive_diagonal(self):
+        # on a 2x2 grid the offsets (0, 1) and (1, -1) share flat offset 1,
+        # so the four blocks have three rows of 4 pixels
+        assert graph_filter.upper_offsets(2, 1) == (1, 2, 3)
+        SparseFilterMatrix(side=2, window_radius=1, upper=np.zeros((3, 4)))
+        for upper in (np.zeros((4, 4)), np.zeros((3, 3)), np.zeros(12), np.zeros((3, 4), np.float32)):
+            with pytest.raises(InvalidInputError, match="one row per positive diagonal"):
+                SparseFilterMatrix(side=2, window_radius=1, upper=upper)
 
     def test_rejects_radius_below_one(self):
         features = extract_features(random_patch(0, 3), 3)

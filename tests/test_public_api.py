@@ -208,6 +208,6 @@ def test_readme_cli_examples_parse():
     lines = block.replace("\\\n", " ").splitlines()
     examples = [shlex.split(line)[1:] for line in lines if line.startswith("graphdenoise ")]
     assert [argv[0] for argv in examples] == list(cli.READS)
-    parser = cli.make_parser()
     for argv in examples:
-        parser.parse_args(argv)
+        # as cli.run builds it: flags on the invoked command's subparser
+        cli.make_parser(argv[0]).parse_args(argv)
