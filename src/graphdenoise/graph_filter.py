@@ -24,13 +24,14 @@ neither is B under it.) The symmetric normalization keeps the operator
 symmetric, at the cost of rows no longer summing exactly to one.
 
 Every edge joins a pixel to one of the window's grid offsets, and B and
-Psi share one layout: diagonals indexed by the flat offset dr * side + dc,
-the format of Psi's matvec. B keeps its positive diagonals only (upper),
-each unordered pair once, with the unit diagonal implied; each half-window
-offset's weight plane (window_blocks) is a 2-D view of its row, and every
-other entry is 0, a weight whose exp underflows among them. B's row sums
-are shifted passes over whole rows, computed once. normalize writes each
-of Psi's diagonals once from contiguous slices: the diagonal, then for
+Psi share one layout: diagonals indexed by the flat offset
+f = dr * side + dc, the format of Psi's matvec. B keeps its positive
+diagonals only (upper), each unordered pair once, with the unit diagonal
+implied. The weights, B's row sums, normalize and the gradient's sums
+and reverse pass (train) each loop once over these rows, on contiguous
+shifted slices [:n - f] and [f:]; the taper of each pair's own coordinate
+differences zeros the pairs such a slice joins across the grid's edge.
+normalize writes each of Psi's diagonals once: the diagonal, then for
 each positive offset f its row, and the mirror -f as the same values
 shifted by f. scipy's compiled DIA kernel adds Psi's diagonals in
 ascending order, which is the column order of a sorted CSR row, so the
@@ -97,12 +98,9 @@ class SparseFilterMatrix:
     implied, so each unordered pair is stored once.
 
     row_sums, computed once here for normalize and the gradient, holds B's
-    (side, side) row sums S: each starts at the unit diagonal and adds its
-    pixel's weights in plane order (window_blocks), first where it is
-    block_i, then block_j. Shifted passes over whole rows, in ascending f,
-    add the same values in that order: the dc of the offsets that join one
-    pixel to others span less than side, so their flat offsets ascend in
-    plane order, and every other entry a pass adds is an exact 0.
+    (side, side) row sums S: 1, plus each row's weights at their pixel i
+    (S[:n - f] += row[f:]) in ascending f, then at j (S += row). That adds
+    each pixel's weights in window_blocks order, and exact zeros.
     """
 
     side: int
@@ -131,28 +129,19 @@ class SparseFilterMatrix:
         return self.side * self.side
 
     @property
-    def planes(self) -> list[np.ndarray]:
-        """One weight plane per block of window_blocks: a 2-D view of its
-        row of upper, whose entry (r, c) joins pixel (r, c) of block_i to
-        the same position of block_j."""
-        side = self.side
-        grids = dict(zip(self.offsets, self.upper.reshape(-1, side, side)))
-        return [grids[dr * side + dc][block_j] for dr, dc, _, block_j in self.blocks()]
-
-    @property
     def nnz(self) -> int:
-        """Stored entries of B as a sparse matrix: the diagonal and both halves."""
-        return self.n + 2 * sum(plane.size for plane in self.planes)
-
-    def blocks(self):
-        return window_blocks(self.side, self.window_radius)
+        """Stored entries of B as a sparse matrix, its in-window pairs: the
+        square of a 1-D window's count, in which offset d has side - |d|."""
+        reach = min(self.window_radius, self.side - 1)
+        pairs = (2 * reach + 1) * self.side - reach * (reach + 1)
+        return pairs * pairs
 
     def to_dense(self) -> np.ndarray:
         dense = np.eye(self.n)
-        idx = np.arange(self.n).reshape(self.side, self.side)
-        for (_, _, block_i, block_j), plane in zip(self.blocks(), self.planes):
-            dense[idx[block_i], idx[block_j]] = plane
-            dense[idx[block_j], idx[block_i]] = plane
+        for f, row in zip(self.offsets, self.upper):
+            cols = np.arange(f, self.n)
+            dense[cols - f, cols] = row[f:]
+            dense[cols, cols - f] = row[f:]
         return dense
 
 
@@ -320,10 +309,11 @@ def build_filter_matrix(
     Chebyshev window, from a (side, side, FEATURE_DIM) feature array
     (extract_features) and the FEATURE_DIM x FEATURE_DIM metric factor C.
 
-    Each unordered pair is evaluated once, into the plane of its half-window
-    offset, so B is exactly symmetric; its diagonal is exactly 1. Each
-    plane is scaled by its offset's taper w(dr) w(dc) and copied into its
-    row of upper.
+    Each unordered pair (j - f, j) is evaluated once, at column j of row f
+    of upper, so B is exactly symmetric; its diagonal is exactly 1. A row
+    comes from shifted slices of the feature-major features: q, the squares
+    of C (f_{j-f} - f_j) summed in order, then exp(-q) times the taper of
+    the pair's coordinate differences, 0 for a pair across the grid's edge.
     """
     if window_radius < 1:
         raise InvalidInputError("window_radius must be >= 1")
@@ -339,18 +329,23 @@ def build_filter_matrix(
     if not np.all(np.isfinite(factor)):
         raise InvalidInputError("metric factor entries must be finite")
     width = window_radius + 1
+    n = side * side
     offsets = upper_offsets(side, window_radius)
-    upper = np.zeros((len(offsets), side * side))
-    grids = dict(zip(offsets, upper.reshape(-1, side, side)))
-    for dr, dc, block_i, block_j in window_blocks(side, window_radius):
-        d = features[block_i] - features[block_j]
-        scaled = d.reshape(-1, FEATURE_DIM) @ factor.T
-        plane = np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2])
-        # w(dr) w(dc) with w(d) = (width - |d|) / width, dr >= 0
-        plane *= (width - dr) * (width - abs(dc)) / (width * width)
-        # copied, not computed in place: numpy does not promise that exp
-        # into a strided view rounds as its contiguous loop does
-        grids[dr * side + dc][block_j] = plane
+    upper = np.zeros((len(offsets), n))
+    rows = np.ascontiguousarray(features.reshape(n, FEATURE_DIM).T)
+    diff, scaled = np.empty((2, FEATURE_DIM, n))
+    q = np.empty(n)
+    for f, row in zip(offsets, upper):
+        m = n - f
+        d, s, q_m = diff[:, :m], scaled[:, :m], q[:m]
+        np.subtract(rows[:, :m], rows[:, f:], out=d)
+        np.square(np.matmul(factor, d, out=s), out=s)
+        np.negative(np.add.reduce(s, axis=0, out=q_m), out=q_m)
+        # max(width - |dx|, 0) max(width - |dy|, 0) / width^2, in s's first rows
+        t = np.subtract(width, np.abs(d[:2], out=s[:2]), out=s[:2])
+        np.maximum(t, 0.0, out=t)
+        w = np.divide(np.multiply(t[0], t[1], out=t[0]), width * width, out=t[0])
+        np.multiply(np.exp(q_m, out=q_m), w, out=row[f:])
     return SparseFilterMatrix(side=side, window_radius=window_radius, upper=upper)
 
 

@@ -47,7 +47,7 @@ from .graph_filter import (
     build_filter_matrix,
     extract_features,
     normalize,
-    window_blocks,
+    upper_offsets,
 )
 from .imaging import write_durably
 from .lanes import in_lanes
@@ -232,29 +232,28 @@ class EdgeOuterSum:
     it applies Psi to (t) and the adjoints of those matvecs' outputs (g),
     so the sums are dL/dPsi on B's pattern. A chunk's g terms go into rows
     0..count-1 of g_terms; fold(t_terms) adds them with its count t terms.
-    planes() returns the diagonal (side x side), then per window_blocks
-    block a half plane (i in block_i, j in block_j) and a mirror plane
-    (i in block_j, j in block_i). However the terms are chunked, every sum
-    is bitwise the in-order sum over m: each block is one einsum over
-    strided grid views with m as the outer loop, run on a g stack and a t
-    stack of chunk + 1 rows each whose row 0 is reserved, with t = 1 and g
-    holding the block's running sum, so the reduction carries on from that
-    sum. The gradient folds its terms in chunks of degree_K, highest chunk
-    first, each chunk in ascending order: the chunk size thus sets the
-    order of the sums over m, and with it the gradient's bits.
+    The sums are in B's layout (SparseFilterMatrix.upper): diagonal sums
+    g[j] t[j], and column j of row f of half and mirror g[j - f] t[j] and
+    g[j] t[j - f]; where B is 0 outside the window, they do not count.
+    However the terms are chunked, every sum is bitwise the in-order sum
+    over m: each row is one einsum over contiguous shifted slices of a g
+    stack and a t stack of chunk + 1 rows each, m the outer loop, whose row
+    0 is reserved, with t = 1 and g holding the row's running sum, so the
+    reduction carries on from that sum. The gradient folds its terms in
+    chunks of degree_K, highest chunk first, each chunk in ascending order:
+    the chunk size thus sets the order of the sums over m, and with it the
+    gradient's bits.
     """
 
     def __init__(self, side: int, radius: int, chunk: int):
         n = side * side
-        self.side = side
-        self._blocks = [(bi, bj) for _, _, bi, bj in window_blocks(side, radius)]
+        self.offsets = upper_offsets(side, radius)
         self._g = np.empty((chunk + 1, n))
         self.g_terms = self._g[1:]
         self._t = np.ones((chunk + 1, n))  # row 0 stays 1
-        grid = self._g[0].reshape(side, side)
-        self._diagonal = np.zeros(n)
-        self._half = [np.zeros(grid[bi].shape) for bi, _ in self._blocks]
-        self._mirror = [np.zeros(grid[bj].shape) for _, bj in self._blocks]
+        self.diagonal = np.zeros(n)
+        self.half = np.zeros((len(self.offsets), n))
+        self.mirror = np.zeros((len(self.offsets), n))
 
     def fold(self, t_terms) -> None:
         """Add the first len(t_terms) g terms, each paired with its t term."""
@@ -262,19 +261,52 @@ class EdgeOuterSum:
         # a loop: on a 1-pixel grid the term axis is contiguous, and einsum
         # sums a contiguous axis with several partial accumulators
         for g_m, t_m, row in zip(self.g_terms, t_terms, self._t[1:]):
-            self._diagonal += g_m * t_m
+            self.diagonal += g_m * t_m
             row[:] = t_m
-        g_grid = self._g[: count + 1].reshape(-1, self.side, self.side)
-        t_grid = self._t[: count + 1].reshape(-1, self.side, self.side)
-        running = g_grid[0]
-        for b, ((ri, ci), (rj, cj)) in enumerate(self._blocks):
-            running[ri, ci] = self._half[b]
-            self._half[b] = np.einsum("mij,mij->ij", g_grid[:, ri, ci], t_grid[:, rj, cj])
-            running[rj, cj] = self._mirror[b]
-            self._mirror[b] = np.einsum("mij,mij->ij", g_grid[:, rj, cj], t_grid[:, ri, ci])
+        g, t = self._g[: count + 1], self._t[: count + 1]
+        running = g[0]
+        for f, half, mirror in zip(self.offsets, self.half, self.mirror):
+            m = running.size - f
+            running[:m] = half[f:]
+            np.einsum("mj,mj->j", g[:, :m], t[:, f:], out=half[f:])
+            running[f:] = mirror[f:]
+            np.einsum("mj,mj->j", g[:, f:], t[:, :m], out=mirror[f:])
 
-    def planes(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        return self._diagonal.reshape(self.side, self.side), self._half, self._mirror
+
+def _metric_adjoint(filt, features, factor, sums) -> np.ndarray:
+    """dL/dC from dL/dPsi in B's layout (sums, an EdgeOuterSum), reversed
+    through Psi = S^{-1/2} B S^{-1/2} and the weights B of C on the
+    features, each pass one loop over B's rows; sums.half is overwritten."""
+    S = filt.row_sums.ravel()
+    n = S.size
+    inv_sqrt = 1.0 / np.sqrt(S)
+    # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint through
+    # Psi is pair * (half + mirror) with pair = S_i^{-1/2} S_j^{-1/2}, kept
+    # in half; the unit diagonal enters S_i twice
+    gS = 2.0 * sums.diagonal * (inv_sqrt * inv_sqrt)
+    tmp = np.empty(n)
+    for f, b, bar, mirror in zip(filt.offsets, filt.upper, sums.half, sums.mirror):
+        m = n - f
+        bar[f:] += mirror[f:]
+        bar[f:] *= np.multiply(inv_sqrt[:m], inv_sqrt[f:], out=tmp[:m])
+        np.multiply(b[f:], bar[f:], out=tmp[:m])
+        gS[:m] += tmp[:m]
+        gS[f:] += tmp[:m]
+    gS *= -0.5 / S
+
+    # b_ij = w_ij exp(-q), q = ||C d_ij||^2: db/dq = -b, the taper w_ij (0
+    # outside the window) inside the stored b; the sign is taken at the end
+    rows = np.ascontiguousarray(features.reshape(n, FEATURE_DIM).T)
+    diff, weighted = np.empty((2, FEATURE_DIM, n))
+    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    for f, b, bar in zip(filt.offsets, filt.upper, sums.half):
+        m = n - f
+        gq = np.add(bar[f:], gS[:m], out=tmp[:m])
+        gq += gS[f:]
+        gq *= b[f:]
+        d = np.subtract(rows[:, :m], rows[:, f:], out=diff[:, :m])
+        scatter += d @ np.multiply(d, gq, out=weighted[:, :m]).T
+    return -2.0 * factor @ scatter
 
 
 def _grad_single(
@@ -289,7 +321,7 @@ def _grad_single(
     and its adjoints of the metric factor's 15 entries and of P's
     coefficients. The matvecs' (adjoint, input) pairs are folded into
     EdgeOuterSum in chunks of degree_K, highest chunk first: that order is
-    part of the gradient's bits."""
+    part of the gradient's bits; _metric_adjoint takes the sums into C."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
     # B is kept through the pass for its adjoint below
@@ -329,34 +361,7 @@ def _grad_single(
             del u[j:]
         if j:
             b, b_next = c[j] * g + 4.0 * psi.apply(b) - 2.0 * b - b_next, b
-    diag_bar, half_bar, mirror_bar = psi_sums.planes()
-    del psi_sums
-
-    # --- reverse through Psi = S^{-1/2} B S^{-1/2} ---
-    # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint is the
-    # sum of the two directions'; the unit diagonal enters S_i twice
-    blocks = list(filt.blocks())
-    planes = filt.planes
-    S = filt.row_sums
-    inv_sqrt = 1.0 / np.sqrt(S)
-    pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj in blocks]
-    weight_bars = [h + m for h, m in zip(half_bar, mirror_bar)]
-    gS = 2.0 * diag_bar * (inv_sqrt * inv_sqrt)
-    for (_, _, bi, bj), b, pair, bar in zip(blocks, planes, pairs, weight_bars):
-        tmp = bar * (b * pair)
-        gS[bi] += tmp
-        gS[bj] += tmp
-    gS *= -0.5 / S
-
-    # --- reverse through b_ij = w_ij exp(-||C d_ij||^2) into the factor C ---
-    # db/dq = -b for q = ||C d_ij||^2, with the taper w_ij inside the stored b
-    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
-    for (_, _, bi, bj), b, pair, bar in zip(blocks, planes, pairs, weight_bars):
-        gq = (-b * (pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
-        d = (features[bi] - features[bj]).reshape(-1, FEATURE_DIM)
-        scatter += d.T @ (d * gq)
-    gC = 2.0 * factor @ scatter
-    return pair_loss, gC[_TRIL], c_bar
+    return pair_loss, _metric_adjoint(filt, features, factor, psi_sums)[_TRIL], c_bar
 
 
 def loss_and_grad(

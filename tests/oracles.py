@@ -9,7 +9,9 @@ reassembly loops, the batch loss and its finite-difference gradient, a
 dense-matrix smoother for synthetic spectra, the compiled filter's
 Chebyshev terms by eigendecomposition, the one-pass form of EdgeOuterSum,
 the patch system solved by classic CG, and the gradient of the unrolled
-network by dense matrices.
+network by dense matrices. The block forms of the weights and of their
+reverse pass walk B as one strided 2-D plane per half-window offset
+(window_blocks), as the package did before it moved to B's flat rows.
 """
 import numpy as np
 
@@ -28,7 +30,9 @@ from graphdenoise import (
     forward,
     learned_cg_vjp,
     unrolled_cg,
+    window_blocks,
 )
+from graphdenoise.graph_filter import upper_offsets
 
 
 def loop_partition(pixels: np.ndarray, side: int) -> np.ndarray:
@@ -118,6 +122,69 @@ def dense_filter_matrix(features: np.ndarray, factor: np.ndarray, radius: int) -
                 weight = filter_weight(rows[i], rows[j], factor)
                 dense[i, j] = window_taper(ri - rj, ci - cj, radius) * weight
     return dense
+
+
+def block_planes(rows: np.ndarray, side: int, radius: int):
+    """(dr, dc, block_i, block_j, plane) per block of window_blocks, plane
+    the 2-D view of rows (an array in B's layout, SparseFilterMatrix.upper)
+    whose entry (r, c) belongs to the pair of pixel (r, c) of block_i and
+    the same position of block_j."""
+    grids = dict(zip(upper_offsets(side, radius), rows.reshape(-1, side, side)))
+    return [
+        (dr, dc, block_i, block_j, grids[dr * side + dc][block_j])
+        for dr, dc, block_i, block_j in window_blocks(side, radius)
+    ]
+
+
+def block_filter_matrix(features: np.ndarray, factor: np.ndarray, radius: int) -> np.ndarray:
+    """B's rows (SparseFilterMatrix.upper) built block by block: per
+    window_blocks block the difference of its strided feature views, one
+    GEMM, a per-pixel einsum of the squares, exp, then the offset's taper."""
+    side = features.shape[0]
+    width = radius + 1
+    upper = np.zeros((len(upper_offsets(side, radius)), side * side))
+    for dr, dc, block_i, block_j, plane in block_planes(upper, side, radius):
+        d = features[block_i] - features[block_j]
+        scaled = d.reshape(-1, FEATURE_DIM) @ factor.T
+        weights = np.exp(-np.einsum("ij,ij->i", scaled, scaled)).reshape(d.shape[:2])
+        weights *= (width - dr) * (width - abs(dc)) / (width * width)
+        plane[...] = weights
+    return upper
+
+
+def block_metric_adjoint(filt, features, factor, diag_bar, half_bar, mirror_bar) -> np.ndarray:
+    """The metric factor's adjoint (5 x 5) from dL/dPsi in B's layout
+    (EdgeOuterSum's sums), reversed block by block through the symmetric
+    normalization and the weights of filt, a SparseFilterMatrix."""
+    side, radius = filt.side, filt.window_radius
+    blocks = block_planes(filt.upper, side, radius)
+    half = [plane for *_, plane in block_planes(half_bar, side, radius)]
+    mirror = [plane for *_, plane in block_planes(mirror_bar, side, radius)]
+    S = filt.row_sums
+    inv_sqrt = 1.0 / np.sqrt(S)
+    pairs = [inv_sqrt[bi] * inv_sqrt[bj] for _, _, bi, bj, _ in blocks]
+    weight_bars = [h + m for h, m in zip(half, mirror)]
+    gS = 2.0 * diag_bar.reshape(side, side) * (inv_sqrt * inv_sqrt)
+    for (_, _, bi, bj, b), pair, bar in zip(blocks, pairs, weight_bars):
+        tmp = bar * (b * pair)
+        gS[bi] += tmp
+        gS[bj] += tmp
+    gS *= -0.5 / S
+    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    for (_, _, bi, bj, b), pair, bar in zip(blocks, pairs, weight_bars):
+        gq = (-b * (pair * bar + gS[bi] + gS[bj])).reshape(-1, 1)
+        d = (features[bi] - features[bj]).reshape(-1, FEATURE_DIM)
+        scatter += d.T @ (d * gq)
+    return 2.0 * factor @ scatter
+
+
+def in_window_pairs(side: int, radius: int) -> int:
+    """The ordered pixel pairs (i, j), i = j among them, within a Chebyshev
+    window of the radius on a side x side grid, counted pair by pair."""
+    cells = [divmod(i, side) for i in range(side * side)]
+    return sum(
+        max(abs(ri - rj), abs(ci - cj)) <= radius for ri, ci in cells for rj, cj in cells
+    )
 
 
 def dense_normalize(dense_b: np.ndarray) -> np.ndarray:
@@ -235,11 +302,12 @@ def grad_fd(
 
 
 def edge_outer_sum(g_stack: np.ndarray, t_stack: np.ndarray, side: int, radius: int):
-    """EdgeOuterSum.planes() after one fold of all the terms at once."""
+    """EdgeOuterSum's diagonal, half and mirror after one fold of all the
+    terms at once."""
     sums = EdgeOuterSum(side, radius, len(g_stack))
     sums.g_terms[:] = g_stack
     sums.fold(t_stack)
-    return sums.planes()
+    return sums.diagonal, sums.half, sums.mirror
 
 
 def analytic_forward(

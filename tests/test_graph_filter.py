@@ -26,9 +26,12 @@ from graphdenoise import (
 from graphdenoise import graph_filter
 from graphdenoise.errors import DegenerateMatrixError
 from oracles import (
+    block_filter_matrix,
+    block_planes,
     dense_filter_matrix,
     dense_normalize,
     filter_weight,
+    in_window_pairs,
     lower_factor,
     operator_from_dense,
     random_patch,
@@ -173,7 +176,7 @@ class TestBuildFilterMatrix:
     def test_zero_metric_gives_the_window_taper(self):
         features = extract_features(random_patch(1, 4), 4)
         filt = build_filter_matrix(features, np.zeros((5, 5)), 2)
-        for (dr, dc, _, _), plane in zip(filt.blocks(), filt.planes):
+        for dr, dc, _, _, plane in block_planes(filt.upper, 4, 2):
             np.testing.assert_allclose(plane, window_taper(dr, dc, 2), rtol=1e-15)
 
     def test_matches_dense_oracle(self):
@@ -309,9 +312,7 @@ class TestBuildFilterMatrix:
         filt = build_filter_matrix(features, metric, 10**6)
         op = normalize(filt)
         assert time.perf_counter() - start < 1.0
-        assert [(dr, dc) for dr, dc, _, _ in filt.blocks()] == [
-            (dr, dc) for dr, dc, _, _ in window_blocks(16, 15)
-        ]
+        assert filt.offsets == graph_filter.upper_offsets(16, 15)
         dense = dense_filter_matrix(features, metric, 10**6)
         assert np.max(np.abs(filt.to_dense() - dense)) < 1e-15
         assert op.n == 256
@@ -322,8 +323,34 @@ class TestBuildFilterMatrix:
         dense = filt.to_dense()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 1.0)
-        assert all(np.all((plane > 0.0) & (plane <= 1.0)) for plane in filt.planes)
+        planes = [plane for *_, plane in block_planes(filt.upper, 6, 3)]
+        assert all(np.all((plane > 0.0) & (plane <= 1.0)) for plane in planes)
         assert filt.nnz == np.count_nonzero(dense)
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 7, 9])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 10**6])
+    def test_nnz_counts_the_in_window_pairs(self, side, radius):
+        # the underflow metric zeros most weights: nnz counts pairs, not
+        # nonzero weights
+        features = extract_features(random_patch(side, side), side)
+        filt = build_filter_matrix(features, np.diag([0.0, 0.0, 100.0, 0.0, 0.0]), radius)
+        assert filt.nnz == in_window_pairs(side, radius)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            bilateral_factor(),
+            np.diag([0.0, 0.0, 100.0, 0.0, 0.0]),
+            lower_factor(np.random.default_rng(16).normal(0.0, 0.6, 15)),
+        ],
+        ids=["bilateral", "underflow", "random"],
+    )
+    def test_rows_match_the_block_build_at_the_benchmark_size(self, metric):
+        # the rows sum each pair's squares in another order than the block
+        # build's per-pixel einsum, so their last bits may differ
+        features = extract_features(random_patch(64, 64), 64)
+        filt = build_filter_matrix(features, metric, 3)
+        assert np.max(np.abs(filt.upper - block_filter_matrix(features, metric, 3))) <= 1e-15
 
     def test_upper_must_have_one_float_row_per_positive_diagonal(self):
         # on a 2x2 grid the offsets (0, 1) and (1, -1) share flat offset 1,

@@ -46,10 +46,12 @@ from graphdenoise import (
 import graphdenoise.compiled
 import graphdenoise.train
 from graphdenoise.compiled import GRADIENT_TOLERANCE
+from graphdenoise.graph_filter import upper_offsets
 from graphdenoise.train import CHECKPOINT_VERSION
 from lane_peaks import lanes_peak
 from oracles import (
     analytic_forward,
+    block_metric_adjoint,
     central_difference,
     dense_truncated_inverse_matrix,
     edge_outer_sum,
@@ -419,32 +421,28 @@ class TestReverseGradients:
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_edge_outer_sum_equals_in_order_gather(self, side, radius):
-        # the per-pixel-pair gather the offset blocks replace, summed term by term
+        # the per-pixel-pair gather the shifted rows replace, summed term by term
         rng = np.random.default_rng(10 * side + radius)
         g_stack = rng.standard_normal((12, side * side))
         t_stack = rng.standard_normal((12, side * side))
-        diagonal, half, mirror = edge_outer_sum(g_stack, t_stack, side, radius)
-        gathered = np.zeros(side * side)
-        for g, t in zip(g_stack, t_stack):
-            gathered += g * t
-        assert np.array_equal(diagonal.ravel(), gathered)
-        offsets = [(dr, dc) for dr, dc, _, _ in window_blocks(side, radius)]
-        assert len(half) == len(mirror) == len(offsets)
-        for (dr, dc), half_plane, mirror_plane in zip(offsets, half, mirror):
-            pairs = [
-                (r * side + c, (r + dr) * side + c + dc)
-                for r in range(side)
-                for c in range(side)
-                if 0 <= r + dr < side and 0 <= c + dc < side
-            ]
-            i, j = np.array(pairs).T
-            forward_sum = np.zeros(len(pairs))
-            backward_sum = np.zeros(len(pairs))
-            for g, t in zip(g_stack, t_stack):
-                forward_sum += g[i] * t[j]
-                backward_sum += g[j] * t[i]
-            assert np.array_equal(half_plane.ravel(), forward_sum)
-            assert np.array_equal(mirror_plane.ravel(), backward_sum)
+        assert_edge_sums_equal_the_pair_loop(
+            edge_outer_sum(g_stack, t_stack, side, radius), g_stack, t_stack, side, radius
+        )
+
+    def test_edge_outer_sum_at_the_benchmark_size_folded_in_chunks_of_ten(self):
+        # 64 x 64, radius 3, the gradient's chunks of degree_K = 10, the
+        # last one partial
+        rng = np.random.default_rng(6403)
+        g_stack = rng.standard_normal((25, 64 * 64))
+        t_stack = rng.standard_normal((25, 64 * 64))
+        sums = EdgeOuterSum(64, 3, 10)
+        for start in range(0, 25, 10):
+            count = min(10, 25 - start)
+            sums.g_terms[:count] = g_stack[start : start + count]
+            sums.fold(t_stack[start : start + count])
+        assert_edge_sums_equal_the_pair_loop(
+            (sums.diagonal, sums.half, sums.mirror), g_stack, t_stack, 64, 3
+        )
 
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -452,18 +450,70 @@ class TestReverseGradients:
         rng = np.random.default_rng(100 + 10 * side + radius)
         g_stack = rng.standard_normal((31, side * side))
         t_stack = rng.standard_normal((31, side * side))
-        diagonal, half, mirror = edge_outer_sum(g_stack, t_stack, side, radius)
+        one_pass = edge_outer_sum(g_stack, t_stack, side, radius)
         for chunk in (1, 3, 10):  # the last chunk is partial for 3 and 10
             sums = EdgeOuterSum(side, radius, chunk)
             for start in range(0, len(g_stack), chunk):
                 count = min(chunk, len(g_stack) - start)
                 sums.g_terms[:count] = g_stack[start : start + count]
                 sums.fold(t_stack[start : start + count])
-            got_diagonal, got_half, got_mirror = sums.planes()
-            assert np.array_equal(got_diagonal, diagonal)
-            assert len(got_half) == len(half) and len(got_mirror) == len(mirror)
-            for got, want in zip(got_half + got_mirror, half + mirror):
-                assert np.array_equal(got, want)
+            for got, want in zip((sums.diagonal, sums.half, sums.mirror), one_pass):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_metric_adjoint_matches_the_block_reverse_at_the_benchmark_size(self, monkeypatch):
+        # one 64 x 64 pair at the defaults; the block reverse is fed the
+        # rows' own B and the same dL/dPsi, so only the order of the
+        # reverse's sums differs
+        hyper = PipelineConfig()
+        noisy, clean = noisy_clean_pair(64, 64)
+        theta = calibrated_initial(hyper, [noisy], 64)
+        calls = []
+        real = graphdenoise.train._metric_adjoint
+
+        def recorded(filt, features, factor, sums):
+            copies = [np.copy(a) for a in (sums.diagonal, sums.half, sums.mirror)]
+            result = real(filt, features, factor, sums)
+            calls.append((filt, features, factor, copies, result))
+            return result
+
+        monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)  # recorded in this process
+        monkeypatch.setattr(graphdenoise.train, "_metric_adjoint", recorded)
+        loss_and_grad(theta, [(noisy, clean)], 64, hyper)
+        [(filt, features, factor, sums, result)] = calls
+        want = block_metric_adjoint(filt, features, factor, *sums)
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(result - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def assert_edge_sums_equal_the_pair_loop(sums, g_stack, t_stack, side, radius):
+    """EdgeOuterSum's diagonal, half and mirror are bitwise the in-order
+    sums over the terms, gathered pixel pair by pixel pair: half at column j
+    of row f holds the sum of g[i] t[j] over the pair i = j - f, and mirror
+    that of g[j] t[i]."""
+    diagonal, half, mirror = sums
+    n = side * side
+    gathered = np.zeros(n)
+    for g, t in zip(g_stack, t_stack):
+        gathered += g * t
+    assert np.array_equal(diagonal, gathered)
+    offsets = upper_offsets(side, radius)
+    assert half.shape == mirror.shape == (len(offsets), n)
+    for dr, dc, _, _ in window_blocks(side, radius):
+        pairs = [
+            (r * side + c, (r + dr) * side + c + dc)
+            for r in range(side)
+            for c in range(side)
+            if 0 <= r + dr < side and 0 <= c + dc < side
+        ]
+        i, j = np.array(pairs).T
+        forward_sum = np.zeros(len(pairs))
+        backward_sum = np.zeros(len(pairs))
+        for g, t in zip(g_stack, t_stack):
+            forward_sum += g[i] * t[j]
+            backward_sum += g[j] * t[i]
+        row = offsets.index(dr * side + dc)
+        assert np.array_equal(half[row, j], forward_sum)
+        assert np.array_equal(mirror[row, j], backward_sum)
 
 
 def analytic_trace(theta, noisy, patch_side, hyper):
