@@ -338,12 +338,12 @@ def _grad_single(
     x = c[0] * u[0]
     for c_k, u_k in zip(c[1:], u[1:]):
         x += c_k * u_k
-    resid = x - clean
+    resid = np.subtract(x, clean, out=x)  # one vector is x, resid and g
     pair_loss = float(resid @ resid)
     if not np.isfinite(pair_loss):
         raise NumericDivergenceError("non-finite training loss")
 
-    g = 2.0 * resid
+    g = np.multiply(resid, 2.0, out=resid)
     c_bar = np.array([g @ u_k for u_k in u])
     # dL/dPsi_ij sums w_bar_j[i] * u_j[j] over the matvecs w_j = Psi u_j,
     # j = degree - 1 .. 0. Clenshaw run backward gives the adjoint of u_k,
