@@ -22,6 +22,7 @@ from .errors import (
 from .graph_filter import (
     FEATURE_DIM,
     DenoiserOperator,
+    EdgeOuterSum,
     SparseFilterMatrix,
     bilateral_factor,
     build_filter_matrix,
@@ -29,7 +30,6 @@ from .graph_filter import (
     estimate_spectrum,
     extract_features,
     normalize,
-    window_blocks,
 )
 from .imaging import (
     GrayImage,
@@ -45,7 +45,6 @@ from .imaging import (
 )
 from .taylor_system import TaylorSystemOperator, default_coefficients, truncated_inverse
 from .train import (
-    EdgeOuterSum,
     EpochStats,
     ParamVector,
     PipelineConfig,
@@ -116,6 +115,5 @@ __all__ = [
     "train_loop",
     "truncated_inverse",
     "unrolled_cg",
-    "window_blocks",
     "write_durably",
 ]

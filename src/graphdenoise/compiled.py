@@ -34,7 +34,7 @@ explode below 0, where no eigenvalue lies.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -122,12 +122,17 @@ class CompiledFilter:
                 yield term
 
     def apply(self, psi: DenoiserOperator, y: np.ndarray) -> np.ndarray:
-        """P(Psi) y = sum_k c_k u_k over terms(psi, y), added in order of
-        k: one matvec of Psi per degree, none at degree 0. Each c_k u_k is
-        formed in one reused scratch vector; y is not modified."""
+        """P(Psi) y = combine(terms(psi, y)): one matvec of Psi per degree,
+        none at degree 0; y is not modified."""
+        return self.combine(self.terms(psi, y))
+
+    def combine(self, terms: Iterable[np.ndarray]) -> np.ndarray:
+        """sum_k c_k u_k over the terms u_0 .. u_degree, added in order of
+        k, each c_k u_k formed in one reused scratch vector; a non-finite
+        sum raises NumericDivergenceError."""
         c = self.coefficients
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.terms(psi, y)
+            terms = iter(terms)
             out = c[0] * next(terms)
             scaled = np.empty_like(out)
             for c_k, term in zip(c[1:], terms):

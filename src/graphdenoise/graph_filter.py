@@ -27,13 +27,14 @@ Every edge joins a pixel to one of the window's grid offsets, and B and
 Psi share one layout: diagonals indexed by the flat offset
 f = dr * side + dc, the format of Psi's matvec. B keeps its positive
 diagonals only (upper), each unordered pair once, with the unit diagonal
-implied. The weights, B's row sums, normalize and the gradient's sums
-and reverse pass (train) each loop once over these rows, on contiguous
-shifted slices [:n - f] and [f:]; the taper of each pair's own coordinate
-differences zeros the pairs such a slice joins across the grid's edge.
-normalize writes each of Psi's diagonals once: the diagonal, then for
-each positive offset f its row, and the mirror -f as the same values
-shifted by f. scipy's compiled DIA kernel adds Psi's diagonals in
+implied. Only this module knows that layout: the weights, B's row sums,
+normalize, and the training gradient's sums (EdgeOuterSum) and reverse
+(metric_adjoint) each loop once over these rows, on contiguous shifted
+slices [:n - f] and [f:] (_pair_differences for the features); the taper
+of each pair's own coordinate differences zeros the pairs such a slice
+joins across the grid's edge. normalize writes each of Psi's diagonals
+once: the diagonal, then for each positive offset f its row, and the
+mirror -f as the same values shifted by f. scipy's compiled DIA kernel adds Psi's diagonals in
 ascending order, which is the column order of a sorted CSR row, so the
 matvec is bitwise the CSR one. The kernel is loaded without importing
 scipy.sparse (_load_dia_matvec).
@@ -97,10 +98,12 @@ class SparseFilterMatrix:
     disjoint pixels. The mirror B_ji = B_ij and the unit diagonal are
     implied, so each unordered pair is stored once.
 
-    row_sums, computed once here for normalize and the gradient, holds B's
-    (side, side) row sums S: 1, plus each row's weights at their pixel i
-    (S[:n - f] += row[f:]) in ascending f, then at j (S += row). That adds
-    each pixel's weights in window_blocks order, and exact zeros.
+    Computed once here for normalize and metric_adjoint: row_sums, B's
+    (side, side) row sums S, and inv_sqrt, S^{-1/2} flat. S is 1, plus each
+    row's weights at their pixel i (S[:n - f] += row[f:]) in ascending f,
+    then at j (S += row): each pixel's weights in the order of their
+    offsets by dr, then dc. A row sum that is not positive raises
+    DegenerateMatrixError.
     """
 
     side: int
@@ -108,6 +111,7 @@ class SparseFilterMatrix:
     upper: np.ndarray = field(repr=False)  # (len(offsets), n)
     offsets: tuple[int, ...] = field(init=False)
     row_sums: np.ndarray = field(init=False, repr=False)
+    inv_sqrt: np.ndarray = field(init=False, repr=False)  # (n,)
 
     def __post_init__(self):
         self.offsets = upper_offsets(self.side, self.window_radius)
@@ -123,6 +127,9 @@ class SparseFilterMatrix:
         for row in self.upper:
             sums += row
         self.row_sums = sums.reshape(self.side, self.side)
+        if np.any(sums <= 0.0):
+            raise DegenerateMatrixError("filter matrix has a non-positive row sum")
+        self.inv_sqrt = 1.0 / np.sqrt(sums)
 
     @property
     def n(self) -> int:
@@ -271,35 +278,26 @@ def extract_features(noisy_patch: np.ndarray, patch_side: int) -> np.ndarray:
     return np.stack([grid_x, grid_y, img, *central_gradients(img)], axis=-1)
 
 
-def window_blocks(side: int, radius: int):
-    """The grid blocks of the half-window offsets, in B's plane order.
-
-    Yields (dr, dc, block_i, block_j) for every offset of half the Chebyshev
-    window whose block is nonempty on a side x side grid. block_i and
-    block_j are (row slice, column slice) pairs; pixel (r, c) of block_i is
-    joined to pixel (r + dr, c + dc), the same position of block_j.
-    """
-    # the other half of the window is the mirror (-dr, -dc) of these offsets;
-    # an offset of side or more has an empty block, so the loops stop short
-    reach = min(radius, side - 1)
-    for dr in range(0, reach + 1):
-        for dc in range(-reach, reach + 1):
-            r0, r1 = max(0, -dr), side - max(0, dr)
-            c0, c1 = max(0, -dc), side - max(0, dc)
-            if (dr > 0 or dc > 0) and r0 < r1 and c0 < c1:
-                yield (
-                    dr,
-                    dc,
-                    (slice(r0, r1), slice(c0, c1)),
-                    (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc)),
-                )
-
-
 @functools.lru_cache(maxsize=64)
 def upper_offsets(side: int, radius: int) -> tuple[int, ...]:
-    """Psi's positive diagonals: the distinct flat offsets dr * side + dc of
-    window_blocks, ascending. Each is at least 1, since |dc| < side."""
-    return tuple(sorted({dr * side + dc for dr, dc, _, _ in window_blocks(side, radius)}))
+    """Psi's positive diagonals: the distinct flat offsets dr * side + dc,
+    ascending, of the half window 0 <= dr <= a, -a <= dc <= a past (0, 0),
+    a = min(radius, side - 1): a longer offset joins no pixels. Each is at
+    least 1, since |dc| < side."""
+    reach = min(radius, side - 1)
+    half = ((dr, dc) for dr in range(reach + 1) for dc in range(-reach, reach + 1))
+    return tuple(sorted({dr * side + dc for dr, dc in half if dr > 0 or dc > 0}))
+
+
+def _pair_differences(features: np.ndarray, offsets):
+    """(f, d) per offset f, d the differences f_{j-f} - f_j of the features'
+    pairs (j - f, j) as rows[:, :n - f] - rows[:, f:] of their feature-major
+    transpose rows, in one buffer that the next d overwrites."""
+    n = features.shape[0] * features.shape[1]
+    rows = np.ascontiguousarray(features.reshape(n, FEATURE_DIM).T)
+    diff = np.empty((FEATURE_DIM, n))
+    for f in offsets:
+        yield f, np.subtract(rows[:, : n - f], rows[:, f:], out=diff[:, : n - f])
 
 
 def build_filter_matrix(
@@ -332,13 +330,11 @@ def build_filter_matrix(
     n = side * side
     offsets = upper_offsets(side, window_radius)
     upper = np.zeros((len(offsets), n))
-    rows = np.ascontiguousarray(features.reshape(n, FEATURE_DIM).T)
-    diff, scaled = np.empty((2, FEATURE_DIM, n))
+    scaled = np.empty((FEATURE_DIM, n))
     q = np.empty(n)
-    for f, row in zip(offsets, upper):
+    for (f, d), row in zip(_pair_differences(features, offsets), upper):
         m = n - f
-        d, s, q_m = diff[:, :m], scaled[:, :m], q[:m]
-        np.subtract(rows[:, :m], rows[:, f:], out=d)
+        s, q_m = scaled[:, :m], q[:m]
         np.square(np.matmul(factor, d, out=s), out=s)
         np.negative(np.add.reduce(s, axis=0, out=q_m), out=q_m)
         # max(width - |dx|, 0) max(width - |dy|, 0) / width^2, in s's first rows
@@ -351,10 +347,8 @@ def build_filter_matrix(
 
 def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
     """Psi = S^{-1/2} B S^{-1/2} with S_ii the row sums of B. filt is not
-    modified: the training gradient reads B after this."""
-    if np.any(filt.row_sums <= 0.0):
-        raise DegenerateMatrixError("filter matrix has a non-positive row sum")
-    inv_sqrt = 1.0 / np.sqrt(filt.row_sums.ravel())
+    modified: metric_adjoint reverses it after this."""
+    inv_sqrt = filt.inv_sqrt
     n, half = inv_sqrt.size, len(filt.offsets)
     # Psi's diagonals: the mirrors -f descending, the diagonal, then f; each
     # entry of data is written once
@@ -372,6 +366,87 @@ def normalize(filt: SparseFilterMatrix) -> DenoiserOperator:
         minus[: n - f] = plus[f:]
         minus[n - f :] = 0.0
     return DenoiserOperator(data=data, offsets=offsets)
+
+
+class EdgeOuterSum:
+    """Running sums of g_m[i] * t_m[j] over terms m, for every stored entry
+    (i, j) of B on a side x side grid, fed up to `chunk` terms at a time.
+
+    The training gradient's terms are the Chebyshev vectors u_j = T_j(L) y
+    it applies Psi to (t) and the adjoints of those matvecs' outputs (g),
+    so the sums are dL/dPsi on B's pattern (metric_adjoint reverses it). A
+    chunk's g terms go into rows 0..count-1 of g_terms; fold(t_terms) adds
+    them with its count t terms. The sums are in B's layout
+    (SparseFilterMatrix.upper): diagonal sums g[j] t[j], and column j of
+    row f of half and mirror g[j - f] t[j] and g[j] t[j - f]; where B is 0
+    outside the window, they do not count. However the terms are chunked,
+    every sum is bitwise the in-order sum over m: each row is one einsum
+    over contiguous shifted slices of a g stack and a t stack of chunk + 1
+    rows each, m the outer loop, whose row 0 is reserved, with t = 1 and g
+    holding the row's running sum, so the reduction carries on from that
+    sum. The feeding order and chunk size thus set the gradient's bits.
+    """
+
+    def __init__(self, side: int, radius: int, chunk: int):
+        n = side * side
+        self.offsets = upper_offsets(side, radius)
+        self._g = np.empty((chunk + 1, n))
+        self.g_terms = self._g[1:]
+        self._t = np.ones((chunk + 1, n))  # row 0 stays 1
+        self.diagonal = np.zeros(n)
+        self.half = np.zeros((len(self.offsets), n))
+        self.mirror = np.zeros((len(self.offsets), n))
+
+    def fold(self, t_terms) -> None:
+        """Add the first len(t_terms) g terms, each paired with its t term."""
+        count = len(t_terms)
+        # a loop: on a 1-pixel grid the term axis is contiguous, and einsum
+        # sums a contiguous axis with several partial accumulators
+        for g_m, t_m, row in zip(self.g_terms, t_terms, self._t[1:]):
+            self.diagonal += g_m * t_m
+            row[:] = t_m
+        g, t = self._g[: count + 1], self._t[: count + 1]
+        running = g[0]
+        for f, half, mirror in zip(self.offsets, self.half, self.mirror):
+            m = running.size - f
+            running[:m] = half[f:]
+            np.einsum("mj,mj->j", g[:, :m], t[:, f:], out=half[f:])
+            running[f:] = mirror[f:]
+            np.einsum("mj,mj->j", g[:, f:], t[:, :m], out=mirror[f:])
+
+
+def metric_adjoint(filt, features, factor, sums) -> np.ndarray:
+    """dL/dC from dL/dPsi in B's layout (sums, an EdgeOuterSum), reversed
+    through normalize and the weights B of C on the features (filt), each
+    pass one loop over B's rows; sums.half is overwritten."""
+    S = filt.row_sums.ravel()
+    inv_sqrt = filt.inv_sqrt
+    n = S.size
+    # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint through
+    # Psi is pair * (half + mirror) with pair = S_i^{-1/2} S_j^{-1/2}, kept
+    # in half; the unit diagonal enters S_i twice
+    gS = 2.0 * sums.diagonal * (inv_sqrt * inv_sqrt)
+    tmp = np.empty(n)
+    for f, b, bar, mirror in zip(filt.offsets, filt.upper, sums.half, sums.mirror):
+        m = n - f
+        bar[f:] += mirror[f:]
+        bar[f:] *= np.multiply(inv_sqrt[:m], inv_sqrt[f:], out=tmp[:m])
+        np.multiply(b[f:], bar[f:], out=tmp[:m])
+        gS[:m] += tmp[:m]
+        gS[f:] += tmp[:m]
+    gS *= -0.5 / S
+
+    # b_ij = w_ij exp(-q), q = ||C d_ij||^2: db/dq = -b, the taper w_ij (0
+    # outside the window) inside the stored b; the sign is taken at the end
+    weighted = np.empty((FEATURE_DIM, n))
+    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
+    for (f, d), b, bar in zip(_pair_differences(features, filt.offsets), filt.upper, sums.half):
+        m = n - f
+        gq = np.add(bar[f:], gS[:m], out=tmp[:m])
+        gq += gS[f:]
+        gq *= b[f:]
+        scatter += d @ np.multiply(d, gq, out=weighted[:, :m]).T
+    return -2.0 * factor @ scatter
 
 
 # A Lanczos step breaks down when its new direction is at most this times

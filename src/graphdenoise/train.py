@@ -21,8 +21,10 @@ FIT_TOLERANCE so that the gradient also matches the unrolled network's
 (acceptance criterion 4). Per pair the gradient keeps the Chebyshev terms
 of P(Psi) y (CompiledFilter.terms) and reverses them by Clenshaw's
 recurrence run backward, folding each matvec's (adjoint, input) pair into
-the smoother-weight sums (EdgeOuterSum); from there it is hand-derived
-through the symmetric normalization and the exponential weights into C.
+the smoother-weight sums (EdgeOuterSum) in its own chunk order; from
+there graph_filter, which owns B's layout, reverses them through the
+symmetric normalization and the exponential weights into C
+(metric_adjoint).
 The coefficient adjoints of the batch reach the Taylor and CG scalars by
 one reverse pass of the scalar network (compiled_filter_vjp). Feature
 extraction is deliberately treated as a constant of the noisy input
@@ -43,11 +45,12 @@ from .errors import InvalidInputError, NumericDivergenceError
 from .graph_filter import (
     FEATURE_DIM,
     DenoiserOperator,
+    EdgeOuterSum,
     bilateral_factor,
     build_filter_matrix,
     extract_features,
+    metric_adjoint,
     normalize,
-    upper_offsets,
 )
 from .imaging import write_durably
 from .lanes import in_lanes
@@ -224,91 +227,6 @@ def forward(
     return x
 
 
-class EdgeOuterSum:
-    """Running sums of g_m[i] * t_m[j] over terms m, for every stored entry
-    (i, j) of B on a side x side grid, fed up to `chunk` terms at a time.
-
-    The training gradient's terms are the Chebyshev vectors u_j = T_j(L) y
-    it applies Psi to (t) and the adjoints of those matvecs' outputs (g),
-    so the sums are dL/dPsi on B's pattern. A chunk's g terms go into rows
-    0..count-1 of g_terms; fold(t_terms) adds them with its count t terms.
-    The sums are in B's layout (SparseFilterMatrix.upper): diagonal sums
-    g[j] t[j], and column j of row f of half and mirror g[j - f] t[j] and
-    g[j] t[j - f]; where B is 0 outside the window, they do not count.
-    However the terms are chunked, every sum is bitwise the in-order sum
-    over m: each row is one einsum over contiguous shifted slices of a g
-    stack and a t stack of chunk + 1 rows each, m the outer loop, whose row
-    0 is reserved, with t = 1 and g holding the row's running sum, so the
-    reduction carries on from that sum. The gradient folds its terms in
-    chunks of degree_K, highest chunk first, each chunk in ascending order:
-    the chunk size thus sets the order of the sums over m, and with it the
-    gradient's bits.
-    """
-
-    def __init__(self, side: int, radius: int, chunk: int):
-        n = side * side
-        self.offsets = upper_offsets(side, radius)
-        self._g = np.empty((chunk + 1, n))
-        self.g_terms = self._g[1:]
-        self._t = np.ones((chunk + 1, n))  # row 0 stays 1
-        self.diagonal = np.zeros(n)
-        self.half = np.zeros((len(self.offsets), n))
-        self.mirror = np.zeros((len(self.offsets), n))
-
-    def fold(self, t_terms) -> None:
-        """Add the first len(t_terms) g terms, each paired with its t term."""
-        count = len(t_terms)
-        # a loop: on a 1-pixel grid the term axis is contiguous, and einsum
-        # sums a contiguous axis with several partial accumulators
-        for g_m, t_m, row in zip(self.g_terms, t_terms, self._t[1:]):
-            self.diagonal += g_m * t_m
-            row[:] = t_m
-        g, t = self._g[: count + 1], self._t[: count + 1]
-        running = g[0]
-        for f, half, mirror in zip(self.offsets, self.half, self.mirror):
-            m = running.size - f
-            running[:m] = half[f:]
-            np.einsum("mj,mj->j", g[:, :m], t[:, f:], out=half[f:])
-            running[f:] = mirror[f:]
-            np.einsum("mj,mj->j", g[:, f:], t[:, :m], out=mirror[f:])
-
-
-def _metric_adjoint(filt, features, factor, sums) -> np.ndarray:
-    """dL/dC from dL/dPsi in B's layout (sums, an EdgeOuterSum), reversed
-    through Psi = S^{-1/2} B S^{-1/2} and the weights B of C on the
-    features, each pass one loop over B's rows; sums.half is overwritten."""
-    S = filt.row_sums.ravel()
-    n = S.size
-    inv_sqrt = 1.0 / np.sqrt(S)
-    # a shared weight b_ij enters Psi_ij and Psi_ji, so its adjoint through
-    # Psi is pair * (half + mirror) with pair = S_i^{-1/2} S_j^{-1/2}, kept
-    # in half; the unit diagonal enters S_i twice
-    gS = 2.0 * sums.diagonal * (inv_sqrt * inv_sqrt)
-    tmp = np.empty(n)
-    for f, b, bar, mirror in zip(filt.offsets, filt.upper, sums.half, sums.mirror):
-        m = n - f
-        bar[f:] += mirror[f:]
-        bar[f:] *= np.multiply(inv_sqrt[:m], inv_sqrt[f:], out=tmp[:m])
-        np.multiply(b[f:], bar[f:], out=tmp[:m])
-        gS[:m] += tmp[:m]
-        gS[f:] += tmp[:m]
-    gS *= -0.5 / S
-
-    # b_ij = w_ij exp(-q), q = ||C d_ij||^2: db/dq = -b, the taper w_ij (0
-    # outside the window) inside the stored b; the sign is taken at the end
-    rows = np.ascontiguousarray(features.reshape(n, FEATURE_DIM).T)
-    diff, weighted = np.empty((2, FEATURE_DIM, n))
-    scatter = np.zeros((FEATURE_DIM, FEATURE_DIM))
-    for f, b, bar in zip(filt.offsets, filt.upper, sums.half):
-        m = n - f
-        gq = np.add(bar[f:], gS[:m], out=tmp[:m])
-        gq += gS[f:]
-        gq *= b[f:]
-        d = np.subtract(rows[:, :m], rows[:, f:], out=diff[:, :m])
-        scatter += d @ np.multiply(d, gq, out=weighted[:, :m]).T
-    return -2.0 * factor @ scatter
-
-
 def _grad_single(
     theta: ParamVector,
     compiled: CompiledFilter,
@@ -321,7 +239,7 @@ def _grad_single(
     and its adjoints of the metric factor's 15 entries and of P's
     coefficients. The matvecs' (adjoint, input) pairs are folded into
     EdgeOuterSum in chunks of degree_K, highest chunk first: that order is
-    part of the gradient's bits; _metric_adjoint takes the sums into C."""
+    part of the gradient's bits; metric_adjoint takes the sums into C."""
     noisy = np.asarray(noisy, dtype=float)
     clean = np.asarray(clean, dtype=float)
     # B is kept through the pass for its adjoint below
@@ -332,12 +250,10 @@ def _grad_single(
     c = compiled.coefficients
     degree = compiled.degree
     K = hyper.degree_K
-    # the terms u_k = T_k(L) y of P(Psi) y (CompiledFilter.terms), summed as
-    # CompiledFilter.apply sums them, so x is its output bitwise
+    # the terms u_k = T_k(L) y of P(Psi) y, kept, and their sum x, which is
+    # CompiledFilter.apply's output
     u = list(compiled.terms(psi, noisy))
-    x = c[0] * u[0]
-    for c_k, u_k in zip(c[1:], u[1:]):
-        x += c_k * u_k
+    x = compiled.combine(u)
     resid = np.subtract(x, clean, out=x)  # one vector is x, resid and g
     pair_loss = float(resid @ resid)
     if not np.isfinite(pair_loss):
@@ -361,7 +277,7 @@ def _grad_single(
             del u[j:]
         if j:
             b, b_next = c[j] * g + 4.0 * psi.apply(b) - 2.0 * b - b_next, b
-    return pair_loss, _metric_adjoint(filt, features, factor, psi_sums)[_TRIL], c_bar
+    return pair_loss, metric_adjoint(filt, features, factor, psi_sums)[_TRIL], c_bar
 
 
 def loss_and_grad(

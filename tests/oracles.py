@@ -11,7 +11,8 @@ Chebyshev terms by eigendecomposition, the one-pass form of EdgeOuterSum,
 the patch system solved by classic CG, and the gradient of the unrolled
 network by dense matrices. The block forms of the weights and of their
 reverse pass walk B as one strided 2-D plane per half-window offset
-(window_blocks), as the package did before it moved to B's flat rows.
+(window_blocks), as the package did before it moved to B's flat rows;
+upper_offsets is checked against those planes' offsets.
 """
 import numpy as np
 
@@ -30,7 +31,6 @@ from graphdenoise import (
     forward,
     learned_cg_vjp,
     unrolled_cg,
-    window_blocks,
 )
 from graphdenoise.graph_filter import upper_offsets
 
@@ -122,6 +122,30 @@ def dense_filter_matrix(features: np.ndarray, factor: np.ndarray, radius: int) -
                 weight = filter_weight(rows[i], rows[j], factor)
                 dense[i, j] = window_taper(ri - rj, ci - cj, radius) * weight
     return dense
+
+
+def window_blocks(side: int, radius: int):
+    """The grid blocks of the half-window offsets, in B's plane order.
+
+    Yields (dr, dc, block_i, block_j) for every offset of half the Chebyshev
+    window whose block is nonempty on a side x side grid. block_i and
+    block_j are (row slice, column slice) pairs; pixel (r, c) of block_i is
+    joined to pixel (r + dr, c + dc), the same position of block_j.
+    """
+    # the other half of the window is the mirror (-dr, -dc) of these offsets;
+    # an offset of side or more has an empty block, so the loops stop short
+    reach = min(radius, side - 1)
+    for dr in range(0, reach + 1):
+        for dc in range(-reach, reach + 1):
+            r0, r1 = max(0, -dr), side - max(0, dr)
+            c0, c1 = max(0, -dc), side - max(0, dc)
+            if (dr > 0 or dc > 0) and r0 < r1 and c0 < c1:
+                yield (
+                    dr,
+                    dc,
+                    (slice(r0, r1), slice(c0, c1)),
+                    (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc)),
+                )
 
 
 def block_planes(rows: np.ndarray, side: int, radius: int):

@@ -21,7 +21,6 @@ from graphdenoise import (
     estimate_spectrum,
     extract_features,
     normalize,
-    window_blocks,
 )
 from graphdenoise import graph_filter
 from graphdenoise.errors import DegenerateMatrixError
@@ -36,6 +35,7 @@ from oracles import (
     operator_from_dense,
     random_patch,
     stencil_gradients,
+    window_blocks,
     window_taper,
 )
 
@@ -302,6 +302,14 @@ class TestBuildFilterMatrix:
         # on a 2x2 grid only offsets with |dr|, |dc| <= 1 join two pixels
         assert [(dr, dc) for dr, dc, _, _ in window_blocks(2, 3)] == [(0, 1), (1, -1), (1, 0), (1, 1)]
         assert list(window_blocks(1, 3)) == []
+
+    def test_upper_offsets_are_the_flat_offsets_of_the_nonempty_blocks(self):
+        # every block of the half window is nonempty, side <= 2r included,
+        # so the closed form leaves out no offset and adds none
+        for side in range(1, 17):
+            for radius in range(1, 5):
+                blocks = {dr * side + dc for dr, dc, _, _ in window_blocks(side, radius)}
+                assert graph_filter.upper_offsets(side, radius) == tuple(sorted(blocks))
 
     def test_radius_far_beyond_the_patch_builds_quickly(self):
         # offsets of the patch side or more have no block: a huge radius

@@ -70,6 +70,23 @@ def test_cli_imports_no_solver_module():
     assert [name for name in names if {"cg_unroll", "taylor_system"} & set(name.split("."))] == []
 
 
+def test_train_reads_none_of_the_filter_layout():
+    # graph_filter alone knows B's rows, in both directions: train hands
+    # the gradient's sums to EdgeOuterSum and metric_adjoint and reads none
+    # of the rows, sums or normalization that they hold
+    tree = ast.parse((ROOT / "src" / "graphdenoise" / "train.py").read_text("utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"EdgeOuterSum", "metric_adjoint"} <= imported
+    assert "upper_offsets" not in imported
+    assert read & {"upper", "row_sums", "inv_sqrt", "half", "mirror", "diagonal"} == set()
+
+
 def test_no_unused_imports():
     # the package's __init__.py imports are its re-exports, and an import
     # whose first line is marked `# noqa: F401` is kept on purpose

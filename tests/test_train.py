@@ -41,12 +41,11 @@ from graphdenoise import (
     save_checkpoint,
     synthesize_image,
     train_loop,
-    window_blocks,
 )
 import graphdenoise.compiled
 import graphdenoise.train
 from graphdenoise.compiled import GRADIENT_TOLERANCE
-from graphdenoise.graph_filter import upper_offsets
+from graphdenoise.graph_filter import metric_adjoint, upper_offsets
 from graphdenoise.train import CHECKPOINT_VERSION
 from lane_peaks import lanes_peak
 from oracles import (
@@ -59,6 +58,7 @@ from oracles import (
     loss,
     random_patch,
     unrolled_loss_and_grad,
+    window_blocks,
 )
 
 SMALL = PipelineConfig(window_radius=2, degree_K=4, depth_T=5)
@@ -418,6 +418,15 @@ class TestReverseGradients:
             train_loop(pairs, 16, epochs=1, batch_size=1, seed=0, hyper=hyper)
         assert validated == []
 
+    def test_a_non_finite_forward_fails_as_inference_does(self, monkeypatch):
+        # the pair's output is the filter's own sum (CompiledFilter.combine),
+        # so an overflow in it raises the filter's error, not a warning
+        hyper = PipelineConfig()
+        overflowing = CompiledFilter(np.full(2, 1.5e308), 0.0)
+        monkeypatch.setattr(graphdenoise.train, "compile_filter", lambda theta, tail: overflowing)
+        with pytest.raises(NumericDivergenceError, match="^non-finite output of the compiled filter$"):
+            loss_and_grad(ParamVector.initial(hyper), [(np.ones(64), np.ones(64))], 8, hyper)
+
     @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_edge_outer_sum_equals_in_order_gather(self, side, radius):
@@ -468,16 +477,15 @@ class TestReverseGradients:
         noisy, clean = noisy_clean_pair(64, 64)
         theta = calibrated_initial(hyper, [noisy], 64)
         calls = []
-        real = graphdenoise.train._metric_adjoint
 
         def recorded(filt, features, factor, sums):
             copies = [np.copy(a) for a in (sums.diagonal, sums.half, sums.mirror)]
-            result = real(filt, features, factor, sums)
+            result = metric_adjoint(filt, features, factor, sums)
             calls.append((filt, features, factor, copies, result))
             return result
 
         monkeypatch.setattr(graphdenoise.lanes, "LANES", 1)  # recorded in this process
-        monkeypatch.setattr(graphdenoise.train, "_metric_adjoint", recorded)
+        monkeypatch.setattr(graphdenoise.train, "metric_adjoint", recorded)
         loss_and_grad(theta, [(noisy, clean)], 64, hyper)
         [(filt, features, factor, sums, result)] = calls
         want = block_metric_adjoint(filt, features, factor, *sums)
